@@ -306,30 +306,80 @@ pub fn swallowed_kill() -> KernelTrace {
 /// corrupts anything) — only the happens-before analysis can see that
 /// the accesses are unordered.
 pub fn unprotected_write_race() -> KernelTrace {
-    capture_one(|| {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 8);
-        let counter: SimShared<u64> = SimShared::new(&mut k, "fixture.counter", 0);
-        for name in ["w1", "w2"] {
-            let counter = counter.clone();
-            let mut done = false;
-            k.spawn(
-                FnThread::new(name, move |cx| {
-                    if done {
-                        return Step::Done;
-                    }
-                    done = true;
-                    // BUG: an unprotected read-modify-write, racing the
-                    // other worker's identical accesses.
-                    let v = counter.read(cx, |c| *c);
-                    counter.write(cx, |c| *c = v + 1);
+    capture_one(unprotected_write_race_run)
+}
+
+fn unprotected_write_race_run() {
+    let machine = MachineSpec::symmetric(2, Speed::FULL);
+    let mut k = Kernel::new(machine, SchedPolicy::os_default(), 8);
+    let counter: SimShared<u64> = SimShared::new(&mut k, "fixture.counter", 0);
+    for name in ["w1", "w2"] {
+        let counter = counter.clone();
+        let mut done = false;
+        k.spawn(
+            FnThread::new(name, move |cx| {
+                if done {
+                    return Step::Done;
+                }
+                done = true;
+                // BUG: an unprotected read-modify-write, racing the
+                // other worker's identical accesses.
+                let v = counter.read(cx, |c| *c);
+                counter.write(cx, |c| *c = v + 1);
+                Step::Compute(Cycles::from_micros_at_full_speed(10.0))
+            }),
+            SpawnOptions::new(),
+        );
+    }
+    k.run();
+}
+
+/// Two readers and, a millisecond later, a writer touch one
+/// [`SimShared`] word with no synchronization at all. The reads do not
+/// conflict with each other, but the write races *both*; the report
+/// must cite the earlier read (the lowest record index), so the witness
+/// is the same in every process whatever order the detector keeps the
+/// reads in.
+pub fn readers_then_writer_race() -> KernelTrace {
+    capture_one(readers_then_writer_race_run)
+}
+
+fn readers_then_writer_race_run() {
+    let machine = MachineSpec::symmetric(3, Speed::FULL);
+    let mut k = Kernel::new(machine, SchedPolicy::os_default(), 13);
+    let word: SimShared<u64> = SimShared::new(&mut k, "fixture.word", 0);
+    for name in ["r1", "r2"] {
+        let word = word.clone();
+        let mut done = false;
+        k.spawn(
+            FnThread::new(name, move |cx| {
+                if done {
+                    return Step::Done;
+                }
+                done = true;
+                word.read(cx, |w| *w);
+                Step::Compute(Cycles::from_micros_at_full_speed(10.0))
+            }),
+            SpawnOptions::new(),
+        );
+    }
+    let mut phase = 0u8;
+    k.spawn(
+        FnThread::new("w", move |cx| {
+            phase += 1;
+            match phase {
+                1 => Step::Sleep(SimDuration::from_millis(1)),
+                2 => {
+                    // BUG: a plain write nothing orders after the reads.
+                    word.write(cx, |w| *w += 1);
                     Step::Compute(Cycles::from_micros_at_full_speed(10.0))
-                }),
-                SpawnOptions::new(),
-            );
-        }
-        k.run();
-    })
+                }
+                _ => Step::Done,
+            }
+        }),
+        SpawnOptions::new(),
+    );
+    k.run();
 }
 
 /// Each worker protects the shared table with its **own** mutex: every
@@ -338,65 +388,67 @@ pub fn unprotected_write_race() -> KernelTrace {
 /// data race to mask the finding — only the lock-set discipline is
 /// broken, and the Eraser-style checker must flag it.
 pub fn lockset_violation() -> KernelTrace {
-    capture_one(|| {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 9);
-        let a = SimMutex::new(&mut k);
-        let b = SimMutex::new(&mut k);
-        let table: SimShared<u64> = SimShared::new(&mut k, "fixture.table", 0);
-        let flag: SimShared<bool> = SimShared::new(&mut k, "fixture.flag", false);
+    capture_one(lockset_violation_run)
+}
 
-        let (t1_table, t1_flag) = (table.clone(), flag.clone());
-        let mut phase = 0u8;
-        k.spawn(
-            FnThread::new("t1-lock-a", move |cx| loop {
-                match phase {
-                    0 => match a.lock_step(cx) {
-                        Ok(()) => phase = 1,
-                        Err(step) => return step,
-                    },
-                    _ => {
-                        t1_table.write(cx, |t| *t += 1);
-                        a.unlock(cx);
-                        t1_flag.store(cx, |f| *f = true);
-                        return Step::Done;
-                    }
-                }
-            }),
-            SpawnOptions::new(),
-        );
+fn lockset_violation_run() {
+    let machine = MachineSpec::symmetric(2, Speed::FULL);
+    let mut k = Kernel::new(machine, SchedPolicy::os_default(), 9);
+    let a = SimMutex::new(&mut k);
+    let b = SimMutex::new(&mut k);
+    let table: SimShared<u64> = SimShared::new(&mut k, "fixture.table", 0);
+    let flag: SimShared<bool> = SimShared::new(&mut k, "fixture.flag", false);
 
-        let mut phase = 0u8;
-        k.spawn(
-            FnThread::new("t2-lock-b", move |cx| loop {
-                match phase {
-                    0 => {
-                        phase = 1;
-                        return Step::Sleep(SimDuration::from_millis(5));
-                    }
-                    1 => {
-                        if !flag.load(cx, |f| *f) {
-                            return Step::Sleep(SimDuration::from_millis(1));
-                        }
-                        phase = 2;
-                    }
-                    2 => match b.lock_step(cx) {
-                        Ok(()) => phase = 3,
-                        Err(step) => return step,
-                    },
-                    _ => {
-                        // BUG: guards the same table with a *different*
-                        // lock than t1 uses.
-                        table.write(cx, |t| *t += 1);
-                        b.unlock(cx);
-                        return Step::Done;
-                    }
+    let (t1_table, t1_flag) = (table.clone(), flag.clone());
+    let mut phase = 0u8;
+    k.spawn(
+        FnThread::new("t1-lock-a", move |cx| loop {
+            match phase {
+                0 => match a.lock_step(cx) {
+                    Ok(()) => phase = 1,
+                    Err(step) => return step,
+                },
+                _ => {
+                    t1_table.write(cx, |t| *t += 1);
+                    a.unlock(cx);
+                    t1_flag.store(cx, |f| *f = true);
+                    return Step::Done;
                 }
-            }),
-            SpawnOptions::new(),
-        );
-        k.run();
-    })
+            }
+        }),
+        SpawnOptions::new(),
+    );
+
+    let mut phase = 0u8;
+    k.spawn(
+        FnThread::new("t2-lock-b", move |cx| loop {
+            match phase {
+                0 => {
+                    phase = 1;
+                    return Step::Sleep(SimDuration::from_millis(5));
+                }
+                1 => {
+                    if !flag.load(cx, |f| *f) {
+                        return Step::Sleep(SimDuration::from_millis(1));
+                    }
+                    phase = 2;
+                }
+                2 => match b.lock_step(cx) {
+                    Ok(()) => phase = 3,
+                    Err(step) => return step,
+                },
+                _ => {
+                    // BUG: guards the same table with a *different*
+                    // lock than t1 uses.
+                    table.write(cx, |t| *t += 1);
+                    b.unlock(cx);
+                    return Step::Done;
+                }
+            }
+        }),
+        SpawnOptions::new(),
+    );
+    k.run();
 }
 
 /// A forged trace in which a fault re-ranks the cores (core 0 drops to
@@ -749,7 +801,7 @@ pub fn vruntime_starvation() -> KernelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asym_kernel::RunOutcome;
+    use asym_kernel::{capture_stream, RunOutcome};
 
     #[test]
     fn fixtures_have_expected_outcomes() {
@@ -859,6 +911,119 @@ mod tests {
         assert!(!trace
             .records()
             .any(|r| matches!(r.event, TraceEvent::Done { .. })));
+    }
+
+    /// The exact rendered `check_concurrency` findings of every negative
+    /// fixture the happens-before suite covers, pinned byte for byte.
+    const GOLDEN: &[(&str, &[&str])] = &[
+        (
+            "unprotected_write_race",
+            &[
+                "[data-race] at 0.000000s: word 0 of obj0 ('fixture.counter'): write by tid0 at #4 (0.000000s) and read by tid1 at #6 (0.000000s) are unordered — no happens-before path connects the accesses [#4->#6]",
+            ],
+        ),
+        (
+            "readers_then_writer_race",
+            &[
+                "[data-race] at 0.001000s: word 0 of obj0 ('fixture.word'): read by tid0 at #4 (0.000000s) and write by tid2 at #13 (0.001000s) are unordered — no happens-before path connects the accesses [#4->#13]",
+            ],
+        ),
+        (
+            "lockset_violation",
+            &[
+                "[inconsistent-lock-set] at 0.005000s: obj0 ('fixture.table') is lock-disciplined (two or more threads access it under locks) but no common lock protects every access: #4 (0.000000s) held wait0 while the access by tid1 at #15 (0.005000s) held wait1 [#4->#15]",
+            ],
+        ),
+        (
+            "stale_ranking_dispatch",
+            &[
+                "[stale-ranking] at 0.004000s: tid0 woken onto core0 (speed 0.125) at #5 while idle eligible core1 (speed 1.000) was faster under the ranking in force since SpeedChange at #3 — the placement ignored the current speed ranking [#3->#5]",
+                "[stale-rerank] at 0.002000s: SpeedChange at #3 reordered the online-core speed ranking but no Rerank record for core1 followed within 0.001000s [#3]",
+            ],
+        ),
+        (
+            "missing_rerank",
+            &[
+                "[stale-rerank] at 0.002000s: SpeedChange at #2 reordered the online-core speed ranking but no Rerank record for core0 followed within 0.001000s [#2]",
+            ],
+        ),
+        (
+            "rerank_thrash",
+            &[
+                "[rerank-thrash] at 0.002800s: 9 re-ranks inside one 0.001000s window (since #3 at 0.002000s): hysteresis failed to damp the churn [#3->#19]",
+            ],
+        ),
+        (
+            "downhill_steal",
+            &[
+                "[stale-ranking] at 0.005000s: tid0 woken onto core2 (speed 0.125) at #7 while idle eligible core0 (speed 1.000) was faster under the machine's initial speed ranking — the placement ignored the current speed ranking [#7]",
+            ],
+        ),
+        (
+            "vruntime_starvation",
+            &[
+                "[starvation] at 0.220000s: thread 0 sat queued on core 0 for 0.220000s (bound 0.200000s) while 220 other dispatches ran there [#0->end]",
+            ],
+        ),
+    ];
+
+    fn golden(name: &str) -> Vec<String> {
+        let (_, lines) = GOLDEN
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("fixture has pinned output");
+        lines.iter().map(ToString::to_string).collect()
+    }
+
+    fn rendered(violations: Vec<crate::Violation>) -> Vec<String> {
+        violations.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn negative_fixtures_render_exactly_as_pinned() {
+        use crate::hb::{check_concurrency, ConcurrencyFold};
+        use asym_kernel::TraceConsumer;
+        let fixtures = [
+            ("unprotected_write_race", unprotected_write_race()),
+            ("readers_then_writer_race", readers_then_writer_race()),
+            ("lockset_violation", lockset_violation()),
+            ("stale_ranking_dispatch", stale_ranking_dispatch()),
+            ("missing_rerank", missing_rerank()),
+            ("rerank_thrash", rerank_thrash()),
+            ("downhill_steal", downhill_steal()),
+            ("vruntime_starvation", vruntime_starvation()),
+        ];
+        assert_eq!(fixtures.len(), GOLDEN.len());
+        for (name, trace) in fixtures {
+            // The replay wrapper over the buffered trace.
+            assert_eq!(rendered(check_concurrency(&trace)), golden(name), "{name}");
+            // The fold fed one record at a time, with the labels only
+            // after the events: findings are rendered at finish.
+            let mut fold = ConcurrencyFold::new(&trace.machine, trace.policy);
+            for r in trace.records() {
+                fold.on_event(r.time, &r.event);
+            }
+            for label in &trace.shared_labels {
+                fold.on_shared_label(label);
+            }
+            assert_eq!(rendered(fold.finish()), golden(name), "{name} (fed)");
+        }
+        // The fixtures that are real runs also stream straight out of
+        // the kernel, with no trace in between.
+        let runs: [(&str, fn()); 3] = [
+            ("unprotected_write_race", unprotected_write_race_run),
+            ("readers_then_writer_race", readers_then_writer_race_run),
+            ("lockset_violation", lockset_violation_run),
+        ];
+        for (name, run) in runs {
+            let ((), folds) = capture_stream(ConcurrencyFold::new, run);
+            assert_eq!(folds.len(), 1, "{name}: one kernel");
+            let found = folds
+                .into_iter()
+                .flat_map(ConcurrencyFold::finish)
+                .collect();
+            assert_eq!(rendered(found), golden(name), "{name} (streamed)");
+        }
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! The happens-before engine: vector clocks, race detection, lock-set
-//! checking, and scheduler-policy lints over a captured [`KernelTrace`].
+//! checking, and scheduler-policy lints over one kernel's event stream.
+//!
+//! Every checker here is an online fold: it sees each record once, in
+//! emission order, and keeps only the state its verdict needs.
+//! [`ConcurrencyFold`] bundles all of them behind one
+//! [`TraceConsumer`], so a sweep can check a run while it executes
+//! without ever buffering its trace. The `check_*` functions over a
+//! captured [`KernelTrace`] are replays of the same folds.
 //!
 //! # The happens-before relation
 //!
-//! The engine replays the state-complete event stream once, maintaining a
-//! vector clock per simulated thread, and derives ordering edges from the
-//! synchronization events the kernel and `asym-sync` primitives emit:
+//! The engine keeps a vector clock per simulated thread and derives
+//! ordering edges from the synchronization events the kernel and
+//! `asym-sync` primitives emit:
 //!
 //! | Trace events | Edge |
 //! |---|---|
@@ -24,6 +31,14 @@
 //! the race detector toward *fewer* reports — the right direction for a
 //! checker whose clean verdict gates CI.
 //!
+//! All state is indexed densely: thread clocks by [`ThreadId`], object
+//! clocks by [`WaitId`], atomic clocks and race state by [`ShareId`] and
+//! word (the ids are sequential per kernel). Acquires join object clocks
+//! into the thread clock in place, and releases join the thread clock
+//! into the object clock in place, so no clock is copied per event. The
+//! explicit edge list is built only by [`happens_before`]; the race
+//! check derives the same ordering from the clocks alone.
+//!
 //! # Race detection
 //!
 //! Plain [`SharedRead`](TraceEvent::SharedRead) /
@@ -31,7 +46,10 @@
 //! `SimShared`) are checked FastTrack-style: each (object, word) keeps the
 //! last read and write epoch per thread, and an access racing any
 //! conflicting epoch not covered by the accessor's clock is reported as
-//! [`ViolationKind::DataRace`] with both trace sites.
+//! [`ViolationKind::DataRace`] with both trace sites. Each word is
+//! reported once. When several kept epochs conflict, the report cites
+//! the earliest of them (lowest record index), so the witness does not
+//! depend on iteration order.
 //!
 //! # Lock-set checking
 //!
@@ -58,17 +76,106 @@
 //! [`RERANK_THRASH_WINDOW`] is churn the environment hysteresis should
 //! have damped ([`ViolationKind::RerankThrash`]).
 
-use crate::{KernelTrace, Violation, ViolationKind};
-use asym_kernel::{AtomicOp, PolicyKind, ShareId, ThreadId, TraceEvent, WaitId, WakeReason};
-use asym_sim::{CoreId, CoreMask, SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use crate::{remove_tid, CoreState, KernelTrace, Violation, ViolationKind};
+use asym_kernel::{
+    AtomicOp, PolicyKind, SchedPolicy, ShareId, ThreadId, TraceConsumer, TraceEvent, WaitId,
+    WakeReason,
+};
+use asym_sim::{CoreId, CoreMask, MachineSpec, SimDuration, SimTime, Speed};
+use std::collections::VecDeque;
+
+// ----------------------------------------------------------------------
+// Online lints
+// ----------------------------------------------------------------------
+
+/// One online checker over a kernel's record stream. Records arrive
+/// numbered in emission order; findings that name shared objects are
+/// rendered by [`finish`](Lint::finish), once every label is known.
+trait Lint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent);
+
+    /// The findings, given the shared-object labels.
+    fn finish(self, labels: &[String]) -> Vec<Violation>;
+}
+
+/// A lint that does not apply to this trace's policy.
+impl<L: Lint> Lint for Option<L> {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        if let Some(lint) = self {
+            lint.on_record(i, time, event);
+        }
+    }
+
+    fn finish(self, labels: &[String]) -> Vec<Violation> {
+        self.map_or_else(Vec::new, |lint| lint.finish(labels))
+    }
+}
+
+/// Adapts a [`Lint`] to a [`TraceConsumer`]: numbers the records and
+/// collects shared-object labels.
+struct LintFold<L> {
+    lint: L,
+    next: usize,
+    labels: Vec<String>,
+}
+
+impl<L: Lint> LintFold<L> {
+    fn new(lint: L) -> Self {
+        LintFold {
+            lint,
+            next: 0,
+            labels: Vec::new(),
+        }
+    }
+
+    /// Replays a captured trace through `lint` — the buffered entry
+    /// points are exactly this.
+    fn replay(trace: &KernelTrace, lint: L) -> Self {
+        let mut fold = LintFold::new(lint);
+        trace.replay(&mut fold);
+        fold
+    }
+
+    fn finish(self) -> Vec<Violation> {
+        self.lint.finish(&self.labels)
+    }
+}
+
+impl<L: Lint> TraceConsumer for LintFold<L> {
+    fn on_event(&mut self, time: SimTime, event: &TraceEvent) {
+        self.lint.on_record(self.next, time, event);
+        self.next += 1;
+    }
+
+    fn on_shared_label(&mut self, label: &str) {
+        self.labels.push(label.to_string());
+    }
+}
+
+/// The slot for dense index `i`, growing `v` with defaults on demand.
+fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
+}
+
+/// Names a shared object for diagnostics: `obj3 ('apache.inbox')` when
+/// the registration label is known, bare `obj3` otherwise.
+fn obj_name(labels: &[String], obj: ShareId) -> String {
+    match labels.get(obj.index()) {
+        Some(label) => format!("{obj} ('{label}')"),
+        None => format!("{obj}"),
+    }
+}
 
 // ----------------------------------------------------------------------
 // Vector clocks
 // ----------------------------------------------------------------------
 
-/// A vector clock over thread indices (grown on demand).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A vector clock over thread indices (grown on demand). Deliberately
+/// not `Clone`: every join and snapshot works in place.
+#[derive(Default)]
 struct VClock(Vec<u32>);
 
 impl VClock {
@@ -77,9 +184,6 @@ impl VClock {
     }
 
     fn tick(&mut self, t: usize) {
-        if self.0.len() <= t {
-            self.0.resize(t + 1, 0);
-        }
         self.0[t] += 1;
     }
 
@@ -87,16 +191,36 @@ impl VClock {
         if self.0.len() < other.0.len() {
             self.0.resize(other.0.len(), 0);
         }
-        for (i, &c) in other.0.iter().enumerate() {
-            if self.0[i] < c {
-                self.0[i] = c;
-            }
+        for (mine, &theirs) in self.0.iter_mut().zip(&other.0) {
+            *mine = (*mine).max(theirs);
         }
     }
 
     /// Does this clock cover thread `t` up to `clock`?
     fn covers(&self, t: usize, clock: u32) -> bool {
         self.get(t) >= clock
+    }
+}
+
+/// Thread `t`'s clock, sized to hold its own component.
+fn thread_clock(vc: &mut Vec<VClock>, t: usize) -> &mut VClock {
+    let clock = slot(vc, t);
+    if clock.0.len() <= t {
+        clock.0.resize(t + 1, 0);
+    }
+    clock
+}
+
+/// Joins thread `src`'s clock into thread `dst`'s, in place.
+fn join_threads(vc: &mut Vec<VClock>, dst: usize, src: usize) {
+    thread_clock(vc, dst);
+    thread_clock(vc, src);
+    if dst < src {
+        let (lo, hi) = vc.split_at_mut(src);
+        lo[dst].join(&hi[0]);
+    } else if src < dst {
+        let (lo, hi) = vc.split_at_mut(dst);
+        hi[0].join(&lo[src]);
     }
 }
 
@@ -151,110 +275,279 @@ pub struct HbAnalysis {
     pub races: Vec<Violation>,
 }
 
-/// Names a shared object for diagnostics: `obj3 ('apache.inbox')` when
-/// the registration label survives on the trace, bare `obj3` otherwise.
-/// Decodes the record at `idx` (diagnostics only — O(idx), used when a
-/// violation needs to cite an earlier trace site by index).
-fn record_at(trace: &KernelTrace, idx: usize) -> asym_kernel::TraceRecord {
-    trace
-        .records()
-        .nth(idx)
-        .expect("violation cites a record index inside the trace")
+/// The bookkeeping only the explicit edge list needs; the race check
+/// runs without it.
+#[derive(Default)]
+struct EdgeLog {
+    edges: Vec<HbEdge>,
+    /// Each spawn record whose child has not produced an event yet, by
+    /// child thread.
+    pending_spawn: Vec<Option<usize>>,
+    /// Each finished thread's `Done` record, by thread.
+    done_at: Vec<Option<usize>>,
+    /// The arrivals of each barrier's current epoch, by barrier.
+    arrivals: Vec<Vec<usize>>,
 }
 
-fn obj_name(trace: &KernelTrace, obj: ShareId) -> String {
-    match trace.shared_label(obj) {
-        Some(label) => format!("{obj} ('{label}')"),
-        None => format!("{obj}"),
+fn log_edge(log: &mut Option<EdgeLog>, src: usize, dst: usize, kind: EdgeKind) {
+    if let Some(log) = log {
+        log.edges.push(HbEdge { src, dst, kind });
     }
 }
 
-/// Per-(object, word) race-detector state: last plain access epoch per
-/// thread, split by access kind.
-#[derive(Debug, Default)]
+/// An object clock: the join of every publisher's clock, and the record
+/// of the latest publish (the edge source of the next acquire).
+struct Published {
+    clock: VClock,
+    src: usize,
+}
+
+/// Release: joins `own` into the object clock and moves its edge source
+/// to record `i`.
+fn publish(object: &mut Option<Published>, own: &VClock, i: usize) {
+    let p = object.get_or_insert_with(|| Published {
+        clock: VClock::default(),
+        src: i,
+    });
+    p.clock.join(own);
+    p.src = i;
+}
+
+/// Acquire: joins the object clock, if anything was published, into
+/// `own`.
+fn acquire(
+    own: &mut VClock,
+    object: Option<&Published>,
+    i: usize,
+    kind: EdgeKind,
+    log: &mut Option<EdgeLog>,
+) {
+    if let Some(p) = object {
+        own.join(&p.clock);
+        log_edge(log, p.src, i, kind);
+    }
+}
+
+/// The latest `Signal` on a wait queue.
+#[derive(Default)]
+struct LastSignal {
+    idx: usize,
+    /// Whether a simulated thread sent it (only those carry a clock).
+    from_thread: bool,
+    /// The waker's clock at the signal.
+    clock: VClock,
+}
+
+/// One plain access kept by the race detector.
+#[derive(Clone, Copy)]
+struct Epoch {
+    tid: usize,
+    /// The accessor's own clock component at the access.
+    clock: u32,
+    idx: usize,
+    time: SimTime,
+}
+
+/// Per-(object, word) race-detector state: the last plain write and
+/// read of every thread that accessed the word.
+#[derive(Default)]
 struct WordState {
-    /// thread index → (clock at write, record index).
-    writes: HashMap<usize, (u32, usize)>,
-    /// thread index → (clock at read, record index).
-    reads: HashMap<usize, (u32, usize)>,
+    writes: Vec<Epoch>,
+    reads: Vec<Epoch>,
+    /// A race on this word was reported (one report per word), so the
+    /// word needs no more tracking.
+    reported: bool,
 }
 
-/// Replays `trace` once, building the full happens-before relation and
-/// running the vector-clock race detector over plain shared accesses.
-pub fn happens_before(trace: &KernelTrace) -> HbAnalysis {
-    let mut vc: Vec<VClock> = Vec::new();
-    let mut edges: Vec<HbEdge> = Vec::new();
-    let mut races: Vec<Violation> = Vec::new();
+/// The earliest epoch in `epochs` of another thread that `me` does not
+/// cover.
+fn earliest_unordered(epochs: &[Epoch], t: usize, me: &VClock) -> Option<Epoch> {
+    epochs
+        .iter()
+        .filter(|e| e.tid != t && !me.covers(e.tid, e.clock))
+        .min_by_key(|e| e.idx)
+        .copied()
+}
 
-    // Object clocks, each paired with the record index of the latest
-    // publisher (the edge source used when someone acquires from it).
-    let mut lock_vc: HashMap<WaitId, (VClock, usize)> = HashMap::new();
-    let mut sem_vc: HashMap<WaitId, (VClock, usize)> = HashMap::new();
-    let mut queue_vc: HashMap<WaitId, (VClock, usize)> = HashMap::new();
-    let mut atomic_vc: HashMap<(ShareId, u32), (VClock, usize)> = HashMap::new();
-    // Barrier epoch accumulators: joined clock + pending arrival sites.
-    let mut barrier_acc: HashMap<WaitId, (VClock, Vec<usize>)> = HashMap::new();
-    // Latest Signal per wait queue: (record index, waker clock if the
-    // signal came from a simulated thread).
-    let mut last_signal: HashMap<WaitId, (usize, Option<VClock>)> = HashMap::new();
-    // Which wait queue each blocked thread is parked on.
-    let mut blocked_on: HashMap<ThreadId, WaitId> = HashMap::new();
-    // Where each finished thread's Done record sits (join-edge source).
-    let mut done_at: HashMap<ThreadId, usize> = HashMap::new();
-    // Spawn records whose child has not produced an event yet.
-    let mut pending_spawn: HashMap<ThreadId, usize> = HashMap::new();
-    // Race-detector state and once-per-word reporting.
-    let mut words: HashMap<(ShareId, u32), WordState> = HashMap::new();
-    let mut reported: HashSet<(ShareId, u32)> = HashSet::new();
+/// Keeps `e` as its thread's latest epoch in `epochs`.
+fn keep_epoch(epochs: &mut Vec<Epoch>, e: Epoch) {
+    match epochs.iter_mut().find(|x| x.tid == e.tid) {
+        Some(x) => *x = e,
+        None => epochs.push(e),
+    }
+}
 
-    fn clock_of(vc: &mut Vec<VClock>, t: usize) -> &mut VClock {
-        if vc.len() <= t {
-            vc.resize(t + 1, VClock::default());
+/// A detected race, rendered once labels are known.
+struct Race {
+    obj: ShareId,
+    word: u32,
+    earlier: Epoch,
+    earlier_kind: &'static str,
+    later: Epoch,
+    later_kind: &'static str,
+}
+
+impl Race {
+    fn render(&self, labels: &[String]) -> Violation {
+        let Race {
+            obj,
+            word,
+            earlier: e,
+            earlier_kind,
+            later: l,
+            later_kind,
+        } = self;
+        let object = obj_name(labels, *obj);
+        Violation::new(
+            ViolationKind::DataRace,
+            Some(l.time),
+            format!(
+                "word {word} of {object}: {earlier_kind} by tid{} at #{} ({}) and {later_kind} \
+                 by tid{} at #{} ({}) are unordered — no happens-before path connects the \
+                 accesses",
+                e.tid, e.idx, e.time, l.tid, l.idx, l.time
+            ),
+        )
+        .with_object(object)
+        .with_site(format!("#{}->#{}", e.idx, l.idx))
+    }
+}
+
+/// The thread a record belongs to (its author for publishes, its
+/// subject for scheduler events): the clock it ticks and the child
+/// whose spawn edge it completes.
+fn subject_of(event: &TraceEvent) -> Option<ThreadId> {
+    match *event {
+        TraceEvent::Spawn { parent, .. } => parent,
+        TraceEvent::Signal { waker, .. } => waker,
+        TraceEvent::Dispatch { tid, .. }
+        | TraceEvent::Migrate { tid, .. }
+        | TraceEvent::Preempt { tid, .. }
+        | TraceEvent::Steal { tid, .. }
+        | TraceEvent::Wakeup { tid, .. }
+        | TraceEvent::Block { tid, .. }
+        | TraceEvent::Sleep { tid }
+        | TraceEvent::Done { tid }
+        | TraceEvent::LockAcquire { tid, .. }
+        | TraceEvent::LockRelease { tid, .. }
+        | TraceEvent::CondWait { tid, .. }
+        | TraceEvent::BarrierArrive { tid, .. }
+        | TraceEvent::SemAcquire { tid, .. }
+        | TraceEvent::SemRelease { tid, .. }
+        | TraceEvent::QueuePush { tid, .. }
+        | TraceEvent::QueuePop { tid, .. }
+        | TraceEvent::ThreadKilled { tid }
+        | TraceEvent::SharedRead { tid, .. }
+        | TraceEvent::SharedWrite { tid, .. }
+        | TraceEvent::SharedAtomic { tid, .. } => Some(tid),
+        TraceEvent::ThreadJoin { by, .. } => Some(by),
+        TraceEvent::SetAffinity { .. }
+        | TraceEvent::AffinityOverride { .. }
+        | TraceEvent::SpeedChange { .. }
+        | TraceEvent::Rerank { .. }
+        | TraceEvent::CoreOffline { .. }
+        | TraceEvent::CoreOnline { .. } => None,
+    }
+}
+
+/// The vector-clock engine and FastTrack-style race detector.
+#[derive(Default)]
+struct HbLint {
+    /// Thread clocks, by thread.
+    vc: Vec<VClock>,
+    /// Release clocks of locks, semaphores and queues, by wait queue.
+    locks: Vec<Option<Published>>,
+    sems: Vec<Option<Published>>,
+    queues: Vec<Option<Published>>,
+    /// Atomic publish clocks, by object then word.
+    atomics: Vec<Vec<Option<Published>>>,
+    /// Each barrier's joined arrivals of the current epoch.
+    barriers: Vec<VClock>,
+    /// The latest signal per wait queue.
+    signals: Vec<Option<LastSignal>>,
+    /// The wait queue each blocked thread is parked on, by thread.
+    blocked_on: Vec<Option<WaitId>>,
+    /// Race-detector state, by object then word.
+    words: Vec<Vec<WordState>>,
+    races: Vec<Race>,
+    /// Present only when the caller wants the edge list.
+    edges: Option<EdgeLog>,
+}
+
+impl HbLint {
+    fn new(with_edges: bool) -> Self {
+        HbLint {
+            edges: with_edges.then(EdgeLog::default),
+            ..HbLint::default()
         }
-        &mut vc[t]
     }
 
-    for (i, r) in trace.records().enumerate() {
-        // The thread this record belongs to (its author for publishes,
-        // its subject for scheduler events); used for program-order
-        // clock ticks and spawn-edge completion.
-        let subject: Option<ThreadId> = match r.event {
-            TraceEvent::Spawn { parent, .. } => parent,
-            TraceEvent::Signal { waker, .. } => waker,
-            TraceEvent::Dispatch { tid, .. }
-            | TraceEvent::Migrate { tid, .. }
-            | TraceEvent::Preempt { tid, .. }
-            | TraceEvent::Steal { tid, .. }
-            | TraceEvent::Wakeup { tid, .. }
-            | TraceEvent::Block { tid, .. }
-            | TraceEvent::Sleep { tid }
-            | TraceEvent::Done { tid }
-            | TraceEvent::LockAcquire { tid, .. }
-            | TraceEvent::LockRelease { tid, .. }
-            | TraceEvent::CondWait { tid, .. }
-            | TraceEvent::BarrierArrive { tid, .. }
-            | TraceEvent::SemAcquire { tid, .. }
-            | TraceEvent::SemRelease { tid, .. }
-            | TraceEvent::QueuePush { tid, .. }
-            | TraceEvent::QueuePop { tid, .. }
-            | TraceEvent::ThreadKilled { tid }
-            | TraceEvent::SharedRead { tid, .. }
-            | TraceEvent::SharedWrite { tid, .. }
-            | TraceEvent::SharedAtomic { tid, .. } => Some(tid),
-            TraceEvent::ThreadJoin { by, .. } => Some(by),
-            TraceEvent::SetAffinity { .. }
-            | TraceEvent::AffinityOverride { .. }
-            | TraceEvent::SpeedChange { .. }
-            | TraceEvent::Rerank { .. }
-            | TraceEvent::CoreOffline { .. }
-            | TraceEvent::CoreOnline { .. } => None,
+    /// A plain access: checks it against the word's kept epochs, then
+    /// keeps it.
+    fn access(
+        &mut self,
+        i: usize,
+        time: SimTime,
+        tid: ThreadId,
+        obj: ShareId,
+        word: u32,
+        write: bool,
+    ) {
+        let t = tid.index();
+        let me = thread_clock(&mut self.vc, t);
+        let state = slot(slot(&mut self.words, obj.index()), word as usize);
+        if state.reported {
+            return;
+        }
+        // A read races only with unordered writes; a write with any
+        // unordered access.
+        let mut conflict = earliest_unordered(&state.writes, t, me).map(|e| (e, "write"));
+        if write {
+            if let Some(r) = earliest_unordered(&state.reads, t, me) {
+                if conflict.is_none_or(|(w, _)| r.idx < w.idx) {
+                    conflict = Some((r, "read"));
+                }
+            }
+        }
+        let now = Epoch {
+            tid: t,
+            clock: me.get(t),
+            idx: i,
+            time,
         };
+        if let Some((earlier, earlier_kind)) = conflict {
+            state.reported = true;
+            self.races.push(Race {
+                obj,
+                word,
+                earlier,
+                earlier_kind,
+                later: now,
+                later_kind: if write { "write" } else { "read" },
+            });
+        } else if write {
+            keep_epoch(&mut state.writes, now);
+        } else {
+            keep_epoch(&mut state.reads, now);
+        }
+    }
 
+    fn into_analysis(self, labels: &[String]) -> HbAnalysis {
+        HbAnalysis {
+            races: self.races.iter().map(|r| r.render(labels)).collect(),
+            edges: self.edges.map(|log| log.edges).unwrap_or_default(),
+        }
+    }
+}
+
+impl Lint for HbLint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        let subject = subject_of(event);
         // Complete a pending spawn edge at the child's first event.
-        if let Some(t) = subject {
-            if let Some(src) = pending_spawn.remove(&t) {
+        if let (Some(t), Some(log)) = (subject, self.edges.as_mut()) {
+            if let Some(src) = log.pending_spawn.get_mut(t.index()).and_then(Option::take) {
                 if src < i {
-                    edges.push(HbEdge {
+                    log.edges.push(HbEdge {
                         src,
                         dst: i,
                         kind: EdgeKind::Spawn,
@@ -263,199 +556,129 @@ pub fn happens_before(trace: &KernelTrace) -> HbAnalysis {
             }
         }
 
-        match r.event {
+        match *event {
             TraceEvent::Spawn { tid, parent, .. } => {
                 // The child inherits the parent's history.
                 if let Some(p) = parent {
-                    let parent_clock = clock_of(&mut vc, p.index()).clone();
-                    clock_of(&mut vc, tid.index()).join(&parent_clock);
+                    join_threads(&mut self.vc, tid.index(), p.index());
                 }
-                pending_spawn.insert(tid, i);
+                if let Some(log) = self.edges.as_mut() {
+                    *slot(&mut log.pending_spawn, tid.index()) = Some(i);
+                }
             }
             TraceEvent::Block { tid, wait } => {
-                blocked_on.insert(tid, wait);
+                *slot(&mut self.blocked_on, tid.index()) = Some(wait);
             }
             TraceEvent::Wakeup { tid, reason, .. } => {
-                if reason == WakeReason::Signal {
-                    if let Some(wait) = blocked_on.remove(&tid) {
-                        if let Some((sig_idx, Some(waker_clock))) = last_signal.get(&wait) {
-                            let waker_clock = waker_clock.clone();
-                            clock_of(&mut vc, tid.index()).join(&waker_clock);
-                            edges.push(HbEdge {
-                                src: *sig_idx,
-                                dst: i,
-                                kind: EdgeKind::Signal,
-                            });
+                let wait = self.blocked_on.get_mut(tid.index()).and_then(Option::take);
+                if let (WakeReason::Signal, Some(wait)) = (reason, wait) {
+                    if let Some(Some(sig)) = self.signals.get(wait.index()) {
+                        if sig.from_thread {
+                            thread_clock(&mut self.vc, tid.index()).join(&sig.clock);
+                            log_edge(&mut self.edges, sig.idx, i, EdgeKind::Signal);
                         }
                     }
-                } else {
-                    blocked_on.remove(&tid);
                 }
             }
             TraceEvent::Signal { waker, wait, .. } => {
-                let snapshot = waker.map(|w| clock_of(&mut vc, w.index()).clone());
-                last_signal.insert(wait, (i, snapshot));
+                let sig =
+                    slot(&mut self.signals, wait.index()).get_or_insert_with(LastSignal::default);
+                sig.idx = i;
+                sig.from_thread = waker.is_some();
+                if let Some(w) = waker {
+                    sig.clock
+                        .0
+                        .clone_from(&thread_clock(&mut self.vc, w.index()).0);
+                }
             }
             TraceEvent::Done { tid } => {
-                done_at.insert(tid, i);
-                blocked_on.remove(&tid);
+                if let Some(log) = self.edges.as_mut() {
+                    *slot(&mut log.done_at, tid.index()) = Some(i);
+                }
+                if let Some(b) = self.blocked_on.get_mut(tid.index()) {
+                    *b = None;
+                }
             }
             TraceEvent::ThreadJoin { by, of } => {
-                let dead_clock = clock_of(&mut vc, of.index()).clone();
-                clock_of(&mut vc, by.index()).join(&dead_clock);
-                if let Some(&src) = done_at.get(&of) {
-                    edges.push(HbEdge {
-                        src,
-                        dst: i,
-                        kind: EdgeKind::Join,
-                    });
+                join_threads(&mut self.vc, by.index(), of.index());
+                let done = self
+                    .edges
+                    .as_ref()
+                    .and_then(|log| log.done_at.get(of.index()).copied().flatten());
+                if let Some(src) = done {
+                    log_edge(&mut self.edges, src, i, EdgeKind::Join);
                 }
             }
             TraceEvent::LockAcquire { tid, lock, .. } => {
-                if let Some((v, src)) = lock_vc.get(&lock) {
-                    let v = v.clone();
-                    let src = *src;
-                    clock_of(&mut vc, tid.index()).join(&v);
-                    edges.push(HbEdge {
-                        src,
-                        dst: i,
-                        kind: EdgeKind::Lock,
-                    });
-                }
+                let own = thread_clock(&mut self.vc, tid.index());
+                let object = self.locks.get(lock.index()).and_then(Option::as_ref);
+                acquire(own, object, i, EdgeKind::Lock, &mut self.edges);
             }
             TraceEvent::LockRelease { tid, lock } => {
-                let own = clock_of(&mut vc, tid.index()).clone();
-                let entry = lock_vc.entry(lock).or_default();
-                entry.0.join(&own);
-                entry.1 = i;
+                let own = thread_clock(&mut self.vc, tid.index());
+                publish(slot(&mut self.locks, lock.index()), own, i);
             }
             TraceEvent::BarrierArrive {
                 tid,
                 barrier,
                 released,
             } => {
-                let own = clock_of(&mut vc, tid.index()).clone();
-                let entry = barrier_acc.entry(barrier).or_default();
+                let own = thread_clock(&mut self.vc, tid.index());
+                let epoch = slot(&mut self.barriers, barrier.index());
                 if released {
                     // The releasing arrival acquires every earlier
                     // arrival of the epoch; waiters then inherit it
                     // through the releaser's Signal→Wakeup edges.
-                    let (acc, pend) = std::mem::take(entry);
-                    clock_of(&mut vc, tid.index()).join(&acc);
-                    for src in pend {
-                        edges.push(HbEdge {
+                    own.join(epoch);
+                    epoch.0.clear();
+                    if let Some(log) = self.edges.as_mut() {
+                        let arrivals = slot(&mut log.arrivals, barrier.index());
+                        log.edges.extend(arrivals.drain(..).map(|src| HbEdge {
                             src,
                             dst: i,
                             kind: EdgeKind::Barrier,
-                        });
+                        }));
                     }
                 } else {
-                    entry.0.join(&own);
-                    entry.1.push(i);
+                    epoch.join(own);
+                    if let Some(log) = self.edges.as_mut() {
+                        slot(&mut log.arrivals, barrier.index()).push(i);
+                    }
                 }
             }
             TraceEvent::SemRelease { tid, sem } => {
-                let own = clock_of(&mut vc, tid.index()).clone();
-                let entry = sem_vc.entry(sem).or_default();
-                entry.0.join(&own);
-                entry.1 = i;
+                let own = thread_clock(&mut self.vc, tid.index());
+                publish(slot(&mut self.sems, sem.index()), own, i);
             }
             TraceEvent::SemAcquire { tid, sem } => {
-                if let Some((v, src)) = sem_vc.get(&sem) {
-                    let v = v.clone();
-                    let src = *src;
-                    clock_of(&mut vc, tid.index()).join(&v);
-                    edges.push(HbEdge {
-                        src,
-                        dst: i,
-                        kind: EdgeKind::Sem,
-                    });
-                }
+                let own = thread_clock(&mut self.vc, tid.index());
+                let object = self.sems.get(sem.index()).and_then(Option::as_ref);
+                acquire(own, object, i, EdgeKind::Sem, &mut self.edges);
             }
             TraceEvent::QueuePush { tid, queue } => {
-                let own = clock_of(&mut vc, tid.index()).clone();
-                let entry = queue_vc.entry(queue).or_default();
-                entry.0.join(&own);
-                entry.1 = i;
+                let own = thread_clock(&mut self.vc, tid.index());
+                publish(slot(&mut self.queues, queue.index()), own, i);
             }
             TraceEvent::QueuePop { tid, queue } => {
-                if let Some((v, src)) = queue_vc.get(&queue) {
-                    let v = v.clone();
-                    let src = *src;
-                    clock_of(&mut vc, tid.index()).join(&v);
-                    edges.push(HbEdge {
-                        src,
-                        dst: i,
-                        kind: EdgeKind::Queue,
-                    });
-                }
+                let own = thread_clock(&mut self.vc, tid.index());
+                let object = self.queues.get(queue.index()).and_then(Option::as_ref);
+                acquire(own, object, i, EdgeKind::Queue, &mut self.edges);
             }
             TraceEvent::SharedAtomic { tid, obj, word, op } => {
-                let key = (obj, word);
+                let own = thread_clock(&mut self.vc, tid.index());
+                let object = slot(slot(&mut self.atomics, obj.index()), word as usize);
                 if matches!(op, AtomicOp::Load | AtomicOp::Rmw) {
-                    if let Some((v, src)) = atomic_vc.get(&key) {
-                        let v = v.clone();
-                        let src = *src;
-                        clock_of(&mut vc, tid.index()).join(&v);
-                        edges.push(HbEdge {
-                            src,
-                            dst: i,
-                            kind: EdgeKind::Atomic,
-                        });
-                    }
+                    acquire(own, object.as_ref(), i, EdgeKind::Atomic, &mut self.edges);
                 }
                 if matches!(op, AtomicOp::Store | AtomicOp::Rmw) {
-                    let own = clock_of(&mut vc, tid.index()).clone();
-                    let entry = atomic_vc.entry(key).or_default();
-                    entry.0.join(&own);
-                    entry.1 = i;
+                    publish(object, own, i);
                 }
             }
             TraceEvent::SharedRead { tid, obj, word } => {
-                let t = tid.index();
-                let clock = clock_of(&mut vc, t).get(t);
-                let me = clock_of(&mut vc, t).clone();
-                let state = words.entry((obj, word)).or_default();
-                // A read races only with unordered *writes*.
-                let conflict = state
-                    .writes
-                    .iter()
-                    .find(|(&u, &(cu, _))| u != t && !me.covers(u, cu))
-                    .map(|(&u, &(_, iu))| (u, iu));
-                if let Some((u, iu)) = conflict {
-                    if reported.insert((obj, word)) {
-                        races.push(race_violation(
-                            trace, obj, word, u, iu, "write", t, i, "read", r.time,
-                        ));
-                    }
-                }
-                state.reads.insert(t, (clock, i));
+                self.access(i, time, tid, obj, word, false);
             }
             TraceEvent::SharedWrite { tid, obj, word } => {
-                let t = tid.index();
-                let clock = clock_of(&mut vc, t).get(t);
-                let me = clock_of(&mut vc, t).clone();
-                let state = words.entry((obj, word)).or_default();
-                // A write races with any unordered access.
-                let conflict = state
-                    .writes
-                    .iter()
-                    .map(|(&u, &(cu, iu))| (u, cu, iu, "write"))
-                    .chain(
-                        state
-                            .reads
-                            .iter()
-                            .map(|(&u, &(cu, iu))| (u, cu, iu, "read")),
-                    )
-                    .find(|&(u, cu, _, _)| u != t && !me.covers(u, cu));
-                if let Some((u, _, iu, what)) = conflict {
-                    if reported.insert((obj, word)) {
-                        races.push(race_violation(
-                            trace, obj, word, u, iu, what, t, i, "write", r.time,
-                        ));
-                    }
-                }
-                state.writes.insert(t, (clock, i));
+                self.access(i, time, tid, obj, word, true);
             }
             _ => {}
         }
@@ -464,126 +687,128 @@ pub fn happens_before(trace: &KernelTrace) -> HbAnalysis {
         // so anything it published here is distinguishable from its
         // later accesses.
         if let Some(t) = subject {
-            clock_of(&mut vc, t.index()).tick(t.index());
+            thread_clock(&mut self.vc, t.index()).tick(t.index());
         }
     }
 
-    HbAnalysis { edges, races }
+    fn finish(self, labels: &[String]) -> Vec<Violation> {
+        self.into_analysis(labels).races
+    }
 }
 
-/// Builds the two-site diagnostic for one data race.
-#[allow(clippy::too_many_arguments)]
-fn race_violation(
-    trace: &KernelTrace,
-    obj: ShareId,
-    word: u32,
-    earlier_thread: usize,
-    earlier_idx: usize,
-    earlier_kind: &str,
-    later_thread: usize,
-    later_idx: usize,
-    later_kind: &str,
-    time: SimTime,
-) -> Violation {
-    let earlier_time = record_at(trace, earlier_idx).time;
-    let object = obj_name(trace, obj);
-    Violation::new(
-        ViolationKind::DataRace,
-        Some(time),
-        format!(
-            "word {word} of {object}: {earlier_kind} by tid{earlier_thread} at #{earlier_idx} \
-             ({earlier_time}) and {later_kind} by tid{later_thread} at #{later_idx} ({time}) \
-             are unordered — no happens-before path connects the accesses"
-        ),
-    )
-    .with_object(object)
-    .with_site(format!("#{earlier_idx}->#{later_idx}"))
+/// Replays `trace` once, building the full happens-before relation and
+/// running the vector-clock race detector over plain shared accesses.
+pub fn happens_before(trace: &KernelTrace) -> HbAnalysis {
+    let fold = LintFold::replay(trace, HbLint::new(true));
+    fold.lint.into_analysis(&fold.labels)
 }
 
 /// Runs the vector-clock data-race detector over `trace` (one report per
 /// racy (object, word), citing both access sites).
 pub fn check_races(trace: &KernelTrace) -> Vec<Violation> {
-    happens_before(trace).races
+    LintFold::replay(trace, HbLint::new(false)).finish()
 }
 
 // ----------------------------------------------------------------------
 // Lock-set (atomicity) checking
 // ----------------------------------------------------------------------
 
-/// Eraser-style lock-set checking over plain `SimShared` accesses.
-///
-/// An object participates once at least two distinct threads have
-/// accessed it while holding at least one lock — the signature of
-/// intended lock discipline. For participating objects the intersection
-/// of lock sets over **all** accesses must stay non-empty; an empty
-/// intersection is reported with two witness sites whose lock sets are
-/// disjoint (or whichever access emptied the running intersection).
-///
-/// Objects synchronized by other means (queues, signals, joins — the
-/// message-passing style most workloads use) never enter the check, so
-/// it adds no false positives on top of the race detector.
-pub fn check_locksets(trace: &KernelTrace) -> Vec<Violation> {
-    struct Access {
-        tid: ThreadId,
-        idx: usize,
-        time: SimTime,
-        held: BTreeSet<WaitId>,
-    }
-    let mut held: HashMap<ThreadId, BTreeSet<WaitId>> = HashMap::new();
-    let mut accesses: HashMap<ShareId, Vec<Access>> = HashMap::new();
+/// One access cited by a lock-set finding.
+struct LockedAccess {
+    tid: usize,
+    idx: usize,
+    time: SimTime,
+    /// The locks held at the access, sorted.
+    held: Vec<WaitId>,
+}
 
-    for (i, r) in trace.records().enumerate() {
-        match r.event {
+/// The lock-set state of one shared object.
+struct ObjLocks {
+    obj: ShareId,
+    /// The first thread seen accessing the object under a lock.
+    locker: Option<ThreadId>,
+    /// A second thread has accessed it under a lock: the object is
+    /// lock-disciplined.
+    disciplined: bool,
+    /// The locks held at every access so far (sorted).
+    common: Vec<WaitId>,
+    /// The latest access that left `common` non-empty (the first access
+    /// until then).
+    witness: LockedAccess,
+    /// The access that emptied `common`, once one has.
+    culprit: Option<LockedAccess>,
+}
+
+#[derive(Default)]
+struct LocksetLint {
+    /// The locks each thread holds (sorted), by thread.
+    held: Vec<Vec<WaitId>>,
+    /// Lock-set state, by object.
+    objs: Vec<Option<ObjLocks>>,
+}
+
+impl Lint for LocksetLint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        match *event {
             TraceEvent::LockAcquire { tid, lock, .. } => {
-                held.entry(tid).or_default().insert(lock);
+                let held = slot(&mut self.held, tid.index());
+                if let Err(pos) = held.binary_search(&lock) {
+                    held.insert(pos, lock);
+                }
             }
             TraceEvent::LockRelease { tid, lock } => {
-                if let Some(set) = held.get_mut(&tid) {
-                    set.remove(&lock);
+                if let Some(held) = self.held.get_mut(tid.index()) {
+                    if let Ok(pos) = held.binary_search(&lock) {
+                        held.remove(pos);
+                    }
                 }
             }
             TraceEvent::SharedRead { tid, obj, .. } | TraceEvent::SharedWrite { tid, obj, .. } => {
-                accesses.entry(obj).or_default().push(Access {
-                    tid,
+                let held: &[WaitId] = self.held.get(tid.index()).map_or(&[], Vec::as_slice);
+                let access = || LockedAccess {
+                    tid: tid.index(),
                     idx: i,
-                    time: r.time,
-                    held: held.get(&tid).cloned().unwrap_or_default(),
-                });
+                    time,
+                    held: held.to_vec(),
+                };
+                let entry = slot(&mut self.objs, obj.index());
+                let Some(o) = entry.as_mut() else {
+                    *entry = Some(ObjLocks {
+                        obj,
+                        locker: (!held.is_empty()).then_some(tid),
+                        disciplined: false,
+                        common: held.to_vec(),
+                        witness: access(),
+                        culprit: None,
+                    });
+                    return;
+                };
+                if !held.is_empty() {
+                    match o.locker {
+                        None => o.locker = Some(tid),
+                        Some(first) if first != tid => o.disciplined = true,
+                        Some(_) => {}
+                    }
+                }
+                if o.culprit.is_none() {
+                    o.common.retain(|l| held.binary_search(l).is_ok());
+                    if o.common.is_empty() {
+                        o.culprit = Some(access());
+                    } else {
+                        o.witness.tid = tid.index();
+                        o.witness.idx = i;
+                        o.witness.time = time;
+                        o.witness.held.clear();
+                        o.witness.held.extend_from_slice(held);
+                    }
+                }
             }
             _ => {}
         }
     }
 
-    let mut violations = Vec::new();
-    let mut objs: Vec<_> = accesses.into_iter().collect();
-    objs.sort_by_key(|(obj, _)| *obj);
-    for (obj, accs) in objs {
-        let locked_threads: HashSet<ThreadId> = accs
-            .iter()
-            .filter(|a| !a.held.is_empty())
-            .map(|a| a.tid)
-            .collect();
-        if locked_threads.len() < 2 {
-            continue;
-        }
-        let mut inter = accs[0].held.clone();
-        let mut witness = accs[0].idx;
-        let mut culprit = None;
-        for a in &accs[1..] {
-            let narrowed: BTreeSet<WaitId> = inter.intersection(&a.held).copied().collect();
-            if narrowed.is_empty() {
-                culprit = Some(a);
-                break;
-            }
-            inter = narrowed;
-            witness = a.idx;
-        }
-        let Some(culprit) = culprit else {
-            continue;
-        };
-        let object = obj_name(trace, obj);
-        let w = record_at(trace, witness);
-        let held_list = |s: &BTreeSet<WaitId>| {
+    fn finish(self, labels: &[String]) -> Vec<Violation> {
+        let held_list = |s: &[WaitId]| {
             if s.is_empty() {
                 "no locks".to_string()
             } else {
@@ -593,37 +818,207 @@ pub fn check_locksets(trace: &KernelTrace) -> Vec<Violation> {
                     .join("+")
             }
         };
-        let witness_held = accs
-            .iter()
-            .find(|a| a.idx == witness)
-            .map(|a| held_list(&a.held))
-            .unwrap_or_default();
-        violations.push(
-            Violation::new(
-                ViolationKind::InconsistentLockSet,
-                Some(culprit.time),
-                format!(
-                    "{object} is lock-disciplined (two or more threads access it under locks) \
-                     but no common lock protects every access: #{witness} ({}) held \
-                     {witness_held} while {} by tid{} at #{} ({}) held {}",
-                    w.time,
-                    "the access",
-                    culprit.tid.index(),
-                    culprit.idx,
-                    culprit.time,
-                    held_list(&culprit.held),
-                ),
-            )
-            .with_object(object)
-            .with_site(format!("#{witness}->#{}", culprit.idx)),
-        );
+        let mut violations = Vec::new();
+        for o in self.objs.into_iter().flatten() {
+            let (true, Some(culprit)) = (o.disciplined, o.culprit) else {
+                continue;
+            };
+            let object = obj_name(labels, o.obj);
+            let w = &o.witness;
+            violations.push(
+                Violation::new(
+                    ViolationKind::InconsistentLockSet,
+                    Some(culprit.time),
+                    format!(
+                        "{object} is lock-disciplined (two or more threads access it under locks) \
+                         but no common lock protects every access: #{} ({}) held {} while the \
+                         access by tid{} at #{} ({}) held {}",
+                        w.idx,
+                        w.time,
+                        held_list(&w.held),
+                        culprit.tid,
+                        culprit.idx,
+                        culprit.time,
+                        held_list(&culprit.held),
+                    ),
+                )
+                .with_object(object)
+                .with_site(format!("#{}->#{}", w.idx, culprit.idx)),
+            );
+        }
+        violations
     }
-    violations
+}
+
+/// Eraser-style lock-set checking over plain `SimShared` accesses.
+///
+/// An object participates once at least two distinct threads have
+/// accessed it while holding at least one lock — the signature of
+/// intended lock discipline. For participating objects the intersection
+/// of lock sets over **all** accesses must stay non-empty; an empty
+/// intersection is reported with two witness sites: the last access
+/// that kept the intersection non-empty, and the access that emptied
+/// it.
+///
+/// Objects synchronized by other means (queues, signals, joins — the
+/// message-passing style most workloads use) never enter the check, so
+/// it adds no false positives on top of the race detector.
+pub fn check_locksets(trace: &KernelTrace) -> Vec<Violation> {
+    LintFold::replay(trace, LocksetLint::default()).finish()
 }
 
 // ----------------------------------------------------------------------
 // Policy lint: placements must honour the current speed ranking
 // ----------------------------------------------------------------------
+
+struct StaleRankingLint {
+    speeds: Vec<Speed>,
+    online: Vec<bool>,
+    cores: Vec<CoreState>,
+    /// Each thread's affinity mask, by thread.
+    affinity: Vec<Option<CoreMask>>,
+    /// The latest `SpeedChange`, if any.
+    rank_site: Option<usize>,
+    violations: Vec<Violation>,
+}
+
+impl StaleRankingLint {
+    /// The lint, when `policy` makes the placement promise it checks.
+    fn new(machine: &MachineSpec, policy: SchedPolicy) -> Option<Self> {
+        policy.is_asymmetry_aware().then(|| StaleRankingLint {
+            speeds: machine.speeds().to_vec(),
+            online: vec![true; machine.num_cores()],
+            cores: CoreState::idle(machine.num_cores()),
+            affinity: Vec::new(),
+            rank_site: None,
+            violations: Vec::new(),
+        })
+    }
+
+    fn lint_placement(
+        &mut self,
+        i: usize,
+        time: SimTime,
+        tid: ThreadId,
+        chosen: CoreId,
+        mask: CoreMask,
+        what: &str,
+    ) {
+        let (speeds, cores, online) = (&self.speeds, &self.cores, &self.online);
+        let best = (0..cores.len())
+            .filter(|&c| {
+                online[c]
+                    && mask.contains(CoreId(c))
+                    && cores[c].running.is_none()
+                    && cores[c].queue.is_empty()
+            })
+            .max_by(|&a, &b| speeds[a].cmp(&speeds[b]).then(b.cmp(&a)));
+        let Some(best) = best else {
+            return;
+        };
+        if chosen.0 == best {
+            return;
+        }
+        let (rank_desc, site) = match self.rank_site {
+            Some(s) => (
+                format!("the ranking in force since SpeedChange at #{s}"),
+                format!("#{s}->#{i}"),
+            ),
+            None => (
+                "the machine's initial speed ranking".to_string(),
+                format!("#{i}"),
+            ),
+        };
+        self.violations.push(
+            Violation::new(
+                ViolationKind::StaleRanking,
+                Some(time),
+                format!(
+                    "{tid} {what} core{} (speed {:.3}) at #{i} while idle eligible \
+                     core{best} (speed {:.3}) was faster under {rank_desc} — the \
+                     placement ignored the current speed ranking",
+                    chosen.0,
+                    speeds[chosen.0].factor(),
+                    speeds[best].factor(),
+                ),
+            )
+            .with_object(format!("core{}", chosen.0))
+            .with_site(site),
+        );
+    }
+}
+
+impl Lint for StaleRankingLint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        // Lint placements before applying their state effect: the
+        // eligibility snapshot is the instant *before* the thread lands.
+        match *event {
+            TraceEvent::Spawn {
+                tid,
+                core,
+                affinity: mask,
+                ..
+            } => {
+                self.lint_placement(i, time, tid, core, mask, "spawned onto");
+                *slot(&mut self.affinity, tid.index()) = Some(mask);
+                self.cores[core.0].queue.push(tid);
+            }
+            TraceEvent::Wakeup { tid, core, .. } => {
+                if let Some(Some(mask)) = self.affinity.get(tid.index()).copied() {
+                    self.lint_placement(i, time, tid, core, mask, "woken onto");
+                }
+                self.cores[core.0].queue.push(tid);
+            }
+            TraceEvent::Dispatch { tid, core } => {
+                remove_tid(&mut self.cores[core.0].queue, tid);
+                self.cores[core.0].running = Some(tid);
+            }
+            TraceEvent::Preempt { tid, core, .. } => {
+                if self.cores[core.0].running == Some(tid) {
+                    self.cores[core.0].running = None;
+                }
+                self.cores[core.0].queue.push(tid);
+            }
+            TraceEvent::Steal { tid, from, to } => {
+                remove_tid(&mut self.cores[from.0].queue, tid);
+                self.cores[to.0].queue.push(tid);
+            }
+            TraceEvent::Block { tid, .. }
+            | TraceEvent::Sleep { tid }
+            | TraceEvent::Done { tid } => {
+                for c in &mut self.cores {
+                    if c.running == Some(tid) {
+                        c.running = None;
+                    }
+                }
+            }
+            TraceEvent::SetAffinity { tid, affinity: m }
+            | TraceEvent::AffinityOverride { tid, affinity: m } => {
+                *slot(&mut self.affinity, tid.index()) = Some(m);
+            }
+            TraceEvent::SpeedChange { core, speed } => {
+                self.speeds[core.0] = speed;
+                self.rank_site = Some(i);
+            }
+            TraceEvent::CoreOffline { core } => {
+                self.online[core.0] = false;
+            }
+            TraceEvent::CoreOnline { core } => {
+                self.online[core.0] = true;
+            }
+            TraceEvent::ThreadKilled { tid } => {
+                for c in &mut self.cores {
+                    remove_tid(&mut c.queue, tid);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn finish(self, _labels: &[String]) -> Vec<Violation> {
+        self.violations
+    }
+}
 
 /// Lints every placement decision (spawn and wakeup) of an
 /// asymmetry-aware trace against the speed ranking in force at that
@@ -635,149 +1030,8 @@ pub fn check_locksets(trace: &KernelTrace) -> Vec<Violation> {
 /// both the ranking site (the latest `SpeedChange`, or the initial
 /// machine shape) and the offending placement.
 pub fn check_stale_ranking(trace: &KernelTrace) -> Vec<Violation> {
-    if !trace.policy.is_asymmetry_aware() {
-        return Vec::new();
-    }
-    struct CoreState {
-        running: Option<ThreadId>,
-        queue: Vec<ThreadId>,
-    }
-    let mut speeds = trace.machine.speeds().to_vec();
-    let mut online = vec![true; speeds.len()];
-    let mut cores: Vec<CoreState> = speeds
-        .iter()
-        .map(|_| CoreState {
-            running: None,
-            queue: Vec::new(),
-        })
-        .collect();
-    let mut affinity: HashMap<ThreadId, CoreMask> = HashMap::new();
-    let mut rank_site: Option<usize> = None;
-    let mut violations = Vec::new();
-
-    fn remove(v: &mut Vec<ThreadId>, tid: ThreadId) {
-        if let Some(pos) = v.iter().position(|&t| t == tid) {
-            v.remove(pos);
-        }
-    }
-
-    for (i, r) in trace.records().enumerate() {
-        // Lint placements before applying their state effect: the
-        // eligibility snapshot is the instant *before* the thread lands.
-        let placement: Option<(ThreadId, CoreId, CoreMask, &str)> = match r.event {
-            TraceEvent::Spawn {
-                tid,
-                core,
-                affinity: mask,
-                ..
-            } => Some((tid, core, mask, "spawned onto")),
-            TraceEvent::Wakeup { tid, core, .. } => affinity
-                .get(&tid)
-                .map(|&mask| (tid, core, mask, "woken onto")),
-            _ => None,
-        };
-        if let Some((tid, chosen, mask, what)) = placement {
-            let eligible: Vec<usize> = (0..cores.len())
-                .filter(|&c| {
-                    online[c]
-                        && mask.contains(CoreId(c))
-                        && cores[c].running.is_none()
-                        && cores[c].queue.is_empty()
-                })
-                .collect();
-            if let Some(&best) = eligible
-                .iter()
-                .max_by(|&&a, &&b| speeds[a].cmp(&speeds[b]).then(b.cmp(&a)))
-            {
-                if chosen.0 != best {
-                    let rank_desc = match rank_site {
-                        Some(s) => {
-                            format!("the ranking in force since SpeedChange at #{s}")
-                        }
-                        None => "the machine's initial speed ranking".to_string(),
-                    };
-                    let site = match rank_site {
-                        Some(s) => format!("#{s}->#{i}"),
-                        None => format!("#{i}"),
-                    };
-                    violations.push(
-                        Violation::new(
-                            ViolationKind::StaleRanking,
-                            Some(r.time),
-                            format!(
-                                "{tid} {what} core{} (speed {:.3}) at #{i} while idle eligible \
-                                 core{best} (speed {:.3}) was faster under {rank_desc} — the \
-                                 placement ignored the current speed ranking",
-                                chosen.0,
-                                speeds[chosen.0].factor(),
-                                speeds[best].factor(),
-                            ),
-                        )
-                        .with_object(format!("core{}", chosen.0))
-                        .with_site(site),
-                    );
-                }
-            }
-        }
-        match r.event {
-            TraceEvent::Spawn {
-                tid,
-                core,
-                affinity: mask,
-                ..
-            } => {
-                affinity.insert(tid, mask);
-                cores[core.0].queue.push(tid);
-            }
-            TraceEvent::Dispatch { tid, core } => {
-                remove(&mut cores[core.0].queue, tid);
-                cores[core.0].running = Some(tid);
-            }
-            TraceEvent::Preempt { tid, core, .. } => {
-                if cores[core.0].running == Some(tid) {
-                    cores[core.0].running = None;
-                }
-                cores[core.0].queue.push(tid);
-            }
-            TraceEvent::Steal { tid, from, to } => {
-                remove(&mut cores[from.0].queue, tid);
-                cores[to.0].queue.push(tid);
-            }
-            TraceEvent::Wakeup { tid, core, .. } => {
-                cores[core.0].queue.push(tid);
-            }
-            TraceEvent::Block { tid, .. }
-            | TraceEvent::Sleep { tid }
-            | TraceEvent::Done { tid } => {
-                for c in &mut cores {
-                    if c.running == Some(tid) {
-                        c.running = None;
-                    }
-                }
-            }
-            TraceEvent::SetAffinity { tid, affinity: m }
-            | TraceEvent::AffinityOverride { tid, affinity: m } => {
-                affinity.insert(tid, m);
-            }
-            TraceEvent::SpeedChange { core, speed } => {
-                speeds[core.0] = speed;
-                rank_site = Some(i);
-            }
-            TraceEvent::CoreOffline { core } => {
-                online[core.0] = false;
-            }
-            TraceEvent::CoreOnline { core } => {
-                online[core.0] = true;
-            }
-            TraceEvent::ThreadKilled { tid } => {
-                for c in &mut cores {
-                    remove(&mut c.queue, tid);
-                }
-            }
-            _ => {}
-        }
-    }
-    violations
+    StaleRankingLint::new(&trace.machine, trace.policy)
+        .map_or_else(Vec::new, |lint| LintFold::replay(trace, lint).finish())
 }
 
 // ----------------------------------------------------------------------
@@ -800,6 +1054,120 @@ pub const RERANK_THRASH_WINDOW: SimDuration = SimDuration::from_millis(1);
 /// the same tick.
 pub const RERANK_THRASH_LIMIT: usize = 8;
 
+/// The online cores, fastest first (ties to the lowest index).
+fn ranking(speeds: &[Speed], online: &[bool]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..speeds.len()).filter(|&c| online[c]).collect();
+    order.sort_by(|&a, &b| speeds[b].cmp(&speeds[a]).then(a.cmp(&b)));
+    order
+}
+
+fn stale_rerank(idx: usize, core: CoreId, time: SimTime) -> Violation {
+    Violation::new(
+        ViolationKind::StaleRerank,
+        Some(time),
+        format!(
+            "SpeedChange at #{idx} reordered the online-core speed ranking but no \
+             Rerank record for core{} followed within {}",
+            core.0, RERANK_STALENESS_BOUND
+        ),
+    )
+    .with_object(format!("core{}", core.0))
+    .with_site(format!("#{idx}"))
+}
+
+struct RerankLint {
+    speeds: Vec<Speed>,
+    online: Vec<bool>,
+    /// Unconfirmed ranking reorders: (record index, core, time).
+    pending: Vec<(usize, CoreId, SimTime)>,
+    /// Recent rerank sites for the thrash window: (time, record index).
+    recent: VecDeque<(SimTime, usize)>,
+    thrash_reported: bool,
+    violations: Vec<Violation>,
+}
+
+impl RerankLint {
+    fn new(machine: &MachineSpec) -> Self {
+        RerankLint {
+            speeds: machine.speeds().to_vec(),
+            online: vec![true; machine.num_cores()],
+            pending: Vec::new(),
+            recent: VecDeque::new(),
+            thrash_reported: false,
+            violations: Vec::new(),
+        }
+    }
+}
+
+impl Lint for RerankLint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        // Expire overdue confirmations before applying this record.
+        while let Some(&(idx, core, at)) = self.pending.first() {
+            if time.duration_since(at) > RERANK_STALENESS_BOUND {
+                self.violations.push(stale_rerank(idx, core, at));
+                self.pending.remove(0);
+            } else {
+                break;
+            }
+        }
+        match *event {
+            TraceEvent::SpeedChange { core, speed } => {
+                let before = ranking(&self.speeds, &self.online);
+                self.speeds[core.0] = speed;
+                if ranking(&self.speeds, &self.online) != before {
+                    self.pending.push((i, core, time));
+                }
+            }
+            TraceEvent::Rerank { core } => {
+                if let Some(pos) = self.pending.iter().position(|&(_, c, _)| c == core) {
+                    self.pending.remove(pos);
+                }
+                while let Some(&(t, _)) = self.recent.front() {
+                    if time.duration_since(t) > RERANK_THRASH_WINDOW {
+                        self.recent.pop_front();
+                    } else {
+                        break;
+                    }
+                }
+                self.recent.push_back((time, i));
+                if self.recent.len() > RERANK_THRASH_LIMIT && !self.thrash_reported {
+                    self.thrash_reported = true;
+                    let (start_t, start_i) = *self.recent.front().expect("window not empty");
+                    self.violations.push(
+                        Violation::new(
+                            ViolationKind::RerankThrash,
+                            Some(time),
+                            format!(
+                                "{} re-ranks inside one {} window (since #{start_i} at \
+                                 {start_t}): hysteresis failed to damp the churn",
+                                self.recent.len(),
+                                RERANK_THRASH_WINDOW
+                            ),
+                        )
+                        .with_site(format!("#{start_i}->#{i}")),
+                    );
+                }
+            }
+            TraceEvent::CoreOffline { core } => {
+                self.online[core.0] = false;
+            }
+            TraceEvent::CoreOnline { core } => {
+                self.online[core.0] = true;
+            }
+            _ => {}
+        }
+    }
+
+    fn finish(mut self, _labels: &[String]) -> Vec<Violation> {
+        // A reorder the trace never confirmed is stale no matter when the
+        // run ended: the kernel announces re-ranks in the same instant.
+        for (idx, core, at) in self.pending {
+            self.violations.push(stale_rerank(idx, core, at));
+        }
+        self.violations
+    }
+}
+
 /// Lints the re-ranking contract of a trace with dynamic speeds:
 ///
 /// 1. **Staleness** — every `SpeedChange` that reorders the online-core
@@ -816,97 +1184,7 @@ pub const RERANK_THRASH_LIMIT: usize = 8;
 /// scheduler's. Hotplug reorders (a core leaving or joining the ranking)
 /// are not speed re-ranks and carry no confirmation obligation.
 pub fn check_rerank_hygiene(trace: &KernelTrace) -> Vec<Violation> {
-    let mut speeds = trace.machine.speeds().to_vec();
-    let mut online = vec![true; speeds.len()];
-    let ranking = |speeds: &[asym_sim::Speed], online: &[bool]| -> Vec<usize> {
-        let mut order: Vec<usize> = (0..speeds.len()).filter(|&c| online[c]).collect();
-        order.sort_by(|&a, &b| speeds[b].cmp(&speeds[a]).then(a.cmp(&b)));
-        order
-    };
-    // Unconfirmed ranking reorders: (record index, core, deadline).
-    let mut pending: Vec<(usize, CoreId, SimTime)> = Vec::new();
-    // Recent rerank sites for the thrash window: (time, record index).
-    let mut recent: VecDeque<(SimTime, usize)> = VecDeque::new();
-    let mut thrash_reported = false;
-    let mut violations = Vec::new();
-
-    let stale = |idx: usize, core: CoreId, time: SimTime| {
-        Violation::new(
-            ViolationKind::StaleRerank,
-            Some(time),
-            format!(
-                "SpeedChange at #{idx} reordered the online-core speed ranking but no \
-                 Rerank record for core{} followed within {}",
-                core.0, RERANK_STALENESS_BOUND
-            ),
-        )
-        .with_object(format!("core{}", core.0))
-        .with_site(format!("#{idx}"))
-    };
-
-    for (i, r) in trace.records().enumerate() {
-        // Expire overdue confirmations before applying this record.
-        while let Some(&(idx, core, at)) = pending.first() {
-            if r.time.duration_since(at) > RERANK_STALENESS_BOUND {
-                violations.push(stale(idx, core, at));
-                pending.remove(0);
-            } else {
-                break;
-            }
-        }
-        match r.event {
-            TraceEvent::SpeedChange { core, speed } => {
-                let before = ranking(&speeds, &online);
-                speeds[core.0] = speed;
-                if ranking(&speeds, &online) != before {
-                    pending.push((i, core, r.time));
-                }
-            }
-            TraceEvent::Rerank { core } => {
-                if let Some(pos) = pending.iter().position(|&(_, c, _)| c == core) {
-                    pending.remove(pos);
-                }
-                while let Some(&(t, _)) = recent.front() {
-                    if r.time.duration_since(t) > RERANK_THRASH_WINDOW {
-                        recent.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                recent.push_back((r.time, i));
-                if recent.len() > RERANK_THRASH_LIMIT && !thrash_reported {
-                    thrash_reported = true;
-                    let (start_t, start_i) = *recent.front().expect("window not empty");
-                    violations.push(
-                        Violation::new(
-                            ViolationKind::RerankThrash,
-                            Some(r.time),
-                            format!(
-                                "{} re-ranks inside one {} window (since #{start_i} at \
-                                 {start_t}): hysteresis failed to damp the churn",
-                                recent.len(),
-                                RERANK_THRASH_WINDOW
-                            ),
-                        )
-                        .with_site(format!("#{start_i}->#{i}")),
-                    );
-                }
-            }
-            TraceEvent::CoreOffline { core } => {
-                online[core.0] = false;
-            }
-            TraceEvent::CoreOnline { core } => {
-                online[core.0] = true;
-            }
-            _ => {}
-        }
-    }
-    // A reorder the trace never confirmed is stale no matter when the
-    // run ended: the kernel announces re-ranks in the same instant.
-    for (idx, core, at) in pending {
-        violations.push(stale(idx, core, at));
-    }
-    violations
+    LintFold::replay(trace, RerankLint::new(&trace.machine)).finish()
 }
 
 // ----------------------------------------------------------------------
@@ -923,6 +1201,123 @@ pub const STARVATION_BOUND: SimDuration = SimDuration::from_millis(200);
 /// starvation rather than a briefly-overloaded queue.
 pub const STARVATION_MIN_BYPASSES: usize = 64;
 
+/// One continuously queued thread.
+struct Waiting {
+    core: CoreId,
+    since: SimTime,
+    since_idx: usize,
+    /// Bypasses counted on cores the thread was stolen away from.
+    carried: u64,
+    /// The dispatch count of `core` when the thread joined its queue.
+    base: u64,
+}
+
+struct StarvationLint {
+    /// Dispatches so far, by core: a waiting thread's bypasses are the
+    /// dispatches on its core since it joined the queue.
+    dispatches: Vec<u64>,
+    /// Each queued thread's wait, by thread.
+    queued: Vec<Option<Waiting>>,
+    /// The time of the latest record.
+    end: Option<SimTime>,
+    violations: Vec<Violation>,
+}
+
+impl StarvationLint {
+    /// The lint, when `policy` is a fair-share policy it applies to.
+    fn new(machine: &MachineSpec, policy: SchedPolicy) -> Option<Self> {
+        (policy.kind() == PolicyKind::VruntimeFair).then(|| StarvationLint {
+            dispatches: vec![0; machine.num_cores()],
+            queued: Vec::new(),
+            end: None,
+            violations: Vec::new(),
+        })
+    }
+
+    fn enqueue(&mut self, i: usize, time: SimTime, tid: ThreadId, core: CoreId) {
+        let base = *slot(&mut self.dispatches, core.0);
+        *slot(&mut self.queued, tid.index()) = Some(Waiting {
+            core,
+            since: time,
+            since_idx: i,
+            carried: 0,
+            base,
+        });
+    }
+
+    fn flag(&mut self, tid: usize, w: &Waiting, end: SimTime, end_idx: Option<usize>) {
+        let bypasses = w.carried + self.dispatches[w.core.0] - w.base;
+        let waited = end.duration_since(w.since);
+        if waited <= STARVATION_BOUND || bypasses < STARVATION_MIN_BYPASSES as u64 {
+            return;
+        }
+        let site = match end_idx {
+            Some(idx) => format!("#{}->#{idx}", w.since_idx),
+            None => format!("#{}->end", w.since_idx),
+        };
+        self.violations.push(
+            Violation::new(
+                ViolationKind::Starvation,
+                Some(end),
+                format!(
+                    "thread {tid} sat queued on core {} for {waited} (bound \
+                     {STARVATION_BOUND}) while {bypasses} other dispatches ran there",
+                    w.core.0,
+                ),
+            )
+            .with_object(format!("thread{tid}"))
+            .with_site(site),
+        );
+    }
+}
+
+impl Lint for StarvationLint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        self.end = Some(time);
+        match *event {
+            TraceEvent::Spawn { tid, core, .. }
+            | TraceEvent::Wakeup { tid, core, .. }
+            | TraceEvent::Preempt { tid, core, .. } => self.enqueue(i, time, tid, core),
+            TraceEvent::Steal { tid, to, .. } => {
+                // A migration keeps the wait clock running: the thread
+                // is still runnable-and-not-running, just elsewhere.
+                let to_base = *slot(&mut self.dispatches, to.0);
+                if let Some(Some(w)) = self.queued.get_mut(tid.index()) {
+                    w.carried += self.dispatches[w.core.0] - w.base;
+                    w.core = to;
+                    w.base = to_base;
+                }
+            }
+            TraceEvent::Dispatch { tid, core } => {
+                if let Some(w) = self.queued.get_mut(tid.index()).and_then(Option::take) {
+                    self.flag(tid.index(), &w, time, Some(i));
+                }
+                *slot(&mut self.dispatches, core.0) += 1;
+            }
+            TraceEvent::Done { tid } | TraceEvent::ThreadKilled { tid } => {
+                if let Some(w) = self.queued.get_mut(tid.index()) {
+                    *w = None;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn finish(mut self, _labels: &[String]) -> Vec<Violation> {
+        // Threads still queued when the trace ends starved with no
+        // terminating dispatch to cite.
+        if let Some(end) = self.end {
+            let queued = std::mem::take(&mut self.queued);
+            for (tid, w) in queued.iter().enumerate() {
+                if let Some(w) = w {
+                    self.flag(tid, w, end, None);
+                }
+            }
+        }
+        self.violations
+    }
+}
+
 /// Lints fair-share (vruntime) traces for starvation: a thread that
 /// stays continuously queued for more than [`STARVATION_BOUND`] while
 /// the scheduler dispatches other threads on its core at least
@@ -932,101 +1327,91 @@ pub const STARVATION_MIN_BYPASSES: usize = 64;
 /// Only applies to [`PolicyKind::VruntimeFair`] traces; priority and
 /// FIFO policies legitimately order threads by other criteria.
 pub fn check_starvation(trace: &KernelTrace) -> Vec<Violation> {
-    if trace.policy.kind() != PolicyKind::VruntimeFair {
-        return Vec::new();
+    StarvationLint::new(&trace.machine, trace.policy)
+        .map_or_else(Vec::new, |lint| LintFold::replay(trace, lint).finish())
+}
+
+// ----------------------------------------------------------------------
+// The whole suite as one fold
+// ----------------------------------------------------------------------
+
+struct Suite {
+    races: HbLint,
+    locksets: LocksetLint,
+    ranking: Option<StaleRankingLint>,
+    rerank: RerankLint,
+    starvation: Option<StarvationLint>,
+}
+
+impl Lint for Suite {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        self.races.on_record(i, time, event);
+        self.locksets.on_record(i, time, event);
+        self.ranking.on_record(i, time, event);
+        self.rerank.on_record(i, time, event);
+        self.starvation.on_record(i, time, event);
     }
-    struct Waiting {
-        core: CoreId,
-        since: SimTime,
-        since_idx: usize,
-        bypasses: usize,
+
+    fn finish(self, labels: &[String]) -> Vec<Violation> {
+        let mut violations = self.races.finish(labels);
+        violations.extend(self.locksets.finish(labels));
+        violations.extend(self.ranking.finish(labels));
+        violations.extend(self.rerank.finish(labels));
+        violations.extend(self.starvation.finish(labels));
+        crate::normalize_violations(violations)
     }
-    let mut queued: HashMap<ThreadId, Waiting> = HashMap::new();
-    let mut violations = Vec::new();
-    let mut flag = |tid: ThreadId, w: &Waiting, end: SimTime, end_idx: Option<usize>| {
-        let waited = end.duration_since(w.since);
-        if waited > STARVATION_BOUND && w.bypasses >= STARVATION_MIN_BYPASSES {
-            let site = match end_idx {
-                Some(idx) => format!("#{}->#{idx}", w.since_idx),
-                None => format!("#{}->end", w.since_idx),
-            };
-            violations.push(
-                Violation::new(
-                    ViolationKind::Starvation,
-                    Some(end),
-                    format!(
-                        "thread {} sat queued on core {} for {waited} (bound \
-                         {STARVATION_BOUND}) while {} other dispatches ran there",
-                        tid.index(),
-                        w.core.0,
-                        w.bypasses,
-                    ),
-                )
-                .with_object(format!("thread{}", tid.index()))
-                .with_site(site),
-            );
-        }
-    };
-    for (i, r) in trace.records().enumerate() {
-        match r.event {
-            TraceEvent::Spawn { tid, core, .. }
-            | TraceEvent::Wakeup { tid, core, .. }
-            | TraceEvent::Preempt { tid, core, .. } => {
-                queued.insert(
-                    tid,
-                    Waiting {
-                        core,
-                        since: r.time,
-                        since_idx: i,
-                        bypasses: 0,
-                    },
-                );
-            }
-            TraceEvent::Steal { tid, to, .. } => {
-                // A migration keeps the wait clock running: the thread
-                // is still runnable-and-not-running, just elsewhere.
-                if let Some(w) = queued.get_mut(&tid) {
-                    w.core = to;
-                }
-            }
-            TraceEvent::Dispatch { tid, core } => {
-                for (other, w) in queued.iter_mut() {
-                    if *other != tid && w.core == core {
-                        w.bypasses += 1;
-                    }
-                }
-                if let Some(w) = queued.remove(&tid) {
-                    flag(tid, &w, r.time, Some(i));
-                }
-            }
-            TraceEvent::Done { tid } | TraceEvent::ThreadKilled { tid } => {
-                queued.remove(&tid);
-            }
-            _ => {}
-        }
+}
+
+/// The full happens-before suite as one streaming consumer of a
+/// kernel's events: vector-clock data races, lock-set violations, and
+/// the scheduler-policy lints, each folded online in a single pass.
+/// Feed it with [`capture_stream`](asym_kernel::capture_stream) (one
+/// fold per kernel) or [`KernelTrace::replay`]; [`finish`](Self::finish)
+/// then returns what [`check_concurrency`] reports for the same stream.
+pub struct ConcurrencyFold(LintFold<Suite>);
+
+impl ConcurrencyFold {
+    /// A fold for one kernel managing `machine` under `policy`.
+    pub fn new(machine: &MachineSpec, policy: SchedPolicy) -> Self {
+        ConcurrencyFold(LintFold::new(Suite {
+            races: HbLint::new(false),
+            locksets: LocksetLint::default(),
+            ranking: StaleRankingLint::new(machine, policy),
+            rerank: RerankLint::new(machine),
+            starvation: StarvationLint::new(machine, policy),
+        }))
     }
-    // Threads still queued when the trace ends starved with no
-    // terminating dispatch to cite.
-    if let Some(end) = trace.records().last().map(|r| r.time) {
-        let mut leftover: Vec<_> = queued.into_iter().collect();
-        leftover.sort_by_key(|(tid, _)| *tid);
-        for (tid, w) in leftover {
-            flag(tid, &w, end, None);
-        }
+
+    /// The findings, in canonical (kind, object, site) order with
+    /// duplicates removed.
+    pub fn finish(self) -> Vec<Violation> {
+        self.0.finish()
     }
-    violations
+}
+
+impl TraceConsumer for ConcurrencyFold {
+    fn on_event(&mut self, time: SimTime, event: &TraceEvent) {
+        self.0.on_event(time, event);
+    }
+
+    fn on_shared_label(&mut self, label: &str) {
+        self.0.on_shared_label(label);
+    }
+}
+
+impl asym_core::CheckFold for ConcurrencyFold {
+    fn findings(self: Box<Self>) -> Vec<String> {
+        self.finish().iter().map(ToString::to_string).collect()
+    }
 }
 
 /// The full happens-before suite over one trace: vector-clock data
 /// races, lock-set violations, and the scheduler-policy lints
 /// (stale-ranking placements, re-ranking hygiene, and fair-share
 /// starvation), in canonical (kind, object, site) order with duplicates
-/// removed.
+/// removed. A replay of [`ConcurrencyFold`].
 pub fn check_concurrency(trace: &KernelTrace) -> Vec<Violation> {
-    let mut violations = check_races(trace);
-    violations.extend(check_locksets(trace));
-    violations.extend(check_stale_ranking(trace));
-    violations.extend(check_rerank_hygiene(trace));
-    violations.extend(check_starvation(trace));
-    crate::normalize_violations(violations)
+    let mut fold = ConcurrencyFold::new(&trace.machine, trace.policy);
+    trace.replay(&mut fold);
+    fold.finish()
 }

@@ -485,10 +485,30 @@ fn detect_lost_wakeups(trace: &KernelTrace, locks: &HashSet<WaitId>) -> Vec<Viol
 // 4. Asymmetry invariant: fast cores never idle over slower queued work
 // ----------------------------------------------------------------------
 
-/// Replayed scheduler state for the invariant lint.
-struct CoreState {
-    running: Option<ThreadId>,
-    queue: Vec<ThreadId>,
+/// Replayed scheduler state of one core, for the lints that track
+/// who runs and who waits where.
+pub(crate) struct CoreState {
+    pub(crate) running: Option<ThreadId>,
+    pub(crate) queue: Vec<ThreadId>,
+}
+
+impl CoreState {
+    /// `n` cores with nothing running and nothing queued.
+    pub(crate) fn idle(n: usize) -> Vec<CoreState> {
+        (0..n)
+            .map(|_| CoreState {
+                running: None,
+                queue: Vec::new(),
+            })
+            .collect()
+    }
+}
+
+/// Removes the first occurrence of `tid` from a run queue.
+pub(crate) fn remove_tid(queue: &mut Vec<ThreadId>, tid: ThreadId) {
+    if let Some(pos) = queue.iter().position(|&t| t == tid) {
+        queue.remove(pos);
+    }
 }
 
 /// Replays the state-complete event stream and, at every point where
@@ -509,23 +529,11 @@ fn check_asymmetry_invariant(trace: &KernelTrace) -> Vec<Violation> {
     }
     let mut speeds = trace.machine.speeds().to_vec();
     let mut online = vec![true; speeds.len()];
-    let mut cores: Vec<CoreState> = speeds
-        .iter()
-        .map(|_| CoreState {
-            running: None,
-            queue: Vec::new(),
-        })
-        .collect();
+    let mut cores = CoreState::idle(speeds.len());
     let mut affinity: HashMap<ThreadId, CoreMask> = HashMap::new();
     let mut reported: HashSet<(usize, ThreadId)> = HashSet::new();
     let mut violations = Vec::new();
     let mut cur_time = SimTime::ZERO;
-
-    fn remove(v: &mut Vec<ThreadId>, tid: ThreadId) {
-        if let Some(pos) = v.iter().position(|&t| t == tid) {
-            v.remove(pos);
-        }
-    }
 
     for r in trace.records() {
         if r.time > cur_time {
@@ -572,7 +580,7 @@ fn check_asymmetry_invariant(trace: &KernelTrace) -> Vec<Violation> {
                 cores[core.0].queue.push(tid);
             }
             TraceEvent::Dispatch { tid, core } => {
-                remove(&mut cores[core.0].queue, tid);
+                remove_tid(&mut cores[core.0].queue, tid);
                 cores[core.0].running = Some(tid);
             }
             TraceEvent::Preempt { tid, core, .. } => {
@@ -582,7 +590,7 @@ fn check_asymmetry_invariant(trace: &KernelTrace) -> Vec<Violation> {
                 cores[core.0].queue.push(tid);
             }
             TraceEvent::Steal { tid, from, to } => {
-                remove(&mut cores[from.0].queue, tid);
+                remove_tid(&mut cores[from.0].queue, tid);
                 cores[to.0].queue.push(tid);
             }
             TraceEvent::Wakeup { tid, core, .. } => {
@@ -618,7 +626,7 @@ fn check_asymmetry_invariant(trace: &KernelTrace) -> Vec<Violation> {
             // running slot; here we only unpark a killed runnable.
             TraceEvent::ThreadKilled { tid } => {
                 for c in &mut cores {
-                    remove(&mut c.queue, tid);
+                    remove_tid(&mut c.queue, tid);
                 }
             }
             _ => {}
@@ -644,12 +652,6 @@ fn check_core_liveness(trace: &KernelTrace) -> Vec<Violation> {
     let mut reported_parked: HashSet<(usize, ThreadId)> = HashSet::new();
     let mut cur_time = SimTime::ZERO;
     let mut violations = Vec::new();
-
-    fn remove(v: &mut Vec<ThreadId>, tid: ThreadId) {
-        if let Some(pos) = v.iter().position(|&t| t == tid) {
-            v.remove(pos);
-        }
-    }
 
     let land = |occupants: &mut Vec<Vec<ThreadId>>,
                 online: &[bool],
@@ -723,7 +725,7 @@ fn check_core_liveness(trace: &KernelTrace) -> Vec<Violation> {
                 );
             }
             TraceEvent::Steal { tid, from, to } => {
-                remove(&mut occupants[from.0], tid);
+                remove_tid(&mut occupants[from.0], tid);
                 land(
                     &mut occupants,
                     &online,
@@ -748,7 +750,7 @@ fn check_core_liveness(trace: &KernelTrace) -> Vec<Violation> {
             | TraceEvent::Done { tid }
             | TraceEvent::ThreadKilled { tid } => {
                 for c in &mut occupants {
-                    remove(c, tid);
+                    remove_tid(c, tid);
                 }
             }
             _ => {}

@@ -23,8 +23,9 @@
 
 use asym_analysis::fixtures::{
     ab_ba_deadlock, downhill_steal, lock_order_inversion, lockset_violation, missed_signal,
-    missing_rerank, offline_core_dispatch, rerank_thrash, stale_ranking_dispatch, stalled_run,
-    swallowed_kill, unprotected_write_race, vruntime_starvation,
+    missing_rerank, offline_core_dispatch, readers_then_writer_race, rerank_thrash,
+    stale_ranking_dispatch, stalled_run, swallowed_kill, unprotected_write_race,
+    vruntime_starvation,
 };
 use asym_analysis::hb::{check_concurrency, happens_before};
 use asym_analysis::{analyze_trace, check_workload, render_violations, KernelTrace, ViolationKind};
@@ -89,6 +90,11 @@ fn run_fixtures() -> ExitCode {
     ok &= expect_fires(
         "unordered writes to one shared counter",
         &unprotected_write_race(),
+        ViolationKind::DataRace,
+    );
+    ok &= expect_fires(
+        "two unordered readers, then an unordered writer (cites the earlier read)",
+        &readers_then_writer_race(),
         ViolationKind::DataRace,
     );
     ok &= expect_fires(

@@ -10,7 +10,7 @@
 //! counts, and trace hashes.
 
 use crate::spec::{registry, SweepContext, SweepSpec};
-use asym_analysis::hb::check_concurrency;
+use asym_analysis::hb::ConcurrencyFold;
 use asym_core::{resolve_jobs, CellCache, CellRunner, ExperimentPlan, TraceCheck};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,12 +22,6 @@ pub const DEFAULT_JSON_PATH: &str = "BENCH_sweep.json";
 /// Default directory of the persistent cell cache (gitignored); used
 /// unless `--cache DIR` redirects it or `--cache=off` disables it.
 pub const DEFAULT_CACHE_DIR: &str = ".asym-cache";
-
-/// Cell cap applied when `--check` is combined with a spec selection
-/// and no explicit `--max-cells` overrides it: the full analysis suite
-/// per cell is orders of magnitude slower than execution, so a
-/// million-cell sweep under `--check` is almost certainly a mistake.
-pub const DEFAULT_CHECK_CELL_CAP: usize = 20_000;
 
 /// Where the persistent cell cache lives, if anywhere.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -75,8 +69,7 @@ pub struct SweepArgs {
     /// persistent cell cache lives (default: [`DEFAULT_CACHE_DIR`]).
     pub cache: CacheSetting,
     /// `--max-cells N`: refuse to run a plan larger than `N` cells
-    /// (guards against accidentally huge sweeps; `--check` defaults to
-    /// [`DEFAULT_CHECK_CELL_CAP`] when this is unset).
+    /// (guards against accidentally huge sweeps).
     pub max_cells: Option<usize>,
 }
 
@@ -201,25 +194,13 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
         );
     }
 
-    // Fail fast on oversized plans BEFORE any cell executes: an
-    // explicit --max-cells always binds; --check alone gets a generous
-    // default cap, since per-cell analysis is far slower than execution.
-    let cap = args.max_cells.or(if args.check {
-        Some(DEFAULT_CHECK_CELL_CAP)
-    } else {
-        None
-    });
-    if let Some(cap) = cap {
+    // Fail fast on oversized plans BEFORE any cell executes.
+    if let Some(cap) = args.max_cells {
         if plan.len() > cap {
             eprintln!(
-                "[asym-sweep] refusing to run {} cells: over the {} limit of {cap} \
-                 (raise or drop --max-cells, narrow the spec selection, or drop --check)",
+                "[asym-sweep] refusing to run {} cells: over the --max-cells limit of {cap} \
+                 (raise or drop --max-cells, or narrow the spec selection)",
                 plan.len(),
-                if args.max_cells.is_some() {
-                    "--max-cells"
-                } else {
-                    "--check default"
-                },
             );
             return ExitCode::FAILURE;
         }
@@ -354,15 +335,9 @@ pub fn spec_main(name: &str) -> ExitCode {
 
 /// The [`TraceCheck`] that plugs `asym-analysis`'s happens-before race
 /// detection, lock-set checking, and policy lints into the cell engine:
-/// every kernel trace of a cell is analyzed, and findings are rendered
-/// one line each in the analyses' deterministic (kind, object, site)
-/// order.
+/// every kernel of a cell streams through a [`ConcurrencyFold`], and
+/// findings are rendered one line each in the analyses' deterministic
+/// (kind, object, site) order.
 pub fn concurrency_check() -> TraceCheck {
-    Arc::new(|traces| {
-        traces
-            .iter()
-            .flat_map(check_concurrency)
-            .map(|v| v.to_string())
-            .collect()
-    })
+    Arc::new(|machine, policy| Box::new(ConcurrencyFold::new(machine, policy)))
 }

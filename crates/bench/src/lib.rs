@@ -26,7 +26,6 @@ mod spec;
 
 pub use driver::{
     concurrency_check, run_sweeps, spec_main, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR,
-    DEFAULT_CHECK_CELL_CAP,
 };
 pub use spec::{
     registry, spec_names, RenderFn, Rendered, Section, SweepContext, SweepDef, SweepSpec,

@@ -91,8 +91,10 @@ fn forged_trace_fails_the_engine_trace_check() {
     // The same check `asym_sweep --check` installs: a forged trace with
     // a ranking reorder and no Rerank record must produce findings —
     // the driver turns any finding into a non-zero exit.
-    let check = concurrency_check();
-    let findings = check(&[asym_analysis::fixtures::missing_rerank()]);
+    let trace = asym_analysis::fixtures::missing_rerank();
+    let mut fold = concurrency_check()(&trace.machine, trace.policy);
+    trace.replay(&mut *fold);
+    let findings = fold.findings();
     assert!(
         findings.iter().any(|f| f.contains("stale-rerank")),
         "expected a stale-rerank finding, got {findings:?}"

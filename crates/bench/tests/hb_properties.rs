@@ -5,25 +5,31 @@
 //!   trace timestamps on every clean run of the full experiment matrix
 //!   (all nine configurations × all eight paper workloads).
 //! * The violations a [`CellRunner`] trace check reports must be
-//!   byte-identical whatever the host thread count.
+//!   byte-identical whatever the host thread count, and equal to
+//!   `check_concurrency` over the buffered traces of the same cell.
 
-use asym_analysis::hb::happens_before;
+use asym_analysis::hb::{check_concurrency, happens_before};
 use asym_bench::{concurrency_check, paper_workloads};
 use asym_core::{
-    AsymConfig, CellRunner, Direction, ExperimentOptions, ExperimentPlan, RunResult, RunSetup,
-    SpecMode, Workload,
+    AsymConfig, CellRunner, Direction, ExperimentOptions, ExperimentPlan, ResilientOptions,
+    RunObserver, RunResult, RunSetup, SpecMode, Workload,
 };
-use asym_kernel::{capture_traces, FnThread, Kernel, SchedPolicy, SpawnOptions, Step};
+use asym_kernel::{
+    capture_traces, with_run_guard, FnThread, Kernel, RunGuard, SchedPolicy, SpawnOptions, Step,
+};
 use asym_sim::Cycles;
 use asym_sync::SimShared;
+use std::sync::Arc;
 
 /// The HB relation of every trace of every (workload, config) cell is a
 /// DAG consistent with time: every edge points from an earlier record
 /// index to a strictly later one, and never backwards in simulated
-/// time. Clean runs must also be free of data races.
+/// time. Clean runs must also be free of data races. The matrix totals
+/// are the ones `asym_check --races` prints.
 #[test]
 fn hb_relation_is_acyclic_and_time_consistent_across_matrix() {
     let policy = SchedPolicy::asymmetry_aware();
+    let (mut kernels, mut events, mut edges) = (0usize, 0usize, 0usize);
     for w in paper_workloads() {
         for config in AsymConfig::standard_nine() {
             let setup = RunSetup::new(config, policy, 0);
@@ -32,6 +38,9 @@ fn hb_relation_is_acyclic_and_time_consistent_across_matrix() {
             assert!(!traces.is_empty(), "{label}: no kernels captured");
             for trace in &traces {
                 let analysis = happens_before(trace);
+                kernels += 1;
+                events += trace.num_records();
+                edges += analysis.edges.len();
                 let records = trace.records_vec();
                 assert!(
                     !analysis.edges.is_empty(),
@@ -66,6 +75,27 @@ fn hb_relation_is_acyclic_and_time_consistent_across_matrix() {
             }
         }
     }
+    assert_eq!((kernels, events, edges), (72, 11_262_562, 4_755_243));
+}
+
+/// `asym_check --races --quick` sweeps the 1f-3s/8 smoke cell clean and
+/// prints the same totals it always has.
+#[test]
+fn races_quick_prints_pinned_totals() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_asym_check"))
+        .args(["--races", "--quick"])
+        .output()
+        .expect("spawn asym_check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "asym_check --races --quick failed:\n{stdout}"
+    );
+    assert!(
+        stdout
+            .contains("analyzed 8 kernels / 1063229 trace events / 447848 happens-before edges\n"),
+        "totals moved:\n{stdout}"
+    );
 }
 
 /// A deliberately racy workload: two threads increment one [`SimShared`]
@@ -163,4 +193,85 @@ fn trace_check_violations_are_deterministic_across_jobs() {
     let json = serial.report.to_json();
     assert!(json.contains("\"violations\": [\"[data-race]"));
     assert!(json.contains("\"total_violations\": "));
+}
+
+/// The streamed check is the buffered one: a checked runner's per-cell
+/// findings on the racy workload equal `check_concurrency` over
+/// `capture_traces` of the same cell — for clean cells, for resilient
+/// (guarded) cells, at `--jobs 1` and `--jobs 4`, and when an observer
+/// forces the runner onto buffered capture.
+#[test]
+fn streamed_check_equals_check_concurrency_over_buffered_traces() {
+    let racy = Racy;
+    let configs = [
+        AsymConfig::new(2, 0, 1),
+        AsymConfig::new(1, 1, 8),
+        AsymConfig::new(1, 3, 4),
+    ];
+    let (clean_policy, resilient_policy) =
+        (SchedPolicy::os_default(), SchedPolicy::asymmetry_aware());
+    let plan = |observer: Option<RunObserver>| {
+        let mut clean = ExperimentOptions::new(2);
+        clean.observer = observer.clone();
+        let mut resilient = ResilientOptions::new(2);
+        resilient.observer = observer;
+        let mut plan = ExperimentPlan::new("streamed-vs-buffered");
+        plan.push(
+            "clean",
+            &racy,
+            &configs,
+            SpecMode::Clean {
+                policy: clean_policy,
+                options: clean,
+            },
+        );
+        plan.push(
+            "resilient",
+            &racy,
+            &configs,
+            SpecMode::Resilient {
+                policy: resilient_policy,
+                options: resilient,
+            },
+        );
+        plan
+    };
+    // The reference: every cell re-run under buffered capture (guarded,
+    // like the engine's resilient attempts) and checked post hoc.
+    let mut expected = Vec::new();
+    for (policy, guarded) in [(clean_policy, false), (resilient_policy, true)] {
+        for (j, &config) in configs.iter().enumerate() {
+            for i in 0..2 {
+                let setup = RunSetup::new(config, policy, j as u64 * 1000 + i);
+                let (_, traces) = capture_traces(|| {
+                    if guarded {
+                        with_run_guard(RunGuard::new(), || racy.run(&setup))
+                    } else {
+                        racy.run(&setup)
+                    }
+                });
+                let found: Vec<String> = traces
+                    .iter()
+                    .flat_map(check_concurrency)
+                    .map(|v| v.to_string())
+                    .collect();
+                assert!(!found.is_empty(), "the racy cell {setup:?} must race");
+                expected.push(found);
+            }
+        }
+    }
+    let noop: RunObserver = Arc::new(|_, _, _| {});
+    for (jobs, observer) in [(1, None), (4, None), (2, Some(noop))] {
+        let buffered = observer.is_some();
+        let outcome = CellRunner::new(jobs)
+            .with_trace_check(concurrency_check())
+            .run(plan(observer));
+        let got: Vec<Vec<String>> = outcome
+            .report
+            .cells
+            .iter()
+            .map(|c| c.violations.clone())
+            .collect();
+        assert_eq!(got, expected, "--jobs {jobs}, buffered: {buffered}");
+    }
 }

@@ -27,15 +27,15 @@ use crate::config::AsymConfig;
 use crate::experiment::{
     ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, Experiment,
     ExperimentOptions, ResilientConfigOutcome, ResilientExperiment, ResilientOptions, RunClass,
-    RunRecord,
+    RunObserver, RunRecord,
 };
 use crate::metrics::Samples;
 use crate::workload::{RunResult, RunSetup, Workload};
 use asym_kernel::{
-    capture_stream, capture_traces, fold_trace_hashes, with_run_guard, RunGuard, RunOutcome,
-    SchedPolicy, TraceConsumer, TraceEvent, TraceHashFold, TraceHasher,
+    capture_stream, capture_traces, with_run_guard, RunGuard, RunOutcome, SchedPolicy,
+    TraceConsumer, TraceEvent, TraceHashFold, TraceHasher,
 };
-use asym_obs::{metrics_of_traces, DiffAttribution, ProfileFold, ProfileMetrics};
+use asym_obs::{DiffAttribution, ProfileFold, ProfileMetrics};
 use asym_sim::{EnvironmentPlan, FaultPlan, MachineSpec, SimDuration, SimTime, StableHasher};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -307,12 +307,24 @@ pub(crate) const RETRY_SEED_STRIDE: u64 = 7919;
 /// budget each attempt, up to this multiple of the configured budget.
 pub(crate) const MAX_BUDGET_FACTOR: u32 = 8;
 
-/// A per-cell trace check: runs over every kernel trace a cell's final
-/// attempt captured and returns rendered findings (empty = clean). The
-/// engine stays agnostic about what is checked — `asym-analysis` plugs
-/// its happens-before race detection and policy lints in through this
-/// hook (see `asym_sweep --check`).
-pub type TraceCheck = Arc<dyn Fn(&[asym_kernel::KernelTrace]) -> Vec<String> + Send + Sync>;
+/// One kernel's streaming trace check, built by a [`TraceCheck`]: it is
+/// fed the kernel's events as they are emitted and renders its findings
+/// once the stream has closed.
+pub trait CheckFold: TraceConsumer {
+    /// The rendered findings (empty = clean), in the check's canonical
+    /// order.
+    fn findings(self: Box<Self>) -> Vec<String>;
+}
+
+/// A per-cell trace check: a factory that builds one [`CheckFold`] for
+/// every kernel a cell attempt creates, from the kernel's machine and
+/// policy. The folds ride along with the engine's hash and metrics
+/// folds, so a checked cell streams exactly like an unchecked one; its
+/// findings are those of its final attempt's kernels, in creation order.
+/// The engine stays agnostic about what is checked — `asym-analysis`
+/// plugs its happens-before race detection and policy lints in through
+/// this hook (see `asym_sweep --check`).
+pub type TraceCheck = Arc<dyn Fn(&MachineSpec, SchedPolicy) -> Box<dyn CheckFold> + Send + Sync>;
 
 /// What one executed cell produced, before reassembly.
 #[derive(Clone)]
@@ -415,32 +427,28 @@ fn classify_one(outcome: Option<RunOutcome>, budget_exhausted: bool) -> RunClass
     }
 }
 
-/// The worst classification over every kernel a run created.
-fn classify_traces(traces: &[asym_kernel::KernelTrace]) -> RunClass {
-    traces
-        .iter()
-        .map(|t| classify_one(t.outcome, t.budget_exhausted))
-        .max()
-        .unwrap_or(RunClass::Completed)
-}
-
-/// The engine's streaming trace consumer: one per kernel, folding the
-/// stable hash and (when metrics are wanted) the run profile
-/// incrementally as events are emitted. This is what makes the
-/// no-check, no-observer sweep path O(1) in trace length — no
-/// [`KernelTrace`](asym_kernel::KernelTrace) is ever materialized.
+/// The engine's per-kernel trace consumer, folding the stable hash,
+/// (when metrics are wanted) the run profile, and (when a check is
+/// installed) the check, incrementally as events are emitted.
 struct CellFold {
     hasher: TraceHasher,
     profile: Option<ProfileFold>,
+    check: Option<Box<dyn CheckFold>>,
     outcome: Option<RunOutcome>,
     budget_exhausted: bool,
 }
 
 impl CellFold {
-    fn new(machine: &MachineSpec, policy: SchedPolicy, want_metrics: bool) -> Self {
+    fn new(
+        machine: &MachineSpec,
+        policy: SchedPolicy,
+        want_metrics: bool,
+        check: Option<&TraceCheck>,
+    ) -> Self {
         CellFold {
             hasher: TraceHasher::new(),
             profile: want_metrics.then(|| ProfileFold::new(machine, policy)),
+            check: check.map(|c| c(machine, policy)),
             outcome: None,
             budget_exhausted: false,
         }
@@ -453,6 +461,15 @@ impl TraceConsumer for CellFold {
         if let Some(p) = self.profile.as_mut() {
             p.on_event(time, event);
         }
+        if let Some(c) = self.check.as_mut() {
+            c.on_event(time, event);
+        }
+    }
+
+    fn on_shared_label(&mut self, label: &str) {
+        if let Some(c) = self.check.as_mut() {
+            c.on_shared_label(label);
+        }
     }
 
     fn on_close(&mut self, outcome: Option<RunOutcome>, budget_exhausted: bool) {
@@ -460,36 +477,82 @@ impl TraceConsumer for CellFold {
         if let Some(p) = self.profile.as_mut() {
             p.on_close(outcome, budget_exhausted);
         }
+        if let Some(c) = self.check.as_mut() {
+            c.on_close(outcome, budget_exhausted);
+        }
         self.outcome = outcome;
         self.budget_exhausted = budget_exhausted;
     }
 }
 
-/// Runs `f` under streaming capture and folds every kernel's stream
-/// into the attempt-level summary: worst classification, folded trace
-/// hash, merged metrics. Byte-identical to capturing buffered traces
-/// and post-processing them (`classify_traces`, [`fold_trace_hashes`],
-/// [`metrics_of_traces`]) — the equivalence the engine's
-/// `streamed_equals_buffered` test pins.
-fn run_streamed<R>(
+/// What the folds of one attempt's kernels add up to.
+struct Folded {
+    /// The worst classification over the kernels.
+    class: RunClass,
+    /// The kernels' stable hashes, folded in creation order.
+    hash: u64,
+    metrics: Option<ProfileMetrics>,
+    violations: Vec<String>,
+}
+
+/// Runs `f` with every kernel it creates folded through a [`CellFold`],
+/// and sums the folds into the attempt-level [`Folded`].
+///
+/// Without an observer the folds consume the live event stream, so no
+/// [`KernelTrace`](asym_kernel::KernelTrace) is ever materialized and
+/// trace memory stays O(1) — checked cells included. An observer needs
+/// the full traces: the run is then captured buffered, handed to the
+/// observer, and each trace is replayed into its fold. Both paths give
+/// byte-identical summaries (the engine's `streamed_equals_buffered`
+/// test pins this).
+fn run_folded(
+    setup: &RunSetup,
     want_metrics: bool,
-    f: impl FnOnce() -> R,
-) -> (R, RunClass, u64, Option<ProfileMetrics>) {
-    let (result, folds) = capture_stream(
-        move |machine: &MachineSpec, policy| CellFold::new(machine, policy, want_metrics),
-        f,
-    );
+    check: Option<&TraceCheck>,
+    observer: Option<&RunObserver>,
+    f: impl FnOnce() -> RunResult,
+) -> (RunResult, Folded) {
+    let check = check.cloned();
+    let new_fold = move |machine: &MachineSpec, policy| {
+        CellFold::new(machine, policy, want_metrics, check.as_ref())
+    };
+    let (result, folds) = match observer {
+        None => capture_stream(new_fold, f),
+        Some(observe) => {
+            let (result, traces) = capture_traces(f);
+            observe(setup, &result, &traces);
+            let folds = traces
+                .iter()
+                .map(|trace| {
+                    let mut fold = new_fold(&trace.machine, trace.policy);
+                    trace.replay(&mut fold);
+                    fold
+                })
+                .collect();
+            (result, folds)
+        }
+    };
     let mut class = RunClass::Completed;
     let mut hash = TraceHashFold::new();
     let mut metrics = want_metrics.then(ProfileMetrics::new);
+    let mut violations = Vec::new();
     for fold in folds {
         class = class.max(classify_one(fold.outcome, fold.budget_exhausted));
         hash.push(fold.hasher.finish());
         if let (Some(acc), Some(p)) = (metrics.as_mut(), fold.profile) {
             acc.merge(&p.finish().metrics());
         }
+        if let Some(c) = fold.check {
+            violations.extend(c.findings());
+        }
     }
-    (result, class, hash.finish(), metrics)
+    let folded = Folded {
+        class,
+        hash: hash.finish(),
+        metrics,
+        violations,
+    };
+    (result, folded)
 }
 
 /// Applies one rung of the fault-softening ladder: level 0 is the full
@@ -549,50 +612,33 @@ fn attempt_run(
     if let Some(env) = disturbance.environment {
         guard = guard.environment(env);
     }
-    // The streaming fast path: nothing downstream needs the full event
-    // stream, so fold hash/metrics incrementally and never materialize
-    // a trace. Observers and trace checks are handed real traces, so
-    // they keep the buffered path.
-    if check.is_none() && options.observer.is_none() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_streamed(want_metrics, || {
-                with_run_guard(guard, || workload.run(setup))
-            })
-        }));
-        return match caught {
-            Err(_) => (RunClass::Panicked, None, None, None, Vec::new()),
-            Ok((result, class, hash, metrics)) => {
-                let value = (class == RunClass::Completed).then_some(result.value);
-                (class, value, Some(hash), metrics, Vec::new())
-            }
-        };
-    }
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        capture_traces(|| with_run_guard(guard, || workload.run(setup)))
+        run_folded(
+            setup,
+            want_metrics,
+            check,
+            options.observer.as_ref(),
+            || with_run_guard(guard, || workload.run(setup)),
+        )
     }));
     match caught {
         Err(_) => (RunClass::Panicked, None, None, None, Vec::new()),
-        Ok((result, traces)) => {
-            if let Some(obs) = &options.observer {
-                obs(setup, &result, &traces);
-            }
-            let class = classify_traces(&traces);
-            let value = (class == RunClass::Completed).then_some(result.value);
-            let metrics = want_metrics.then(|| metrics_of_traces(&traces));
-            let violations = check.map_or_else(Vec::new, |c| c(&traces));
+        Ok((result, folded)) => {
+            let value = (folded.class == RunClass::Completed).then_some(result.value);
             (
-                class,
+                folded.class,
                 value,
-                Some(fold_trace_hashes(&traces)),
-                metrics,
-                violations,
+                Some(folded.hash),
+                folded.metrics,
+                folded.violations,
             )
         }
     }
 }
 
-/// Executes one clean cell: a single trace-captured run, no guard, no
-/// retries; panics propagate to the runner (and out of the pool).
+/// Executes one clean cell: a single run, no guard, no retries; panics
+/// propagate to the runner (and out of the pool). Clean cells are
+/// classified `Completed` unconditionally.
 fn exec_clean(
     workload: &dyn Workload,
     cell: &Cell,
@@ -600,42 +646,22 @@ fn exec_clean(
     want_metrics: bool,
     check: Option<&TraceCheck>,
 ) -> CellOutcome {
-    if check.is_none() && options.observer.is_none() {
-        // Streaming fast path (see `run_streamed`). Clean cells are
-        // classified `Completed` unconditionally, exactly like the
-        // buffered path below.
-        let (result, _class, hash, metrics) =
-            run_streamed(want_metrics, || workload.run(&cell.setup));
-        let value = Some(result.value);
-        return CellOutcome {
-            data: CellData::Clean(result),
-            class: RunClass::Completed,
-            attempts: 1,
-            value,
-            trace_hash: Some(hash),
-            metrics,
-            violations: Vec::new(),
-            wall_nanos: 0,
-            memoized: false,
-            cached: false,
-        };
-    }
-    let (result, traces) = capture_traces(|| workload.run(&cell.setup));
-    if let Some(obs) = &options.observer {
-        obs(&cell.setup, &result, &traces);
-    }
-    let hash = fold_trace_hashes(&traces);
-    let metrics = want_metrics.then(|| metrics_of_traces(&traces));
-    let violations = check.map_or_else(Vec::new, |c| c(&traces));
+    let (result, folded) = run_folded(
+        &cell.setup,
+        want_metrics,
+        check,
+        options.observer.as_ref(),
+        || workload.run(&cell.setup),
+    );
     let value = Some(result.value);
     CellOutcome {
         data: CellData::Clean(result),
         class: RunClass::Completed,
         attempts: 1,
         value,
-        trace_hash: Some(hash),
-        metrics,
-        violations,
+        trace_hash: Some(folded.hash),
+        metrics: folded.metrics,
+        violations: folded.violations,
         wall_nanos: 0,
         memoized: false,
         cached: false,
@@ -988,11 +1014,13 @@ impl CellRunner {
         self
     }
 
-    /// Installs a per-cell trace check: every executed cell's final
-    /// attempt runs its captured kernel traces through `check`, and the
-    /// findings land in [`CellReport::violations`] (and the JSON sink).
-    /// Memoized cells reuse their primary's findings — the traces are
-    /// identical by construction. Off by default.
+    /// Installs a per-cell trace check: every kernel of every executed
+    /// cell streams its events through a fold `check` builds, and the
+    /// final attempt's findings land in [`CellReport::violations`] (and
+    /// the JSON sink). Checked cells never buffer a trace unless an
+    /// observer asks for one, and they bypass the cell cache (findings
+    /// are not stored). Memoized cells reuse their primary's findings —
+    /// the traces are identical by construction. Off by default.
     pub fn with_trace_check(mut self, check: TraceCheck) -> Self {
         self.check = Some(check);
         self
@@ -1849,6 +1877,16 @@ mod tests {
     }
 
     fn kernel_plan(w: &KernelBursts) -> ExperimentPlan<'_> {
+        kernel_plan_with(w, None)
+    }
+
+    /// [`kernel_plan`], with `observer` installed on every spec (which
+    /// forces buffered capture).
+    fn kernel_plan_with(w: &KernelBursts, observer: Option<RunObserver>) -> ExperimentPlan<'_> {
+        let mut clean = ExperimentOptions::new(2);
+        clean.observer = observer.clone();
+        let mut resilient = ResilientOptions::new(2);
+        resilient.observer = observer;
         let mut plan = ExperimentPlan::new("kernel");
         plan.push(
             "clean",
@@ -1856,7 +1894,7 @@ mod tests {
             &[AsymConfig::new(1, 3, 8), AsymConfig::new(2, 2, 8)],
             SpecMode::Clean {
                 policy: SchedPolicy::asymmetry_aware(),
-                options: ExperimentOptions::new(2),
+                options: clean,
             },
         );
         plan.push(
@@ -1865,16 +1903,32 @@ mod tests {
             &[AsymConfig::new(1, 3, 8)],
             SpecMode::Resilient {
                 policy: SchedPolicy::os_default(),
-                options: ResilientOptions::new(2),
+                options: resilient,
             },
         );
         plan
     }
 
-    /// A no-op trace check: forces the buffered capture path without
-    /// changing any result.
+    /// An observer that looks at nothing: forces the buffered capture
+    /// path without changing any result.
+    fn noop_observer() -> RunObserver {
+        Arc::new(|_, _, _| {})
+    }
+
+    /// A check fold that finds nothing.
+    struct NoFindings;
+    impl TraceConsumer for NoFindings {
+        fn on_event(&mut self, _time: SimTime, _event: &TraceEvent) {}
+    }
+    impl CheckFold for NoFindings {
+        fn findings(self: Box<Self>) -> Vec<String> {
+            Vec::new()
+        }
+    }
+
+    /// A trace check that never reports anything.
     fn noop_check() -> TraceCheck {
-        Arc::new(|_| Vec::new())
+        Arc::new(|_, _| Box::new(NoFindings))
     }
 
     /// The stable per-cell fields two equivalent runs must agree on.
@@ -1899,14 +1953,14 @@ mod tests {
     #[test]
     fn streamed_equals_buffered_byte_exactly() {
         let w = KernelBursts;
-        // Default runner: streaming capture (no check, no observer).
+        // Default runner: streaming capture (no observer).
         let streamed = CellRunner::new(1).with_metrics(true).run(kernel_plan(&w));
-        // A no-op check forces the buffered path through the identical
-        // plan: every hash, class, value, and metrics record must match.
+        // A no-op observer forces the buffered path through the
+        // identical plan: every hash, class, value, and metrics record
+        // must match.
         let buffered = CellRunner::new(1)
             .with_metrics(true)
-            .with_trace_check(noop_check())
-            .run(kernel_plan(&w));
+            .run(kernel_plan_with(&w, Some(noop_observer())));
         assert_eq!(cell_facts(&streamed.report), cell_facts(&buffered.report));
         assert_eq!(streamed.results, buffered.results);
         // The workload really produced kernels and events.
@@ -1916,6 +1970,12 @@ mod tests {
             .expect("metrics attached");
         assert_eq!(m.kernels, 1);
         assert!(m.busy_ns > 0);
+        // A check streams too, and leaves every result as it was.
+        let checked = CellRunner::new(1)
+            .with_metrics(true)
+            .with_trace_check(noop_check())
+            .run(kernel_plan(&w));
+        assert_eq!(cell_facts(&streamed.report), cell_facts(&checked.report));
     }
 
     #[test]
@@ -2045,6 +2105,13 @@ mod tests {
             .run(kernel_plan(&w));
         let stats = checked.report.cache.as_ref().expect("stats");
         assert_eq!(stats.skips, checked.report.cells.len() as u64);
+        assert_eq!(stats.stores + stats.hits + stats.misses, 0);
+        // So does an observer: it must see every run execute.
+        let observed = CellRunner::new(1)
+            .with_cache(cache.clone())
+            .run(kernel_plan_with(&w, Some(noop_observer())));
+        let stats = observed.report.cache.as_ref().expect("stats");
+        assert_eq!(stats.skips, observed.report.cells.len() as u64);
         assert_eq!(stats.stores + stats.hits + stats.misses, 0);
         // Differential cells never cache either.
         let mut plan = ExperimentPlan::new("diff");

@@ -62,8 +62,8 @@ mod workload;
 pub use cache::{CacheStats, CellCache};
 pub use config::{AsymConfig, ParseConfigError};
 pub use engine::{
-    default_jobs, resolve_jobs, Cell, CellReport, CellRunner, ExperimentPlan, PlanOutcome,
-    SpecMode, SpecResult, SweepReport, TraceCheck,
+    default_jobs, resolve_jobs, Cell, CellReport, CellRunner, CheckFold, ExperimentPlan,
+    PlanOutcome, SpecMode, SpecResult, SweepReport, TraceCheck,
 };
 pub use experiment::{
     run_experiment, run_experiment_differential, run_experiment_resilient, ConfigOutcome,

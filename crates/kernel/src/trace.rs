@@ -615,6 +615,22 @@ impl KernelTrace {
     pub fn shared_label(&self, obj: crate::ShareId) -> Option<&str> {
         self.shared_labels.get(obj.index()).map(String::as_str)
     }
+
+    /// Feeds this trace to `consumer` as a streaming capture of the same
+    /// run would: every shared-object label, every record in order, then
+    /// [`on_close`](TraceConsumer::on_close) with the outcome. Labels all
+    /// arrive first (a live stream interleaves them with events), which
+    /// is equivalent for consumers that only read labels when they
+    /// finish.
+    pub fn replay<C: TraceConsumer + ?Sized>(&self, consumer: &mut C) {
+        for label in &self.shared_labels {
+            consumer.on_shared_label(label);
+        }
+        for r in self.records() {
+            consumer.on_event(r.time, &r.event);
+        }
+        consumer.on_close(self.outcome, self.budget_exhausted);
+    }
 }
 
 /// Incremental FNV-1a fold over a sequence of 64-bit hashes, used to

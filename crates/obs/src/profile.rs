@@ -1069,10 +1069,7 @@ impl RunProfile {
     /// test).
     pub fn from_trace(trace: &KernelTrace) -> RunProfile {
         let mut fold = ProfileFold::new(&trace.machine, trace.policy);
-        for r in trace.records() {
-            fold.on_event(r.time, &r.event);
-        }
-        fold.on_close(trace.outcome, trace.budget_exhausted);
+        trace.replay(&mut fold);
         fold.finish()
     }
 

@@ -75,8 +75,8 @@ echo "==> asym_soak --quick --json (chaos soak: randomized environment x fault c
 cargo run -q --release -p asym-bench --bin asym_soak -- --quick --json > /dev/null
 test -s SOAK_report.json || { echo "FAIL: SOAK_report.json missing or empty"; exit 1; }
 
-echo "==> asym_sweep mini extra_dynamic extra_tournament --quick --check --jobs 2 --json (driver smoke + dynamic regimes + policy tournament + per-cell concurrency check)"
-cargo run -q --release -p asym-bench --bin asym_sweep -- mini extra_dynamic extra_tournament --quick --check --jobs 2 --json > /dev/null
+echo "==> asym_sweep mini extra_dynamic extra_tournament extra_scale --quick --check --jobs 2 --json (driver smoke + dynamic regimes + policy tournament + policy zoo x regimes + per-cell concurrency check)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- mini extra_dynamic extra_tournament extra_scale --quick --check --jobs 2 --json > /dev/null
 
 # The structured report must exist, be well-formed, contain no panicked
 # or deadlocked cells, and carry finite per-cell profile metrics; the
@@ -97,6 +97,9 @@ with open("BENCH_sweep.json") as f:
 for field in ("name", "jobs", "wall_ms", "cells_wall_ms", "speedup", "memoized_cells", "cells"):
     assert field in report, f"missing field {field!r}"
 assert report["cells"], "no cells in report"
+assert report["total_violations"] == 0, f"--check found {report['total_violations']} violation(s)"
+scale = [c for c in report["cells"] if c["workload"] == "micro-burst"]
+assert scale, "no extra_scale cells in the checked sweep"
 bad = [c for c in report["cells"] if c["class"] in ("panicked", "deadlock")]
 assert not bad, f"{len(bad)} panicked/deadlocked cell(s): {bad[:3]}"
 with_metrics = 0
@@ -171,6 +174,7 @@ EOF
 else
   # Fallback structural greps when python3 is unavailable.
   grep -q '"cells": \[' BENCH_sweep.json || { echo "FAIL: malformed BENCH_sweep.json"; exit 1; }
+  grep -q '"total_violations": 0,' BENCH_sweep.json || { echo "FAIL: --check found violations"; exit 1; }
   grep -q '"class": "panicked"' BENCH_sweep.json && { echo "FAIL: panicked cell in sweep"; exit 1; }
   grep -q '"class": "deadlock"' BENCH_sweep.json && { echo "FAIL: deadlocked cell in sweep"; exit 1; }
   echo "   BENCH_sweep.json OK (grep checks)"
