@@ -952,7 +952,6 @@ pub fn render_violations(violations: &[Violation]) -> String {
 /// checkers into a sweep as a per-run observer.
 ///
 /// [`ViolationLog::observer`] returns a closure suitable for
-/// `ExperimentOptions::observe_traces` /
 /// `ResilientOptions::observe_traces`: every captured kernel trace is
 /// run through [`analyze_trace`], findings are printed to stderr with
 /// the offending setup, and the total count accumulates in the log.

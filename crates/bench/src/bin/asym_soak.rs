@@ -22,10 +22,7 @@
 
 use asym_analysis::ViolationLog;
 use asym_bench::paper_workloads;
-use asym_core::{
-    run_experiment_differential, run_experiment_resilient, AsymConfig, ResilientOptions, RunClass,
-    Workload,
-};
+use asym_core::{run_spec, AsymConfig, ResilientOptions, RunClass, SpecMode, Workload};
 use asym_kernel::SchedPolicy;
 use asym_sim::{EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, Rng, SimDuration};
 use std::fmt::Write as _;
@@ -162,17 +159,19 @@ fn run_campaign(c: &Campaign, w: &dyn Workload, log: &ViolationLog) -> CampaignO
     let configs = [c.config];
     let mut rounds = 0;
     loop {
-        let (opts, retries) = round_options(c, rounds, log);
+        let (options, retries) = round_options(c, rounds, log);
         rounds += 1;
         let (total_runs, counts): (usize, Box<dyn Fn(RunClass) -> usize>) = match c.runner {
             Runner::Resilient => {
-                let exp = run_experiment_resilient(w, &configs, c.policy, &opts);
-                let total = exp.outcomes.iter().map(|o| o.records.len()).sum();
-                (total, Box::new(move |class| exp.count(class)))
+                let policy = c.policy;
+                let r = run_spec(w, &configs, SpecMode::Resilient { policy, options });
+                let total = r.resilient().outcomes.iter().map(|o| o.records.len()).sum();
+                (total, Box::new(move |class| r.resilient().count(class)))
             }
             Runner::Differential => {
-                let exp = run_experiment_differential(w, &configs, &opts);
-                (exp.total_runs(), Box::new(move |class| exp.count(class)))
+                let r = run_spec(w, &configs, SpecMode::Differential { options });
+                let total = r.differential().total_runs();
+                (total, Box::new(move |class| r.differential().count(class)))
             }
         };
         let completed = counts(RunClass::Completed);

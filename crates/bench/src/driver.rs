@@ -46,11 +46,10 @@ impl CacheSetting {
     }
 }
 
-/// Parsed command line shared by `asym_sweep` and the per-figure
-/// binaries.
+/// Parsed `asym_sweep` command line.
 #[derive(Debug, Clone, Default)]
 pub struct SweepArgs {
-    /// Positional spec names (empty for per-figure binaries).
+    /// Positional spec names (empty selects the `mini` spec).
     pub names: Vec<String>,
     /// `--jobs N` / `--jobs=N`: host threads (overrides `ASYM_JOBS`;
     /// default: available parallelism).
@@ -95,11 +94,11 @@ impl SweepArgs {
                     out.json = Some(PathBuf::from(&s["--json=".len()..]));
                 }
                 "--cache" => {
-                    let v = it.next().ok_or("--cache needs a directory (or 'off')")?;
-                    out.cache = parse_cache(&v);
+                    let v = it.next().unwrap_or_default();
+                    out.cache = parse_cache(&v)?;
                 }
                 s if s.starts_with("--cache=") => {
-                    out.cache = parse_cache(&s["--cache=".len()..]);
+                    out.cache = parse_cache(&s["--cache=".len()..])?;
                 }
                 "--max-cells" => {
                     let v = it.next().ok_or("--max-cells needs a value")?;
@@ -133,11 +132,11 @@ fn parse_jobs(v: &str) -> Result<usize, String> {
     }
 }
 
-fn parse_cache(v: &str) -> CacheSetting {
-    if v == "off" {
-        CacheSetting::Off
-    } else {
-        CacheSetting::Dir(PathBuf::from(v))
+fn parse_cache(v: &str) -> Result<CacheSetting, String> {
+    match v {
+        "" => Err("--cache needs a directory (or 'off')".to_string()),
+        "off" => Ok(CacheSetting::Off),
+        dir => Ok(CacheSetting::Dir(PathBuf::from(dir))),
     }
 }
 
@@ -285,7 +284,7 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
         }
     }
     eprintln!(
-        "[asym-sweep] {} cell(s) reused from the cross-spec memo (identical workload/config/policy/seed)",
+        "[asym-sweep] {} cell(s) reused in-plan from an earlier cell with the same cache address",
         report.memoized_cells()
     );
     if let Some(stats) = &report.cache {
@@ -316,23 +315,6 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
     }
 }
 
-/// Entry point for the thin per-figure binaries: runs exactly one named
-/// spec, accepting the shared flags (`--quick`, `--jobs`, `--json`).
-pub fn spec_main(name: &str) -> ExitCode {
-    let args = match SweepArgs::from_env() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !args.names.is_empty() {
-        eprintln!("{name} runs a fixed spec and takes flags only; use asym_sweep to select specs");
-        return ExitCode::FAILURE;
-    }
-    run_sweeps(&[name], &args)
-}
-
 /// The [`TraceCheck`] that plugs `asym-analysis`'s happens-before race
 /// detection, lock-set checking, and policy lints into the cell engine:
 /// every kernel of a cell streams through a [`ConcurrencyFold`], and
@@ -340,4 +322,48 @@ pub fn spec_main(name: &str) -> ExitCode {
 /// (kind, object, site) order.
 pub fn concurrency_check() -> TraceCheck {
     Arc::new(|machine, policy| Box::new(ConcurrencyFold::new(machine, policy)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<SweepArgs, String> {
+        SweepArgs::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parses_names_and_flags() {
+        let a = parse(&[
+            "fig1",
+            "table1",
+            "--quick",
+            "--jobs",
+            "2",
+            "--json=out.json",
+        ])
+        .expect("valid command line");
+        assert_eq!(a.names, ["fig1", "table1"]);
+        assert!(a.quick && !a.check);
+        assert_eq!(a.jobs, Some(2));
+        assert_eq!(a.json, Some(PathBuf::from("out.json")));
+        assert_eq!(a.cache, CacheSetting::Default);
+        let a = parse(&["--cache=off", "--max-cells=5"]).expect("valid command line");
+        assert_eq!(a.cache, CacheSetting::Off);
+        assert_eq!(a.max_cells, Some(5));
+        let a = parse(&["--cache", "dir"]).expect("valid command line");
+        assert_eq!(a.cache, CacheSetting::Dir(PathBuf::from("dir")));
+    }
+
+    #[test]
+    fn bad_values_are_typed_errors() {
+        let cache_err = Err("--cache needs a directory (or 'off')".to_string());
+        assert_eq!(parse(&["--cache="]).map(|a| a.cache), cache_err);
+        assert_eq!(parse(&["--cache", ""]).map(|a| a.cache), cache_err);
+        assert_eq!(parse(&["--cache"]).map(|a| a.cache), cache_err);
+        assert!(parse(&["--jobs", "0"]).is_err());
+        assert!(parse(&["--jobs=x"]).is_err());
+        assert!(parse(&["--max-cells=0"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
+    }
 }

@@ -1,18 +1,16 @@
 //! # asym-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! ISCA 2005 asymmetry paper. One binary per figure (`fig1` … `fig10`,
-//! `table1`, plus the extra text experiments); `cargo bench` runs the
-//! whole set through `benches/figures.rs`.
+//! ISCA 2005 asymmetry paper. Every figure, table and extension
+//! experiment is a registered sweep spec, and one driver runs them all:
+//! `asym_sweep <spec>…` (`asym_sweep --list` names them) merges the
+//! selected specs into one cell plan on the engine's host thread pool.
 //!
 //! Absolute values are simulator-scale (see EXPERIMENTS.md for the
 //! scaling table); the claims under test are the *shapes*: which
 //! configurations are unstable, who wins, and by roughly what factor.
 
-use asym_core::{
-    run_experiment, AsymConfig, Experiment, ExperimentOptions, Stability, TextTable, Workload,
-};
-use asym_kernel::SchedPolicy;
+use asym_core::{AsymConfig, Experiment, Stability, TextTable, Workload};
 use asym_workloads::h264::H264;
 use asym_workloads::japps::JAppServer;
 use asym_workloads::pmake::Pmake;
@@ -24,9 +22,7 @@ use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
 mod driver;
 mod spec;
 
-pub use driver::{
-    concurrency_check, run_sweeps, spec_main, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR,
-};
+pub use driver::{concurrency_check, run_sweeps, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR};
 pub use spec::{
     registry, spec_names, RenderFn, Rendered, Section, SweepContext, SweepDef, SweepSpec,
 };
@@ -45,22 +41,6 @@ pub fn paper_workloads() -> Vec<Box<dyn Workload>> {
         Box::new(SpecOmp::new("swim").work_scale(0.5)),
         Box::new(Pmake::new()),
     ]
-}
-
-/// Runs `workload` across the standard nine configurations and returns
-/// the experiment.
-pub fn nine_config_experiment(
-    workload: &dyn Workload,
-    policy: SchedPolicy,
-    runs: usize,
-    base_seed: u64,
-) -> Experiment {
-    run_experiment(
-        workload,
-        &AsymConfig::standard_nine(),
-        policy,
-        &ExperimentOptions::new(runs).base_seed(base_seed),
-    )
 }
 
 /// Renders an experiment as the standard per-configuration table:
@@ -130,9 +110,4 @@ pub fn header(id: &str, caption: &str) -> String {
          {id}: {caption}\n\
          ==================================================================\n"
     )
-}
-
-/// Prints a figure header.
-pub fn figure_header(id: &str, caption: &str) {
-    print!("{}", header(id, caption));
 }

@@ -3,18 +3,17 @@
 //! expands (given a [`SweepContext`]) into workload sections plus a
 //! render function over the finished results.
 //!
-//! The per-figure binaries are thin callers of
-//! [`spec_main`](crate::spec_main); the `asym_sweep` driver can merge
-//! any subset of specs into ONE [`ExperimentPlan`](asym_core::ExperimentPlan)
-//! so every cell of every selected figure shares the same host thread
-//! pool and lands in the same structured JSON report.
+//! The `asym_sweep` driver runs any subset of specs by name, merged into
+//! ONE [`ExperimentPlan`](asym_core::ExperimentPlan) so every cell of
+//! every selected figure shares the same host thread pool and lands in
+//! the same structured JSON report.
 
 use crate::{header, render_experiment, render_runs, stability_line};
 use asym_analysis::hb::check_concurrency;
 use asym_analysis::{analyze_trace, render_violations, ViolationLog};
 use asym_core::{
-    run_experiment_differential, AsymConfig, ExperimentOptions, ResilientOptions, RunClass,
-    RunSetup, Scalability, SpecMode, SpecResult, SummaryRow, TextTable, Workload, WorkloadClass,
+    run_spec, AsymConfig, ExperimentOptions, ResilientOptions, RunClass, RunSetup, Scalability,
+    SpecMode, SpecResult, SummaryRow, TextTable, Workload, WorkloadClass,
 };
 use asym_kernel::{capture_traces, with_run_guard, RunGuard, SchedPolicy};
 use asym_obs::{metrics_of_traces, ProfileMetrics};
@@ -1329,9 +1328,12 @@ fn mean(vals: impl Iterator<Item = f64>) -> Option<f64> {
 /// same-seed reruns must be bit-identical even with kills injected.
 fn same_seed_differential_reruns_match(config: AsymConfig) -> bool {
     let w = H264::new();
-    let a = run_experiment_differential(&w, &[config], &differential_opts(1).sequential());
-    let b = run_experiment_differential(&w, &[config], &differential_opts(1).sequential());
-    a == b && a.count(RunClass::Completed) > 0
+    let run = || {
+        let options = differential_opts(1);
+        run_spec(&w, &[config], SpecMode::Differential { options })
+    };
+    let (a, b) = (run(), run());
+    a == b && a.differential().count(RunClass::Completed) > 0
 }
 
 fn extra_absorption(ctx: &SweepContext) -> SweepDef {
@@ -1516,9 +1518,12 @@ fn dynamic_opts(reps: usize, profile: EnvironmentProfile) -> ResilientOptions {
 fn same_seed_dynamic_reruns_match(config: AsymConfig) -> bool {
     let w = H264::new();
     let profile = EnvironmentProfile::combined(FAULT_HORIZON);
-    let run = || run_experiment_differential(&w, &[config], &dynamic_opts(1, profile).sequential());
+    let run = || {
+        let options = dynamic_opts(1, profile);
+        run_spec(&w, &[config], SpecMode::Differential { options })
+    };
     let (a, b) = (run(), run());
-    a == b && a.count(RunClass::Completed) > 0
+    a == b && a.differential().count(RunClass::Completed) > 0
 }
 
 fn extra_dynamic(ctx: &SweepContext) -> SweepDef {

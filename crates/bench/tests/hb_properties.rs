@@ -199,7 +199,8 @@ fn trace_check_violations_are_deterministic_across_jobs() {
 /// findings on the racy workload equal `check_concurrency` over
 /// `capture_traces` of the same cell — for clean cells, for resilient
 /// (guarded) cells, at `--jobs 1` and `--jobs 4`, and when an observer
-/// forces the runner onto buffered capture.
+/// forces the runner onto buffered capture (observers are a resilient
+/// option, so the observed plan runs its first half resilient too).
 #[test]
 fn streamed_check_equals_check_concurrency_over_buffered_traces() {
     let racy = Racy;
@@ -211,20 +212,21 @@ fn streamed_check_equals_check_concurrency_over_buffered_traces() {
     let (clean_policy, resilient_policy) =
         (SchedPolicy::os_default(), SchedPolicy::asymmetry_aware());
     let plan = |observer: Option<RunObserver>| {
-        let mut clean = ExperimentOptions::new(2);
-        clean.observer = observer.clone();
         let mut resilient = ResilientOptions::new(2);
         resilient.observer = observer;
-        let mut plan = ExperimentPlan::new("streamed-vs-buffered");
-        plan.push(
-            "clean",
-            &racy,
-            &configs,
+        let first = if resilient.observer.is_some() {
+            SpecMode::Resilient {
+                policy: clean_policy,
+                options: resilient.clone(),
+            }
+        } else {
             SpecMode::Clean {
                 policy: clean_policy,
-                options: clean,
-            },
-        );
+                options: ExperimentOptions::new(2),
+            }
+        };
+        let mut plan = ExperimentPlan::new("streamed-vs-buffered");
+        plan.push("clean", &racy, &configs, first);
         plan.push(
             "resilient",
             &racy,

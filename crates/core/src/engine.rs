@@ -11,10 +11,12 @@
 //! `available_parallelism`) and reassembles results in deterministic
 //! plan order, so parallel output is bit-identical to serial.
 //!
-//! The legacy entry points ([`run_experiment`](crate::run_experiment),
-//! [`run_experiment_resilient`](crate::run_experiment_resilient),
-//! [`run_experiment_differential`](crate::run_experiment_differential))
-//! are thin wrappers over this engine.
+//! The runner is the only way cells execute: multi-spec sweeps build a
+//! plan (the `asym_sweep` driver merges every selected figure into one),
+//! and [`run_spec`] runs a single experiment in any mode. Identical cells
+//! within a plan run once: they are grouped by the content address the
+//! on-disk [`CellCache`] files them under, whether or not a cache is
+//! attached.
 //!
 //! Alongside the assembled experiment results, every run of a plan
 //! produces a [`SweepReport`]: per-cell wall-clock timings, retry
@@ -73,29 +75,40 @@ pub fn default_jobs() -> usize {
 
 /// How one experiment in a plan executes its cells: which harness
 /// semantics (clean / resilient / differential) and with what options.
-///
-/// The `parallel` flag inside the options is ignored here — host
-/// parallelism is the [`CellRunner`]'s business, not the experiment's.
+/// Host parallelism is the [`CellRunner`]'s business, not the
+/// experiment's: no mode changes its results with the pool size.
 #[derive(Clone)]
 pub enum SpecMode {
     /// The clean harness: one plain run per cell, panics propagate.
     Clean {
         /// Scheduling policy for every run.
         policy: SchedPolicy,
-        /// Runs per configuration, base seed, optional observer.
+        /// Runs per configuration and base seed.
         options: ExperimentOptions,
     },
-    /// The resilient harness: guarded, classified, adaptively retried
-    /// runs (see [`run_experiment_resilient`](crate::run_experiment_resilient)).
+    /// The resilient harness, built to survive hostile runs: every
+    /// kernel the workload creates gets the options' watchdog, sim-time
+    /// budget, fault plan and environment plan; panics are contained to
+    /// their run; every slot is classified as a [`RunClass`]; failed
+    /// slots are retried up to `options.retries` times with adaptive
+    /// escalation (time-limited runs double the budget, stalled runs
+    /// soften the fault plan, deadlocked and panicked runs reseed); and
+    /// configurations where every run failed report no samples instead
+    /// of poisoning the sweep.
     Resilient {
         /// Scheduling policy for every run.
         policy: SchedPolicy,
         /// Slots, retries, watchdog, budget, fault planner, observer.
         options: ResilientOptions,
     },
-    /// The differential harness: each cell runs four times (stock/aware
-    /// × clean/faulted) from one seed and one shared fault plan (see
-    /// [`run_experiment_differential`](crate::run_experiment_differential)).
+    /// The stock-vs-aware differential harness: each cell runs four
+    /// times — under [`SchedPolicy::os_default`] and
+    /// [`SchedPolicy::asymmetry_aware`], each once undisturbed and once
+    /// under one *shared* fault and environment plan derived from a
+    /// canonical stock-policy setup — so any stock/aware difference is
+    /// attributable to the policy alone. Retries never reseed and never
+    /// soften the plan (either would break the pairing); the only
+    /// escalation is budget doubling on [`RunClass::TimeLimit`].
     Differential {
         /// Repeats, retries, watchdog, budget, fault planner, observer.
         options: ResilientOptions,
@@ -252,47 +265,46 @@ impl<'w> ExperimentPlan<'w> {
         self.cells.is_empty()
     }
 
-    /// Cross-spec cell memoization map: for each cell, the index of the
-    /// earlier identical cell whose outcome can be reused (`None` for
-    /// cells that must execute).
+    /// In-plan memoization map: for each cell, the index of the earlier
+    /// cell with the same content address (`None` for cells that must
+    /// execute).
     ///
-    /// Two cells are identical when they run workloads with equal
-    /// [`Workload::spec_key`]s under the same (config, policy, seed).
-    /// Only observer-free clean cells participate: observers are side
-    /// effects that must fire once per *requested* run, resilient
-    /// retry/fault options alter execution, and differential cells run
-    /// four policies internally. Deduplicated plans produce bit-identical
-    /// results because every participating run is a pure function of
-    /// (spec key, setup).
+    /// Cells are grouped by the key the on-disk [`CellCache`] would file
+    /// them under (see [`CellRunner::with_cache`]), computed whether or
+    /// not a cache is attached, so "the same cell" has one definition.
+    /// Cells without a key never participate: differential cells, and
+    /// resilient cells with an observer, which must fire once per
+    /// *requested* run. Deduplicated plans produce bit-identical results
+    /// because every keyed run is a pure function of its key.
     pub fn memo_targets(&self) -> Vec<Option<usize>> {
-        use std::collections::hash_map::Entry;
-        use std::collections::HashMap;
-        let mut first: HashMap<(String, AsymConfig, SchedPolicy, u64), usize> = HashMap::new();
-        let mut dup = vec![None; self.cells.len()];
-        for (i, cell) in self.cells.iter().enumerate() {
-            let spec = &self.specs[cell.spec];
-            let memoizable = matches!(
-                &spec.mode,
-                SpecMode::Clean { options, .. } if options.observer.is_none()
-            );
-            if !memoizable {
-                continue;
-            }
-            let key = (
-                spec.workload.spec_key(),
-                cell.setup.config,
-                cell.setup.policy,
-                cell.setup.seed,
-            );
-            match first.entry(key) {
-                Entry::Occupied(e) => dup[i] = Some(*e.get()),
-                Entry::Vacant(v) => {
-                    v.insert(i);
-                }
-            }
-        }
-        dup
+        first_occurrences(&self.cell_keys())
     }
+
+    /// Every cell's content address, `None` for cells that have none.
+    fn cell_keys(&self) -> Vec<Option<String>> {
+        self.cells
+            .iter()
+            .map(|cell| cache_key(&self.specs[cell.spec], cell))
+            .collect()
+    }
+}
+
+/// For each key, the index of its first occurrence when that is an
+/// earlier slot; `None` for first occurrences and missing keys.
+fn first_occurrences(keys: &[Option<String>]) -> Vec<Option<usize>> {
+    use std::collections::hash_map::Entry;
+    use std::collections::HashMap;
+    let mut first: HashMap<&str, usize> = HashMap::new();
+    keys.iter()
+        .enumerate()
+        .map(|(i, key)| match first.entry(key.as_deref()?) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(v) => {
+                v.insert(i);
+                None
+            }
+        })
+        .collect()
 }
 
 // ----------------------------------------------------------------------
@@ -642,17 +654,12 @@ fn attempt_run(
 fn exec_clean(
     workload: &dyn Workload,
     cell: &Cell,
-    options: &ExperimentOptions,
     want_metrics: bool,
     check: Option<&TraceCheck>,
 ) -> CellOutcome {
-    let (result, folded) = run_folded(
-        &cell.setup,
-        want_metrics,
-        check,
-        options.observer.as_ref(),
-        || workload.run(&cell.setup),
-    );
+    let (result, folded) = run_folded(&cell.setup, want_metrics, check, None, || {
+        workload.run(&cell.setup)
+    });
     let value = Some(result.value);
     CellOutcome {
         data: CellData::Clean(result),
@@ -884,19 +891,19 @@ fn exec_differential(
 // Cache keying
 // ----------------------------------------------------------------------
 
-/// FNV-1a digest of a plan's `Debug` rendering — the compact stand-in
-/// for the full fault/environment plan inside a cache key.
-fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+/// FNV-1a digest of a plan's derived `Hash` — the compact stand-in for
+/// the full fault/environment plan inside a cache key.
+fn plan_digest(plan: &impl std::hash::Hash) -> String {
     let mut h = StableHasher::new();
-    std::hash::Hash::hash(&format!("{value:?}"), &mut h);
-    std::hash::Hasher::finish(&h)
+    plan.hash(&mut h);
+    format!("{:016x}", std::hash::Hasher::finish(&h))
 }
 
-/// Renders the content-addressed cache key of one cell, or `None` when
-/// the cell is not cacheable.
+/// Renders the content address of one cell — its on-disk cache key and
+/// its in-plan memoization key — or `None` when the cell has none.
 ///
-/// Cacheable cells are observer-free clean and resilient cells (the
-/// caller additionally requires no runner-level trace check).
+/// Keyed cells are clean cells and observer-free resilient cells (the
+/// cache additionally requires no runner-level trace check).
 /// Differential cells are excluded: their four-leg structure re-derives
 /// plans per leg, so a single digest cannot address them. The key folds
 /// in every input that can steer execution: the workload's
@@ -906,12 +913,7 @@ fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
 /// reads.
 fn cache_key(spec: &PlanSpec<'_>, cell: &Cell) -> Option<String> {
     let (mode, knobs) = match &spec.mode {
-        SpecMode::Clean { options, .. } => {
-            if options.observer.is_some() {
-                return None;
-            }
-            ("clean", String::new())
-        }
+        SpecMode::Clean { .. } => ("clean", String::new()),
         SpecMode::Resilient { options, .. } => {
             if options.observer.is_some() {
                 return None;
@@ -932,14 +934,14 @@ fn cache_key(spec: &PlanSpec<'_>, cell: &Cell) -> Option<String> {
         }
         SpecMode::Differential { .. } => return None,
     };
-    let faults = cell.fault_plan.as_ref().map_or_else(
-        || "none".to_string(),
-        |p| format!("{:016x}", debug_digest(p)),
-    );
-    let environment = cell.environment.as_ref().map_or_else(
-        || "none".to_string(),
-        |p| format!("{:016x}", debug_digest(p)),
-    );
+    let faults = cell
+        .fault_plan
+        .as_ref()
+        .map_or_else(|| "none".to_string(), plan_digest);
+    let environment = cell
+        .environment
+        .as_ref()
+        .map_or_else(|| "none".to_string(), plan_digest);
     Some(format!(
         "spec={}|config={}|policy={}|seed={}|mode={mode}|faults={faults}|env={environment}{knobs}",
         spec.workload.spec_key(),
@@ -957,9 +959,7 @@ fn exec_cell(
 ) -> CellOutcome {
     let start = Instant::now();
     let mut out = match &spec.mode {
-        SpecMode::Clean { options, .. } => {
-            exec_clean(spec.workload, cell, options, want_metrics, check)
-        }
+        SpecMode::Clean { .. } => exec_clean(spec.workload, cell, want_metrics, check),
         SpecMode::Resilient { options, .. } => {
             exec_resilient(spec.workload, cell, options, want_metrics, check)
         }
@@ -1003,8 +1003,8 @@ impl CellRunner {
     }
 
     /// Attaches a persistent on-disk cell cache: before executing,
-    /// every cacheable cell (observer-free clean/resilient cells, when
-    /// no trace check is installed) is looked up by its content
+    /// every cacheable cell (clean and observer-free resilient cells,
+    /// when no trace check is installed) is looked up by its content
     /// address, and hits are restored without running the simulation.
     /// Misses execute normally and are stored afterwards. Hit, miss,
     /// skip, store, and invalidation counts land in
@@ -1027,10 +1027,10 @@ impl CellRunner {
     }
 
     /// Enables (or disables) per-cell observability metrics: every
-    /// executed cell replays its captured traces through `asym-obs` and
+    /// executed cell folds its live event stream through `asym-obs` and
     /// attaches a merged [`ProfileMetrics`] record to its
     /// [`CellReport`], which the JSON sink then emits. Off by default —
-    /// the replay costs one extra pass over each trace.
+    /// the fold costs host time on every event.
     pub fn with_metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
         self
@@ -1053,8 +1053,8 @@ impl CellRunner {
         PlanOutcome { results, report }
     }
 
-    /// Executes all cells, preserving slot order. Cells the memoization
-    /// map proves identical to an earlier cell are never executed: the
+    /// Executes all cells, preserving slot order. Cells sharing an
+    /// earlier cell's content address are never executed: the
     /// primary's outcome is copied into their slot afterwards (marked
     /// memoized, zero wall-clock). Because the primary is always the
     /// *first* occurrence in plan order, copies are filled front to back
@@ -1067,27 +1067,24 @@ impl CellRunner {
     /// perturbs worker scheduling and the stats need no synchronization.
     fn run_cells(&self, plan: &ExperimentPlan<'_>) -> (Vec<CellOutcome>, Option<CacheStats>) {
         let cells = &plan.cells;
-        let dup_of = plan.memo_targets();
+        let keys = plan.cell_keys();
+        let dup_of = first_occurrences(&keys);
         let mut stats = self.cache.as_ref().map(|_| CacheStats::default());
         let mut preloaded: Vec<Option<CellOutcome>> = (0..cells.len()).map(|_| None).collect();
-        let mut store_keys: Vec<Option<String>> = (0..cells.len()).map(|_| None).collect();
+        let mut store_keys: Vec<Option<&str>> = vec![None; cells.len()];
         if let (Some(cache), Some(st)) = (self.cache.as_ref(), stats.as_mut()) {
-            for (i, cell) in cells.iter().enumerate() {
+            for (i, key) in keys.iter().enumerate() {
                 if dup_of[i].is_some() {
                     // Deduplicated copies come from their in-plan
                     // primary, which is strictly cheaper than disk.
                     continue;
                 }
-                let key = if self.check.is_none() {
-                    cache_key(&plan.specs[cell.spec], cell)
-                } else {
-                    None
-                };
+                let key = key.as_deref().filter(|_| self.check.is_none());
                 let Some(key) = key else {
                     st.skips += 1;
                     continue;
                 };
-                match cache.load(&key, self.metrics) {
+                match cache.load(key, self.metrics) {
                     Lookup::Hit(entry) => {
                         st.hits += 1;
                         preloaded[i] = Some(CellOutcome::from_entry(*entry));
@@ -1199,6 +1196,21 @@ impl Default for CellRunner {
     fn default() -> Self {
         CellRunner::new(default_jobs())
     }
+}
+
+/// Runs one experiment — `workload` over `configs` in `mode` — on a
+/// [`default_jobs`]-sized [`CellRunner`] and returns its assembled
+/// result. Results are deterministic whatever the pool size, because
+/// each cell's seed is fixed by its position in the plan.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or the mode's `runs` is zero.
+pub fn run_spec(workload: &dyn Workload, configs: &[AsymConfig], mode: SpecMode) -> SpecResult {
+    let mut plan = ExperimentPlan::new(workload.name());
+    plan.push(workload.name(), workload, configs, mode);
+    let mut results = CellRunner::default().run(plan).results;
+    results.pop().expect("a one-spec plan assembles one result")
 }
 
 /// One assembled experiment result, in the plan's push order.
@@ -1389,8 +1401,8 @@ pub struct CellReport {
     /// Folded kernel-trace hash of the cell's final attempt(s); absent
     /// when every run panicked.
     pub trace_hash: Option<u64>,
-    /// `true` when the cell's outcome was reused from an earlier
-    /// identical cell instead of executing.
+    /// `true` when the cell's outcome was reused from an earlier cell
+    /// with the same content address instead of executing.
     pub memoized: bool,
     /// `true` when the cell's outcome was restored from the persistent
     /// on-disk cell cache (directly, or memoized from a restored
@@ -1448,7 +1460,8 @@ impl SweepReport {
         self.cells.iter().filter(|c| c.class == class).count()
     }
 
-    /// Number of cells deduplicated by cross-spec memoization.
+    /// Number of cells reused from an earlier cell with the same
+    /// content address (see [`ExperimentPlan::memo_targets`]).
     pub fn memoized_cells(&self) -> usize {
         self.cells.iter().filter(|c| c.memoized).count()
     }
@@ -1650,6 +1663,7 @@ fn build_report(
 mod tests {
     use super::*;
     use crate::metrics::Direction;
+    use asym_sim::FaultProfile;
 
     struct Proportional;
     impl Workload for Proportional {
@@ -1772,6 +1786,49 @@ mod tests {
         let json = out.report.to_json();
         assert!(json.contains("\"memoized_cells\": 2"));
         assert!(json.contains("\"memoized\": true"));
+
+        // Identical resilient specs share a content address too.
+        let mut plan = ExperimentPlan::new("dup-resilient");
+        plan.push(
+            "first",
+            &w,
+            &[AsymConfig::new(2, 2, 8)],
+            faulted(1, hotplug),
+        );
+        plan.push(
+            "second",
+            &w,
+            &[AsymConfig::new(2, 2, 8)],
+            faulted(1, hotplug),
+        );
+        assert_eq!(plan.memo_targets(), vec![None, None, Some(0), Some(1)]);
+        let out = CellRunner::new(2).run(plan);
+        assert_eq!(out.report.memoized_cells(), 2);
+        assert!(out.report.cells[3].memoized);
+        assert_eq!(
+            out.results[0].resilient().outcomes,
+            out.results[1].resilient().outcomes
+        );
+    }
+
+    fn hotplug(setup: &RunSetup) -> FaultPlan {
+        let profile = FaultProfile::hotplug_and_throttle(SimDuration::from_millis(5));
+        FaultPlan::generate(setup.seed, 4, &profile)
+    }
+
+    fn kills(setup: &RunSetup) -> FaultPlan {
+        let profile = FaultProfile::with_kills(SimDuration::from_millis(5), 2);
+        FaultPlan::generate(setup.seed, 4, &profile)
+    }
+
+    /// A two-slot resilient mode with `retries` and a fault planner.
+    fn faulted(retries: u32, planner: fn(&RunSetup) -> FaultPlan) -> SpecMode {
+        SpecMode::Resilient {
+            policy: SchedPolicy::os_default(),
+            options: ResilientOptions::new(2)
+                .retries(retries)
+                .fault_planner(planner),
+        }
     }
 
     #[test]
@@ -1805,7 +1862,19 @@ mod tests {
                 options: ExperimentOptions::new(1).base_seed(7),
             },
         );
-        assert_eq!(plan.memo_targets(), vec![None, None, None]);
+        // Resilient cells differing only in their fault plan's digest or
+        // their retry budget are different cells, and an observed
+        // resilient cell has no address at all.
+        let cfg = [AsymConfig::new(2, 2, 8)];
+        plan.push("hotplug", &w, &cfg, faulted(1, hotplug));
+        plan.push("kills", &w, &cfg, faulted(1, kills));
+        plan.push("retried", &w, &cfg, faulted(2, hotplug));
+        let mut observed = faulted(1, hotplug);
+        if let SpecMode::Resilient { options, .. } = &mut observed {
+            options.observer = Some(noop_observer());
+        }
+        plan.push("observed", &w, &cfg, observed);
+        assert_eq!(plan.memo_targets(), vec![None; 3 + 4 * 2]);
     }
 
     #[test]
@@ -1876,34 +1945,48 @@ mod tests {
         }
     }
 
+    /// Two specs: two configurations under the aware policy, then one
+    /// resilient configuration under the stock policy.
     fn kernel_plan(w: &KernelBursts) -> ExperimentPlan<'_> {
-        kernel_plan_with(w, None)
+        let first = SpecMode::Clean {
+            policy: SchedPolicy::asymmetry_aware(),
+            options: ExperimentOptions::new(2),
+        };
+        kernel_plan_of(w, first, ResilientOptions::new(2))
     }
 
-    /// [`kernel_plan`], with `observer` installed on every spec (which
+    /// [`kernel_plan`] with its clean half moved onto the resilient
+    /// harness and `observer` installed on both halves (an observer
     /// forces buffered capture).
     fn kernel_plan_with(w: &KernelBursts, observer: Option<RunObserver>) -> ExperimentPlan<'_> {
-        let mut clean = ExperimentOptions::new(2);
-        clean.observer = observer.clone();
-        let mut resilient = ResilientOptions::new(2);
-        resilient.observer = observer;
+        let mut options = ResilientOptions::new(2);
+        options.observer = observer;
+        let first = SpecMode::Resilient {
+            policy: SchedPolicy::asymmetry_aware(),
+            options: options.clone(),
+        };
+        kernel_plan_of(w, first, options)
+    }
+
+    fn kernel_plan_of(
+        w: &KernelBursts,
+        first: SpecMode,
+        stock: ResilientOptions,
+    ) -> ExperimentPlan<'_> {
         let mut plan = ExperimentPlan::new("kernel");
         plan.push(
-            "clean",
+            "aware",
             w,
             &[AsymConfig::new(1, 3, 8), AsymConfig::new(2, 2, 8)],
-            SpecMode::Clean {
-                policy: SchedPolicy::asymmetry_aware(),
-                options: clean,
-            },
+            first,
         );
         plan.push(
-            "resilient",
+            "stock",
             w,
             &[AsymConfig::new(1, 3, 8)],
             SpecMode::Resilient {
                 policy: SchedPolicy::os_default(),
-                options: resilient,
+                options: stock,
             },
         );
         plan
@@ -1954,7 +2037,9 @@ mod tests {
     fn streamed_equals_buffered_byte_exactly() {
         let w = KernelBursts;
         // Default runner: streaming capture (no observer).
-        let streamed = CellRunner::new(1).with_metrics(true).run(kernel_plan(&w));
+        let streamed = CellRunner::new(1)
+            .with_metrics(true)
+            .run(kernel_plan_with(&w, None));
         // A no-op observer forces the buffered path through the
         // identical plan: every hash, class, value, and metrics record
         // must match.
@@ -1963,6 +2048,10 @@ mod tests {
             .run(kernel_plan_with(&w, Some(noop_observer())));
         assert_eq!(cell_facts(&streamed.report), cell_facts(&buffered.report));
         assert_eq!(streamed.results, buffered.results);
+        // An unguarded clean cell streams the same events as its
+        // resilient twin.
+        let clean = CellRunner::new(1).with_metrics(true).run(kernel_plan(&w));
+        assert_eq!(cell_facts(&clean.report), cell_facts(&streamed.report));
         // The workload really produced kernels and events.
         let m = streamed.report.cells[0]
             .metrics
@@ -1975,7 +2064,7 @@ mod tests {
             .with_metrics(true)
             .with_trace_check(noop_check())
             .run(kernel_plan(&w));
-        assert_eq!(cell_facts(&streamed.report), cell_facts(&checked.report));
+        assert_eq!(cell_facts(&clean.report), cell_facts(&checked.report));
     }
 
     #[test]

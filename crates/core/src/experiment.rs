@@ -4,9 +4,8 @@
 //! and the trend against compute power (scalability).
 
 use crate::config::AsymConfig;
-use crate::engine::{CellRunner, ExperimentPlan, SpecMode, SpecResult};
 use crate::metrics::{Direction, Samples, Scalability, Stability};
-use crate::workload::{RunResult, RunSetup, Workload};
+use crate::workload::{RunResult, RunSetup};
 use asym_kernel::{KernelTrace, SchedPolicy};
 use asym_obs::DiffAttribution;
 use asym_sim::{EnvironmentPlan, FaultPlan, SimDuration};
@@ -16,7 +15,7 @@ use std::sync::Arc;
 
 /// A per-run hook receiving the setup, the result, and the trace of
 /// every kernel the run created (see
-/// [`ExperimentOptions::observe_traces`]).
+/// [`ResilientOptions::observe_traces`]).
 pub type RunObserver = Arc<dyn Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync>;
 
 /// Per-configuration outcome of an experiment: all runs plus their
@@ -133,8 +132,8 @@ impl Experiment {
     /// # Examples
     ///
     /// ```
-    /// # use asym_core::{run_experiment, AsymConfig, Direction, ExperimentOptions,
-    /// #                 RunResult, RunSetup, Workload};
+    /// # use asym_core::{run_spec, AsymConfig, Direction, ExperimentOptions,
+    /// #                 RunResult, RunSetup, SpecMode, Workload};
     /// # use asym_kernel::SchedPolicy;
     /// # struct W;
     /// # impl Workload for W {
@@ -145,13 +144,12 @@ impl Experiment {
     /// #         RunResult::new(s.config.compute_power())
     /// #     }
     /// # }
-    /// let exp = run_experiment(
-    ///     &W,
-    ///     &[AsymConfig::new(2, 2, 8)],
-    ///     SchedPolicy::os_default(),
-    ///     &ExperimentOptions::new(2),
-    /// );
-    /// let csv = exp.to_csv();
+    /// let mode = SpecMode::Clean {
+    ///     policy: SchedPolicy::os_default(),
+    ///     options: ExperimentOptions::new(2),
+    /// };
+    /// let result = run_spec(&W, &[AsymConfig::new(2, 2, 8)], mode);
+    /// let csv = result.clean().to_csv();
     /// assert!(csv.starts_with("workload,unit,policy,config,compute_power,run,value"));
     /// assert_eq!(csv.lines().count(), 3); // header + 2 runs
     /// ```
@@ -221,107 +219,26 @@ impl fmt::Display for Experiment {
     }
 }
 
-/// Options for [`run_experiment`].
-#[derive(Clone)]
+/// Options for the clean harness ([`SpecMode::Clean`](crate::SpecMode::Clean)).
+#[derive(Debug, Clone)]
 pub struct ExperimentOptions {
     /// Number of repeated runs per configuration.
     pub runs: usize,
     /// Base seed; run *i* of configuration *j* uses
     /// `base_seed + j * 1000 + i`.
     pub base_seed: u64,
-    /// Execute independent runs on parallel OS threads.
-    pub parallel: bool,
-    /// Optional per-run observer; when set, every run executes under
-    /// [`capture_traces`](asym_kernel::capture_traces) and the observer sees the full kernel trace.
-    pub observer: Option<RunObserver>,
 }
 
 impl ExperimentOptions {
-    /// `runs` repetitions, parallel execution, base seed 0, no observer.
+    /// `runs` repetitions, base seed 0.
     pub fn new(runs: usize) -> Self {
-        ExperimentOptions {
-            runs,
-            base_seed: 0,
-            parallel: true,
-            observer: None,
-        }
+        ExperimentOptions { runs, base_seed: 0 }
     }
 
     /// Sets the base seed.
     pub fn base_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
         self
-    }
-
-    /// Disables parallel execution (useful inside timing harnesses).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
-    /// Installs a per-run observer. Each run then executes inside
-    /// [`capture_traces`](asym_kernel::capture_traces), and `observer` is invoked (on the worker
-    /// thread that executed the run) with the setup, the result, and the
-    /// captured trace of every kernel the run created. This is how
-    /// `asym-analysis` checks every workload run without workloads
-    /// knowing about it.
-    pub fn observe_traces(
-        mut self,
-        observer: impl Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync + 'static,
-    ) -> Self {
-        self.observer = Some(Arc::new(observer));
-        self
-    }
-}
-
-impl fmt::Debug for ExperimentOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExperimentOptions")
-            .field("runs", &self.runs)
-            .field("base_seed", &self.base_seed)
-            .field("parallel", &self.parallel)
-            .field("observer", &self.observer.as_ref().map(|_| "..."))
-            .finish()
-    }
-}
-
-/// Runs `workload` `options.runs` times on every configuration in
-/// `configs` under `policy` and collects the statistics.
-///
-/// This is a thin wrapper over the cell engine: the sweep expands into
-/// an [`ExperimentPlan`] and executes on a [`CellRunner`] host thread
-/// pool ([`default_jobs`](crate::default_jobs)-sized when
-/// `options.parallel` is set, serial otherwise); results are
-/// deterministic either way because each cell's seed is fixed by its
-/// position in the plan.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or `options.runs` is zero.
-pub fn run_experiment(
-    workload: &dyn Workload,
-    configs: &[AsymConfig],
-    policy: SchedPolicy,
-    options: &ExperimentOptions,
-) -> Experiment {
-    let jobs = if options.parallel {
-        crate::engine::default_jobs()
-    } else {
-        1
-    };
-    let mut plan = ExperimentPlan::new("run_experiment");
-    plan.push(
-        workload.name(),
-        workload,
-        configs,
-        SpecMode::Clean {
-            policy,
-            options: options.clone(),
-        },
-    );
-    match CellRunner::new(jobs).run(plan).results.pop() {
-        Some(SpecResult::Clean(exp)) => exp,
-        _ => unreachable!("clean plan must assemble a clean experiment"),
     }
 }
 
@@ -337,7 +254,7 @@ pub type FaultPlanner = Arc<dyn Fn(&RunSetup) -> FaultPlan + Send + Sync>;
 /// [`ResilientOptions::environment_planner`]).
 pub type EnvPlanner = Arc<dyn Fn(&RunSetup) -> EnvironmentPlan + Send + Sync>;
 
-/// How one run under [`run_experiment_resilient`] ended.
+/// How one run under the resilient or differential harness ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RunClass {
     /// The run finished normally and produced a usable metric.
@@ -487,7 +404,9 @@ impl fmt::Display for ResilientExperiment {
     }
 }
 
-/// Options for [`run_experiment_resilient`].
+/// Options for the resilient and differential harnesses
+/// ([`SpecMode::Resilient`](crate::SpecMode::Resilient),
+/// [`SpecMode::Differential`](crate::SpecMode::Differential)).
 #[derive(Clone)]
 pub struct ResilientOptions {
     /// Number of run slots per configuration.
@@ -495,11 +414,10 @@ pub struct ResilientOptions {
     /// Base seed; slot *i* of configuration *j* starts from
     /// `base_seed + j * 1000 + i`.
     pub base_seed: u64,
-    /// Execute independent slots on parallel OS threads.
-    pub parallel: bool,
     /// How many times a failed slot is retried before its failure is
     /// recorded. Retries escalate adaptively by failure class (see
-    /// [`run_experiment_resilient`]). Completed runs are never retried.
+    /// [`SpecMode::Resilient`](crate::SpecMode::Resilient)). Completed
+    /// runs are never retried.
     pub retries: u32,
     /// Per-run cap on simulated time, applied to every kernel the run
     /// creates (via [`RunGuard`](asym_kernel::RunGuard)); a run cut short by it is classified
@@ -517,20 +435,19 @@ pub struct ResilientOptions {
     /// Unlike fault plans, environment plans are never softened by
     /// retries — only reseeding re-derives them.
     pub env_planner: Option<EnvPlanner>,
-    /// Optional per-run observer, as in
-    /// [`ExperimentOptions::observe_traces`]; it also sees the traces of
+    /// Optional per-run observer (see
+    /// [`ResilientOptions::observe_traces`]); it also sees the traces of
     /// failed (non-panicked) attempts.
     pub observer: Option<RunObserver>,
 }
 
 impl ResilientOptions {
-    /// `runs` slots, parallel execution, base seed 0, one retry, no
-    /// budget, no watchdog, no faults, no observer.
+    /// `runs` slots, base seed 0, one retry, no budget, no watchdog, no
+    /// faults, no observer.
     pub fn new(runs: usize) -> Self {
         ResilientOptions {
             runs,
             base_seed: 0,
-            parallel: true,
             retries: 1,
             sim_time_budget: None,
             watchdog: None,
@@ -543,12 +460,6 @@ impl ResilientOptions {
     /// Sets the base seed.
     pub fn base_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
-        self
-    }
-
-    /// Disables parallel execution.
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
         self
     }
 
@@ -593,8 +504,12 @@ impl ResilientOptions {
         self
     }
 
-    /// Installs a per-run observer (see
-    /// [`ExperimentOptions::observe_traces`]).
+    /// Installs a per-run observer. Each attempt then executes inside
+    /// [`capture_traces`](asym_kernel::capture_traces), and `observer` is
+    /// invoked (on the worker thread that executed the attempt) with the
+    /// setup, the result, and the captured trace of every kernel the
+    /// attempt created. This is how `asym-analysis` checks every
+    /// workload run without workloads knowing about it.
     pub fn observe_traces(
         mut self,
         observer: impl Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync + 'static,
@@ -609,7 +524,6 @@ impl fmt::Debug for ResilientOptions {
         f.debug_struct("ResilientOptions")
             .field("runs", &self.runs)
             .field("base_seed", &self.base_seed)
-            .field("parallel", &self.parallel)
             .field("retries", &self.retries)
             .field("sim_time_budget", &self.sim_time_budget)
             .field("watchdog", &self.watchdog)
@@ -617,51 +531,6 @@ impl fmt::Debug for ResilientOptions {
             .field("env_planner", &self.env_planner.as_ref().map(|_| "..."))
             .field("observer", &self.observer.as_ref().map(|_| "..."))
             .finish()
-    }
-}
-
-/// Runs `workload` on every configuration like [`run_experiment`], but
-/// built to survive hostile runs: every kernel the workload creates gets
-/// the options' watchdog, sim-time budget, and fault plan (via
-/// [`asym_kernel::RunGuard`]); panics are caught and contained to their
-/// run; every slot is classified as a [`RunClass`]; failed slots are
-/// retried up to `options.retries` times with adaptive escalation —
-/// time-limited runs keep their seed and double the budget, stalled runs
-/// keep their seed and soften the fault plan (kills stripped first, then
-/// hotplug, then everything), deadlocked and panicked runs reseed — and
-/// configurations where every run failed simply report no samples
-/// instead of poisoning the sweep.
-///
-/// Like [`run_experiment`], this is a thin wrapper over the cell
-/// engine; the retry ladder lives in the engine's per-cell execution.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or `options.runs` is zero.
-pub fn run_experiment_resilient(
-    workload: &dyn Workload,
-    configs: &[AsymConfig],
-    policy: SchedPolicy,
-    options: &ResilientOptions,
-) -> ResilientExperiment {
-    let jobs = if options.parallel {
-        crate::engine::default_jobs()
-    } else {
-        1
-    };
-    let mut plan = ExperimentPlan::new("run_experiment_resilient");
-    plan.push(
-        workload.name(),
-        workload,
-        configs,
-        SpecMode::Resilient {
-            policy,
-            options: options.clone(),
-        },
-    );
-    match CellRunner::new(jobs).run(plan).results.pop() {
-        Some(SpecResult::Resilient(exp)) => exp,
-        _ => unreachable!("resilient plan must assemble a resilient experiment"),
     }
 }
 
@@ -787,7 +656,7 @@ impl DifferentialConfigOutcome {
     }
 }
 
-/// The full outcome of [`run_experiment_differential`].
+/// The full outcome of a differential experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DifferentialExperiment {
     /// Workload name.
@@ -845,57 +714,59 @@ impl fmt::Display for DifferentialExperiment {
     }
 }
 
-/// Runs the stock-vs-aware differential sweep: for every configuration
-/// and repeat seed, the workload executes four times — under
-/// [`SchedPolicy::os_default`] and [`SchedPolicy::asymmetry_aware`],
-/// each with no faults and under one *shared* [`FaultPlan`] — and the
-/// per-cell absorption and stability metrics fall out of the pairing.
-///
-/// The fault plan is derived **once** per (configuration, seed) from
-/// `options.planner` using a canonical stock-policy setup, then reused
-/// bit-for-bit for both policies, so the two kernels face the identical
-/// fault schedule. `options.runs` is the number of repeat seeds per
-/// configuration.
-///
-/// Retries (up to `options.retries`) never reseed — that would break the
-/// same-seed pairing — and never soften the plan — that would break the
-/// identical-plan pairing. The only escalation is budget doubling on
-/// [`RunClass::TimeLimit`]; any other failure is recorded as-is and the
-/// affected metrics report `None`.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or `options.runs` is zero.
-pub fn run_experiment_differential(
-    workload: &dyn Workload,
-    configs: &[AsymConfig],
-    options: &ResilientOptions,
-) -> DifferentialExperiment {
-    let jobs = if options.parallel {
-        crate::engine::default_jobs()
-    } else {
-        1
-    };
-    let mut plan = ExperimentPlan::new("run_experiment_differential");
-    plan.push(
-        workload.name(),
-        workload,
-        configs,
-        SpecMode::Differential {
-            options: options.clone(),
-        },
-    );
-    match CellRunner::new(jobs).run(plan).results.pop() {
-        Some(SpecResult::Differential(exp)) => exp,
-        _ => unreachable!("differential plan must assemble a differential experiment"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RETRY_SEED_STRIDE;
-    use crate::metrics::Direction;
+    use crate::engine::{
+        run_spec, CellRunner, ExperimentPlan, SpecMode, SpecResult, RETRY_SEED_STRIDE,
+    };
+    use crate::workload::Workload;
+
+    /// `mode` over `configs` on an explicitly sized pool.
+    fn run_on(jobs: usize, w: &dyn Workload, configs: &[AsymConfig], mode: SpecMode) -> SpecResult {
+        let mut plan = ExperimentPlan::new(w.name());
+        plan.push(w.name(), w, configs, mode);
+        CellRunner::new(jobs)
+            .run(plan)
+            .results
+            .pop()
+            .expect("one spec, one result")
+    }
+
+    fn clean(
+        w: &dyn Workload,
+        configs: &[AsymConfig],
+        policy: SchedPolicy,
+        options: &ExperimentOptions,
+    ) -> Experiment {
+        let options = options.clone();
+        run_spec(w, configs, SpecMode::Clean { policy, options })
+            .clean()
+            .clone()
+    }
+
+    fn resilient(
+        w: &dyn Workload,
+        configs: &[AsymConfig],
+        policy: SchedPolicy,
+        options: &ResilientOptions,
+    ) -> ResilientExperiment {
+        let options = options.clone();
+        run_spec(w, configs, SpecMode::Resilient { policy, options })
+            .resilient()
+            .clone()
+    }
+
+    fn differential(
+        w: &dyn Workload,
+        configs: &[AsymConfig],
+        options: &ResilientOptions,
+    ) -> DifferentialExperiment {
+        let options = options.clone();
+        run_spec(w, configs, SpecMode::Differential { options })
+            .differential()
+            .clone()
+    }
 
     /// Performance proportional to power, with seed-dependent noise on
     /// asymmetric configs only.
@@ -924,7 +795,7 @@ mod tests {
     #[test]
     fn experiment_shape() {
         let configs = AsymConfig::standard_nine();
-        let exp = run_experiment(
+        let exp = clean(
             &Synthetic,
             &configs,
             SchedPolicy::os_default(),
@@ -940,25 +811,19 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let configs = AsymConfig::standard_nine();
-        let par = run_experiment(
-            &Synthetic,
-            &configs,
-            SchedPolicy::os_default(),
-            &ExperimentOptions::new(3),
-        );
-        let seq = run_experiment(
-            &Synthetic,
-            &configs,
-            SchedPolicy::os_default(),
-            &ExperimentOptions::new(3).sequential(),
-        );
+        let mode = || SpecMode::Clean {
+            policy: SchedPolicy::os_default(),
+            options: ExperimentOptions::new(3),
+        };
+        let par = run_on(4, &Synthetic, &configs, mode());
+        let seq = run_on(1, &Synthetic, &configs, mode());
         assert_eq!(par, seq);
     }
 
     #[test]
     fn speedups_normalize_to_baseline() {
         let configs = AsymConfig::standard_nine();
-        let exp = run_experiment(
+        let exp = clean(
             &Synthetic,
             &configs,
             SchedPolicy::os_default(),
@@ -978,7 +843,7 @@ mod tests {
     #[test]
     fn scalability_of_proportional_workload() {
         let configs = AsymConfig::standard_nine();
-        let exp = run_experiment(
+        let exp = clean(
             &Synthetic,
             &configs,
             SchedPolicy::os_default(),
@@ -1063,7 +928,6 @@ mod tests {
             .watchdog(SimDuration::from_millis(5))
             .sim_time_budget(SimDuration::from_millis(500))
             .retries(0)
-            .sequential()
     }
 
     #[test]
@@ -1072,7 +936,7 @@ mod tests {
             bad_below: u64::MAX,
             mode: "panic",
         };
-        let exp = run_experiment_resilient(
+        let exp = resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
@@ -1093,7 +957,7 @@ mod tests {
                 bad_below: u64::MAX,
                 mode,
             };
-            let exp = run_experiment_resilient(
+            let exp = resilient(
                 &w,
                 &[AsymConfig::new(2, 2, 8)],
                 SchedPolicy::os_default(),
@@ -1111,7 +975,7 @@ mod tests {
             bad_below: 2,
             mode: "panic",
         };
-        let exp = run_experiment_resilient(
+        let exp = resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
@@ -1136,9 +1000,8 @@ mod tests {
         };
         let opts = ResilientOptions::new(1)
             .sim_time_budget(SimDuration::from_millis(2))
-            .retries(0)
-            .sequential();
-        let exp = run_experiment_resilient(
+            .retries(0);
+        let exp = resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
@@ -1169,11 +1032,11 @@ mod tests {
                 RunResult::new(1.0)
             }
         }
-        let exp = run_experiment_resilient(
+        let exp = resilient(
             &Windowed,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
-            &ResilientOptions::new(1).retries(0).sequential(),
+            &ResilientOptions::new(1).retries(0),
         );
         assert_eq!(exp.count(RunClass::Completed), 1);
     }
@@ -1193,15 +1056,14 @@ mod tests {
                 .watchdog(SimDuration::from_millis(50))
                 .sim_time_budget(SimDuration::from_secs(2))
                 .fault_planner(planner)
-                .sequential()
         };
         let w = Hostile {
             bad_below: 0,
             mode: "panic",
         };
         let configs = [AsymConfig::new(1, 3, 8)];
-        let a = run_experiment_resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
-        let b = run_experiment_resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
+        let a = resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
+        let b = resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
         assert_eq!(a, b, "resilient runs must be deterministic");
         assert_eq!(a.count(RunClass::Completed), 2);
         // Faults perturb the runs: the two seeds should not finish at
@@ -1254,14 +1116,13 @@ mod tests {
         // off as TimeLimit, the retry doubles the budget to 4 ms and
         // completes — on the SAME seed, because the workload was never
         // at fault.
-        let exp = run_experiment_resilient(
+        let exp = resilient(
             &SlowButSteady,
             &[AsymConfig::new(1, 0, 8)],
             SchedPolicy::os_default(),
             &ResilientOptions::new(1)
                 .sim_time_budget(SimDuration::from_millis(2))
-                .retries(1)
-                .sequential(),
+                .retries(1),
         );
         assert_eq!(exp.count(RunClass::Completed), 1);
         let r = &exp.outcomes[0].records[0];
@@ -1333,7 +1194,7 @@ mod tests {
             );
             plan
         };
-        let exp = run_experiment_resilient(
+        let exp = resilient(
             &NeedsProducer,
             &[AsymConfig::new(2, 0, 8)],
             SchedPolicy::os_default(),
@@ -1341,8 +1202,7 @@ mod tests {
                 .watchdog(SimDuration::from_millis(5))
                 .sim_time_budget(SimDuration::from_millis(500))
                 .fault_planner(planner)
-                .retries(1)
-                .sequential(),
+                .retries(1),
         );
         assert_eq!(exp.count(RunClass::Completed), 1);
         let r = &exp.outcomes[0].records[0];
@@ -1405,10 +1265,9 @@ mod tests {
             ResilientOptions::new(3)
                 .sim_time_budget(SimDuration::from_secs(1))
                 .fault_planner(planner)
-                .sequential()
         };
         let configs = [AsymConfig::new(2, 0, 8)];
-        let exp = run_experiment_differential(&PolicySensitive, &configs, &opts());
+        let exp = differential(&PolicySensitive, &configs, &opts());
 
         // 1 config × 3 repeats × 4 runs, all completed.
         assert_eq!(exp.total_runs(), 12);
@@ -1431,27 +1290,22 @@ mod tests {
         assert!(o.stability_delta().unwrap().abs() < 1e-12);
 
         // Deterministic, and identical whether run in parallel or not.
-        assert_eq!(
-            exp,
-            run_experiment_differential(&PolicySensitive, &configs, &opts())
-        );
-        let par = ResilientOptions::new(3)
-            .sim_time_budget(SimDuration::from_secs(1))
-            .fault_planner(planner);
-        assert_eq!(
-            exp,
-            run_experiment_differential(&PolicySensitive, &configs, &par)
-        );
+        let on = |jobs| {
+            let mode = SpecMode::Differential { options: opts() };
+            run_on(jobs, &PolicySensitive, &configs, mode)
+        };
+        assert_eq!(on(1), on(4));
+        assert_eq!(on(1).differential(), &exp);
     }
 
     #[test]
     fn differential_reports_none_when_stock_is_unaffected() {
         // No planner ⇒ faulted runs equal clean runs ⇒ S_stock = 1 and
         // there is no slowdown to absorb.
-        let exp = run_experiment_differential(
+        let exp = differential(
             &PolicySensitive,
             &[AsymConfig::new(2, 0, 8)],
-            &ResilientOptions::new(2).sequential(),
+            &ResilientOptions::new(2),
         );
         assert_eq!(exp.count(RunClass::Completed), 8);
         assert!(exp.outcomes[0].mean_absorption(exp.direction).is_none());
@@ -1519,13 +1373,10 @@ mod tests {
             ResilientOptions::new(2)
                 .sim_time_budget(SimDuration::from_secs(2))
                 .environment_planner(harsh_thermal)
-                .sequential()
         };
         let configs = [AsymConfig::new(1, 0, 8)];
-        let a =
-            run_experiment_resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
-        let b =
-            run_experiment_resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
+        let a = resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
+        let b = resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
         assert_eq!(a, b, "environment runs must be deterministic");
         assert_eq!(a.count(RunClass::Completed), 2);
         // The throttle reached the inner kernel: 20 ms of work took far
@@ -1535,13 +1386,16 @@ mod tests {
             assert!(v > 0.1, "environment never throttled: finished in {v}s");
         }
         // And identical whether slots run sequentially or in parallel.
-        let par = ResilientOptions::new(2)
-            .sim_time_budget(SimDuration::from_secs(2))
-            .environment_planner(harsh_thermal);
-        assert_eq!(
-            a,
-            run_experiment_resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &par)
-        );
+        let on = |jobs| {
+            let policy = SchedPolicy::os_default();
+            let mode = SpecMode::Resilient {
+                policy,
+                options: opts(),
+            };
+            run_on(jobs, &EnvSensitive, &configs, mode)
+        };
+        assert_eq!(on(1), on(4));
+        assert_eq!(on(1).resilient(), &a);
     }
 
     #[test]
@@ -1551,15 +1405,14 @@ mod tests {
         // duty, stretching the run ~8x, so the first attempts are cut
         // off as TimeLimit; the harness must double the budget on the
         // SAME seed until the run fits (~145 ms needs the 8x ladder).
-        let exp = run_experiment_resilient(
+        let exp = resilient(
             &EnvSensitive,
             &[AsymConfig::new(1, 0, 8)],
             SchedPolicy::os_default(),
             &ResilientOptions::new(1)
                 .sim_time_budget(SimDuration::from_millis(25))
                 .environment_planner(harsh_thermal)
-                .retries(3)
-                .sequential(),
+                .retries(3),
         );
         assert_eq!(exp.count(RunClass::Completed), 1);
         let r = &exp.outcomes[0].records[0];
@@ -1576,13 +1429,12 @@ mod tests {
         // throttle stretch and absorption is defined (the synthetic
         // workload is policy-blind, so the aware kernel absorbs none of
         // it — absorption ~0).
-        let exp = run_experiment_differential(
+        let exp = differential(
             &EnvSensitive,
             &[AsymConfig::new(1, 0, 8)],
             &ResilientOptions::new(1)
                 .sim_time_budget(SimDuration::from_secs(2))
-                .environment_planner(harsh_thermal)
-                .sequential(),
+                .environment_planner(harsh_thermal),
         );
         assert_eq!(exp.count(RunClass::Completed), 4);
         let rep = &exp.outcomes[0].reps[0];

@@ -8,12 +8,15 @@
 //!   sweep;
 //! * [`Workload`] — anything that can run once on a configuration and
 //!   produce a metric;
-//! * [`run_experiment`] — repeated runs per configuration, optionally on
-//!   parallel OS threads, with full determinism per seed;
-//! * [`run_experiment_resilient`] — the hardened variant: per-run fault
-//!   injection, watchdogs and sim-time budgets, contained panics,
-//!   per-run [`RunClass`] classification, bounded retries, and partial
-//!   results when a configuration is wiped out;
+//! * [`ExperimentPlan`] and [`CellRunner`] — the cell engine every
+//!   sweep runs on: (workload × configuration × policy × seed) cells on a
+//!   host thread pool, deterministic per seed whatever the pool size,
+//!   with an optional content-addressed on-disk [`CellCache`];
+//! * [`run_spec`] — one experiment in one [`SpecMode`]: clean repeated
+//!   runs, the resilient harness (per-run fault injection, watchdogs and
+//!   sim-time budgets, contained panics, per-run [`RunClass`]
+//!   classification, bounded retries, partial results), or the
+//!   stock-vs-aware differential harness;
 //! * [`Samples`], [`Stability`], [`Scalability`] — the paper's two
 //!   predictability metrics;
 //! * [`SummaryRow`] / [`Verdict`] — Table-1-style qualitative verdicts,
@@ -22,8 +25,8 @@
 //! # Examples
 //!
 //! ```
-//! use asym_core::{run_experiment, AsymConfig, Direction, ExperimentOptions,
-//!                 RunResult, RunSetup, Workload};
+//! use asym_core::{run_spec, AsymConfig, Direction, ExperimentOptions,
+//!                 RunResult, RunSetup, SpecMode, Workload};
 //! use asym_kernel::SchedPolicy;
 //!
 //! /// A toy workload whose throughput is exactly proportional to compute
@@ -38,12 +41,12 @@
 //!     }
 //! }
 //!
-//! let exp = run_experiment(
-//!     &Ideal,
-//!     &AsymConfig::standard_nine(),
-//!     SchedPolicy::os_default(),
-//!     &ExperimentOptions::new(3),
-//! );
+//! let mode = SpecMode::Clean {
+//!     policy: SchedPolicy::os_default(),
+//!     options: ExperimentOptions::new(3),
+//! };
+//! let result = run_spec(&Ideal, &AsymConfig::standard_nine(), mode);
+//! let exp = result.clean();
 //! assert!(exp.scalability().is_predictable(0.95));
 //! assert!(exp.worst_asymmetric_cov() < 1e-12);
 //! ```
@@ -62,14 +65,13 @@ mod workload;
 pub use cache::{CacheStats, CellCache};
 pub use config::{AsymConfig, ParseConfigError};
 pub use engine::{
-    default_jobs, resolve_jobs, Cell, CellReport, CellRunner, CheckFold, ExperimentPlan,
+    default_jobs, resolve_jobs, run_spec, Cell, CellReport, CellRunner, CheckFold, ExperimentPlan,
     PlanOutcome, SpecMode, SpecResult, SweepReport, TraceCheck,
 };
 pub use experiment::{
-    run_experiment, run_experiment_differential, run_experiment_resilient, ConfigOutcome,
-    DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, EnvPlanner, Experiment,
-    ExperimentOptions, FaultPlanner, ResilientConfigOutcome, ResilientExperiment, ResilientOptions,
-    RunClass, RunObserver, RunRecord,
+    ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, EnvPlanner,
+    Experiment, ExperimentOptions, FaultPlanner, ResilientConfigOutcome, ResilientExperiment,
+    ResilientOptions, RunClass, RunObserver, RunRecord,
 };
 pub use metrics::{Direction, Samples, Scalability, Stability};
 pub use summary::{SummaryRow, Verdict, WorkloadClass};

@@ -134,7 +134,7 @@ impl std::error::Error for EnvironmentError {}
 /// [`FaultPlan`](crate::FaultPlan): faults fire at their instants, the
 /// environment re-targets at every tick, and both funnel through the
 /// kernel's single mid-run speed-change path.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct EnvironmentPlan {
     /// Evaluation period: the kernel samples busyness and re-targets
     /// speeds once per tick.

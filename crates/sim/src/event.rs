@@ -1,12 +1,15 @@
 //! A cancellable discrete-event queue.
 //!
 //! [`EventQueue`] is a min-heap of `(time, sequence)`-ordered events with
-//! O(log n) insertion and tombstone-based cancellation. Ties in time are
-//! broken by insertion order, which keeps simulations deterministic.
+//! O(log n) insertion and O(1) cancellation: a bitset indexed by the
+//! monotonic [`EventKey`] marks every event that has fired or been
+//! cancelled, and cancelled entries are skipped when they reach the top
+//! of the heap. Ties in time are broken by insertion order, which keeps
+//! simulations deterministic.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// A handle to a scheduled event, usable to cancel it.
@@ -52,7 +55,9 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    cancelled: HashSet<EventKey>,
+    /// Bit `k` is set once the event with key `k` has fired or been
+    /// cancelled.
+    retired: Vec<u64>,
     next_key: u64,
     live: usize,
 }
@@ -62,7 +67,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            retired: Vec::new(),
             next_key: 0,
             live: 0,
         }
@@ -73,6 +78,9 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventKey {
         let key = EventKey(self.next_key);
         self.next_key += 1;
+        if key.0.is_multiple_of(64) {
+            self.retired.push(0);
+        }
         self.heap.push(Reverse(Entry { time, key, payload }));
         self.live += 1;
         key
@@ -81,23 +89,29 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Returns `true` if the event was
     /// still pending (not yet fired or cancelled).
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        if key.0 >= self.next_key {
+        if key.0 >= self.next_key || self.is_retired(key) {
             return false;
         }
-        if self.cancelled.insert(key) {
-            self.live = self.live.saturating_sub(1);
-            true
-        } else {
-            false
-        }
+        self.retire(key);
+        self.live -= 1;
+        true
+    }
+
+    fn is_retired(&self, key: EventKey) -> bool {
+        self.retired[(key.0 / 64) as usize] & (1 << (key.0 % 64)) != 0
+    }
+
+    fn retire(&mut self, key: EventKey) {
+        self.retired[(key.0 / 64) as usize] |= 1 << (key.0 % 64);
     }
 
     /// Removes and returns the earliest live event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.cancelled.remove(&entry.key) {
-                continue; // tombstoned
+            if self.is_retired(entry.key) {
+                continue; // cancelled
             }
+            self.retire(entry.key);
             self.live -= 1;
             return Some((entry.time, entry.payload));
         }
@@ -107,13 +121,10 @@ impl<E> EventQueue<E> {
     /// The time of the earliest live event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.cancelled.contains(&entry.key) {
-                let key = entry.key;
-                self.heap.pop();
-                self.cancelled.remove(&key);
-            } else {
+            if !self.is_retired(entry.key) {
                 return Some(entry.time);
             }
+            self.heap.pop();
         }
         None
     }
@@ -182,6 +193,22 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().1, "b");
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancel_after_fire_is_a_no_op() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), "a");
+        q.schedule(t(2), "b");
+        q.schedule(t(3), "c");
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert!(!q.cancel(a), "an event that already fired is not pending");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(t(2)));
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().1, "c");
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl std::error::Error for FaultPlanError {}
 /// Plans are plain data: build one by hand with [`FaultPlan::inject`], or
 /// derive one from a seed with [`FaultPlan::generate`]. The kernel applies
 /// every record at its timestamp during `run`/`run_until`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
     records: Vec<FaultRecord>,
 }

@@ -4,19 +4,20 @@
 //!
 //! Run with: `cargo run --release -p asym-examples --example database_tuning`
 
-use asym_core::{run_experiment, AsymConfig, ExperimentOptions, TextTable};
+use asym_core::{run_spec, AsymConfig, ExperimentOptions, SpecMode, TextTable};
 use asym_kernel::SchedPolicy;
 use asym_workloads::tpch::TpcH;
 
 fn main() {
     let config = [AsymConfig::new(2, 2, 8)];
-    let opts = ExperimentOptions::new(8);
 
     let mut t = TextTable::new(vec!["par", "opt", "mean s", "min s", "max s", "cov%"]);
     for (par, opt) in [(4, 7), (8, 7), (4, 4), (4, 2), (1, 7)] {
         let w = TpcH::single_query(3).parallelization(par).optimization(opt);
-        let exp = run_experiment(&w, &config, SchedPolicy::os_default(), &opts);
-        let o = &exp.outcomes[0];
+        let policy = SchedPolicy::os_default();
+        let options = ExperimentOptions::new(8);
+        let result = run_spec(&w, &config, SpecMode::Clean { policy, options });
+        let o = &result.clean().outcomes[0];
         t.row(vec![
             par.to_string(),
             opt.to_string(),

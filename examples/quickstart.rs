@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p asym-examples --example quickstart`
 
-use asym_core::{run_experiment, AsymConfig, ExperimentOptions};
+use asym_core::{run_spec, AsymConfig, ExperimentOptions, SpecMode};
 use asym_kernel::SchedPolicy;
 use asym_workloads::specjbb::{GcKind, SpecJbb};
 
@@ -16,22 +16,16 @@ fn main() {
 
     // Run it five times per configuration under the stock (speed-agnostic)
     // scheduler...
-    let stock = run_experiment(
-        &workload,
-        &configs,
-        SchedPolicy::os_default(),
-        &ExperimentOptions::new(5),
-    );
-    println!("Stock kernel:\n{stock}");
+    let run = |policy| {
+        let options = ExperimentOptions::new(5);
+        run_spec(&workload, &configs, SpecMode::Clean { policy, options })
+    };
+    let stock = run(SchedPolicy::os_default());
+    println!("Stock kernel:\n{}", stock.clean());
 
     // ...and under the paper's asymmetry-aware scheduler.
-    let aware = run_experiment(
-        &workload,
-        &configs,
-        SchedPolicy::asymmetry_aware(),
-        &ExperimentOptions::new(5),
-    );
-    println!("Asymmetry-aware kernel:\n{aware}");
+    let aware = run(SchedPolicy::asymmetry_aware());
+    println!("Asymmetry-aware kernel:\n{}", aware.clean());
 
     println!(
         "The symmetric machine is stable either way; the asymmetric machine is\n\

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p asym-examples --example scheduler_shootout`
 
-use asym_core::{run_experiment, AsymConfig, ExperimentOptions, TextTable, Workload};
+use asym_core::{run_spec, AsymConfig, ExperimentOptions, SpecMode, TextTable, Workload};
 use asym_kernel::SchedPolicy;
 use asym_workloads::h264::H264;
 use asym_workloads::japps::JAppServer;
@@ -14,7 +14,10 @@ use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
 
 fn main() {
     let config = [AsymConfig::new(2, 2, 8)];
-    let opts = ExperimentOptions::new(4);
+    let run = |w: &dyn Workload, policy| {
+        let options = ExperimentOptions::new(4);
+        run_spec(w, &config, SpecMode::Clean { policy, options })
+    };
     let workloads: Vec<Box<dyn Workload>> = vec![
         Box::new(SpecJbb::new(12).gc(GcKind::ConcurrentGenerational)),
         Box::new(JAppServer::new(320.0)),
@@ -35,8 +38,9 @@ fn main() {
         "kernel fix?",
     ]);
     for w in &workloads {
-        let stock = run_experiment(w.as_ref(), &config, SchedPolicy::os_default(), &opts);
-        let aware = run_experiment(w.as_ref(), &config, SchedPolicy::asymmetry_aware(), &opts);
+        let stock = run(w.as_ref(), SchedPolicy::os_default());
+        let aware = run(w.as_ref(), SchedPolicy::asymmetry_aware());
+        let (stock, aware) = (stock.clean(), aware.clean());
         let (s, a) = (&stock.outcomes[0], &aware.outcomes[0]);
         let helps = a.samples.cov() < 0.5 * s.samples.cov() && s.samples.cov() > 0.05;
         t.row(vec![

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p asym-examples --example webserver_farm`
 
-use asym_core::{run_experiment, AsymConfig, ExperimentOptions};
+use asym_core::{run_spec, AsymConfig, ExperimentOptions, SpecMode, Workload};
 use asym_examples::print_experiment;
 use asym_kernel::SchedPolicy;
 use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
@@ -16,26 +16,29 @@ fn main() {
         AsymConfig::new(2, 2, 8),
         AsymConfig::new(0, 4, 8),
     ];
-    let opts = ExperimentOptions::new(5);
+    let run = |w: &dyn Workload, policy| {
+        let options = ExperimentOptions::new(5);
+        run_spec(w, &configs, SpecMode::Clean { policy, options })
+    };
 
     let apache = Apache::new(LoadLevel::light());
     print_experiment(
         "Apache, stock kernel (unstable on asymmetric configs)",
-        &run_experiment(&apache, &configs, SchedPolicy::os_default(), &opts),
+        run(&apache, SchedPolicy::os_default()).clean(),
     );
     print_experiment(
         "Apache, asymmetry-aware kernel (fixed: processes are kernel-visible)",
-        &run_experiment(&apache, &configs, SchedPolicy::asymmetry_aware(), &opts),
+        run(&apache, SchedPolicy::asymmetry_aware()).clean(),
     );
 
     let zeus = Zeus::new(LoadLevel::light());
     print_experiment(
         "Zeus, stock kernel (unstable: sessions bound by the accept race)",
-        &run_experiment(&zeus, &configs, SchedPolicy::os_default(), &opts),
+        run(&zeus, SchedPolicy::os_default()).clean(),
     );
     print_experiment(
         "Zeus, asymmetry-aware kernel (NOT fixed: the kernel cannot reach \
          Zeus's internal scheduling)",
-        &run_experiment(&zeus, &configs, SchedPolicy::asymmetry_aware(), &opts),
+        run(&zeus, SchedPolicy::asymmetry_aware()).clean(),
     );
 }

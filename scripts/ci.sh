@@ -25,11 +25,11 @@ cargo run -q --release -p asym-bench --bin asym_check -- --quick
 echo "==> asym-check --races --quick (happens-before race/lock-set/ranking pass must be clean)"
 cargo run -q --release -p asym-bench --bin asym_check -- --races --quick
 
-echo "==> extra_fault_sweep --quick (faulted smoke sweep: classified, clean, deterministic)"
-cargo run -q --release -p asym-bench --bin extra_fault_sweep -- --quick > /dev/null
+echo "==> asym_sweep extra_fault_sweep --quick (faulted smoke sweep: classified, clean, deterministic)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- extra_fault_sweep --quick > /dev/null
 
-echo "==> extra_absorption --quick (differential stock-vs-aware smoke: paired, panic-free, kills accounted)"
-cargo run -q --release -p asym-bench --bin extra_absorption -- --quick > /dev/null
+echo "==> asym_sweep extra_absorption --quick (differential stock-vs-aware smoke: paired, panic-free, kills accounted)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- extra_absorption --quick > /dev/null
 
 echo "==> asym_profile (observability smoke: one SPECjbb cell + Perfetto export)"
 cargo run -q --release -p asym-bench --bin asym_profile -- \
@@ -180,12 +180,12 @@ else
   echo "   BENCH_sweep.json OK (grep checks)"
 fi
 
-echo "==> extra_scale --quick cache double-run (warm restore: >=90% hits, bit-identical cells)"
+echo "==> asym_sweep extra_scale --quick cache double-run (warm restore: >=90% hits, bit-identical cells)"
 CACHE_DIR="$(mktemp -d)"
-cargo run -q --release -p asym-bench --bin extra_scale -- \
-  --quick --cache "$CACHE_DIR" --json=CACHE_cold.json > /dev/null
-cargo run -q --release -p asym-bench --bin extra_scale -- \
-  --quick --cache "$CACHE_DIR" --json=CACHE_warm.json > /dev/null
+cargo run -q --release -p asym-bench --bin asym_sweep -- \
+  extra_scale --quick --cache "$CACHE_DIR" --json=CACHE_cold.json > /dev/null
+cargo run -q --release -p asym-bench --bin asym_sweep -- \
+  extra_scale --quick --cache "$CACHE_DIR" --json=CACHE_warm.json > /dev/null
 if command -v python3 > /dev/null; then
   python3 - <<'EOF'
 import json
@@ -219,5 +219,8 @@ else
   echo "   cell cache OK (grep checks)"
 fi
 rm -rf "$CACHE_DIR" CACHE_cold.json CACHE_warm.json
+
+echo "==> perfbench builds against the workspace (the benchmark's import surface)"
+cargo build -q --release --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

@@ -1,16 +1,11 @@
 //! Shared helpers for the cross-crate integration tests.
 
-use asym_core::{run_experiment, AsymConfig, Experiment, ExperimentOptions, Workload};
+use asym_core::{run_spec, AsymConfig, Experiment, ExperimentOptions, SpecMode, Workload};
 use asym_kernel::SchedPolicy;
 
 /// Runs `workload` over the standard nine configurations.
 pub fn nine(workload: &dyn Workload, policy: SchedPolicy, runs: usize) -> Experiment {
-    run_experiment(
-        workload,
-        &AsymConfig::standard_nine(),
-        policy,
-        &ExperimentOptions::new(runs),
-    )
+    subset(workload, &AsymConfig::standard_nine(), policy, runs)
 }
 
 /// Runs `workload` over a chosen subset of configurations.
@@ -20,7 +15,9 @@ pub fn subset(
     policy: SchedPolicy,
     runs: usize,
 ) -> Experiment {
-    run_experiment(workload, configs, policy, &ExperimentOptions::new(runs))
+    let options = ExperimentOptions::new(runs);
+    let result = run_spec(workload, configs, SpecMode::Clean { policy, options });
+    result.clean().clone()
 }
 
 /// The relative max-min spread of a configuration's runs.
