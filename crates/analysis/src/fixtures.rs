@@ -6,8 +6,8 @@
 //! captured [`KernelTrace`] for analysis.
 
 use asym_kernel::{
-    capture_traces, FnThread, Kernel, KernelTrace, SchedPolicy, SpawnOptions, Step, TraceEvent,
-    TraceRecord, WakeReason,
+    capture_traces, FnThread, Kernel, KernelTrace, SchedPolicy, SpawnOptions, Step, ThreadId,
+    TraceEvent, TraceRecord, WakeReason,
 };
 use asym_sim::{CoreId, CoreMask, Cycles, MachineSpec, SimDuration, SimTime, Speed};
 use asym_sync::{SimCondvar, SimMutex, SimShared};
@@ -70,33 +70,35 @@ fn ordered_locker(
 /// A — long after thread 1 released both. No deadlock occurs, but the
 /// lock-order inversion is latent and lockdep must flag it.
 pub fn lock_order_inversion() -> KernelTrace {
-    capture_one(|| {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 1);
-        let a = SimMutex::new(&mut k);
-        let b = SimMutex::new(&mut k);
-        k.spawn(
-            ordered_locker(
-                "t1-ab",
-                a.clone(),
-                b.clone(),
-                SimDuration::ZERO,
-                Cycles::from_micros_at_full_speed(100.0),
-            ),
-            SpawnOptions::new(),
-        );
-        k.spawn(
-            ordered_locker(
-                "t2-ba",
-                b,
-                a,
-                SimDuration::from_millis(5),
-                Cycles::from_micros_at_full_speed(100.0),
-            ),
-            SpawnOptions::new(),
-        );
-        k.run();
-    })
+    capture_one(lock_order_inversion_run)
+}
+
+fn lock_order_inversion_run() {
+    let machine = MachineSpec::symmetric(2, Speed::FULL);
+    let mut k = Kernel::new(machine, SchedPolicy::os_default(), 1);
+    let a = SimMutex::new(&mut k);
+    let b = SimMutex::new(&mut k);
+    k.spawn(
+        ordered_locker(
+            "t1-ab",
+            a.clone(),
+            b.clone(),
+            SimDuration::ZERO,
+            Cycles::from_micros_at_full_speed(100.0),
+        ),
+        SpawnOptions::new(),
+    );
+    k.spawn(
+        ordered_locker(
+            "t2-ba",
+            b,
+            a,
+            SimDuration::from_millis(5),
+            Cycles::from_micros_at_full_speed(100.0),
+        ),
+        SpawnOptions::new(),
+    );
+    k.run();
 }
 
 /// The AB/BA inversion with both threads overlapping: each grabs its
@@ -104,22 +106,24 @@ pub fn lock_order_inversion() -> KernelTrace {
 /// run wedges with a 2-cycle in the wait-for graph — the deadlock
 /// detector must fire (and lockdep too).
 pub fn ab_ba_deadlock() -> KernelTrace {
-    capture_one(|| {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 2);
-        let a = SimMutex::new(&mut k);
-        let b = SimMutex::new(&mut k);
-        let hold = Cycles::from_millis_at_full_speed(2.0);
-        k.spawn(
-            ordered_locker("t1-ab", a.clone(), b.clone(), SimDuration::ZERO, hold),
-            SpawnOptions::new(),
-        );
-        k.spawn(
-            ordered_locker("t2-ba", b, a, SimDuration::ZERO, hold),
-            SpawnOptions::new(),
-        );
-        k.run();
-    })
+    capture_one(ab_ba_deadlock_run)
+}
+
+fn ab_ba_deadlock_run() {
+    let machine = MachineSpec::symmetric(2, Speed::FULL);
+    let mut k = Kernel::new(machine, SchedPolicy::os_default(), 2);
+    let a = SimMutex::new(&mut k);
+    let b = SimMutex::new(&mut k);
+    let hold = Cycles::from_millis_at_full_speed(2.0);
+    k.spawn(
+        ordered_locker("t1-ab", a.clone(), b.clone(), SimDuration::ZERO, hold),
+        SpawnOptions::new(),
+    );
+    k.spawn(
+        ordered_locker("t2-ba", b, a, SimDuration::ZERO, hold),
+        SpawnOptions::new(),
+    );
+    k.run();
 }
 
 /// The classic missed-signal bug: the producer sets the flag and
@@ -128,59 +132,61 @@ pub fn ab_ba_deadlock() -> KernelTrace {
 /// *without rechecking the flag*. The signal is gone — the consumer
 /// blocks forever and the run deadlocks.
 pub fn missed_signal() -> KernelTrace {
-    capture_one(|| {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 3);
-        let m = SimMutex::new(&mut k);
-        let c = SimCondvar::new(&mut k);
-        let flag = Rc::new(Cell::new(false));
+    capture_one(missed_signal_run)
+}
 
-        let (pm, pc, pflag) = (m.clone(), c.clone(), flag.clone());
-        let mut phase = 0u8;
-        k.spawn(
-            FnThread::new("producer", move |cx| loop {
-                match phase {
-                    0 => match pm.lock_step(cx) {
-                        Ok(()) => phase = 1,
-                        Err(step) => return step,
-                    },
-                    _ => {
-                        pflag.set(true);
-                        pm.unlock(cx);
-                        pc.notify_one(cx);
-                        return Step::Done;
-                    }
-                }
-            }),
-            SpawnOptions::new(),
-        );
+fn missed_signal_run() {
+    let machine = MachineSpec::symmetric(2, Speed::FULL);
+    let mut k = Kernel::new(machine, SchedPolicy::os_default(), 3);
+    let m = SimMutex::new(&mut k);
+    let c = SimCondvar::new(&mut k);
+    let flag = Rc::new(Cell::new(false));
 
-        let mut phase = 0u8;
-        k.spawn(
-            FnThread::new("consumer", move |cx| loop {
-                match phase {
-                    0 => {
-                        phase = 1;
-                        return Step::Compute(Cycles::from_millis_at_full_speed(2.0));
-                    }
-                    1 => match m.lock_step(cx) {
-                        Ok(()) => phase = 2,
-                        Err(step) => return step,
-                    },
-                    _ => {
-                        // BUG: waits without rechecking `flag`. The
-                        // producer's notify already happened, so this
-                        // block is forever. (The correct code would
-                        // check `flag.get()` here and skip the wait.)
-                        phase = 1;
-                        return c.wait_step(cx, &m);
-                    }
+    let (pm, pc, pflag) = (m.clone(), c.clone(), flag.clone());
+    let mut phase = 0u8;
+    k.spawn(
+        FnThread::new("producer", move |cx| loop {
+            match phase {
+                0 => match pm.lock_step(cx) {
+                    Ok(()) => phase = 1,
+                    Err(step) => return step,
+                },
+                _ => {
+                    pflag.set(true);
+                    pm.unlock(cx);
+                    pc.notify_one(cx);
+                    return Step::Done;
                 }
-            }),
-            SpawnOptions::new(),
-        );
-        k.run();
-    })
+            }
+        }),
+        SpawnOptions::new(),
+    );
+
+    let mut phase = 0u8;
+    k.spawn(
+        FnThread::new("consumer", move |cx| loop {
+            match phase {
+                0 => {
+                    phase = 1;
+                    return Step::Compute(Cycles::from_millis_at_full_speed(2.0));
+                }
+                1 => match m.lock_step(cx) {
+                    Ok(()) => phase = 2,
+                    Err(step) => return step,
+                },
+                _ => {
+                    // BUG: waits without rechecking `flag`. The
+                    // producer's notify already happened, so this
+                    // block is forever. (The correct code would
+                    // check `flag.get()` here and skip the wait.)
+                    phase = 1;
+                    return c.wait_step(cx, &m);
+                }
+            }
+        }),
+        SpawnOptions::new(),
+    );
+    k.run();
 }
 
 /// A sleep-polling livelock: one thread naps 100 µs forever, retiring
@@ -188,20 +194,22 @@ pub fn missed_signal() -> KernelTrace {
 /// 5 ms) gives up and ends the run [`Stalled`](asym_kernel::RunOutcome::Stalled) —
 /// the forward-progress checker must flag the trace.
 pub fn stalled_run() -> KernelTrace {
-    capture_one(|| {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 4);
-        k.set_watchdog(SimDuration::from_millis(5));
-        k.spawn(
-            FnThread::new("poller", |_cx| {
-                // BUG: polls by sleeping instead of blocking on a wait
-                // queue; nothing ever gets done.
-                Step::Sleep(SimDuration::from_micros(100))
-            }),
-            SpawnOptions::new(),
-        );
-        k.run();
-    })
+    capture_one(stalled_run_run)
+}
+
+fn stalled_run_run() {
+    let machine = MachineSpec::symmetric(2, Speed::FULL);
+    let mut k = Kernel::new(machine, SchedPolicy::os_default(), 4);
+    k.set_watchdog(SimDuration::from_millis(5));
+    k.spawn(
+        FnThread::new("poller", |_cx| {
+            // BUG: polls by sleeping instead of blocking on a wait
+            // queue; nothing ever gets done.
+            Step::Sleep(SimDuration::from_micros(100))
+        }),
+        SpawnOptions::new(),
+    );
+    k.run();
 }
 
 /// A forged trace in which a thread is dispatched on a core *after* a
@@ -211,42 +219,14 @@ pub fn stalled_run() -> KernelTrace {
 /// trace (keeping the machine/policy metadata authentic), exactly like
 /// the hand-built fast-core-idle trace in the unit tests.
 pub fn offline_core_dispatch() -> KernelTrace {
-    let mut trace = capture_one(|| {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 5);
-        k.spawn(FnThread::new("w", |_cx| Step::Done), SpawnOptions::new());
-        k.run();
-    });
-    let tid = trace
-        .records()
-        .find_map(|r| match r.event {
-            TraceEvent::Spawn { tid, .. } => Some(tid),
-            _ => None,
-        })
-        .expect("captured trace has a spawn");
-    let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+    let machine = MachineSpec::symmetric(2, Speed::FULL);
+    let (mut trace, tids) = forged_base(machine, SchedPolicy::os_default(), 5, &["w"]);
+    let tid = tids[0];
     trace.set_records(vec![
-        TraceRecord {
-            time: t(0),
-            event: TraceEvent::Spawn {
-                tid,
-                core: CoreId(1),
-                affinity: CoreMask::ALL,
-                parent: None,
-            },
-        },
-        TraceRecord {
-            time: t(1),
-            event: TraceEvent::CoreOffline { core: CoreId(1) },
-        },
+        at(0, spawn(tid, 1)),
+        at(1, TraceEvent::CoreOffline { core: CoreId(1) }),
         // BUG (planted): the scheduler keeps using the dead core.
-        TraceRecord {
-            time: t(2),
-            event: TraceEvent::Dispatch {
-                tid,
-                core: CoreId(1),
-            },
-        },
+        at(2, dispatch(tid, 1)),
     ]);
     trace
 }
@@ -258,45 +238,85 @@ pub fn offline_core_dispatch() -> KernelTrace {
 /// extras hang off), so the history is rewritten by hand on top of a
 /// genuinely captured trace, like [`offline_core_dispatch`].
 pub fn swallowed_kill() -> KernelTrace {
-    let mut trace = capture_one(|| {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 6);
-        k.spawn(FnThread::new("w", |_cx| Step::Done), SpawnOptions::new());
+    let machine = MachineSpec::symmetric(2, Speed::FULL);
+    let (mut trace, tids) = forged_base(machine, SchedPolicy::os_default(), 6, &["w"]);
+    let tid = tids[0];
+    trace.set_records(vec![
+        at(0, spawn(tid, 0)),
+        at(1, dispatch(tid, 0)),
+        // BUG (planted): the kill lands but no Done retires the victim —
+        // the thread just vanishes from the books.
+        at(2, TraceEvent::ThreadKilled { tid }),
+    ]);
+    trace
+}
+
+/// Captures a run of trivial threads named `names` on `machine` under
+/// `policy` and returns the trace plus their thread ids, ready for
+/// history rewriting: the forged fixtures keep the machine and policy
+/// metadata of a genuinely captured trace.
+fn forged_base(
+    machine: MachineSpec,
+    policy: SchedPolicy,
+    seed: u64,
+    names: &[&str],
+) -> (KernelTrace, Vec<ThreadId>) {
+    let trace = capture_one(|| {
+        let mut k = Kernel::new(machine, policy, seed);
+        for &name in names {
+            k.spawn(FnThread::new(name, |_cx| Step::Done), SpawnOptions::new());
+        }
         k.run();
     });
-    let tid = trace
+    let tids = trace
         .records()
-        .find_map(|r| match r.event {
+        .filter_map(|r| match r.event {
             TraceEvent::Spawn { tid, .. } => Some(tid),
             _ => None,
         })
-        .expect("captured trace has a spawn");
-    let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
-    trace.set_records(vec![
-        TraceRecord {
-            time: t(0),
-            event: TraceEvent::Spawn {
-                tid,
-                core: CoreId(0),
-                affinity: CoreMask::ALL,
-                parent: None,
-            },
-        },
-        TraceRecord {
-            time: t(1),
-            event: TraceEvent::Dispatch {
-                tid,
-                core: CoreId(0),
-            },
-        },
-        // BUG (planted): the kill lands but no Done retires the victim —
-        // the thread just vanishes from the books.
-        TraceRecord {
-            time: t(2),
-            event: TraceEvent::ThreadKilled { tid },
-        },
-    ]);
-    trace
+        .collect();
+    (trace, tids)
+}
+
+/// The aware-policy base of the ranking fixtures: one worker on a
+/// 1-fast/1-slow machine.
+fn forged_aware_base() -> (KernelTrace, ThreadId) {
+    let machine = MachineSpec::asymmetric(1, 1, Speed::fraction_of_full(8));
+    let (trace, tids) = forged_base(machine, SchedPolicy::asymmetry_aware(), 10, &["w"]);
+    (trace, tids[0])
+}
+
+/// A forged record `ms` milliseconds into the run.
+fn at(ms: u64, event: TraceEvent) -> TraceRecord {
+    TraceRecord {
+        time: SimTime::ZERO + SimDuration::from_millis(ms),
+        event,
+    }
+}
+
+/// `tid` spawned onto `core`, eligible everywhere.
+fn spawn(tid: ThreadId, core: usize) -> TraceEvent {
+    TraceEvent::Spawn {
+        tid,
+        core: CoreId(core),
+        affinity: CoreMask::ALL,
+        parent: None,
+    }
+}
+
+fn dispatch(tid: ThreadId, core: usize) -> TraceEvent {
+    TraceEvent::Dispatch {
+        tid,
+        core: CoreId(core),
+    }
+}
+
+fn quantum_preempt(tid: ThreadId, core: usize) -> TraceEvent {
+    TraceEvent::Preempt {
+        tid,
+        core: CoreId(core),
+        reason: asym_kernel::PreemptReason::Quantum,
+    }
 }
 
 /// Two workers increment the same [`SimShared`] word as a plain
@@ -459,89 +479,31 @@ fn lockset_violation_run() {
 /// aware-policy trace (keeping the machine/policy metadata authentic),
 /// like [`offline_core_dispatch`].
 pub fn stale_ranking_dispatch() -> KernelTrace {
-    let mut trace = capture_one(|| {
-        let machine = MachineSpec::asymmetric(1, 1, Speed::fraction_of_full(8));
-        let mut k = Kernel::new(machine, SchedPolicy::asymmetry_aware(), 10);
-        k.spawn(FnThread::new("w", |_cx| Step::Done), SpawnOptions::new());
-        k.run();
-    });
-    let tid = trace
-        .records()
-        .find_map(|r| match r.event {
-            TraceEvent::Spawn { tid, .. } => Some(tid),
-            _ => None,
-        })
-        .expect("captured trace has a spawn");
-    let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+    let (mut trace, tid) = forged_aware_base();
+    let speed = |core, speed| TraceEvent::SpeedChange {
+        core: CoreId(core),
+        speed,
+    };
     trace.set_records(vec![
-        TraceRecord {
-            time: t(0),
-            event: TraceEvent::Spawn {
-                tid,
-                core: CoreId(0),
-                affinity: CoreMask::ALL,
-                parent: None,
-            },
-        },
-        TraceRecord {
-            time: t(1),
-            event: TraceEvent::Dispatch {
-                tid,
-                core: CoreId(0),
-            },
-        },
+        at(0, spawn(tid, 0)),
+        at(1, dispatch(tid, 0)),
         // The fault re-rank: core 0 collapses to 1/8, core 1 recovers.
-        TraceRecord {
-            time: t(2),
-            event: TraceEvent::SpeedChange {
-                core: CoreId(0),
-                speed: Speed::fraction_of_full(8),
-            },
-        },
-        TraceRecord {
-            time: t(2),
-            event: TraceEvent::SpeedChange {
-                core: CoreId(1),
-                speed: Speed::FULL,
-            },
-        },
-        TraceRecord {
-            time: t(3),
-            event: TraceEvent::Sleep { tid },
-        },
+        at(2, speed(0, Speed::fraction_of_full(8))),
+        at(2, speed(1, Speed::FULL)),
+        at(3, TraceEvent::Sleep { tid }),
         // BUG (planted): the wakeup placement still uses the old
         // ranking and parks the thread on the now-slow core 0 while the
         // now-fast core 1 sits idle.
-        TraceRecord {
-            time: t(4),
-            event: TraceEvent::Wakeup {
+        at(
+            4,
+            TraceEvent::Wakeup {
                 tid,
                 core: CoreId(0),
                 reason: WakeReason::Timer,
             },
-        },
+        ),
     ]);
     trace
-}
-
-/// Captures a minimal aware-policy run on a 1-fast/1-slow machine and
-/// returns the trace plus the worker's thread id, ready for history
-/// rewriting (the [`stale_ranking_dispatch`] idiom).
-fn forged_aware_base() -> (KernelTrace, asym_kernel::ThreadId) {
-    let trace = capture_one(|| {
-        let machine = MachineSpec::asymmetric(1, 1, Speed::fraction_of_full(8));
-        let mut k = Kernel::new(machine, SchedPolicy::asymmetry_aware(), 10);
-        k.spawn(FnThread::new("w", |_cx| Step::Done), SpawnOptions::new());
-        k.run();
-    });
-    let tid = trace
-        .records()
-        .find_map(|r| match r.event {
-            TraceEvent::Spawn { tid, .. } => Some(tid),
-            _ => None,
-        })
-        .expect("captured trace has a spawn");
-    (trace, tid)
 }
 
 /// A forged trace in which a `SpeedChange` reorders the online-core
@@ -553,37 +515,19 @@ fn forged_aware_base() -> (KernelTrace, asym_kernel::ThreadId) {
 /// the hygiene checker must flag it.
 pub fn missing_rerank() -> KernelTrace {
     let (mut trace, tid) = forged_aware_base();
-    let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
     trace.set_records(vec![
-        TraceRecord {
-            time: t(0),
-            event: TraceEvent::Spawn {
-                tid,
-                core: CoreId(0),
-                affinity: CoreMask::ALL,
-                parent: None,
-            },
-        },
-        TraceRecord {
-            time: t(1),
-            event: TraceEvent::Dispatch {
-                tid,
-                core: CoreId(0),
-            },
-        },
+        at(0, spawn(tid, 0)),
+        at(1, dispatch(tid, 0)),
         // BUG (planted): the ranking inverts — core 0 collapses below
         // the slow core — and no Rerank record ever follows.
-        TraceRecord {
-            time: t(2),
-            event: TraceEvent::SpeedChange {
+        at(
+            2,
+            TraceEvent::SpeedChange {
                 core: CoreId(0),
                 speed: Speed::fraction_of_full(16),
             },
-        },
-        TraceRecord {
-            time: t(8),
-            event: TraceEvent::Done { tid },
-        },
+        ),
+        at(8, TraceEvent::Done { tid }),
     ]);
     trace
 }
@@ -596,48 +540,27 @@ pub fn missing_rerank() -> KernelTrace {
 /// checker must report the thrash.
 pub fn rerank_thrash() -> KernelTrace {
     let (mut trace, tid) = forged_aware_base();
-    let mut records = vec![
-        TraceRecord {
-            time: SimTime::ZERO,
-            event: TraceEvent::Spawn {
-                tid,
-                core: CoreId(0),
-                affinity: CoreMask::ALL,
-                parent: None,
-            },
-        },
-        TraceRecord {
-            time: SimTime::ZERO + SimDuration::from_millis(1),
-            event: TraceEvent::Dispatch {
-                tid,
-                core: CoreId(0),
-            },
-        },
-    ];
+    let mut records = vec![at(0, spawn(tid, 0)), at(1, dispatch(tid, 0))];
     for flip in 0..10u64 {
-        let at = SimTime::ZERO + SimDuration::from_millis(2) + SimDuration::from_micros(100 * flip);
+        let time =
+            SimTime::ZERO + SimDuration::from_millis(2) + SimDuration::from_micros(100 * flip);
         let speed = if flip % 2 == 0 {
             // Below the slow core's 1/8: the ranking inverts.
             Speed::fraction_of_full(16)
         } else {
             Speed::FULL
         };
+        let core = CoreId(0);
         records.push(TraceRecord {
-            time: at,
-            event: TraceEvent::SpeedChange {
-                core: CoreId(0),
-                speed,
-            },
+            time,
+            event: TraceEvent::SpeedChange { core, speed },
         });
         records.push(TraceRecord {
-            time: at,
-            event: TraceEvent::Rerank { core: CoreId(0) },
+            time,
+            event: TraceEvent::Rerank { core },
         });
     }
-    records.push(TraceRecord {
-        time: SimTime::ZERO + SimDuration::from_millis(4),
-        event: TraceEvent::Done { tid },
-    });
+    records.push(at(4, TraceEvent::Done { tid }));
     trace.set_records(records);
     trace
 }
@@ -652,84 +575,37 @@ pub fn rerank_thrash() -> KernelTrace {
 /// carries the aware policy metadata (the contract being linted); the
 /// history is rewritten by hand like [`stale_ranking_dispatch`].
 pub fn downhill_steal() -> KernelTrace {
-    let mut trace = capture_one(|| {
-        let machine = MachineSpec::asymmetric(2, 1, Speed::fraction_of_full(8));
-        let mut k = Kernel::new(machine, SchedPolicy::asymmetry_aware(), 11);
-        for name in ["w", "v"] {
-            k.spawn(FnThread::new(name, |_cx| Step::Done), SpawnOptions::new());
-        }
-        k.run();
-    });
-    let tids: Vec<_> = trace
-        .records()
-        .filter_map(|r| match r.event {
-            TraceEvent::Spawn { tid, .. } => Some(tid),
-            _ => None,
-        })
-        .collect();
+    let machine = MachineSpec::asymmetric(2, 1, Speed::fraction_of_full(8));
+    let policy = SchedPolicy::asymmetry_aware();
+    let (mut trace, tids) = forged_base(machine, policy, 11, &["w", "v"]);
     let (w, v) = (tids[0], tids[1]);
-    let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
-    let spawn = |tid, core| TraceEvent::Spawn {
-        tid,
-        core: CoreId(core),
-        affinity: CoreMask::ALL,
-        parent: None,
-    };
     trace.set_records(vec![
-        TraceRecord {
-            time: t(0),
-            event: spawn(w, 0),
-        },
-        TraceRecord {
-            time: t(1),
-            event: TraceEvent::Dispatch {
-                tid: w,
-                core: CoreId(0),
-            },
-        },
-        TraceRecord {
-            time: t(1),
-            event: spawn(v, 1),
-        },
-        TraceRecord {
-            time: t(2),
-            event: TraceEvent::Dispatch {
-                tid: v,
-                core: CoreId(1),
-            },
-        },
-        TraceRecord {
-            time: t(3),
-            event: TraceEvent::Preempt {
-                tid: v,
-                core: CoreId(1),
-                reason: asym_kernel::PreemptReason::Quantum,
-            },
-        },
+        at(0, spawn(w, 0)),
+        at(1, dispatch(w, 0)),
+        at(1, spawn(v, 1)),
+        at(2, dispatch(v, 1)),
+        at(3, quantum_preempt(v, 1)),
         // BUG (planted): the stealer moves v from the fast busy core 1
         // onto the slow idle core 2.
-        TraceRecord {
-            time: t(3),
-            event: TraceEvent::Steal {
+        at(
+            3,
+            TraceEvent::Steal {
                 tid: v,
                 from: CoreId(1),
                 to: CoreId(2),
             },
-        },
-        TraceRecord {
-            time: t(4),
-            event: TraceEvent::Sleep { tid: w },
-        },
+        ),
+        at(4, TraceEvent::Sleep { tid: w }),
         // BUG (consequence): the next wakeup follows the stolen work to
         // the slow core while fast cores 0 and 1 are idle and eligible.
-        TraceRecord {
-            time: t(5),
-            event: TraceEvent::Wakeup {
+        at(
+            5,
+            TraceEvent::Wakeup {
                 tid: w,
                 core: CoreId(2),
                 reason: WakeReason::Timer,
             },
-        },
+        ),
     ]);
     trace
 }
@@ -743,55 +619,17 @@ pub fn downhill_steal() -> KernelTrace {
 /// (a waiting thread's progress never advances, so it wins the queue),
 /// so the history is rewritten by hand like [`stale_ranking_dispatch`].
 pub fn vruntime_starvation() -> KernelTrace {
-    let mut trace = capture_one(|| {
-        let machine = MachineSpec::symmetric(1, Speed::FULL);
-        let mut k = Kernel::new(machine, SchedPolicy::vruntime_fair(), 12);
-        for name in ["a", "b", "c"] {
-            k.spawn(FnThread::new(name, |_cx| Step::Done), SpawnOptions::new());
-        }
-        k.run();
-    });
-    let tids: Vec<_> = trace
-        .records()
-        .filter_map(|r| match r.event {
-            TraceEvent::Spawn { tid, .. } => Some(tid),
-            _ => None,
-        })
-        .collect();
+    let machine = MachineSpec::symmetric(1, Speed::FULL);
+    let policy = SchedPolicy::vruntime_fair();
+    let (mut trace, tids) = forged_base(machine, policy, 12, &["a", "b", "c"]);
     let (a, b, c) = (tids[0], tids[1], tids[2]);
-    let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
-    let spawn = |tid| TraceEvent::Spawn {
-        tid,
-        core: CoreId(0),
-        affinity: CoreMask::ALL,
-        parent: None,
-    };
-    let mut records: Vec<TraceRecord> = [a, b, c]
-        .into_iter()
-        .map(|tid| TraceRecord {
-            time: t(0),
-            event: spawn(tid),
-        })
-        .collect();
+    let mut records: Vec<TraceRecord> = [a, b, c].map(|tid| at(0, spawn(tid, 0))).to_vec();
     // BUG (planted): 110 rounds of b/c round-robin, never once picking
     // the equally-runnable a.
     for round in 0..110u64 {
         for (slot, tid) in [(0, b), (1, c)] {
-            records.push(TraceRecord {
-                time: t(2 * round + slot),
-                event: TraceEvent::Dispatch {
-                    tid,
-                    core: CoreId(0),
-                },
-            });
-            records.push(TraceRecord {
-                time: t(2 * round + slot + 1),
-                event: TraceEvent::Preempt {
-                    tid,
-                    core: CoreId(0),
-                    reason: asym_kernel::PreemptReason::Quantum,
-                },
-            });
+            records.push(at(2 * round + slot, dispatch(tid, 0)));
+            records.push(at(2 * round + slot + 1, quantum_preempt(tid, 0)));
         }
     }
     trace.set_records(records);
@@ -979,6 +817,54 @@ mod tests {
         violations.iter().map(ToString::to_string).collect()
     }
 
+    /// The exact `render_violations(&analyze_trace(..))` of every
+    /// negative fixture, pinned byte for byte.
+    const ANALYZED: &[(&str, &str)] = &[
+        (
+            "lock_order_inversion",
+            "1 lock-order-inversion\n    - [lock-order-inversion] wait1 and wait0 are taken in both orders (wait0 before wait1 at 0.000100s, wait1 before wait0 at 0.005100s): potential deadlock",
+        ),
+        (
+            "ab_ba_deadlock",
+            "1 deadlock, 1 lock-order-inversion\n    - [deadlock] at 0.002000s: wait-for cycle among 2 threads: tid1 waits for wait0, tid0 waits for wait1\n    - [lock-order-inversion] wait1 and wait0 are taken in both orders (wait0 before wait1 at 0.002000s, wait1 before wait0 at 0.002000s): potential deadlock",
+        ),
+        (
+            "missed_signal",
+            "1 lost-wakeup\n    - [lost-wakeup] at 0.002000s: tid1 blocked forever on wait1; the queue was signalled with no waiters before the block and never again after it",
+        ),
+        (
+            "stalled_run",
+            "1 stalled-run\n    - [stalled-run] at 0.004900s: the watchdog declared the run livelocked: time advanced but no work was retired for a full window",
+        ),
+        (
+            "offline_core_dispatch",
+            "2 offline-dispatch\n    - [offline-dispatch] at 0.001000s: tid0 left parked on offline core1\n    - [offline-dispatch] at 0.002000s: tid0 dispatched on offline core1",
+        ),
+        (
+            "swallowed_kill",
+            "1 dropped-kill\n    - [dropped-kill] at 0.002000s: tid0 was killed but never retired: no Done record follows the kill, so the victim was silently dropped from accounting",
+        ),
+        ("unprotected_write_race", "clean"),
+        ("readers_then_writer_race", "clean"),
+        ("lockset_violation", "clean"),
+        ("stale_ranking_dispatch", "clean"),
+        ("missing_rerank", "clean"),
+        ("rerank_thrash", "clean"),
+        (
+            "downhill_steal",
+            "2 fast-core-idle\n    - [fast-core-idle] at 0.003000s: core1 (speed 1.000) idle while tid1 sat queued on slower core2 (speed 0.125) under the asymmetry-aware policy\n    - [fast-core-idle] at 0.004000s: core0 (speed 1.000) idle while tid1 sat queued on slower core2 (speed 0.125) under the asymmetry-aware policy",
+        ),
+        ("vruntime_starvation", "clean"),
+    ];
+
+    fn analyzed(name: &str) -> &'static str {
+        ANALYZED
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, text)| *text)
+            .expect("fixture has pinned analysis")
+    }
+
     #[test]
     fn negative_fixtures_render_exactly_as_pinned() {
         use crate::hb::{check_concurrency, ConcurrencyFold};
@@ -994,6 +880,13 @@ mod tests {
             ("vruntime_starvation", vruntime_starvation()),
         ];
         assert_eq!(fixtures.len(), GOLDEN.len());
+        // `analyze_trace` of every fixture, the hand-built ones included.
+        let all = all_fixtures();
+        assert_eq!(all.len(), ANALYZED.len(), "every fixture is pinned");
+        for (name, trace) in &all {
+            let text = crate::render_violations(&crate::analyze_trace(trace));
+            assert_eq!(text, analyzed(name), "{name} (analyze_trace)");
+        }
         for (name, trace) in fixtures {
             // The replay wrapper over the buffered trace.
             assert_eq!(rendered(check_concurrency(&trace)), golden(name), "{name}");
@@ -1024,6 +917,87 @@ mod tests {
                 .collect();
             assert_eq!(rendered(found), golden(name), "{name} (streamed)");
         }
+        // The seven analyses stream too: the run's outcome reaches the
+        // lost-wakeup and forward-progress checks when the stream
+        // closes.
+        let runs: [(&str, fn()); 7] = [
+            ("lock_order_inversion", lock_order_inversion_run),
+            ("ab_ba_deadlock", ab_ba_deadlock_run),
+            ("missed_signal", missed_signal_run),
+            ("stalled_run", stalled_run_run),
+            ("unprotected_write_race", unprotected_write_race_run),
+            ("readers_then_writer_race", readers_then_writer_race_run),
+            ("lockset_violation", lockset_violation_run),
+        ];
+        for (name, run) in runs {
+            let ((), folds) = capture_stream(crate::AnalysisFold::new, run);
+            assert_eq!(folds.len(), 1, "{name}: one kernel");
+            let found: Vec<_> = folds
+                .into_iter()
+                .flat_map(crate::AnalysisFold::finish)
+                .collect();
+            let text = crate::render_violations(&found);
+            assert_eq!(text, analyzed(name), "{name} (analysis streamed)");
+        }
+    }
+
+    /// Every negative fixture, named.
+    fn all_fixtures() -> Vec<(&'static str, KernelTrace)> {
+        vec![
+            ("lock_order_inversion", lock_order_inversion()),
+            ("ab_ba_deadlock", ab_ba_deadlock()),
+            ("missed_signal", missed_signal()),
+            ("stalled_run", stalled_run()),
+            ("offline_core_dispatch", offline_core_dispatch()),
+            ("swallowed_kill", swallowed_kill()),
+            ("unprotected_write_race", unprotected_write_race()),
+            ("readers_then_writer_race", readers_then_writer_race()),
+            ("lockset_violation", lockset_violation()),
+            ("stale_ranking_dispatch", stale_ranking_dispatch()),
+            ("missing_rerank", missing_rerank()),
+            ("rerank_thrash", rerank_thrash()),
+            ("downhill_steal", downhill_steal()),
+            ("vruntime_starvation", vruntime_starvation()),
+        ]
+    }
+
+    /// The deadlock and lock-order checks learn which wait queues are
+    /// locks as the stream goes, where a whole-trace prepass would know
+    /// them all up front. The two agree because a thread blocks on a
+    /// mutex only while another thread holds it, so every `Block` on a
+    /// lock comes after a `LockAcquire` of that lock. This pins that
+    /// ordering on every fixture, and that the fixtures do block on
+    /// locks.
+    #[test]
+    fn every_lock_block_follows_an_acquire_of_that_lock() {
+        use std::collections::BTreeSet;
+        let mut lock_blocks = 0;
+        for (name, trace) in all_fixtures() {
+            let locks: BTreeSet<_> = trace
+                .records()
+                .filter_map(|r| match r.event {
+                    TraceEvent::LockAcquire { lock, .. } => Some(lock),
+                    _ => None,
+                })
+                .collect();
+            let mut acquired = BTreeSet::new();
+            for (i, r) in trace.records().enumerate() {
+                match r.event {
+                    TraceEvent::LockAcquire { lock, .. } => {
+                        acquired.insert(lock);
+                    }
+                    TraceEvent::Block { wait, .. } if locks.contains(&wait) => {
+                        assert!(
+                            acquired.contains(&wait),
+                            "{name}: #{i} blocks on {wait} before any acquire of it"
+                        );
+                        lock_blocks += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(lock_blocks > 0, "no fixture blocks on a lock");
     }
 
     #[test]

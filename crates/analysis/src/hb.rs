@@ -76,10 +76,10 @@
 //! [`RERANK_THRASH_WINDOW`] is churn the environment hysteresis should
 //! have damped ([`ViolationKind::RerankThrash`]).
 
-use crate::{remove_tid, CoreState, KernelTrace, Violation, ViolationKind};
+use crate::{KernelTrace, SchedState, Violation, ViolationKind};
 use asym_kernel::{
-    AtomicOp, PolicyKind, SchedPolicy, ShareId, ThreadId, TraceConsumer, TraceEvent, WaitId,
-    WakeReason,
+    AtomicOp, PolicyKind, RunOutcome, SchedPolicy, ShareId, ThreadId, TraceConsumer, TraceEvent,
+    WaitId, WakeReason,
 };
 use asym_sim::{CoreId, CoreMask, MachineSpec, SimDuration, SimTime, Speed};
 use std::collections::VecDeque;
@@ -89,10 +89,16 @@ use std::collections::VecDeque;
 // ----------------------------------------------------------------------
 
 /// One online checker over a kernel's record stream. Records arrive
-/// numbered in emission order; findings that name shared objects are
-/// rendered by [`finish`](Lint::finish), once every label is known.
-trait Lint {
+/// numbered in emission order, the run's outcome arrives once the
+/// stream closes, and findings that name shared objects are rendered by
+/// [`finish`](Lint::finish), once every label is known.
+pub(crate) trait Lint {
     fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent);
+
+    /// The kernel's final outcome. Default: ignored.
+    fn on_close(&mut self, outcome: Option<RunOutcome>) {
+        let _ = outcome;
+    }
 
     /// The findings, given the shared-object labels.
     fn finish(self, labels: &[String]) -> Vec<Violation>;
@@ -106,6 +112,12 @@ impl<L: Lint> Lint for Option<L> {
         }
     }
 
+    fn on_close(&mut self, outcome: Option<RunOutcome>) {
+        if let Some(lint) = self {
+            lint.on_close(outcome);
+        }
+    }
+
     fn finish(self, labels: &[String]) -> Vec<Violation> {
         self.map_or_else(Vec::new, |lint| lint.finish(labels))
     }
@@ -113,14 +125,14 @@ impl<L: Lint> Lint for Option<L> {
 
 /// Adapts a [`Lint`] to a [`TraceConsumer`]: numbers the records and
 /// collects shared-object labels.
-struct LintFold<L> {
+pub(crate) struct LintFold<L> {
     lint: L,
     next: usize,
     labels: Vec<String>,
 }
 
 impl<L: Lint> LintFold<L> {
-    fn new(lint: L) -> Self {
+    pub(crate) fn new(lint: L) -> Self {
         LintFold {
             lint,
             next: 0,
@@ -130,13 +142,13 @@ impl<L: Lint> LintFold<L> {
 
     /// Replays a captured trace through `lint` — the buffered entry
     /// points are exactly this.
-    fn replay(trace: &KernelTrace, lint: L) -> Self {
+    pub(crate) fn replay(trace: &KernelTrace, lint: L) -> Self {
         let mut fold = LintFold::new(lint);
         trace.replay(&mut fold);
         fold
     }
 
-    fn finish(self) -> Vec<Violation> {
+    pub(crate) fn finish(self) -> Vec<Violation> {
         self.lint.finish(&self.labels)
     }
 }
@@ -150,10 +162,14 @@ impl<L: Lint> TraceConsumer for LintFold<L> {
     fn on_shared_label(&mut self, label: &str) {
         self.labels.push(label.to_string());
     }
+
+    fn on_close(&mut self, outcome: Option<RunOutcome>, _budget_exhausted: bool) {
+        self.lint.on_close(outcome);
+    }
 }
 
 /// The slot for dense index `i`, growing `v` with defaults on demand.
-fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+pub(crate) fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
     if v.len() <= i {
         v.resize_with(i + 1, T::default);
     }
@@ -872,11 +888,7 @@ pub fn check_locksets(trace: &KernelTrace) -> Vec<Violation> {
 // ----------------------------------------------------------------------
 
 struct StaleRankingLint {
-    speeds: Vec<Speed>,
-    online: Vec<bool>,
-    cores: Vec<CoreState>,
-    /// Each thread's affinity mask, by thread.
-    affinity: Vec<Option<CoreMask>>,
+    sched: SchedState,
     /// The latest `SpeedChange`, if any.
     rank_site: Option<usize>,
     violations: Vec<Violation>,
@@ -886,10 +898,7 @@ impl StaleRankingLint {
     /// The lint, when `policy` makes the placement promise it checks.
     fn new(machine: &MachineSpec, policy: SchedPolicy) -> Option<Self> {
         policy.is_asymmetry_aware().then(|| StaleRankingLint {
-            speeds: machine.speeds().to_vec(),
-            online: vec![true; machine.num_cores()],
-            cores: CoreState::idle(machine.num_cores()),
-            affinity: Vec::new(),
+            sched: SchedState::new(machine),
             rank_site: None,
             violations: Vec::new(),
         })
@@ -904,14 +913,10 @@ impl StaleRankingLint {
         mask: CoreMask,
         what: &str,
     ) {
-        let (speeds, cores, online) = (&self.speeds, &self.cores, &self.online);
-        let best = (0..cores.len())
-            .filter(|&c| {
-                online[c]
-                    && mask.contains(CoreId(c))
-                    && cores[c].running.is_none()
-                    && cores[c].queue.is_empty()
-            })
+        let sched = &self.sched;
+        let speeds = &sched.speeds;
+        let best = (0..speeds.len())
+            .filter(|&c| sched.online[c] && mask.contains(CoreId(c)) && sched.is_idle(c))
             .max_by(|&a, &b| speeds[a].cmp(&speeds[b]).then(b.cmp(&a)));
         let Some(best) = best else {
             return;
@@ -958,61 +963,16 @@ impl Lint for StaleRankingLint {
                 core,
                 affinity: mask,
                 ..
-            } => {
-                self.lint_placement(i, time, tid, core, mask, "spawned onto");
-                *slot(&mut self.affinity, tid.index()) = Some(mask);
-                self.cores[core.0].queue.push(tid);
-            }
+            } => self.lint_placement(i, time, tid, core, mask, "spawned onto"),
             TraceEvent::Wakeup { tid, core, .. } => {
-                if let Some(Some(mask)) = self.affinity.get(tid.index()).copied() {
+                if let Some(mask) = self.sched.affinity(tid) {
                     self.lint_placement(i, time, tid, core, mask, "woken onto");
                 }
-                self.cores[core.0].queue.push(tid);
             }
-            TraceEvent::Dispatch { tid, core } => {
-                remove_tid(&mut self.cores[core.0].queue, tid);
-                self.cores[core.0].running = Some(tid);
-            }
-            TraceEvent::Preempt { tid, core, .. } => {
-                if self.cores[core.0].running == Some(tid) {
-                    self.cores[core.0].running = None;
-                }
-                self.cores[core.0].queue.push(tid);
-            }
-            TraceEvent::Steal { tid, from, to } => {
-                remove_tid(&mut self.cores[from.0].queue, tid);
-                self.cores[to.0].queue.push(tid);
-            }
-            TraceEvent::Block { tid, .. }
-            | TraceEvent::Sleep { tid }
-            | TraceEvent::Done { tid } => {
-                for c in &mut self.cores {
-                    if c.running == Some(tid) {
-                        c.running = None;
-                    }
-                }
-            }
-            TraceEvent::SetAffinity { tid, affinity: m }
-            | TraceEvent::AffinityOverride { tid, affinity: m } => {
-                *slot(&mut self.affinity, tid.index()) = Some(m);
-            }
-            TraceEvent::SpeedChange { core, speed } => {
-                self.speeds[core.0] = speed;
-                self.rank_site = Some(i);
-            }
-            TraceEvent::CoreOffline { core } => {
-                self.online[core.0] = false;
-            }
-            TraceEvent::CoreOnline { core } => {
-                self.online[core.0] = true;
-            }
-            TraceEvent::ThreadKilled { tid } => {
-                for c in &mut self.cores {
-                    remove_tid(&mut c.queue, tid);
-                }
-            }
+            TraceEvent::SpeedChange { .. } => self.rank_site = Some(i),
             _ => {}
         }
+        self.sched.apply(event);
     }
 
     fn finish(self, _labels: &[String]) -> Vec<Violation> {

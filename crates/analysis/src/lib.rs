@@ -2,10 +2,17 @@
 //!
 //! A lockdep/TSan-style concurrency checker over simulated-kernel traces.
 //!
-//! Every `asym-kernel` run can be recorded with
-//! [`capture_traces`]; the resulting
-//! [`KernelTrace`] is a state-complete event stream. This crate replays
-//! such streams and checks eight properties:
+//! Every `asym-kernel` run emits a state-complete event stream. Each
+//! check here is an online fold over one kernel's stream: it sees every
+//! record once, in emission order, learns the run's outcome when the
+//! stream closes, and keeps only the state its verdict needs.
+//! [`AnalysisFold`] streams analyses 1–7 below and
+//! [`hb::ConcurrencyFold`] the happens-before suite, fed live by
+//! [`capture_stream`](asym_kernel::capture_stream) (how sweeps check
+//! runs without buffering them) or by [`KernelTrace::replay`] of a
+//! trace recorded with [`capture_traces`]; [`analyze_trace`] and
+//! [`hb::check_concurrency`] are those replays. The crate checks eight
+//! properties:
 //!
 //! 1. **Deadlock detection** — a live wait-for graph over mutex
 //!    ownership; a cycle at the moment a thread blocks is reported as
@@ -46,7 +53,8 @@
 //!
 //! [`check_workload`] packages all eight for one workload run, and the
 //! `asym-check` binary in `asym-bench` sweeps every workload across the
-//! paper's nine machine configurations. The [`fixtures`] module holds
+//! paper's nine machine configurations. [`ViolationLog`] plugs analyses
+//! 1–7 into a sweep as a section check. The [`fixtures`] module holds
 //! deliberately buggy programs proving each detector fires.
 //!
 //! # Examples
@@ -63,10 +71,13 @@
 //!     .any(|v| v.kind == asym_analysis::ViolationKind::LockOrderInversion));
 //! ```
 
-use asym_core::{RunResult, RunSetup, Workload};
-use asym_kernel::{capture_traces, RunOutcome, ThreadId, TraceEvent, WaitId};
-use asym_sim::{CoreId, CoreMask, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use asym_core::{CheckFold, RunSetup, TraceCheck, Workload};
+use asym_kernel::{
+    capture_traces, RunOutcome, SchedPolicy, ThreadId, TraceConsumer, TraceEvent, WaitId,
+};
+use asym_sim::{CoreId, CoreMask, MachineSpec, SimTime, Speed};
+use hb::{slot, Lint, LintFold};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -232,280 +243,406 @@ pub fn normalize_violations(mut violations: Vec<Violation>) -> Vec<Violation> {
 
 /// Runs analyses 1–7 (deadlock, lock order, lost wakeup, asymmetry
 /// invariant, core liveness, forward progress, kill accounting) over
-/// one captured trace.
+/// one captured trace. A replay of [`AnalysisFold`].
 ///
 /// The returned violations are in a deterministic order: detection
 /// order for the replay-driven checks, then lost wakeups by thread.
 pub fn analyze_trace(trace: &KernelTrace) -> Vec<Violation> {
-    let locks = lock_wait_ids(trace);
-    let mut violations = Vec::new();
-    violations.extend(detect_deadlocks(trace, &locks));
-    violations.extend(check_lock_order(trace, &locks));
-    violations.extend(detect_lost_wakeups(trace, &locks));
-    violations.extend(check_asymmetry_invariant(trace));
-    violations.extend(check_core_liveness(trace));
-    violations.extend(check_forward_progress(trace));
-    violations.extend(check_kill_accounting(trace));
-    violations
+    let mut fold = AnalysisFold::new(&trace.machine, trace.policy);
+    trace.replay(&mut fold);
+    fold.finish()
 }
 
-/// The wait queues that back mutexes: every queue named by a
-/// `LockAcquire` anywhere in the trace.
-fn lock_wait_ids(trace: &KernelTrace) -> HashSet<WaitId> {
-    trace
-        .records()
-        .filter_map(|r| match r.event {
-            TraceEvent::LockAcquire { lock, .. } => Some(lock),
-            _ => None,
-        })
-        .collect()
-}
+/// Analyses 1–7 as one streaming consumer of a kernel's events, each
+/// folded online in a single pass with dense per-thread, per-core and
+/// per-queue state. Feed it with
+/// [`capture_stream`](asym_kernel::capture_stream) (one fold per
+/// kernel) or [`KernelTrace::replay`]; [`finish`](Self::finish) then
+/// returns what [`analyze_trace`] reports for the same stream.
+pub struct AnalysisFold(LintFold<TraceLints>);
 
-// ----------------------------------------------------------------------
-// 1. Deadlock detection: live wait-for graph
-// ----------------------------------------------------------------------
-
-/// Replays lock ownership and lock waits; whenever a thread blocks on a
-/// held lock, walks owner→waits-on edges looking for a cycle back to
-/// the blocking thread. Each distinct cycle (as a thread set) is
-/// reported once.
-fn detect_deadlocks(trace: &KernelTrace, locks: &HashSet<WaitId>) -> Vec<Violation> {
-    let mut owner: HashMap<WaitId, ThreadId> = HashMap::new();
-    let mut waiting: HashMap<ThreadId, WaitId> = HashMap::new();
-    let mut reported: HashSet<Vec<ThreadId>> = HashSet::new();
-    let mut violations = Vec::new();
-
-    for r in trace.records() {
-        match r.event {
-            TraceEvent::LockAcquire { tid, lock, .. } => {
-                owner.insert(lock, tid);
-                waiting.remove(&tid);
-            }
-            TraceEvent::LockRelease { lock, .. } => {
-                owner.remove(&lock);
-            }
-            TraceEvent::Wakeup { tid, .. } => {
-                waiting.remove(&tid);
-            }
-            // A killed thread stops waiting; any lock it owned stays
-            // taken, which later blockers will report as a deadlock.
-            TraceEvent::ThreadKilled { tid } => {
-                waiting.remove(&tid);
-            }
-            TraceEvent::Block { tid, wait } if locks.contains(&wait) => {
-                waiting.insert(tid, wait);
-                if let Some(cycle) = find_cycle(tid, &waiting, &owner) {
-                    let mut key = cycle.clone();
-                    key.sort_unstable();
-                    if reported.insert(key) {
-                        let chain: Vec<String> = cycle
-                            .iter()
-                            .map(|t| format!("{t} waits for {}", waiting[t]))
-                            .collect();
-                        violations.push(Violation {
-                            object: String::new(),
-                            site: String::new(),
-                            kind: ViolationKind::Deadlock,
-                            time: Some(r.time),
-                            message: format!(
-                                "wait-for cycle among {} threads: {}",
-                                cycle.len(),
-                                chain.join(", ")
-                            ),
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
+impl AnalysisFold {
+    /// A fold for one kernel managing `machine` under `policy`.
+    pub fn new(machine: &MachineSpec, policy: SchedPolicy) -> Self {
+        AnalysisFold(LintFold::new(TraceLints {
+            locks: LockLint::default(),
+            fast_idle: FastIdleLint::new(machine, policy),
+            liveness: LivenessLint::new(machine),
+            progress: ProgressLint::default(),
+            kills: KillLint::default(),
+        }))
     }
-    violations
+
+    /// The findings, analysis by analysis in the order listed above.
+    pub fn finish(self) -> Vec<Violation> {
+        self.0.finish()
+    }
 }
 
-/// Follows `start`'s waits-on → owned-by chain; returns the member
-/// threads if it closes back on `start`.
-fn find_cycle(
-    start: ThreadId,
-    waiting: &HashMap<ThreadId, WaitId>,
-    owner: &HashMap<WaitId, ThreadId>,
-) -> Option<Vec<ThreadId>> {
-    let mut path = vec![start];
-    let mut seen: HashSet<ThreadId> = HashSet::from([start]);
-    let mut cur = start;
-    loop {
-        let lock = waiting.get(&cur)?;
-        let next = *owner.get(lock)?;
-        if next == start {
-            return Some(path);
-        }
-        if !seen.insert(next) {
-            // Cycle that does not include `start`; it was (or will be)
-            // reported when one of its own members blocked.
-            return None;
-        }
-        path.push(next);
-        cur = next;
+impl TraceConsumer for AnalysisFold {
+    fn on_event(&mut self, time: SimTime, event: &TraceEvent) {
+        self.0.on_event(time, event);
+    }
+
+    fn on_close(&mut self, outcome: Option<RunOutcome>, budget_exhausted: bool) {
+        self.0.on_close(outcome, budget_exhausted);
+    }
+}
+
+/// The seven analyses, in report order (`locks` runs the first three).
+struct TraceLints {
+    locks: LockLint,
+    fast_idle: Option<FastIdleLint>,
+    liveness: LivenessLint,
+    progress: ProgressLint,
+    kills: KillLint,
+}
+
+impl Lint for TraceLints {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        self.locks.on_record(i, time, event);
+        self.fast_idle.on_record(i, time, event);
+        self.liveness.on_record(i, time, event);
+        self.progress.on_record(i, time, event);
+        self.kills.on_record(i, time, event);
+    }
+
+    fn on_close(&mut self, outcome: Option<RunOutcome>) {
+        self.locks.on_close(outcome);
+        self.progress.on_close(outcome);
+    }
+
+    fn finish(self, labels: &[String]) -> Vec<Violation> {
+        let mut violations = self.locks.finish(labels);
+        violations.extend(self.fast_idle.finish(labels));
+        violations.extend(self.liveness.finish(labels));
+        violations.extend(self.progress.finish(labels));
+        violations.extend(self.kills.finish(labels));
+        violations
+    }
+}
+
+/// Empties slot `i` of a dense table, if it exists.
+fn clear<T>(v: &mut [Option<T>], i: usize) {
+    if let Some(x) = v.get_mut(i) {
+        *x = None;
     }
 }
 
 // ----------------------------------------------------------------------
-// 2. Lockdep-style lock-order checking
+// 1–3. Lock discipline: deadlocks, lock order, lost wakeups
 // ----------------------------------------------------------------------
 
-/// Records, for every lock acquisition *or blocking attempt*, the
-/// ordered pairs (held, wanted); a pair observed in both directions is
-/// a potential deadlock (as in Linux lockdep, the dependency is formed
-/// the moment a thread reaches for the inner lock, acquired or not).
-/// Each unordered lock pair is reported once, with both witness times.
-fn check_lock_order(trace: &KernelTrace, locks: &HashSet<WaitId>) -> Vec<Violation> {
-    let mut held: HashMap<ThreadId, Vec<WaitId>> = HashMap::new();
-    // (outer, inner) -> first time the order was observed.
-    let mut orders: HashMap<(WaitId, WaitId), SimTime> = HashMap::new();
-    let mut reported: HashSet<(WaitId, WaitId)> = HashSet::new();
-    let mut violations = Vec::new();
+/// Analyses 1–3, over one replay of lock ownership, waits and signals:
+///
+/// 1. **Deadlock.** Whenever a thread blocks on a held lock, walks
+///    owner→waits-on edges looking for a cycle back to the blocking
+///    thread. Each distinct cycle (as a thread set) is reported once.
+/// 2. **Lock order.** Records, for every lock acquisition *or blocking
+///    attempt*, the ordered pairs (held, wanted); a pair observed in
+///    both directions is a potential deadlock (as in Linux lockdep, the
+///    dependency is formed the moment a thread reaches for the inner
+///    lock, acquired or not). Each unordered lock pair is reported
+///    once, with both witness times.
+/// 3. **Lost wakeup.** For runs that ended deadlocked: a thread still
+///    blocked on a *non-lock* queue, where some signal on that queue
+///    fired before the block and woke nobody, and no signal arrived
+///    after — the blocked thread missed its wakeup. (Lock waits are
+///    excluded: a thread stuck on a mutex is the deadlock detector's
+///    business.)
+///
+/// The lock queues are learned from `LockAcquire` records as the stream
+/// goes. A thread blocks on a mutex only after failing to take it,
+/// which means another thread holds it, and that holder's acquisition
+/// was traced first. So every `Block` on a lock follows a `LockAcquire`
+/// of that lock, and the set learned so far classifies it exactly as
+/// the set of the whole trace would.
+#[derive(Default)]
+struct LockLint {
+    /// Whether each wait queue backs a mutex, by queue.
+    is_lock: Vec<bool>,
+    /// Each lock's owner, by queue.
+    owner: Vec<Option<ThreadId>>,
+    /// The lock each thread waits on, by thread.
+    waiting: Vec<Option<WaitId>>,
+    /// The locks each thread holds, in acquisition order, by thread.
+    held: Vec<Vec<WaitId>>,
+    /// (outer, inner) → the first time that order was observed.
+    orders: BTreeMap<(WaitId, WaitId), SimTime>,
+    /// The wait-for cycles reported so far, as sorted thread sets.
+    cycles: BTreeSet<Vec<ThreadId>>,
+    /// The inverted lock pairs reported so far, low id first.
+    inverted: BTreeSet<(WaitId, WaitId)>,
+    deadlocks: Vec<Violation>,
+    inversions: Vec<Violation>,
+    /// Each thread's open block — (thread, queue, record index, time) —
+    /// until a wakeup or kill, by thread.
+    blocked: Vec<Option<(ThreadId, WaitId, usize, SimTime)>>,
+    /// The latest signal on each queue, by queue.
+    last_signal: Vec<Option<usize>>,
+    /// The earliest signal that woke nobody, by queue.
+    first_empty: Vec<Option<usize>>,
+    deadlocked: bool,
+}
 
-    let mut record_attempt = |held: &HashMap<ThreadId, Vec<WaitId>>,
-                              tid: ThreadId,
-                              lock: WaitId,
-                              time: SimTime,
-                              violations: &mut Vec<Violation>| {
-        let Some(stack) = held.get(&tid) else { return };
+impl LockLint {
+    fn is_lock(&self, wait: WaitId) -> bool {
+        self.is_lock.get(wait.index()).copied().unwrap_or(false)
+    }
+
+    fn waits_on(&self, tid: ThreadId) -> Option<WaitId> {
+        self.waiting.get(tid.index()).copied().flatten()
+    }
+
+    /// Follows `start`'s waits-on → owned-by chain; returns the member
+    /// threads if it closes back on `start`.
+    fn find_cycle(&self, start: ThreadId) -> Option<Vec<ThreadId>> {
+        let mut path = vec![start];
+        let mut cur = start;
+        loop {
+            let lock = self.waits_on(cur)?;
+            let next = self.owner.get(lock.index()).copied().flatten()?;
+            if next == start {
+                return Some(path);
+            }
+            if path.contains(&next) {
+                // Cycle that does not include `start`; it was (or will
+                // be) reported when one of its own members blocked.
+                return None;
+            }
+            path.push(next);
+            cur = next;
+        }
+    }
+
+    /// `tid` just blocked on a lock at `time`: reports the wait-for
+    /// cycle it closes, if any.
+    fn check_cycle(&mut self, tid: ThreadId, time: SimTime) {
+        let Some(cycle) = self.find_cycle(tid) else {
+            return;
+        };
+        let mut key = cycle.clone();
+        key.sort_unstable();
+        if self.cycles.insert(key) {
+            let chain: Vec<String> = cycle
+                .iter()
+                .filter_map(|&t| self.waits_on(t).map(|w| format!("{t} waits for {w}")))
+                .collect();
+            self.deadlocks.push(Violation::new(
+                ViolationKind::Deadlock,
+                Some(time),
+                format!(
+                    "wait-for cycle among {} threads: {}",
+                    cycle.len(),
+                    chain.join(", ")
+                ),
+            ));
+        }
+    }
+
+    /// `tid` reaches for `lock` at `time` while holding its stack.
+    fn check_order(&mut self, tid: ThreadId, lock: WaitId, time: SimTime) {
+        let Some(stack) = self.held.get(tid.index()) else {
+            return;
+        };
         for &outer in stack {
             if outer == lock {
                 continue;
             }
-            orders.entry((outer, lock)).or_insert(time);
-            if let Some(&earlier) = orders.get(&(lock, outer)) {
-                let key = (outer.min(lock), outer.max(lock));
-                if reported.insert(key) {
-                    violations.push(Violation {
-                        object: String::new(),
-                        site: String::new(),
-                        kind: ViolationKind::LockOrderInversion,
-                        time: None,
-                        message: format!(
-                            "{outer} and {lock} are taken in both orders ({lock} before \
-                             {outer} at {earlier}, {outer} before {lock} at {time}): \
-                             potential deadlock"
-                        ),
-                    });
-                }
+            self.orders.entry((outer, lock)).or_insert(time);
+            let Some(&earlier) = self.orders.get(&(lock, outer)) else {
+                continue;
+            };
+            if self.inverted.insert((outer.min(lock), outer.max(lock))) {
+                self.inversions.push(Violation::new(
+                    ViolationKind::LockOrderInversion,
+                    None,
+                    format!(
+                        "{outer} and {lock} are taken in both orders ({lock} before \
+                         {outer} at {earlier}, {outer} before {lock} at {time}): \
+                         potential deadlock"
+                    ),
+                ));
             }
         }
-    };
+    }
+}
 
-    for r in trace.records() {
-        match r.event {
+impl Lint for LockLint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        match *event {
             TraceEvent::LockAcquire { tid, lock, .. } => {
-                record_attempt(&held, tid, lock, r.time, &mut violations);
-                held.entry(tid).or_default().push(lock);
-            }
-            TraceEvent::Block { tid, wait } if locks.contains(&wait) => {
-                record_attempt(&held, tid, wait, r.time, &mut violations);
+                *slot(&mut self.is_lock, lock.index()) = true;
+                self.check_order(tid, lock, time);
+                slot(&mut self.held, tid.index()).push(lock);
+                *slot(&mut self.owner, lock.index()) = Some(tid);
+                clear(&mut self.waiting, tid.index());
             }
             TraceEvent::LockRelease { tid, lock } => {
-                if let Some(stack) = held.get_mut(&tid) {
+                clear(&mut self.owner, lock.index());
+                if let Some(stack) = self.held.get_mut(tid.index()) {
                     if let Some(pos) = stack.iter().rposition(|&l| l == lock) {
                         stack.remove(pos);
                     }
                 }
             }
-            _ => {}
-        }
-    }
-    violations
-}
-
-// ----------------------------------------------------------------------
-// 3. Lost-wakeup detection
-// ----------------------------------------------------------------------
-
-/// For traces that ended deadlocked: a thread still blocked on a
-/// *non-lock* queue, where some signal on that queue fired before the
-/// block and woke nobody, and no signal arrived after — the blocked
-/// thread missed its wakeup. (Lock waits are excluded: a thread stuck
-/// on a mutex is the deadlock detector's business.)
-fn detect_lost_wakeups(trace: &KernelTrace, locks: &HashSet<WaitId>) -> Vec<Violation> {
-    if !matches!(trace.outcome, Some(RunOutcome::Deadlock(_))) {
-        return Vec::new();
-    }
-    // Thread -> (wait queue, index and time of the Block record).
-    let mut blocked: BTreeMap<ThreadId, (WaitId, usize, SimTime)> = BTreeMap::new();
-    // Wait queue -> record indices of empty (woken == 0) / all signals.
-    let mut empty_signals: HashMap<WaitId, Vec<usize>> = HashMap::new();
-    let mut any_signals: HashMap<WaitId, Vec<usize>> = HashMap::new();
-
-    for (i, r) in trace.records().enumerate() {
-        match r.event {
-            TraceEvent::Block { tid, wait } => {
-                blocked.insert(tid, (wait, i, r.time));
-            }
+            // A killed thread stops waiting; any lock it owned stays
+            // taken, which later blockers will report as a deadlock.
             TraceEvent::Wakeup { tid, .. } | TraceEvent::ThreadKilled { tid } => {
-                blocked.remove(&tid);
+                clear(&mut self.waiting, tid.index());
+                clear(&mut self.blocked, tid.index());
+            }
+            TraceEvent::Block { tid, wait } => {
+                *slot(&mut self.blocked, tid.index()) = Some((tid, wait, i, time));
+                if self.is_lock(wait) {
+                    self.check_order(tid, wait, time);
+                    *slot(&mut self.waiting, tid.index()) = Some(wait);
+                    self.check_cycle(tid, time);
+                }
             }
             TraceEvent::Signal { wait, woken, .. } => {
-                any_signals.entry(wait).or_default().push(i);
-                if woken == 0 {
-                    empty_signals.entry(wait).or_default().push(i);
+                *slot(&mut self.last_signal, wait.index()) = Some(i);
+                let first = slot(&mut self.first_empty, wait.index());
+                if woken == 0 && first.is_none() {
+                    *first = Some(i);
                 }
             }
             _ => {}
         }
     }
 
-    let mut violations = Vec::new();
-    for (tid, (wait, block_idx, block_time)) in blocked {
-        if locks.contains(&wait) {
-            continue;
+    fn on_close(&mut self, outcome: Option<RunOutcome>) {
+        self.deadlocked = matches!(outcome, Some(RunOutcome::Deadlock(_)));
+    }
+
+    fn finish(mut self, _labels: &[String]) -> Vec<Violation> {
+        let mut violations = std::mem::take(&mut self.deadlocks);
+        violations.append(&mut self.inversions);
+        if !self.deadlocked {
+            return violations;
         }
-        let signalled_after = any_signals
-            .get(&wait)
-            .is_some_and(|v| v.iter().any(|&i| i > block_idx));
-        let missed_before = empty_signals
-            .get(&wait)
-            .is_some_and(|v| v.iter().any(|&i| i < block_idx));
-        if missed_before && !signalled_after {
-            let time = block_time;
-            violations.push(Violation {
-                object: String::new(),
-                site: String::new(),
-                kind: ViolationKind::LostWakeup,
-                time: Some(time),
-                message: format!(
+        let at = |v: &[Option<usize>], wait: WaitId| v.get(wait.index()).copied().flatten();
+        let lost = self
+            .blocked
+            .iter()
+            .flatten()
+            .filter(|&&(_, wait, block, _)| {
+                !self.is_lock(wait)
+                    && at(&self.first_empty, wait).is_some_and(|s| s < block)
+                    && at(&self.last_signal, wait).is_none_or(|s| s <= block)
+            });
+        violations.extend(lost.map(|&(tid, wait, _, time)| {
+            Violation::new(
+                ViolationKind::LostWakeup,
+                Some(time),
+                format!(
                     "{tid} blocked forever on {wait}; the queue was signalled with no \
                      waiters before the block and never again after it"
                 ),
-            });
-        }
+            )
+        }));
+        violations
     }
-    violations
 }
 
 // ----------------------------------------------------------------------
 // 4. Asymmetry invariant: fast cores never idle over slower queued work
 // ----------------------------------------------------------------------
 
-/// Replayed scheduler state of one core, for the lints that track
-/// who runs and who waits where.
-pub(crate) struct CoreState {
-    pub(crate) running: Option<ThreadId>,
-    pub(crate) queue: Vec<ThreadId>,
+/// Replayed scheduler state, for the lints that judge where threads
+/// run and wait: current core speeds (re-ranked by `SpeedChange`),
+/// hotplug state, each core's running thread and run queue, and each
+/// thread's affinity mask.
+pub(crate) struct SchedState {
+    pub(crate) speeds: Vec<Speed>,
+    pub(crate) online: Vec<bool>,
+    running: Vec<Option<ThreadId>>,
+    queues: Vec<Vec<ThreadId>>,
+    /// Each thread's affinity mask, by thread.
+    affinity: Vec<Option<CoreMask>>,
 }
 
-impl CoreState {
-    /// `n` cores with nothing running and nothing queued.
-    pub(crate) fn idle(n: usize) -> Vec<CoreState> {
-        (0..n)
-            .map(|_| CoreState {
-                running: None,
-                queue: Vec::new(),
-            })
-            .collect()
+impl SchedState {
+    /// `machine` at boot: nothing running, nothing queued.
+    pub(crate) fn new(machine: &MachineSpec) -> Self {
+        let n = machine.num_cores();
+        SchedState {
+            speeds: machine.speeds().to_vec(),
+            online: vec![true; n],
+            running: vec![None; n],
+            queues: vec![Vec::new(); n],
+            affinity: Vec::new(),
+        }
+    }
+
+    /// Whether core `c` runs nothing and has nothing queued.
+    pub(crate) fn is_idle(&self, c: usize) -> bool {
+        self.running[c].is_none() && self.queues[c].is_empty()
+    }
+
+    pub(crate) fn affinity(&self, tid: ThreadId) -> Option<CoreMask> {
+        self.affinity.get(tid.index()).copied().flatten()
+    }
+
+    /// Applies one record's effect.
+    pub(crate) fn apply(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::Spawn {
+                tid,
+                core,
+                affinity: mask,
+                ..
+            } => {
+                *slot(&mut self.affinity, tid.index()) = Some(mask);
+                self.queues[core.0].push(tid);
+            }
+            TraceEvent::Wakeup { tid, core, .. } => self.queues[core.0].push(tid),
+            TraceEvent::Dispatch { tid, core } => {
+                remove_tid(&mut self.queues[core.0], tid);
+                self.running[core.0] = Some(tid);
+            }
+            TraceEvent::Preempt { tid, core, .. } => {
+                if self.running[core.0] == Some(tid) {
+                    self.running[core.0] = None;
+                }
+                self.queues[core.0].push(tid);
+            }
+            TraceEvent::Steal { tid, from, to } => {
+                remove_tid(&mut self.queues[from.0], tid);
+                self.queues[to.0].push(tid);
+            }
+            TraceEvent::Block { tid, .. }
+            | TraceEvent::Sleep { tid }
+            | TraceEvent::Done { tid } => {
+                for r in self.running.iter_mut().filter(|r| **r == Some(tid)) {
+                    *r = None;
+                }
+            }
+            TraceEvent::SetAffinity { tid, affinity: m }
+            | TraceEvent::AffinityOverride { tid, affinity: m } => {
+                // An override may precede the Spawn it rescued (spawn
+                // placement widens before tracing); Spawn then records
+                // the same post-widening mask, so overwriting is safe
+                // in either order.
+                *slot(&mut self.affinity, tid.index()) = Some(m);
+            }
+            TraceEvent::SpeedChange { core, speed } => self.speeds[core.0] = speed,
+            TraceEvent::CoreOffline { core } => self.online[core.0] = false,
+            TraceEvent::CoreOnline { core } => self.online[core.0] = true,
+            // The kill is followed by a Done record that clears any
+            // running slot; here we only unpark a killed runnable.
+            TraceEvent::ThreadKilled { tid } => {
+                for q in &mut self.queues {
+                    remove_tid(q, tid);
+                }
+            }
+            _ => {}
+        }
     }
 }
 
 /// Removes the first occurrence of `tid` from a run queue.
-pub(crate) fn remove_tid(queue: &mut Vec<ThreadId>, tid: ThreadId) {
+fn remove_tid(queue: &mut Vec<ThreadId>, tid: ThreadId) {
     if let Some(pos) = queue.iter().position(|&t| t == tid) {
         queue.remove(pos);
     }
@@ -523,116 +660,68 @@ pub(crate) fn remove_tid(queue: &mut Vec<ThreadId>, tid: ThreadId) {
 /// and offline cores are exempt on both sides — an offlined fast core
 /// owes nobody anything, and work stranded on an offline core is the
 /// core-liveness checker's business.
-fn check_asymmetry_invariant(trace: &KernelTrace) -> Vec<Violation> {
-    if !trace.policy.is_asymmetry_aware() {
-        return Vec::new();
-    }
-    let mut speeds = trace.machine.speeds().to_vec();
-    let mut online = vec![true; speeds.len()];
-    let mut cores = CoreState::idle(speeds.len());
-    let mut affinity: HashMap<ThreadId, CoreMask> = HashMap::new();
-    let mut reported: HashSet<(usize, ThreadId)> = HashSet::new();
-    let mut violations = Vec::new();
-    let mut cur_time = SimTime::ZERO;
+struct FastIdleLint {
+    sched: SchedState,
+    /// Whether (idle core, queued thread) was reported, by core then
+    /// thread.
+    reported: Vec<Vec<bool>>,
+    cur_time: SimTime,
+    violations: Vec<Violation>,
+}
 
-    for r in trace.records() {
-        if r.time > cur_time {
-            // The state we are leaving persisted for a nonzero interval:
-            // check the invariant held across it.
-            for fast in 0..cores.len() {
-                if !online[fast] || cores[fast].running.is_some() || !cores[fast].queue.is_empty() {
-                    continue;
-                }
-                for slow in 0..cores.len() {
-                    if !online[slow] || speeds[slow] >= speeds[fast] {
-                        continue;
-                    }
-                    for &tid in &cores[slow].queue {
-                        let eligible = affinity.get(&tid).is_some_and(|m| m.contains(CoreId(fast)));
-                        if eligible && reported.insert((fast, tid)) {
-                            violations.push(Violation {
-                                object: String::new(),
-                                site: String::new(),
-                                kind: ViolationKind::FastCoreIdle,
-                                time: Some(cur_time),
-                                message: format!(
-                                    "core{fast} (speed {:.3}) idle while {tid} sat queued \
-                                     on slower core{slow} (speed {:.3}) under the \
-                                     asymmetry-aware policy",
-                                    speeds[fast].factor(),
-                                    speeds[slow].factor()
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-            cur_time = r.time;
-        }
-        match r.event {
-            TraceEvent::Spawn {
-                tid,
-                core,
-                affinity: mask,
-                ..
-            } => {
-                affinity.insert(tid, mask);
-                cores[core.0].queue.push(tid);
-            }
-            TraceEvent::Dispatch { tid, core } => {
-                remove_tid(&mut cores[core.0].queue, tid);
-                cores[core.0].running = Some(tid);
-            }
-            TraceEvent::Preempt { tid, core, .. } => {
-                if cores[core.0].running == Some(tid) {
-                    cores[core.0].running = None;
-                }
-                cores[core.0].queue.push(tid);
-            }
-            TraceEvent::Steal { tid, from, to } => {
-                remove_tid(&mut cores[from.0].queue, tid);
-                cores[to.0].queue.push(tid);
-            }
-            TraceEvent::Wakeup { tid, core, .. } => {
-                cores[core.0].queue.push(tid);
-            }
-            TraceEvent::Block { tid, .. }
-            | TraceEvent::Sleep { tid }
-            | TraceEvent::Done { tid } => {
-                for c in &mut cores {
-                    if c.running == Some(tid) {
-                        c.running = None;
+impl FastIdleLint {
+    /// The lint, when `policy` makes the promise it checks.
+    fn new(machine: &MachineSpec, policy: SchedPolicy) -> Option<Self> {
+        policy.is_asymmetry_aware().then(|| FastIdleLint {
+            sched: SchedState::new(machine),
+            reported: vec![Vec::new(); machine.num_cores()],
+            cur_time: SimTime::ZERO,
+            violations: Vec::new(),
+        })
+    }
+
+    /// Checks the state we are leaving, which persisted for a nonzero
+    /// interval ending now.
+    fn check_interval(&mut self) {
+        let s = &self.sched;
+        let n = s.speeds.len();
+        for fast in (0..n).filter(|&c| s.online[c] && s.is_idle(c)) {
+            for slow in (0..n).filter(|&c| s.online[c] && s.speeds[c] < s.speeds[fast]) {
+                for &tid in &s.queues[slow] {
+                    let eligible = s.affinity(tid).is_some_and(|m| m.contains(CoreId(fast)));
+                    let reported = slot(&mut self.reported[fast], tid.index());
+                    if eligible && !*reported {
+                        *reported = true;
+                        self.violations.push(Violation::new(
+                            ViolationKind::FastCoreIdle,
+                            Some(self.cur_time),
+                            format!(
+                                "core{fast} (speed {:.3}) idle while {tid} sat queued \
+                                 on slower core{slow} (speed {:.3}) under the \
+                                 asymmetry-aware policy",
+                                s.speeds[fast].factor(),
+                                s.speeds[slow].factor()
+                            ),
+                        ));
                     }
                 }
             }
-            TraceEvent::SetAffinity { tid, affinity: m }
-            | TraceEvent::AffinityOverride { tid, affinity: m } => {
-                // An override may precede the Spawn it rescued (spawn
-                // placement widens before tracing); Spawn then records
-                // the same post-widening mask, so overwriting is safe
-                // in either order.
-                affinity.insert(tid, m);
-            }
-            TraceEvent::SpeedChange { core, speed } => {
-                speeds[core.0] = speed;
-            }
-            TraceEvent::CoreOffline { core } => {
-                online[core.0] = false;
-            }
-            TraceEvent::CoreOnline { core } => {
-                online[core.0] = true;
-            }
-            // The kill is followed by a Done record that clears any
-            // running slot; here we only unpark a killed runnable.
-            TraceEvent::ThreadKilled { tid } => {
-                for c in &mut cores {
-                    remove_tid(&mut c.queue, tid);
-                }
-            }
-            _ => {}
         }
     }
-    violations
+}
+
+impl Lint for FastIdleLint {
+    fn on_record(&mut self, _i: usize, time: SimTime, event: &TraceEvent) {
+        if time > self.cur_time {
+            self.check_interval();
+            self.cur_time = time;
+        }
+        self.sched.apply(event);
+    }
+
+    fn finish(self, _labels: &[String]) -> Vec<Violation> {
+        self.violations
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -644,119 +733,100 @@ fn check_asymmetry_invariant(trace: &KernelTrace) -> Vec<Violation> {
 /// offline, and that taking a core offline leaves nothing behind on it.
 /// Applies to every policy: graceful degradation is a kernel contract,
 /// not a scheduling choice.
-fn check_core_liveness(trace: &KernelTrace) -> Vec<Violation> {
-    let n = trace.machine.num_cores();
-    let mut online = vec![true; n];
-    // What the replay believes sits on each core (running + queued).
-    let mut occupants: Vec<Vec<ThreadId>> = vec![Vec::new(); n];
-    let mut reported_parked: HashSet<(usize, ThreadId)> = HashSet::new();
-    let mut cur_time = SimTime::ZERO;
-    let mut violations = Vec::new();
+struct LivenessLint {
+    online: Vec<bool>,
+    /// What the replay believes sits on each core (running + queued).
+    occupants: Vec<Vec<ThreadId>>,
+    /// Whether a thread was reported parked on an offline core, by core
+    /// then thread.
+    reported_parked: Vec<Vec<bool>>,
+    cur_time: SimTime,
+    violations: Vec<Violation>,
+}
 
-    let land = |occupants: &mut Vec<Vec<ThreadId>>,
-                online: &[bool],
-                tid: ThreadId,
-                core: CoreId,
-                what: &str,
-                time: SimTime,
-                violations: &mut Vec<Violation>| {
-        if !online[core.0] {
-            violations.push(Violation {
-                object: String::new(),
-                site: String::new(),
-                kind: ViolationKind::OfflineDispatch,
-                time: Some(time),
-                message: format!("{tid} {what} offline core{}", core.0),
-            });
+impl LivenessLint {
+    fn new(machine: &MachineSpec) -> Self {
+        let n = machine.num_cores();
+        LivenessLint {
+            online: vec![true; n],
+            occupants: vec![Vec::new(); n],
+            reported_parked: vec![Vec::new(); n],
+            cur_time: SimTime::ZERO,
+            violations: Vec::new(),
         }
-        occupants[core.0].push(tid);
-    };
+    }
 
-    for r in trace.records() {
-        if r.time > cur_time {
+    fn land(&mut self, tid: ThreadId, core: CoreId, what: &str, time: SimTime) {
+        if !self.online[core.0] {
+            self.violations.push(Violation::new(
+                ViolationKind::OfflineDispatch,
+                Some(time),
+                format!("{tid} {what} offline core{}", core.0),
+            ));
+        }
+        self.occupants[core.0].push(tid);
+    }
+}
+
+impl Lint for LivenessLint {
+    fn on_record(&mut self, _i: usize, time: SimTime, event: &TraceEvent) {
+        if time > self.cur_time {
             // The kernel drains a core in the same instant it traces the
             // offline; anything still parked there once time advances
             // was stranded.
-            for (c, occ) in occupants.iter().enumerate() {
-                if online[c] {
+            for (c, occ) in self.occupants.iter().enumerate() {
+                if self.online[c] {
                     continue;
                 }
                 for &tid in occ {
-                    if reported_parked.insert((c, tid)) {
-                        violations.push(Violation {
-                            object: String::new(),
-                            site: String::new(),
-                            kind: ViolationKind::OfflineDispatch,
-                            time: Some(cur_time),
-                            message: format!("{tid} left parked on offline core{c}"),
-                        });
+                    let reported = slot(&mut self.reported_parked[c], tid.index());
+                    if !*reported {
+                        *reported = true;
+                        self.violations.push(Violation::new(
+                            ViolationKind::OfflineDispatch,
+                            Some(self.cur_time),
+                            format!("{tid} left parked on offline core{c}"),
+                        ));
                     }
                 }
             }
-            cur_time = r.time;
+            self.cur_time = time;
         }
-        match r.event {
+        match *event {
             TraceEvent::CoreOffline { core } => {
-                online[core.0] = false;
+                self.online[core.0] = false;
             }
             TraceEvent::CoreOnline { core } => {
-                online[core.0] = true;
+                self.online[core.0] = true;
             }
-            TraceEvent::Spawn { tid, core, .. } => {
-                land(
-                    &mut occupants,
-                    &online,
-                    tid,
-                    core,
-                    "spawned on",
-                    r.time,
-                    &mut violations,
-                );
-            }
-            TraceEvent::Wakeup { tid, core, .. } => {
-                land(
-                    &mut occupants,
-                    &online,
-                    tid,
-                    core,
-                    "woken onto",
-                    r.time,
-                    &mut violations,
-                );
-            }
+            TraceEvent::Spawn { tid, core, .. } => self.land(tid, core, "spawned on", time),
+            TraceEvent::Wakeup { tid, core, .. } => self.land(tid, core, "woken onto", time),
             TraceEvent::Steal { tid, from, to } => {
-                remove_tid(&mut occupants[from.0], tid);
-                land(
-                    &mut occupants,
-                    &online,
-                    tid,
-                    to,
-                    "stolen onto",
-                    r.time,
-                    &mut violations,
-                );
+                remove_tid(&mut self.occupants[from.0], tid);
+                self.land(tid, to, "stolen onto", time);
             }
-            TraceEvent::Dispatch { tid, core } if !online[core.0] => {
-                violations.push(Violation {
-                    object: String::new(),
-                    site: String::new(),
-                    kind: ViolationKind::OfflineDispatch,
-                    time: Some(r.time),
-                    message: format!("{tid} dispatched on offline core{}", core.0),
-                });
+            TraceEvent::Dispatch { tid, core } if !self.online[core.0] => {
+                self.violations.push(Violation::new(
+                    ViolationKind::OfflineDispatch,
+                    Some(time),
+                    format!("{tid} dispatched on offline core{}", core.0),
+                ));
             }
             TraceEvent::Block { tid, .. }
             | TraceEvent::Sleep { tid }
             | TraceEvent::Done { tid }
             | TraceEvent::ThreadKilled { tid } => {
-                for c in &mut occupants {
+                for c in &mut self.occupants {
                     remove_tid(c, tid);
                 }
             }
             _ => {}
         }
     }
-    violations
+
+    fn finish(self, _labels: &[String]) -> Vec<Violation> {
+        self.violations
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -768,19 +838,33 @@ fn check_core_liveness(trace: &KernelTrace) -> Vec<Violation> {
 /// advancing but no work was retired for a full watchdog window. Runs
 /// that merely hit a `run_until` limit or sim-time budget are not
 /// flagged.
-fn check_forward_progress(trace: &KernelTrace) -> Vec<Violation> {
-    if trace.outcome != Some(RunOutcome::Stalled) {
-        return Vec::new();
+#[derive(Default)]
+struct ProgressLint {
+    /// The time of the latest record.
+    last: Option<SimTime>,
+    stalled: bool,
+}
+
+impl Lint for ProgressLint {
+    fn on_record(&mut self, _i: usize, time: SimTime, _event: &TraceEvent) {
+        self.last = Some(time);
     }
-    vec![Violation {
-        object: String::new(),
-        site: String::new(),
-        kind: ViolationKind::StalledRun,
-        time: trace.records().last().map(|r| r.time),
-        message: "the watchdog declared the run livelocked: time advanced but no \
-                  work was retired for a full window"
-            .to_string(),
-    }]
+
+    fn on_close(&mut self, outcome: Option<RunOutcome>) {
+        self.stalled = outcome == Some(RunOutcome::Stalled);
+    }
+
+    fn finish(self, _labels: &[String]) -> Vec<Violation> {
+        if !self.stalled {
+            return Vec::new();
+        }
+        vec![Violation::new(
+            ViolationKind::StalledRun,
+            self.last,
+            "the watchdog declared the run livelocked: time advanced but no \
+             work was retired for a full window",
+        )]
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -793,30 +877,38 @@ fn check_forward_progress(trace: &KernelTrace) -> Vec<Violation> {
 /// `ThreadKilled` with no subsequent `Done` for the same thread means
 /// the kill was swallowed — the victim vanished without being retired
 /// and every downstream count is off by one.
-fn check_kill_accounting(trace: &KernelTrace) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let records = trace.records_vec();
-    for (i, r) in records.iter().enumerate() {
-        let TraceEvent::ThreadKilled { tid } = r.event else {
-            continue;
-        };
-        let retired = records[i + 1..]
-            .iter()
-            .any(|later| matches!(later.event, TraceEvent::Done { tid: t } if t == tid));
-        if !retired {
-            violations.push(Violation {
-                object: String::new(),
-                site: String::new(),
-                kind: ViolationKind::DroppedKill,
-                time: Some(r.time),
-                message: format!(
-                    "{tid} was killed but never retired: no Done record follows the \
-                     kill, so the victim was silently dropped from accounting"
-                ),
-            });
+#[derive(Default)]
+struct KillLint {
+    /// Kills no `Done` has retired yet, in kill order.
+    pending: Vec<(ThreadId, SimTime)>,
+}
+
+impl Lint for KillLint {
+    fn on_record(&mut self, _i: usize, time: SimTime, event: &TraceEvent) {
+        match *event {
+            TraceEvent::ThreadKilled { tid } => self.pending.push((tid, time)),
+            TraceEvent::Done { tid } if !self.pending.is_empty() => {
+                self.pending.retain(|&(t, _)| t != tid);
+            }
+            _ => {}
         }
     }
-    violations
+
+    fn finish(self, _labels: &[String]) -> Vec<Violation> {
+        self.pending
+            .into_iter()
+            .map(|(tid, time)| {
+                Violation::new(
+                    ViolationKind::DroppedKill,
+                    Some(time),
+                    format!(
+                        "{tid} was killed but never retired: no Done record follows the \
+                         kill, so the victim was silently dropped from accounting"
+                    ),
+                )
+            })
+            .collect()
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -948,16 +1040,16 @@ pub fn render_violations(violations: &[Violation]) -> String {
 // Sweep integration
 // ----------------------------------------------------------------------
 
-/// A shared, thread-safe violation counter that plugs the trace
-/// checkers into a sweep as a per-run observer.
+/// A shared, thread-safe violation counter that plugs analyses 1–7
+/// into a sweep as a section check.
 ///
-/// [`ViolationLog::observer`] returns a closure suitable for
-/// `ResilientOptions::observe_traces`: every captured kernel trace is
-/// run through [`analyze_trace`], findings are printed to stderr with
-/// the offending setup, and the total count accumulates in the log.
-/// Clones share the same counter, so one log can watch every section
-/// of a multi-spec sweep — including cells executing on parallel host
-/// threads.
+/// [`ViolationLog::check`] returns a [`TraceCheck`] for
+/// `ResilientOptions::trace_check`: every kernel of every attempt —
+/// failed attempts included — streams through an [`AnalysisFold`],
+/// findings are printed to stderr with the kernel's policy and core
+/// speeds, and their number accumulates in the log. Clones share the
+/// same counter, so one log can watch every section of a multi-spec
+/// sweep — including cells executing on parallel host threads.
 #[derive(Clone, Debug, Default)]
 pub struct ViolationLog {
     count: Arc<AtomicUsize>,
@@ -974,26 +1066,52 @@ impl ViolationLog {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// A per-run observer that analyzes every captured trace and
-    /// records what the checkers find.
-    pub fn observer(
-        &self,
-    ) -> impl Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync + 'static {
-        let count = self.count.clone();
-        move |setup, _result, traces| {
-            for trace in traces {
-                let found = analyze_trace(trace);
-                if !found.is_empty() {
-                    count.fetch_add(found.len(), Ordering::Relaxed);
-                    eprintln!(
-                        "  [VIOLATION] seed {} @ {}: {}",
-                        setup.seed,
-                        setup.config,
-                        render_violations(&found)
-                    );
-                }
-            }
+    /// A section check that analyzes every kernel's event stream and
+    /// records what the analyses find.
+    pub fn check(&self) -> TraceCheck {
+        let log = self.clone();
+        Arc::new(move |machine, policy| {
+            Box::new(LoggedFold {
+                fold: AnalysisFold::new(machine, policy),
+                machine: machine.clone(),
+                policy,
+                log: log.clone(),
+            })
+        })
+    }
+}
+
+/// One kernel's [`AnalysisFold`], reporting into a [`ViolationLog`].
+struct LoggedFold {
+    fold: AnalysisFold,
+    machine: MachineSpec,
+    policy: SchedPolicy,
+    log: ViolationLog,
+}
+
+impl TraceConsumer for LoggedFold {
+    fn on_event(&mut self, time: SimTime, event: &TraceEvent) {
+        self.fold.on_event(time, event);
+    }
+
+    fn on_close(&mut self, outcome: Option<RunOutcome>, budget_exhausted: bool) {
+        self.fold.on_close(outcome, budget_exhausted);
+    }
+}
+
+impl CheckFold for LoggedFold {
+    fn findings(self: Box<Self>) -> Vec<String> {
+        let found = self.fold.finish();
+        if !found.is_empty() {
+            self.log.count.fetch_add(found.len(), Ordering::Relaxed);
+            eprintln!(
+                "  [VIOLATION] {} on {}: {}",
+                self.policy,
+                self.machine,
+                render_violations(&found)
+            );
         }
+        found.iter().map(ToString::to_string).collect()
     }
 }
 

@@ -16,7 +16,7 @@
 //! to landing dispatches and contended lock releases to the acquires
 //! they hand off to. Load it at <https://ui.perfetto.dev>.
 
-use asym_bench::paper_workloads;
+use asym_bench::{output_path, paper_workloads};
 use asym_core::{AsymConfig, RunSetup};
 use asym_kernel::{capture_traces, SchedPolicy};
 use asym_obs::{perfetto_diff_trace, profile_traces, ProfileDiff};
@@ -111,7 +111,7 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .map_err(|_| format!("--seed needs an integer, got '{v}'"))?;
             }
             s if s.starts_with("--perfetto=") => {
-                out.perfetto = Some(PathBuf::from(&s["--perfetto=".len()..]));
+                out.perfetto = Some(output_path("--perfetto", &s["--perfetto=".len()..])?);
             }
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
@@ -210,4 +210,21 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn empty_perfetto_path_is_a_typed_error() {
+        let a = parse(&["--perfetto=trace.json"]).expect("valid command line");
+        assert_eq!(a.perfetto, Some(PathBuf::from("trace.json")));
+        let err = Err("--perfetto needs a file path".to_string());
+        assert_eq!(parse(&["--perfetto="]).map(|a| a.perfetto), err);
+    }
 }

@@ -21,7 +21,7 @@
 //! Exits non-zero if any invariant breaks.
 
 use asym_analysis::ViolationLog;
-use asym_bench::paper_workloads;
+use asym_bench::{output_path, paper_workloads};
 use asym_core::{run_spec, AsymConfig, ResilientOptions, RunClass, SpecMode, Workload};
 use asym_kernel::SchedPolicy;
 use asym_sim::{EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, Rng, SimDuration};
@@ -124,7 +124,7 @@ fn round_options(c: &Campaign, round: u32, log: &ViolationLog) -> (ResilientOpti
         .watchdog(SimDuration::from_secs(5))
         .sim_time_budget(budget)
         .retries(retries)
-        .observe_traces(log.observer())
+        .trace_check(log.check())
         .environment_planner(move |setup| {
             EnvironmentPlan::generate(setup.seed, setup.config.num_cores() as usize, &profile)
         });
@@ -214,14 +214,14 @@ struct Args {
     json: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut out = Args {
         quick: false,
         seed: 0,
         campaigns: None,
         json: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = raw.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => out.quick = true,
@@ -239,7 +239,7 @@ fn parse_args() -> Result<Args, String> {
                 out.campaigns = Some(n);
             }
             s if s.starts_with("--json=") => {
-                out.json = Some(PathBuf::from(&s["--json=".len()..]));
+                out.json = Some(output_path("--json", &s["--json=".len()..])?);
             }
             other => {
                 return Err(format!(
@@ -253,7 +253,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("usage: asym_soak [--quick] [--seed N] [--campaigns N] [--json[=PATH]]");
@@ -367,5 +367,22 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn empty_json_path_is_a_typed_error() {
+        let a = parse(&["--quick", "--json=soak.json"]).expect("valid command line");
+        assert_eq!(a.json, Some(PathBuf::from("soak.json")));
+        let err = Err("--json needs a file path".to_string());
+        assert_eq!(parse(&["--json="]).map(|a| a.json), err);
     }
 }

@@ -91,7 +91,7 @@ impl SweepArgs {
                     out.jobs = Some(parse_jobs(&s["--jobs=".len()..])?);
                 }
                 s if s.starts_with("--json=") => {
-                    out.json = Some(PathBuf::from(&s["--json=".len()..]));
+                    out.json = Some(output_path("--json", &s["--json=".len()..])?);
                 }
                 "--cache" => {
                     let v = it.next().unwrap_or_default();
@@ -129,6 +129,17 @@ fn parse_jobs(v: &str) -> Result<usize, String> {
     match v.parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
         _ => Err(format!("--jobs needs a positive integer, got '{v}'")),
+    }
+}
+
+/// Parses the `PATH` of an output flag such as `--json=PATH`. An empty
+/// path is a typed error, caught before anything runs rather than when
+/// the finished run tries to write to it.
+pub fn output_path(flag: &str, v: &str) -> Result<PathBuf, String> {
+    if v.is_empty() {
+        Err(format!("{flag} needs a file path"))
+    } else {
+        Ok(PathBuf::from(v))
     }
 }
 
@@ -361,6 +372,8 @@ mod tests {
         assert_eq!(parse(&["--cache="]).map(|a| a.cache), cache_err);
         assert_eq!(parse(&["--cache", ""]).map(|a| a.cache), cache_err);
         assert_eq!(parse(&["--cache"]).map(|a| a.cache), cache_err);
+        let json_err = Err("--json needs a file path".to_string());
+        assert_eq!(parse(&["--json="]).map(|a| a.json), json_err);
         assert!(parse(&["--jobs", "0"]).is_err());
         assert!(parse(&["--jobs=x"]).is_err());
         assert!(parse(&["--max-cells=0"]).is_err());

@@ -22,7 +22,9 @@ use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
 mod driver;
 mod spec;
 
-pub use driver::{concurrency_check, run_sweeps, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR};
+pub use driver::{
+    concurrency_check, output_path, run_sweeps, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR,
+};
 pub use spec::{
     registry, spec_names, RenderFn, Rendered, Section, SweepContext, SweepDef, SweepSpec,
 };

@@ -9,16 +9,19 @@
 //! the same structured JSON report.
 
 use crate::{header, render_experiment, render_runs, stability_line};
-use asym_analysis::hb::check_concurrency;
-use asym_analysis::{analyze_trace, render_violations, ViolationLog};
+use asym_analysis::hb::ConcurrencyFold;
+use asym_analysis::{render_violations, AnalysisFold, ViolationLog};
 use asym_core::{
-    run_spec, AsymConfig, ExperimentOptions, ResilientOptions, RunClass, RunSetup, Scalability,
-    SpecMode, SpecResult, SummaryRow, TextTable, Workload, WorkloadClass,
+    run_spec, AsymConfig, CheckFold, ExperimentOptions, ResilientOptions, RunClass, RunSetup,
+    Scalability, SpecMode, SpecResult, SummaryRow, TextTable, TraceCheck, Workload, WorkloadClass,
 };
-use asym_kernel::{capture_traces, with_run_guard, RunGuard, SchedPolicy};
-use asym_obs::{metrics_of_traces, ProfileMetrics};
+use asym_kernel::{
+    capture_traces, with_run_guard, RunGuard, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent,
+};
+use asym_obs::{ProfileFold, ProfileMetrics};
 use asym_sim::{
-    DutyCycle, EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, SimDuration,
+    DutyCycle, EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, MachineSpec,
+    SimDuration, SimTime,
 };
 use asym_workloads::h264::H264;
 use asym_workloads::japps::JAppServer;
@@ -28,7 +31,6 @@ use asym_workloads::specjbb::{GcKind, JvmKind, SpecJbb};
 use asym_workloads::specomp::{OmpVariant, SpecOmp};
 use asym_workloads::tpch::TpcH;
 use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Context a spec expands under.
@@ -1211,7 +1213,7 @@ fn extra_fault_sweep(ctx: &SweepContext) -> SweepDef {
                 .sim_time_budget(SimDuration::from_secs(120))
                 .retries(1)
                 .fault_planner(throttle_plan_for)
-                .observe_traces(log.observer());
+                .trace_check(log.check());
             Section::resilient(label, w, &configs, policy, opts)
         })
         .collect();
@@ -1343,35 +1345,13 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
         AsymConfig::standard_nine()
     };
     let reps = if ctx.quick { 1 } else { 3 };
-    let mut sections = Vec::new();
-    // Per-workload, per-config sums of the `lost_workers` extras the
-    // workloads report — proof the kill cells completed *and* accounted
-    // for their victims rather than silently dropping them.
-    let mut losts: Vec<Arc<Mutex<BTreeMap<String, f64>>>> = Vec::new();
-    for w in paper_workloads() {
-        let lost: Arc<Mutex<BTreeMap<String, f64>>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let opts = {
-            let lost = lost.clone();
-            differential_opts(reps).observe_traces(move |setup, result, _traces| {
-                if let Some(&n) = result.extras.get("lost_workers") {
-                    if n > 0.0 {
-                        *lost
-                            .lock()
-                            .unwrap()
-                            .entry(setup.config.to_string())
-                            .or_insert(0.0) += n;
-                    }
-                }
-            })
-        };
-        losts.push(lost);
-        sections.push(Section::differential(
-            format!("absorb/{}", w.name()),
-            w,
-            &configs,
-            opts,
-        ));
-    }
+    let sections: Vec<Section> = paper_workloads()
+        .into_iter()
+        .map(|w| {
+            let label = format!("absorb/{}", w.name());
+            Section::differential(label, w, &configs, differential_opts(reps))
+        })
+        .collect();
     let render = Box::new(move |results: &[SpecResult]| {
         let mut out = String::new();
         out += &header(
@@ -1413,11 +1393,10 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
         let mut all_classified = true;
         let mut total_panicked = 0usize;
         let mut total_lost = 0.0f64;
-        for (r, lost) in results.iter().zip(&losts) {
+        for r in results {
             let exp = r.differential();
             all_classified &= exp.total_runs() == configs.len() * reps * 4;
             total_panicked += exp.count(RunClass::Panicked);
-            let lost = lost.lock().unwrap();
             for o in &exp.outcomes {
                 let s_stock = mean(
                     o.reps
@@ -1429,7 +1408,15 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
                         .iter()
                         .filter_map(|rep| rep.aware_slowdown(exp.direction)),
                 );
-                let cell_lost = lost.get(&o.config.to_string()).copied().unwrap_or(0.0);
+                // The `lost_workers` extras the workloads report — proof
+                // the kill cells completed *and* accounted for their
+                // victims rather than silently dropping them.
+                let cell_lost: f64 = o
+                    .reps
+                    .iter()
+                    .flat_map(|rep| rep.records())
+                    .filter_map(|r| r.extras.get("lost_workers"))
+                    .sum();
                 total_lost += cell_lost;
                 table.row(vec![
                     exp.workload.clone(),
@@ -1644,6 +1631,71 @@ struct TournamentLog {
     violations: usize,
 }
 
+/// The tournament's section check for policy `pname`: every kernel of
+/// every attempt streams through the complete analysis suite — the
+/// seven trace analyses and the happens-before suite — and the run
+/// profile, and is folded into `log` when its stream closes.
+fn tournament_check(log: &Arc<Mutex<TournamentLog>>, pname: &'static str) -> TraceCheck {
+    let log = Arc::clone(log);
+    Arc::new(move |machine, policy| {
+        Box::new(TournamentFold {
+            analyses: AnalysisFold::new(machine, policy),
+            races: ConcurrencyFold::new(machine, policy),
+            profile: ProfileFold::new(machine, policy),
+            machine: machine.clone(),
+            pname,
+            log: Arc::clone(&log),
+        })
+    })
+}
+
+/// One kernel's [`tournament_check`] fold.
+struct TournamentFold {
+    analyses: AnalysisFold,
+    races: ConcurrencyFold,
+    profile: ProfileFold,
+    machine: MachineSpec,
+    pname: &'static str,
+    log: Arc<Mutex<TournamentLog>>,
+}
+
+impl TraceConsumer for TournamentFold {
+    fn on_event(&mut self, time: SimTime, event: &TraceEvent) {
+        self.analyses.on_event(time, event);
+        self.races.on_event(time, event);
+        self.profile.on_event(time, event);
+    }
+
+    fn on_shared_label(&mut self, label: &str) {
+        self.races.on_shared_label(label);
+    }
+
+    fn on_close(&mut self, outcome: Option<RunOutcome>, budget_exhausted: bool) {
+        self.analyses.on_close(outcome, budget_exhausted);
+        self.races.on_close(outcome, budget_exhausted);
+        self.profile.on_close(outcome, budget_exhausted);
+    }
+}
+
+impl CheckFold for TournamentFold {
+    fn findings(self: Box<Self>) -> Vec<String> {
+        let mut found = self.analyses.finish();
+        found.extend(self.races.finish());
+        let mut log = self.log.lock().expect("tournament log poisoned");
+        log.metrics.merge(&self.profile.finish().metrics());
+        if !found.is_empty() {
+            log.violations += found.len();
+            eprintln!(
+                "  [VIOLATION] {} on {}: {}",
+                self.pname,
+                self.machine,
+                render_violations(&found)
+            );
+        }
+        found.iter().map(ToString::to_string).collect()
+    }
+}
+
 /// Ranks `vals` (0 = best). `higher_better` flips the sort; NaN always
 /// ranks last; ties break to the lower index, so the order is total and
 /// deterministic.
@@ -1704,33 +1756,15 @@ fn extra_tournament(ctx: &SweepContext) -> SweepDef {
             violations: 0,
         }));
         logs.push(Arc::clone(&log));
+        let check = tournament_check(&log, pname);
         for w in paper_workloads() {
             let label = format!("tourn/{pname}/{}", w.name());
-            let log = Arc::clone(&log);
-            let pname = pname.to_string();
             let opts = ResilientOptions::new(runs)
                 .base_seed(4242)
                 .watchdog(SimDuration::from_secs(5))
                 .sim_time_budget(SimDuration::from_secs(120))
                 .retries(1)
-                .observe_traces(move |setup, _result, traces| {
-                    let mut found = Vec::new();
-                    for trace in traces {
-                        found.extend(analyze_trace(trace));
-                        found.extend(check_concurrency(trace));
-                    }
-                    let mut log = log.lock().unwrap();
-                    log.metrics.merge(&metrics_of_traces(traces));
-                    if !found.is_empty() {
-                        log.violations += found.len();
-                        eprintln!(
-                            "  [VIOLATION] {pname} seed {} @ {}: {}",
-                            setup.seed,
-                            setup.config,
-                            render_violations(&found)
-                        );
-                    }
-                });
+                .trace_check(Arc::clone(&check));
             sections.push(Section::resilient(label, w, &configs, *policy, opts));
         }
     }

@@ -7,19 +7,23 @@
 //! * The violations a [`CellRunner`] trace check reports must be
 //!   byte-identical whatever the host thread count, and equal to
 //!   `check_concurrency` over the buffered traces of the same cell.
+//! * A [`ViolationLog`] section check streamed through the engine counts
+//!   exactly what `analyze_trace` finds in the buffered traces of every
+//!   attempt, failed attempts included.
 
 use asym_analysis::hb::{check_concurrency, happens_before};
+use asym_analysis::{analyze_trace, ViolationLog};
 use asym_bench::{concurrency_check, paper_workloads};
 use asym_core::{
     AsymConfig, CellRunner, Direction, ExperimentOptions, ExperimentPlan, ResilientOptions,
-    RunObserver, RunResult, RunSetup, SpecMode, Workload,
+    RunClass, RunResult, RunSetup, SpecMode, TraceCheck, Workload,
 };
 use asym_kernel::{
-    capture_traces, with_run_guard, FnThread, Kernel, RunGuard, SchedPolicy, SpawnOptions, Step,
+    capture_traces, with_run_guard, FnThread, Kernel, RunGuard, RunOutcome, SchedPolicy,
+    SpawnOptions, Step, ThreadCx,
 };
-use asym_sim::Cycles;
-use asym_sync::SimShared;
-use std::sync::Arc;
+use asym_sim::{Cycles, FaultPlan, FaultProfile, SimDuration};
+use asym_sync::{SimMutex, SimShared};
 
 /// The HB relation of every trace of every (workload, config) cell is a
 /// DAG consistent with time: every edge points from an earlier record
@@ -198,9 +202,9 @@ fn trace_check_violations_are_deterministic_across_jobs() {
 /// The streamed check is the buffered one: a checked runner's per-cell
 /// findings on the racy workload equal `check_concurrency` over
 /// `capture_traces` of the same cell — for clean cells, for resilient
-/// (guarded) cells, at `--jobs 1` and `--jobs 4`, and when an observer
-/// forces the runner onto buffered capture (observers are a resilient
-/// option, so the observed plan runs its first half resilient too).
+/// (guarded) cells, at `--jobs 1` and `--jobs 4`, and beside a section
+/// check (a resilient option, so that plan runs its first half
+/// resilient too).
 #[test]
 fn streamed_check_equals_check_concurrency_over_buffered_traces() {
     let racy = Racy;
@@ -211,10 +215,10 @@ fn streamed_check_equals_check_concurrency_over_buffered_traces() {
     ];
     let (clean_policy, resilient_policy) =
         (SchedPolicy::os_default(), SchedPolicy::asymmetry_aware());
-    let plan = |observer: Option<RunObserver>| {
+    let plan = |section: Option<TraceCheck>| {
         let mut resilient = ResilientOptions::new(2);
-        resilient.observer = observer;
-        let first = if resilient.observer.is_some() {
+        resilient.check = section;
+        let first = if resilient.check.is_some() {
             SpecMode::Resilient {
                 policy: clean_policy,
                 options: resilient.clone(),
@@ -262,18 +266,183 @@ fn streamed_check_equals_check_concurrency_over_buffered_traces() {
             }
         }
     }
-    let noop: RunObserver = Arc::new(|_, _, _| {});
-    for (jobs, observer) in [(1, None), (4, None), (2, Some(noop))] {
-        let buffered = observer.is_some();
+    let log = ViolationLog::new();
+    for (jobs, section) in [(1, None), (4, None), (2, Some(log.check()))] {
+        let sectioned = section.is_some();
         let outcome = CellRunner::new(jobs)
             .with_trace_check(concurrency_check())
-            .run(plan(observer));
+            .run(plan(section));
         let got: Vec<Vec<String>> = outcome
             .report
             .cells
             .iter()
             .map(|c| c.violations.clone())
             .collect();
-        assert_eq!(got, expected, "--jobs {jobs}, buffered: {buffered}");
+        assert_eq!(got, expected, "--jobs {jobs}, section check: {sectioned}");
     }
+    // The section check saw the racy cells too: races are not its
+    // business, so it found nothing.
+    assert_eq!(log.count(), 0);
+}
+
+/// Two threads taking two [`SimMutex`]es in opposite orders, with
+/// seed-dependent compute between the acquisitions: some schedules
+/// wedge in an AB/BA deadlock, and every schedule that brings both
+/// threads to their inner locks shows lockdep the inversion. A planned
+/// kill of a lock holder wedges the survivor too.
+struct AbBa;
+
+/// A thread taking `first` then `second` for three rounds.
+fn ordered_locker(
+    name: &str,
+    first: SimMutex,
+    second: SimMutex,
+) -> FnThread<impl FnMut(&mut ThreadCx<'_>) -> Step> {
+    let (mut round, mut phase) = (0u32, 0u8);
+    FnThread::new(name, move |cx| loop {
+        match phase {
+            0 => match first.lock_step(cx) {
+                Ok(()) => phase = 1,
+                Err(step) => return step,
+            },
+            1 => {
+                phase = 2;
+                return Step::Compute(Cycles::new(cx.rng().range(10_000, 2_000_000)));
+            }
+            2 => match second.lock_step(cx) {
+                Ok(()) => phase = 3,
+                Err(step) => return step,
+            },
+            3 => {
+                phase = 4;
+                return Step::Compute(Cycles::new(20_000));
+            }
+            _ => {
+                second.unlock(cx);
+                first.unlock(cx);
+                round += 1;
+                phase = 0;
+                if round == 3 {
+                    return Step::Done;
+                }
+            }
+        }
+    })
+}
+
+impl Workload for AbBa {
+    fn name(&self) -> &str {
+        "ab-ba"
+    }
+    fn unit(&self) -> &str {
+        "s"
+    }
+    fn direction(&self) -> Direction {
+        Direction::LowerIsBetter
+    }
+    fn run(&self, setup: &RunSetup) -> RunResult {
+        let mut k = Kernel::new(setup.config.machine(), setup.policy, setup.seed);
+        let a = SimMutex::new(&mut k);
+        let b = SimMutex::new(&mut k);
+        k.spawn(
+            ordered_locker("ab", a.clone(), b.clone()),
+            SpawnOptions::new(),
+        );
+        k.spawn(ordered_locker("ba", b, a), SpawnOptions::new());
+        k.run();
+        RunResult::new(k.now().as_secs_f64())
+    }
+}
+
+fn hotplug_plan(setup: &RunSetup) -> FaultPlan {
+    let horizon = SimDuration::from_millis(4);
+    let profile = FaultProfile::hotplug_and_throttle(horizon);
+    FaultPlan::generate(setup.seed, setup.config.num_cores() as usize, &profile)
+}
+
+fn kill_plan(setup: &RunSetup) -> FaultPlan {
+    let horizon = SimDuration::from_millis(4);
+    let profile = FaultProfile::with_kills(horizon, 1);
+    FaultPlan::generate(setup.seed, setup.config.num_cores() as usize, &profile)
+}
+
+/// The streamed section check counts what the buffered analyses find:
+/// a [`ViolationLog`] on resilient hotplug/throttle and kill cells of
+/// the AB/BA workload, at `--jobs 1` and `--jobs 4`, counts exactly the
+/// `analyze_trace` findings over `capture_traces` of the same attempts
+/// — the reference replays the retry ladder, so failed attempts count
+/// too.
+#[test]
+fn violation_log_counts_what_analyze_trace_finds_in_every_attempt() {
+    const RETRIES: u32 = 2;
+    let w = AbBa;
+    let configs = [AsymConfig::new(1, 1, 8), AsymConfig::new(2, 2, 4)];
+    let planners: [fn(&RunSetup) -> FaultPlan; 2] = [hotplug_plan, kill_plan];
+    let policy = SchedPolicy::asymmetry_aware();
+    let plan = |log: &ViolationLog| {
+        let mut plan = ExperimentPlan::new("violation-log");
+        for (label, planner) in ["hotplug", "kills"].into_iter().zip(planners) {
+            let options = ResilientOptions::new(4)
+                .retries(RETRIES)
+                .fault_planner(planner)
+                .trace_check(log.check());
+            plan.push(label, &w, &configs, SpecMode::Resilient { policy, options });
+        }
+        plan
+    };
+    // The reference: every cell's attempts re-run under buffered
+    // capture. Without a budget or watchdog an attempt either completes
+    // or deadlocks, and a deadlock retries on a reseeded plan.
+    let (mut expected, mut failed_attempts) = (0usize, 0usize);
+    let mut cells = Vec::new();
+    for planner in planners {
+        for (j, &config) in configs.iter().enumerate() {
+            for i in 0..4 {
+                let mut setup = RunSetup::new(config, policy, j as u64 * 1000 + i);
+                let mut attempts = 0;
+                loop {
+                    attempts += 1;
+                    let guard = RunGuard::new().fault_plan(planner(&setup));
+                    let (_, traces) = capture_traces(|| with_run_guard(guard, || w.run(&setup)));
+                    expected += traces.iter().map(|t| analyze_trace(t).len()).sum::<usize>();
+                    let deadlocked = traces
+                        .iter()
+                        .any(|t| matches!(t.outcome, Some(RunOutcome::Deadlock(_))));
+                    if !deadlocked || attempts > RETRIES {
+                        let class = if deadlocked {
+                            RunClass::Deadlock
+                        } else {
+                            RunClass::Completed
+                        };
+                        cells.push((class, attempts));
+                        break;
+                    }
+                    failed_attempts += 1;
+                    setup = RunSetup::new(config, policy, setup.seed + 7919);
+                }
+            }
+        }
+    }
+    assert!(
+        failed_attempts > 0,
+        "no attempt failed: the test is vacuous"
+    );
+    for jobs in [1, 4] {
+        let log = ViolationLog::new();
+        let outcome = CellRunner::new(jobs).run(plan(&log));
+        let got: Vec<(RunClass, u32)> = outcome
+            .report
+            .cells
+            .iter()
+            .map(|c| (c.class, c.attempts))
+            .collect();
+        assert_eq!(
+            got, cells,
+            "--jobs {jobs}: the reference replays the ladder"
+        );
+        assert_eq!(log.count(), expected, "--jobs {jobs}");
+        // The section check's findings stay its own.
+        assert_eq!(outcome.report.total_violations(), 0);
+    }
+    assert!(expected > 0, "the AB/BA cells must show findings");
 }

@@ -29,13 +29,13 @@ use crate::config::AsymConfig;
 use crate::experiment::{
     ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, Experiment,
     ExperimentOptions, ResilientConfigOutcome, ResilientExperiment, ResilientOptions, RunClass,
-    RunObserver, RunRecord,
+    RunRecord,
 };
 use crate::metrics::Samples;
 use crate::workload::{RunResult, RunSetup, Workload};
 use asym_kernel::{
-    capture_stream, capture_traces, with_run_guard, RunGuard, RunOutcome, SchedPolicy,
-    TraceConsumer, TraceEvent, TraceHashFold, TraceHasher,
+    capture_stream, with_run_guard, RunGuard, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent,
+    TraceHashFold, TraceHasher,
 };
 use asym_obs::{DiffAttribution, ProfileFold, ProfileMetrics};
 use asym_sim::{EnvironmentPlan, FaultPlan, MachineSpec, SimDuration, SimTime, StableHasher};
@@ -98,7 +98,8 @@ pub enum SpecMode {
     Resilient {
         /// Scheduling policy for every run.
         policy: SchedPolicy,
-        /// Slots, retries, watchdog, budget, fault planner, observer.
+        /// Slots, retries, watchdog, budget, fault planner, section
+        /// check.
         options: ResilientOptions,
     },
     /// The stock-vs-aware differential harness: each cell runs four
@@ -110,7 +111,8 @@ pub enum SpecMode {
     /// soften the plan (either would break the pairing); the only
     /// escalation is budget doubling on [`RunClass::TimeLimit`].
     Differential {
-        /// Repeats, retries, watchdog, budget, fault planner, observer.
+        /// Repeats, retries, watchdog, budget, fault planner, section
+        /// check.
         options: ResilientOptions,
     },
 }
@@ -273,7 +275,8 @@ impl<'w> ExperimentPlan<'w> {
     /// them under (see [`CellRunner::with_cache`]), computed whether or
     /// not a cache is attached, so "the same cell" has one definition.
     /// Cells without a key never participate: differential cells, and
-    /// resilient cells with an observer, which must fire once per
+    /// resilient cells with a section check
+    /// ([`ResilientOptions::trace_check`]), which must see every
     /// *requested* run. Deduplicated plans produce bit-identical results
     /// because every keyed run is a pure function of its key.
     pub fn memo_targets(&self) -> Vec<Option<usize>> {
@@ -331,11 +334,15 @@ pub trait CheckFold: TraceConsumer {
 /// A per-cell trace check: a factory that builds one [`CheckFold`] for
 /// every kernel a cell attempt creates, from the kernel's machine and
 /// policy. The folds ride along with the engine's hash and metrics
-/// folds, so a checked cell streams exactly like an unchecked one; its
-/// findings are those of its final attempt's kernels, in creation order.
-/// The engine stays agnostic about what is checked — `asym-analysis`
-/// plugs its happens-before race detection and policy lints in through
-/// this hook (see `asym_sweep --check`).
+/// folds, so a checked cell streams exactly like an unchecked one.
+/// Installed on the runner ([`CellRunner::with_trace_check`]), its
+/// findings are those of each cell's final attempt's kernels, in
+/// creation order; installed on a section
+/// ([`ResilientOptions::trace_check`]), it sees every attempt and
+/// reports through its own state. The engine stays agnostic about what
+/// is checked — `asym-analysis` plugs its happens-before race
+/// detection, policy lints and trace analyses in through this hook
+/// (see `asym_sweep --check`).
 pub type TraceCheck = Arc<dyn Fn(&MachineSpec, SchedPolicy) -> Box<dyn CheckFold> + Send + Sync>;
 
 /// What one executed cell produced, before reassembly.
@@ -368,14 +375,8 @@ impl CellOutcome {
     /// The on-disk cache payload for this outcome.
     fn to_entry(&self, mode: &'static str) -> CellEntry {
         let (seed, extras) = match &self.data {
-            CellData::Clean(r) => (
-                0,
-                r.extras
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect::<Vec<_>>(),
-            ),
-            CellData::Resilient(r) => (r.seed, Vec::new()),
+            CellData::Clean(r) => (0, &r.extras),
+            CellData::Resilient(r) => (r.seed, &r.extras),
             CellData::Differential(_) => unreachable!("differential cells are never cached"),
         };
         CellEntry {
@@ -384,7 +385,7 @@ impl CellOutcome {
             attempts: self.attempts,
             seed,
             value: self.value,
-            extras,
+            extras: extras.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             trace_hash: self.trace_hash,
             metrics: self.metrics.clone(),
         }
@@ -393,9 +394,10 @@ impl CellOutcome {
     /// Rebuilds an outcome from a cache entry — the inverse of
     /// [`CellOutcome::to_entry`].
     fn from_entry(e: CellEntry) -> CellOutcome {
+        let extras = e.extras.into_iter().collect();
         let data = if e.mode == "clean" {
             let mut result = RunResult::new(e.value.unwrap_or(f64::NAN));
-            result.extras = e.extras.into_iter().collect();
+            result.extras = extras;
             CellData::Clean(result)
         } else {
             CellData::Resilient(RunRecord {
@@ -403,6 +405,7 @@ impl CellOutcome {
                 attempts: e.attempts,
                 class: e.class,
                 value: e.value,
+                extras,
             })
         };
         CellOutcome {
@@ -424,7 +427,7 @@ impl CellOutcome {
 enum CellData {
     Clean(RunResult),
     Resilient(RunRecord),
-    Differential(DifferentialRep),
+    Differential(Box<DifferentialRep>),
 }
 
 /// Classifies one kernel's ending. A `TimeLimit` outcome only fails the
@@ -440,27 +443,25 @@ fn classify_one(outcome: Option<RunOutcome>, budget_exhausted: bool) -> RunClass
 }
 
 /// The engine's per-kernel trace consumer, folding the stable hash,
-/// (when metrics are wanted) the run profile, and (when a check is
-/// installed) the check, incrementally as events are emitted.
+/// (when metrics are wanted) the run profile, and the installed checks
+/// — the runner's and the section's — incrementally as events are
+/// emitted.
 struct CellFold {
     hasher: TraceHasher,
     profile: Option<ProfileFold>,
     check: Option<Box<dyn CheckFold>>,
+    section_check: Option<Box<dyn CheckFold>>,
     outcome: Option<RunOutcome>,
     budget_exhausted: bool,
 }
 
 impl CellFold {
-    fn new(
-        machine: &MachineSpec,
-        policy: SchedPolicy,
-        want_metrics: bool,
-        check: Option<&TraceCheck>,
-    ) -> Self {
+    fn new(machine: &MachineSpec, policy: SchedPolicy, checks: &Checks) -> Self {
         CellFold {
             hasher: TraceHasher::new(),
-            profile: want_metrics.then(|| ProfileFold::new(machine, policy)),
-            check: check.map(|c| c(machine, policy)),
+            profile: checks.metrics.then(|| ProfileFold::new(machine, policy)),
+            check: checks.runner.as_ref().map(|c| c(machine, policy)),
+            section_check: checks.section.as_ref().map(|c| c(machine, policy)),
             outcome: None,
             budget_exhausted: false,
         }
@@ -476,10 +477,16 @@ impl TraceConsumer for CellFold {
         if let Some(c) = self.check.as_mut() {
             c.on_event(time, event);
         }
+        if let Some(c) = self.section_check.as_mut() {
+            c.on_event(time, event);
+        }
     }
 
     fn on_shared_label(&mut self, label: &str) {
         if let Some(c) = self.check.as_mut() {
+            c.on_shared_label(label);
+        }
+        if let Some(c) = self.section_check.as_mut() {
             c.on_shared_label(label);
         }
     }
@@ -492,9 +499,22 @@ impl TraceConsumer for CellFold {
         if let Some(c) = self.check.as_mut() {
             c.on_close(outcome, budget_exhausted);
         }
+        if let Some(c) = self.section_check.as_mut() {
+            c.on_close(outcome, budget_exhausted);
+        }
         self.outcome = outcome;
         self.budget_exhausted = budget_exhausted;
     }
+}
+
+/// What every kernel of an attempt folds besides its hash: the run
+/// profile when `metrics` is set, the runner's check, and the
+/// section's check.
+#[derive(Clone)]
+struct Checks {
+    metrics: bool,
+    runner: Option<TraceCheck>,
+    section: Option<TraceCheck>,
 }
 
 /// What the folds of one attempt's kernels add up to.
@@ -504,49 +524,25 @@ struct Folded {
     /// The kernels' stable hashes, folded in creation order.
     hash: u64,
     metrics: Option<ProfileMetrics>,
+    /// The runner check's findings.
     violations: Vec<String>,
 }
 
-/// Runs `f` with every kernel it creates folded through a [`CellFold`],
-/// and sums the folds into the attempt-level [`Folded`].
-///
-/// Without an observer the folds consume the live event stream, so no
-/// [`KernelTrace`](asym_kernel::KernelTrace) is ever materialized and
-/// trace memory stays O(1) — checked cells included. An observer needs
-/// the full traces: the run is then captured buffered, handed to the
-/// observer, and each trace is replayed into its fold. Both paths give
-/// byte-identical summaries (the engine's `streamed_equals_buffered`
-/// test pins this).
-fn run_folded(
-    setup: &RunSetup,
-    want_metrics: bool,
-    check: Option<&TraceCheck>,
-    observer: Option<&RunObserver>,
-    f: impl FnOnce() -> RunResult,
-) -> (RunResult, Folded) {
-    let check = check.cloned();
-    let new_fold = move |machine: &MachineSpec, policy| {
-        CellFold::new(machine, policy, want_metrics, check.as_ref())
-    };
-    let (result, folds) = match observer {
-        None => capture_stream(new_fold, f),
-        Some(observe) => {
-            let (result, traces) = capture_traces(f);
-            observe(setup, &result, &traces);
-            let folds = traces
-                .iter()
-                .map(|trace| {
-                    let mut fold = new_fold(&trace.machine, trace.policy);
-                    trace.replay(&mut fold);
-                    fold
-                })
-                .collect();
-            (result, folds)
-        }
-    };
+/// Runs `f` with every kernel it creates folded through a [`CellFold`]
+/// over its live event stream, and sums the folds into the
+/// attempt-level [`Folded`]. No
+/// [`KernelTrace`](asym_kernel::KernelTrace) is ever materialized, so
+/// trace memory stays O(1) — checked cells included. Section-check
+/// folds are closed here, on every attempt; their findings stay theirs.
+fn run_folded(checks: &Checks, f: impl FnOnce() -> RunResult) -> (RunResult, Folded) {
+    let mut metrics = checks.metrics.then(ProfileMetrics::new);
+    let checks = checks.clone();
+    let (result, folds) = capture_stream(
+        move |machine: &MachineSpec, policy| CellFold::new(machine, policy, &checks),
+        f,
+    );
     let mut class = RunClass::Completed;
     let mut hash = TraceHashFold::new();
-    let mut metrics = want_metrics.then(ProfileMetrics::new);
     let mut violations = Vec::new();
     for fold in folds {
         class = class.max(classify_one(fold.outcome, fold.budget_exhausted));
@@ -556,6 +552,9 @@ fn run_folded(
         }
         if let Some(c) = fold.check {
             violations.extend(c.findings());
+        }
+        if let Some(c) = fold.section_check {
+            c.findings();
         }
     }
     let folded = Folded {
@@ -587,28 +586,44 @@ struct Disturbance {
     environment: Option<EnvironmentPlan>,
 }
 
-/// One guarded, trace-captured, panic-contained attempt. `budget_factor`
-/// scales the configured sim-time budget (escalated retries). Returns
-/// the classification, the metric (when completed), the folded trace
-/// hash (absent when the attempt panicked), the configured trace
-/// check's findings, and — when `want_metrics` is set — the merged
-/// observability metrics of every kernel the attempt created.
-#[allow(clippy::type_complexity)]
+/// What one guarded attempt produced.
+struct Attempt {
+    class: RunClass,
+    /// The metric, when the attempt completed.
+    value: Option<f64>,
+    /// The run's secondary metrics (empty when it panicked).
+    extras: BTreeMap<String, f64>,
+    /// The folded trace hash (absent when the attempt panicked).
+    hash: Option<u64>,
+    /// The merged profile of every kernel, when metrics are wanted.
+    metrics: Option<ProfileMetrics>,
+    /// The runner check's findings.
+    violations: Vec<String>,
+}
+
+impl Attempt {
+    /// The record of this attempt as the final one of its slot.
+    fn record(&self, seed: u64, attempts: u32) -> RunRecord {
+        RunRecord {
+            seed,
+            attempts,
+            class: self.class,
+            value: self.value,
+            extras: self.extras.clone(),
+        }
+    }
+}
+
+/// One guarded, streamed, panic-contained attempt. `budget_factor`
+/// scales the configured sim-time budget (escalated retries).
 fn attempt_run(
     workload: &dyn Workload,
     setup: &RunSetup,
     options: &ResilientOptions,
     budget_factor: u32,
     disturbance: Disturbance,
-    want_metrics: bool,
-    check: Option<&TraceCheck>,
-) -> (
-    RunClass,
-    Option<f64>,
-    Option<u64>,
-    Option<ProfileMetrics>,
-    Vec<String>,
-) {
+    checks: &Checks,
+) -> Attempt {
     let mut guard = RunGuard::new();
     if let Some(w) = options.watchdog {
         guard = guard.watchdog(w);
@@ -625,41 +640,33 @@ fn attempt_run(
         guard = guard.environment(env);
     }
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        run_folded(
-            setup,
-            want_metrics,
-            check,
-            options.observer.as_ref(),
-            || with_run_guard(guard, || workload.run(setup)),
-        )
+        run_folded(checks, || with_run_guard(guard, || workload.run(setup)))
     }));
     match caught {
-        Err(_) => (RunClass::Panicked, None, None, None, Vec::new()),
-        Ok((result, folded)) => {
-            let value = (folded.class == RunClass::Completed).then_some(result.value);
-            (
-                folded.class,
-                value,
-                Some(folded.hash),
-                folded.metrics,
-                folded.violations,
-            )
-        }
+        Err(_) => Attempt {
+            class: RunClass::Panicked,
+            value: None,
+            extras: BTreeMap::new(),
+            hash: None,
+            metrics: None,
+            violations: Vec::new(),
+        },
+        Ok((result, folded)) => Attempt {
+            class: folded.class,
+            value: (folded.class == RunClass::Completed).then_some(result.value),
+            extras: result.extras,
+            hash: Some(folded.hash),
+            metrics: folded.metrics,
+            violations: folded.violations,
+        },
     }
 }
 
 /// Executes one clean cell: a single run, no guard, no retries; panics
 /// propagate to the runner (and out of the pool). Clean cells are
 /// classified `Completed` unconditionally.
-fn exec_clean(
-    workload: &dyn Workload,
-    cell: &Cell,
-    want_metrics: bool,
-    check: Option<&TraceCheck>,
-) -> CellOutcome {
-    let (result, folded) = run_folded(&cell.setup, want_metrics, check, None, || {
-        workload.run(&cell.setup)
-    });
+fn exec_clean(workload: &dyn Workload, cell: &Cell, checks: &Checks) -> CellOutcome {
+    let (result, folded) = run_folded(checks, || workload.run(&cell.setup));
     let value = Some(result.value);
     CellOutcome {
         data: CellData::Clean(result),
@@ -696,8 +703,7 @@ fn exec_resilient(
     workload: &dyn Workload,
     cell: &Cell,
     options: &ResilientOptions,
-    want_metrics: bool,
-    check: Option<&TraceCheck>,
+    checks: &Checks,
 ) -> CellOutcome {
     let slot = &cell.setup;
     let mut attempts = 0u32;
@@ -724,7 +730,7 @@ fn exec_resilient(
         } else {
             options.env_planner.as_ref().map(|p| p(&setup))
         };
-        let (class, value, hash, metrics, violations) = attempt_run(
+        let attempt = attempt_run(
             workload,
             &setup,
             options,
@@ -733,30 +739,23 @@ fn exec_resilient(
                 faults: plan,
                 environment,
             },
-            want_metrics,
-            check,
+            checks,
         );
-        if class == RunClass::Completed || attempts > options.retries {
-            let record = RunRecord {
-                seed: setup.seed,
-                attempts,
-                class,
-                value,
-            };
+        if attempt.class == RunClass::Completed || attempts > options.retries {
             return CellOutcome {
-                data: CellData::Resilient(record),
-                class,
+                data: CellData::Resilient(attempt.record(setup.seed, attempts)),
+                class: attempt.class,
                 attempts,
-                value,
-                trace_hash: hash,
-                metrics,
-                violations,
+                value: attempt.value,
+                trace_hash: attempt.hash,
+                metrics: attempt.metrics,
+                violations: attempt.violations,
                 wall_nanos: 0,
                 memoized: false,
                 cached: false,
             };
         }
-        match class {
+        match attempt.class {
             RunClass::TimeLimit => {
                 budget_factor = (budget_factor * 2).min(MAX_BUDGET_FACTOR);
             }
@@ -775,15 +774,22 @@ fn exec_differential(
     workload: &dyn Workload,
     cell: &Cell,
     options: &ResilientOptions,
-    want_metrics: bool,
-    check: Option<&TraceCheck>,
+    checks: &Checks,
 ) -> CellOutcome {
     let slot = &cell.setup;
     let plan = cell.fault_plan.as_ref();
     let environment = cell.environment.as_ref();
     let mut fold = TraceHashFold::new();
     let mut any_hash = false;
-    let mut merged = want_metrics.then(ProfileMetrics::new);
+    let mut merged = checks.metrics.then(ProfileMetrics::new);
+    // Metrics are always derived for differential legs (not just under
+    // `with_metrics`): the per-cell diff attribution needs the two
+    // disturbed legs' metrics. Deriving them is a pure fold over the
+    // trace stream — it cannot perturb the run.
+    let leg_checks = Checks {
+        metrics: true,
+        ..checks.clone()
+    };
     let mut all_violations: Vec<String> = Vec::new();
     let mut run = |leg: &str,
                    policy: SchedPolicy,
@@ -795,11 +801,7 @@ fn exec_differential(
         let mut budget_factor = 1u32;
         loop {
             attempts += 1;
-            // Metrics are always derived for differential legs (not just
-            // under `with_metrics`): the per-cell diff attribution needs
-            // the two disturbed legs' metrics. Deriving them is a pure
-            // fold over the trace stream — it cannot perturb the run.
-            let (class, value, hash, metrics, violations) = attempt_run(
+            let attempt = attempt_run(
                 workload,
                 &setup,
                 options,
@@ -808,28 +810,26 @@ fn exec_differential(
                     faults: plan.cloned(),
                     environment: environment.cloned(),
                 },
-                true,
-                check,
+                &leg_checks,
             );
+            let class = attempt.class;
             let escalatable = class == RunClass::TimeLimit && budget_factor < MAX_BUDGET_FACTOR;
             if class == RunClass::Completed || attempts > options.retries || !escalatable {
-                if let Some(h) = hash {
+                if let Some(h) = attempt.hash {
                     fold.push(h);
                     any_hash = true;
                 }
-                if let (Some(acc), Some(m)) = (merged.as_mut(), metrics.as_ref()) {
+                if let (Some(acc), Some(m)) = (merged.as_mut(), attempt.metrics.as_ref()) {
                     acc.merge(m);
                 }
-                all_violations.extend(violations.into_iter().map(|v| format!("{leg}: {v}")));
-                return (
-                    RunRecord {
-                        seed: setup.seed,
-                        attempts,
-                        class,
-                        value,
-                    },
-                    metrics,
+                let record = attempt.record(setup.seed, attempts);
+                all_violations.extend(
+                    attempt
+                        .violations
+                        .into_iter()
+                        .map(|v| format!("{leg}: {v}")),
                 );
+                return (record, attempt.metrics);
             }
             budget_factor *= 2;
         }
@@ -874,7 +874,7 @@ fn exec_differential(
     let value = rep.absorption(workload.direction());
     let hash = any_hash.then(|| fold.finish());
     CellOutcome {
-        data: CellData::Differential(rep),
+        data: CellData::Differential(Box::new(rep)),
         class,
         attempts,
         value,
@@ -902,8 +902,8 @@ fn plan_digest(plan: &impl std::hash::Hash) -> String {
 /// Renders the content address of one cell — its on-disk cache key and
 /// its in-plan memoization key — or `None` when the cell has none.
 ///
-/// Keyed cells are clean cells and observer-free resilient cells (the
-/// cache additionally requires no runner-level trace check).
+/// Keyed cells are clean cells and resilient cells without a section
+/// check (the cache additionally requires no runner-level trace check).
 /// Differential cells are excluded: their four-leg structure re-derives
 /// plans per leg, so a single digest cannot address them. The key folds
 /// in every input that can steer execution: the workload's
@@ -915,7 +915,7 @@ fn cache_key(spec: &PlanSpec<'_>, cell: &Cell) -> Option<String> {
     let (mode, knobs) = match &spec.mode {
         SpecMode::Clean { .. } => ("clean", String::new()),
         SpecMode::Resilient { options, .. } => {
-            if options.observer.is_some() {
+            if options.check.is_some() {
                 return None;
             }
             let budget = options
@@ -958,13 +958,20 @@ fn exec_cell(
     check: Option<&TraceCheck>,
 ) -> CellOutcome {
     let start = Instant::now();
+    let checks = |section: Option<&TraceCheck>| Checks {
+        metrics: want_metrics,
+        runner: check.cloned(),
+        section: section.cloned(),
+    };
     let mut out = match &spec.mode {
-        SpecMode::Clean { .. } => exec_clean(spec.workload, cell, want_metrics, check),
+        SpecMode::Clean { .. } => exec_clean(spec.workload, cell, &checks(None)),
         SpecMode::Resilient { options, .. } => {
-            exec_resilient(spec.workload, cell, options, want_metrics, check)
+            let checks = checks(options.check.as_ref());
+            exec_resilient(spec.workload, cell, options, &checks)
         }
         SpecMode::Differential { options } => {
-            exec_differential(spec.workload, cell, options, want_metrics, check)
+            let checks = checks(options.check.as_ref());
+            exec_differential(spec.workload, cell, options, &checks)
         }
     };
     out.wall_nanos = start.elapsed().as_nanos() as u64;
@@ -1003,8 +1010,9 @@ impl CellRunner {
     }
 
     /// Attaches a persistent on-disk cell cache: before executing,
-    /// every cacheable cell (clean and observer-free resilient cells,
-    /// when no trace check is installed) is looked up by its content
+    /// every cacheable cell (clean cells and resilient cells without a
+    /// section check, when no runner check is installed) is looked up
+    /// by its content
     /// address, and hits are restored without running the simulation.
     /// Misses execute normally and are stored afterwards. Hit, miss,
     /// skip, store, and invalidation counts land in
@@ -1017,10 +1025,11 @@ impl CellRunner {
     /// Installs a per-cell trace check: every kernel of every executed
     /// cell streams its events through a fold `check` builds, and the
     /// final attempt's findings land in [`CellReport::violations`] (and
-    /// the JSON sink). Checked cells never buffer a trace unless an
-    /// observer asks for one, and they bypass the cell cache (findings
-    /// are not stored). Memoized cells reuse their primary's findings —
-    /// the traces are identical by construction. Off by default.
+    /// the JSON sink). Checked cells never buffer a trace, and they
+    /// bypass the cell cache (findings are not stored). Memoized cells
+    /// reuse their primary's findings — the traces are identical by
+    /// construction. A cell whose section has its own check
+    /// ([`ResilientOptions::trace_check`]) runs both. Off by default.
     pub fn with_trace_check(mut self, check: TraceCheck) -> Self {
         self.check = Some(check);
         self
@@ -1342,7 +1351,7 @@ fn assemble_spec(spec: &PlanSpec<'_>, outcomes: Vec<CellOutcome>) -> SpecResult 
             let reps: Vec<DifferentialRep> = outcomes
                 .into_iter()
                 .map(|o| match o.data {
-                    CellData::Differential(r) => r,
+                    CellData::Differential(r) => *r,
                     _ => unreachable!("differential spec produced non-differential cell"),
                 })
                 .collect();
@@ -1664,6 +1673,7 @@ mod tests {
     use super::*;
     use crate::metrics::Direction;
     use asym_sim::FaultProfile;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct Proportional;
     impl Workload for Proportional {
@@ -1809,6 +1819,21 @@ mod tests {
             out.results[0].resilient().outcomes,
             out.results[1].resilient().outcomes
         );
+
+        // The same specs with a section check are never reused: the
+        // check sees every requested run execute.
+        let w = KernelBursts;
+        let closed = Arc::new(AtomicUsize::new(0));
+        let mut plan = ExperimentPlan::new("dup-checked");
+        for label in ["first", "second"] {
+            let mode = with_section_check(faulted(1, hotplug), counting_check(&closed));
+            plan.push(label, &w, &[AsymConfig::new(2, 2, 8)], mode);
+        }
+        assert_eq!(plan.memo_targets(), vec![None; 4]);
+        let out = CellRunner::new(2).run(plan);
+        assert_eq!(out.report.memoized_cells(), 0);
+        let attempts: u32 = out.report.cells.iter().map(|c| c.attempts).sum();
+        assert_eq!(closed.load(Ordering::Relaxed), attempts as usize);
     }
 
     fn hotplug(setup: &RunSetup) -> FaultPlan {
@@ -1819,6 +1844,15 @@ mod tests {
     fn kills(setup: &RunSetup) -> FaultPlan {
         let profile = FaultProfile::with_kills(SimDuration::from_millis(5), 2);
         FaultPlan::generate(setup.seed, 4, &profile)
+    }
+
+    /// `mode` with `check` installed as its section check.
+    fn with_section_check(mut mode: SpecMode, check: TraceCheck) -> SpecMode {
+        if let SpecMode::Resilient { options, .. } | SpecMode::Differential { options } = &mut mode
+        {
+            options.check = Some(check);
+        }
+        mode
     }
 
     /// A two-slot resilient mode with `retries` and a fault planner.
@@ -1863,17 +1897,18 @@ mod tests {
             },
         );
         // Resilient cells differing only in their fault plan's digest or
-        // their retry budget are different cells, and an observed
-        // resilient cell has no address at all.
+        // their retry budget are different cells, and a resilient cell
+        // with a section check has no address at all.
         let cfg = [AsymConfig::new(2, 2, 8)];
         plan.push("hotplug", &w, &cfg, faulted(1, hotplug));
         plan.push("kills", &w, &cfg, faulted(1, kills));
         plan.push("retried", &w, &cfg, faulted(2, hotplug));
-        let mut observed = faulted(1, hotplug);
-        if let SpecMode::Resilient { options, .. } = &mut observed {
-            options.observer = Some(noop_observer());
-        }
-        plan.push("observed", &w, &cfg, observed);
+        plan.push(
+            "checked",
+            &w,
+            &cfg,
+            with_section_check(faulted(1, hotplug), noop_check()),
+        );
         assert_eq!(plan.memo_targets(), vec![None; 3 + 4 * 2]);
     }
 
@@ -1956,11 +1991,11 @@ mod tests {
     }
 
     /// [`kernel_plan`] with its clean half moved onto the resilient
-    /// harness and `observer` installed on both halves (an observer
-    /// forces buffered capture).
-    fn kernel_plan_with(w: &KernelBursts, observer: Option<RunObserver>) -> ExperimentPlan<'_> {
+    /// harness and `check` installed as the section check of both
+    /// halves.
+    fn kernel_plan_with(w: &KernelBursts, check: Option<TraceCheck>) -> ExperimentPlan<'_> {
         let mut options = ResilientOptions::new(2);
-        options.observer = observer;
+        options.check = check;
         let first = SpecMode::Resilient {
             policy: SchedPolicy::asymmetry_aware(),
             options: options.clone(),
@@ -1992,26 +2027,30 @@ mod tests {
         plan
     }
 
-    /// An observer that looks at nothing: forces the buffered capture
-    /// path without changing any result.
-    fn noop_observer() -> RunObserver {
-        Arc::new(|_, _, _| {})
-    }
-
-    /// A check fold that finds nothing.
-    struct NoFindings;
+    /// A check fold that finds nothing, and counts the folds closed.
+    struct NoFindings(Option<Arc<AtomicUsize>>);
     impl TraceConsumer for NoFindings {
         fn on_event(&mut self, _time: SimTime, _event: &TraceEvent) {}
     }
     impl CheckFold for NoFindings {
         fn findings(self: Box<Self>) -> Vec<String> {
+            if let Some(closed) = &self.0 {
+                closed.fetch_add(1, Ordering::Relaxed);
+            }
             Vec::new()
         }
     }
 
     /// A trace check that never reports anything.
     fn noop_check() -> TraceCheck {
-        Arc::new(|_, _| Box::new(NoFindings))
+        Arc::new(|_, _| Box::new(NoFindings(None)))
+    }
+
+    /// A trace check that finds nothing and adds every kernel's closed
+    /// fold to `closed`.
+    fn counting_check(closed: &Arc<AtomicUsize>) -> TraceCheck {
+        let closed = Arc::clone(closed);
+        Arc::new(move |_, _| Box::new(NoFindings(Some(Arc::clone(&closed)))))
     }
 
     /// The stable per-cell fields two equivalent runs must agree on.
@@ -2031,40 +2070,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn streamed_equals_buffered_byte_exactly() {
-        let w = KernelBursts;
-        // Default runner: streaming capture (no observer).
-        let streamed = CellRunner::new(1)
-            .with_metrics(true)
-            .run(kernel_plan_with(&w, None));
-        // A no-op observer forces the buffered path through the
-        // identical plan: every hash, class, value, and metrics record
-        // must match.
-        let buffered = CellRunner::new(1)
-            .with_metrics(true)
-            .run(kernel_plan_with(&w, Some(noop_observer())));
-        assert_eq!(cell_facts(&streamed.report), cell_facts(&buffered.report));
-        assert_eq!(streamed.results, buffered.results);
-        // An unguarded clean cell streams the same events as its
-        // resilient twin.
-        let clean = CellRunner::new(1).with_metrics(true).run(kernel_plan(&w));
-        assert_eq!(cell_facts(&clean.report), cell_facts(&streamed.report));
-        // The workload really produced kernels and events.
-        let m = streamed.report.cells[0]
-            .metrics
-            .as_ref()
-            .expect("metrics attached");
-        assert_eq!(m.kernels, 1);
-        assert!(m.busy_ns > 0);
-        // A check streams too, and leaves every result as it was.
-        let checked = CellRunner::new(1)
-            .with_metrics(true)
-            .with_trace_check(noop_check())
-            .run(kernel_plan(&w));
-        assert_eq!(cell_facts(&clean.report), cell_facts(&checked.report));
     }
 
     #[test]
@@ -2195,12 +2200,12 @@ mod tests {
         let stats = checked.report.cache.as_ref().expect("stats");
         assert_eq!(stats.skips, checked.report.cells.len() as u64);
         assert_eq!(stats.stores + stats.hits + stats.misses, 0);
-        // So does an observer: it must see every run execute.
-        let observed = CellRunner::new(1)
+        // So does a section check: it must see every run execute.
+        let checked = CellRunner::new(1)
             .with_cache(cache.clone())
-            .run(kernel_plan_with(&w, Some(noop_observer())));
-        let stats = observed.report.cache.as_ref().expect("stats");
-        assert_eq!(stats.skips, observed.report.cells.len() as u64);
+            .run(kernel_plan_with(&w, Some(noop_check())));
+        let stats = checked.report.cache.as_ref().expect("stats");
+        assert_eq!(stats.skips, checked.report.cells.len() as u64);
         assert_eq!(stats.stores + stats.hits + stats.misses, 0);
         // Differential cells never cache either.
         let mut plan = ExperimentPlan::new("diff");

@@ -4,19 +4,15 @@
 //! and the trend against compute power (scalability).
 
 use crate::config::AsymConfig;
+use crate::engine::TraceCheck;
 use crate::metrics::{Direction, Samples, Scalability, Stability};
-use crate::workload::{RunResult, RunSetup};
-use asym_kernel::{KernelTrace, SchedPolicy};
+use crate::workload::RunSetup;
+use asym_kernel::SchedPolicy;
 use asym_obs::DiffAttribution;
 use asym_sim::{EnvironmentPlan, FaultPlan, SimDuration};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// A per-run hook receiving the setup, the result, and the trace of
-/// every kernel the run created (see
-/// [`ResilientOptions::observe_traces`]).
-pub type RunObserver = Arc<dyn Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync>;
 
 /// Per-configuration outcome of an experiment: all runs plus their
 /// statistics.
@@ -296,6 +292,9 @@ pub struct RunRecord {
     pub class: RunClass,
     /// The primary metric, present only when the run completed.
     pub value: Option<f64>,
+    /// The final attempt's named secondary metrics (empty when it
+    /// panicked).
+    pub extras: BTreeMap<String, f64>,
 }
 
 /// Per-configuration outcome of a resilient experiment: every run slot
@@ -435,15 +434,14 @@ pub struct ResilientOptions {
     /// Unlike fault plans, environment plans are never softened by
     /// retries — only reseeding re-derives them.
     pub env_planner: Option<EnvPlanner>,
-    /// Optional per-run observer (see
-    /// [`ResilientOptions::observe_traces`]); it also sees the traces of
-    /// failed (non-panicked) attempts.
-    pub observer: Option<RunObserver>,
+    /// Optional section check (see [`ResilientOptions::trace_check`]);
+    /// it also sees the kernels of failed (non-panicked) attempts.
+    pub check: Option<TraceCheck>,
 }
 
 impl ResilientOptions {
     /// `runs` slots, base seed 0, one retry, no budget, no watchdog, no
-    /// faults, no observer.
+    /// faults, no section check.
     pub fn new(runs: usize) -> Self {
         ResilientOptions {
             runs,
@@ -453,7 +451,7 @@ impl ResilientOptions {
             watchdog: None,
             planner: None,
             env_planner: None,
-            observer: None,
+            check: None,
         }
     }
 
@@ -504,17 +502,20 @@ impl ResilientOptions {
         self
     }
 
-    /// Installs a per-run observer. Each attempt then executes inside
-    /// [`capture_traces`](asym_kernel::capture_traces), and `observer` is
-    /// invoked (on the worker thread that executed the attempt) with the
-    /// setup, the result, and the captured trace of every kernel the
-    /// attempt created. This is how `asym-analysis` checks every
-    /// workload run without workloads knowing about it.
-    pub fn observe_traces(
-        mut self,
-        observer: impl Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync + 'static,
-    ) -> Self {
-        self.observer = Some(Arc::new(observer));
+    /// Installs a section check: every kernel of every attempt — failed
+    /// attempts included, panicked ones excepted — streams its events
+    /// through a fold `check` builds, on the worker thread executing the
+    /// attempt, and each fold is closed with
+    /// [`findings`](crate::CheckFold::findings) when its attempt ends.
+    /// The findings are the check's own business: the folds report
+    /// through whatever state the factory shares (as `asym-analysis`'s
+    /// `ViolationLog` does), and they never land in
+    /// [`CellReport::violations`](crate::CellReport::violations), which
+    /// belong to the runner's check. Cells with a section check have no
+    /// content address, so they are never memoized or cached: the check
+    /// sees every requested run execute.
+    pub fn trace_check(mut self, check: TraceCheck) -> Self {
+        self.check = Some(check);
         self
     }
 }
@@ -529,7 +530,7 @@ impl fmt::Debug for ResilientOptions {
             .field("watchdog", &self.watchdog)
             .field("planner", &self.planner.as_ref().map(|_| "..."))
             .field("env_planner", &self.env_planner.as_ref().map(|_| "..."))
-            .field("observer", &self.observer.as_ref().map(|_| "..."))
+            .field("check", &self.check.as_ref().map(|_| "..."))
             .finish()
     }
 }
@@ -720,7 +721,7 @@ mod tests {
     use crate::engine::{
         run_spec, CellRunner, ExperimentPlan, SpecMode, SpecResult, RETRY_SEED_STRIDE,
     };
-    use crate::workload::Workload;
+    use crate::workload::{RunResult, Workload};
 
     /// `mode` over `configs` on an explicitly sized pool.
     fn run_on(jobs: usize, w: &dyn Workload, configs: &[AsymConfig], mode: SpecMode) -> SpecResult {

@@ -71,7 +71,7 @@ pub use engine::{
 pub use experiment::{
     ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, EnvPlanner,
     Experiment, ExperimentOptions, FaultPlanner, ResilientConfigOutcome, ResilientExperiment,
-    ResilientOptions, RunClass, RunObserver, RunRecord,
+    ResilientOptions, RunClass, RunRecord,
 };
 pub use metrics::{Direction, Samples, Scalability, Stability};
 pub use summary::{SummaryRow, Verdict, WorkloadClass};

@@ -96,7 +96,6 @@ impl Workload for MicroBurst {
         let elapsed = kernel.now().as_secs_f64();
         let total = f64::from(self.threads * self.bursts);
         RunResult::new(if elapsed > 0.0 { total / elapsed } else { 0.0 })
-            .with_extra("migrations", kernel.stats().migrations as f64)
     }
 }
 

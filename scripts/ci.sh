@@ -25,11 +25,11 @@ cargo run -q --release -p asym-bench --bin asym_check -- --quick
 echo "==> asym-check --races --quick (happens-before race/lock-set/ranking pass must be clean)"
 cargo run -q --release -p asym-bench --bin asym_check -- --races --quick
 
-echo "==> asym_sweep extra_fault_sweep --quick (faulted smoke sweep: classified, clean, deterministic)"
-cargo run -q --release -p asym-bench --bin asym_sweep -- extra_fault_sweep --quick > /dev/null
+echo "==> asym_sweep extra_fault_sweep --quick --check (faulted smoke sweep: classified, clean, deterministic, race- and lint-clean under faults)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- extra_fault_sweep --quick --check > /dev/null
 
-echo "==> asym_sweep extra_absorption --quick (differential stock-vs-aware smoke: paired, panic-free, kills accounted)"
-cargo run -q --release -p asym-bench --bin asym_sweep -- extra_absorption --quick > /dev/null
+echo "==> asym_sweep extra_absorption --quick --check (differential stock-vs-aware smoke: paired, panic-free, kills accounted, race- and lint-clean)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- extra_absorption --quick --check > /dev/null
 
 echo "==> asym_profile (observability smoke: one SPECjbb cell + Perfetto export)"
 cargo run -q --release -p asym-bench --bin asym_profile -- \
