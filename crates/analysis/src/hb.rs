@@ -1,5 +1,5 @@
-//! The happens-before engine: vector clocks, race detection, lock-set
-//! checking, and scheduler-policy lints over one kernel's event stream.
+//! The happens-before engine: vector clocks, race detection, and
+//! scheduler-policy lints over one kernel's event stream.
 //!
 //! Every checker here is an online fold: it sees each record once, in
 //! emission order, and keeps only the state its verdict needs.
@@ -19,17 +19,15 @@
 //! | every event of one thread | program order (implicit in the clocks) |
 //! | `Spawn { parent }` → child's first event | spawn edge |
 //! | `Done` → `ThreadJoin { by, of }` | exit→join edge |
-//! | `LockRelease` → next `LockAcquire` of the lock | release–acquire |
 //! | `Signal { waker }` → the `Wakeup`s it causes | signal→wakeup |
 //! | `BarrierArrive` → the releasing arrival | barrier epoch |
-//! | `SemRelease` → later `SemAcquire` | permit hand-off |
 //! | `QueuePush` → later `QueuePop` | message hand-off |
 //! | `SharedAtomic` store/rmw → later load/rmw of the word | acquire/release |
 //!
-//! Accumulating object clocks (locks, semaphores, queues, atomics join
-//! every publisher) over-approximate the per-item relation, which biases
-//! the race detector toward *fewer* reports — the right direction for a
-//! checker whose clean verdict gates CI.
+//! Accumulating object clocks (queues and atomics join every publisher)
+//! over-approximate the per-item relation, which biases the race
+//! detector toward *fewer* reports — the right direction for a checker
+//! whose clean verdict gates CI.
 //!
 //! All state is indexed densely: thread clocks by [`ThreadId`], object
 //! clocks by [`WaitId`], atomic clocks and race state by [`ShareId`] and
@@ -50,14 +48,6 @@
 //! reported once. When several kept epochs conflict, the report cites
 //! the earliest of them (lowest record index), so the witness does not
 //! depend on iteration order.
-//!
-//! # Lock-set checking
-//!
-//! An Eraser-style pass over the same accesses: once two distinct threads
-//! access an object while holding locks, the object is treated as
-//! lock-disciplined and the intersection of lock sets over *all* its
-//! accesses must stay non-empty, else
-//! [`ViolationKind::InconsistentLockSet`].
 //!
 //! # Policy lints
 //!
@@ -251,14 +241,10 @@ pub enum EdgeKind {
     Spawn,
     /// A dead thread's `Done` → the `ThreadJoin` observing it.
     Join,
-    /// `LockRelease` → `LockAcquire` of the same lock.
-    Lock,
     /// `Signal` → the `Wakeup` it caused.
     Signal,
     /// A barrier arrival → the arrival that released the epoch.
     Barrier,
-    /// `SemRelease` → `SemAcquire` of the same semaphore.
-    Sem,
     /// `QueuePush` → `QueuePop` of the same queue.
     Queue,
     /// Atomic store/rmw → later load/rmw of the same (object, word).
@@ -444,12 +430,7 @@ fn subject_of(event: &TraceEvent) -> Option<ThreadId> {
         | TraceEvent::Block { tid, .. }
         | TraceEvent::Sleep { tid }
         | TraceEvent::Done { tid }
-        | TraceEvent::LockAcquire { tid, .. }
-        | TraceEvent::LockRelease { tid, .. }
-        | TraceEvent::CondWait { tid, .. }
         | TraceEvent::BarrierArrive { tid, .. }
-        | TraceEvent::SemAcquire { tid, .. }
-        | TraceEvent::SemRelease { tid, .. }
         | TraceEvent::QueuePush { tid, .. }
         | TraceEvent::QueuePop { tid, .. }
         | TraceEvent::ThreadKilled { tid }
@@ -471,9 +452,7 @@ fn subject_of(event: &TraceEvent) -> Option<ThreadId> {
 struct HbLint {
     /// Thread clocks, by thread.
     vc: Vec<VClock>,
-    /// Release clocks of locks, semaphores and queues, by wait queue.
-    locks: Vec<Option<Published>>,
-    sems: Vec<Option<Published>>,
+    /// Release clocks of queues, by wait queue.
     queues: Vec<Option<Published>>,
     /// Atomic publish clocks, by object then word.
     atomics: Vec<Vec<Option<Published>>>,
@@ -625,15 +604,6 @@ impl Lint for HbLint {
                     log_edge(&mut self.edges, src, i, EdgeKind::Join);
                 }
             }
-            TraceEvent::LockAcquire { tid, lock, .. } => {
-                let own = thread_clock(&mut self.vc, tid.index());
-                let object = self.locks.get(lock.index()).and_then(Option::as_ref);
-                acquire(own, object, i, EdgeKind::Lock, &mut self.edges);
-            }
-            TraceEvent::LockRelease { tid, lock } => {
-                let own = thread_clock(&mut self.vc, tid.index());
-                publish(slot(&mut self.locks, lock.index()), own, i);
-            }
             TraceEvent::BarrierArrive {
                 tid,
                 barrier,
@@ -661,15 +631,6 @@ impl Lint for HbLint {
                         slot(&mut log.arrivals, barrier.index()).push(i);
                     }
                 }
-            }
-            TraceEvent::SemRelease { tid, sem } => {
-                let own = thread_clock(&mut self.vc, tid.index());
-                publish(slot(&mut self.sems, sem.index()), own, i);
-            }
-            TraceEvent::SemAcquire { tid, sem } => {
-                let own = thread_clock(&mut self.vc, tid.index());
-                let object = self.sems.get(sem.index()).and_then(Option::as_ref);
-                acquire(own, object, i, EdgeKind::Sem, &mut self.edges);
             }
             TraceEvent::QueuePush { tid, queue } => {
                 let own = thread_clock(&mut self.vc, tid.index());
@@ -725,162 +686,12 @@ pub fn check_races(trace: &KernelTrace) -> Vec<Violation> {
     LintFold::replay(trace, HbLint::new(false)).finish()
 }
 
-// ----------------------------------------------------------------------
-// Lock-set (atomicity) checking
-// ----------------------------------------------------------------------
-
-/// One access cited by a lock-set finding.
-struct LockedAccess {
-    tid: usize,
-    idx: usize,
-    time: SimTime,
-    /// The locks held at the access, sorted.
-    held: Vec<WaitId>,
-}
-
-/// The lock-set state of one shared object.
-struct ObjLocks {
-    obj: ShareId,
-    /// The first thread seen accessing the object under a lock.
-    locker: Option<ThreadId>,
-    /// A second thread has accessed it under a lock: the object is
-    /// lock-disciplined.
-    disciplined: bool,
-    /// The locks held at every access so far (sorted).
-    common: Vec<WaitId>,
-    /// The latest access that left `common` non-empty (the first access
-    /// until then).
-    witness: LockedAccess,
-    /// The access that emptied `common`, once one has.
-    culprit: Option<LockedAccess>,
-}
-
-#[derive(Default)]
-struct LocksetLint {
-    /// The locks each thread holds (sorted), by thread.
-    held: Vec<Vec<WaitId>>,
-    /// Lock-set state, by object.
-    objs: Vec<Option<ObjLocks>>,
-}
-
-impl Lint for LocksetLint {
-    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
-        match *event {
-            TraceEvent::LockAcquire { tid, lock, .. } => {
-                let held = slot(&mut self.held, tid.index());
-                if let Err(pos) = held.binary_search(&lock) {
-                    held.insert(pos, lock);
-                }
-            }
-            TraceEvent::LockRelease { tid, lock } => {
-                if let Some(held) = self.held.get_mut(tid.index()) {
-                    if let Ok(pos) = held.binary_search(&lock) {
-                        held.remove(pos);
-                    }
-                }
-            }
-            TraceEvent::SharedRead { tid, obj, .. } | TraceEvent::SharedWrite { tid, obj, .. } => {
-                let held: &[WaitId] = self.held.get(tid.index()).map_or(&[], Vec::as_slice);
-                let access = || LockedAccess {
-                    tid: tid.index(),
-                    idx: i,
-                    time,
-                    held: held.to_vec(),
-                };
-                let entry = slot(&mut self.objs, obj.index());
-                let Some(o) = entry.as_mut() else {
-                    *entry = Some(ObjLocks {
-                        obj,
-                        locker: (!held.is_empty()).then_some(tid),
-                        disciplined: false,
-                        common: held.to_vec(),
-                        witness: access(),
-                        culprit: None,
-                    });
-                    return;
-                };
-                if !held.is_empty() {
-                    match o.locker {
-                        None => o.locker = Some(tid),
-                        Some(first) if first != tid => o.disciplined = true,
-                        Some(_) => {}
-                    }
-                }
-                if o.culprit.is_none() {
-                    o.common.retain(|l| held.binary_search(l).is_ok());
-                    if o.common.is_empty() {
-                        o.culprit = Some(access());
-                    } else {
-                        o.witness.tid = tid.index();
-                        o.witness.idx = i;
-                        o.witness.time = time;
-                        o.witness.held.clear();
-                        o.witness.held.extend_from_slice(held);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn finish(self, labels: &[String]) -> Vec<Violation> {
-        let held_list = |s: &[WaitId]| {
-            if s.is_empty() {
-                "no locks".to_string()
-            } else {
-                s.iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("+")
-            }
-        };
-        let mut violations = Vec::new();
-        for o in self.objs.into_iter().flatten() {
-            let (true, Some(culprit)) = (o.disciplined, o.culprit) else {
-                continue;
-            };
-            let object = obj_name(labels, o.obj);
-            let w = &o.witness;
-            violations.push(
-                Violation::new(
-                    ViolationKind::InconsistentLockSet,
-                    Some(culprit.time),
-                    format!(
-                        "{object} is lock-disciplined (two or more threads access it under locks) \
-                         but no common lock protects every access: #{} ({}) held {} while the \
-                         access by tid{} at #{} ({}) held {}",
-                        w.idx,
-                        w.time,
-                        held_list(&w.held),
-                        culprit.tid,
-                        culprit.idx,
-                        culprit.time,
-                        held_list(&culprit.held),
-                    ),
-                )
-                .with_object(object)
-                .with_site(format!("#{}->#{}", w.idx, culprit.idx)),
-            );
-        }
-        violations
-    }
-}
-
-/// Eraser-style lock-set checking over plain `SimShared` accesses.
-///
-/// An object participates once at least two distinct threads have
-/// accessed it while holding at least one lock — the signature of
-/// intended lock discipline. For participating objects the intersection
-/// of lock sets over **all** accesses must stay non-empty; an empty
-/// intersection is reported with two witness sites: the last access
-/// that kept the intersection non-empty, and the access that emptied
-/// it.
-///
-/// Objects synchronized by other means (queues, signals, joins — the
-/// message-passing style most workloads use) never enter the check, so
-/// it adds no false positives on top of the race detector.
+/// Always empty: no simulated primitive takes a lock, so no trace
+/// carries the lock events an Eraser-style lock-set pass would read.
+/// Kept so callers that time each analysis separately still link.
 pub fn check_locksets(trace: &KernelTrace) -> Vec<Violation> {
-    LintFold::replay(trace, LocksetLint::default()).finish()
+    let _ = trace;
+    Vec::new()
 }
 
 // ----------------------------------------------------------------------
@@ -1297,7 +1108,6 @@ pub fn check_starvation(trace: &KernelTrace) -> Vec<Violation> {
 
 struct Suite {
     races: HbLint,
-    locksets: LocksetLint,
     ranking: Option<StaleRankingLint>,
     rerank: RerankLint,
     starvation: Option<StarvationLint>,
@@ -1306,7 +1116,6 @@ struct Suite {
 impl Lint for Suite {
     fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
         self.races.on_record(i, time, event);
-        self.locksets.on_record(i, time, event);
         self.ranking.on_record(i, time, event);
         self.rerank.on_record(i, time, event);
         self.starvation.on_record(i, time, event);
@@ -1314,7 +1123,6 @@ impl Lint for Suite {
 
     fn finish(self, labels: &[String]) -> Vec<Violation> {
         let mut violations = self.races.finish(labels);
-        violations.extend(self.locksets.finish(labels));
         violations.extend(self.ranking.finish(labels));
         violations.extend(self.rerank.finish(labels));
         violations.extend(self.starvation.finish(labels));
@@ -1323,8 +1131,8 @@ impl Lint for Suite {
 }
 
 /// The full happens-before suite as one streaming consumer of a
-/// kernel's events: vector-clock data races, lock-set violations, and
-/// the scheduler-policy lints, each folded online in a single pass.
+/// kernel's events: vector-clock data races and the scheduler-policy
+/// lints, each folded online in a single pass.
 /// Feed it with [`capture_stream`](asym_kernel::capture_stream) (one
 /// fold per kernel) or [`KernelTrace::replay`]; [`finish`](Self::finish)
 /// then returns what [`check_concurrency`] reports for the same stream.
@@ -1335,7 +1143,6 @@ impl ConcurrencyFold {
     pub fn new(machine: &MachineSpec, policy: SchedPolicy) -> Self {
         ConcurrencyFold(LintFold::new(Suite {
             races: HbLint::new(false),
-            locksets: LocksetLint::default(),
             ranking: StaleRankingLint::new(machine, policy),
             rerank: RerankLint::new(machine),
             starvation: StarvationLint::new(machine, policy),
@@ -1366,10 +1173,10 @@ impl asym_core::CheckFold for ConcurrencyFold {
 }
 
 /// The full happens-before suite over one trace: vector-clock data
-/// races, lock-set violations, and the scheduler-policy lints
-/// (stale-ranking placements, re-ranking hygiene, and fair-share
-/// starvation), in canonical (kind, object, site) order with duplicates
-/// removed. A replay of [`ConcurrencyFold`].
+/// races and the scheduler-policy lints (stale-ranking placements,
+/// re-ranking hygiene, and fair-share starvation), in canonical (kind,
+/// object, site) order with duplicates removed. A replay of
+/// [`ConcurrencyFold`].
 pub fn check_concurrency(trace: &KernelTrace) -> Vec<Violation> {
     let mut fold = ConcurrencyFold::new(&trace.machine, trace.policy);
     trace.replay(&mut fold);

@@ -1,60 +1,53 @@
 //! # asym-analysis
 //!
-//! A lockdep/TSan-style concurrency checker over simulated-kernel traces.
+//! A TSan-style concurrency checker over simulated-kernel traces.
 //!
 //! Every `asym-kernel` run emits a state-complete event stream. Each
 //! check here is an online fold over one kernel's stream: it sees every
 //! record once, in emission order, learns the run's outcome when the
 //! stream closes, and keeps only the state its verdict needs.
-//! [`AnalysisFold`] streams analyses 1–7 below and
+//! [`AnalysisFold`] streams analyses 1–5 below and
 //! [`hb::ConcurrencyFold`] the happens-before suite, fed live by
 //! [`capture_stream`](asym_kernel::capture_stream) (how sweeps check
 //! runs without buffering them) or by [`KernelTrace::replay`] of a
 //! trace recorded with [`capture_traces`]; [`analyze_trace`] and
-//! [`hb::check_concurrency`] are those replays. The crate checks eight
+//! [`hb::check_concurrency`] are those replays. The crate checks six
 //! properties:
 //!
-//! 1. **Deadlock detection** — a live wait-for graph over mutex
-//!    ownership; a cycle at the moment a thread blocks is reported as
-//!    [`ViolationKind::Deadlock`].
-//! 2. **Lock-order checking** (lockdep) — every ordered pair of locks
-//!    held together is recorded; observing both `(A, B)` and `(B, A)`
-//!    is a *potential* deadlock even if this run got lucky, reported as
-//!    [`ViolationKind::LockOrderInversion`].
-//! 3. **Lost-wakeup detection** — a thread that blocks forever on a
-//!    non-lock wait queue whose only signal arrived *before* the block
-//!    (classic missed-signal condvar bug), reported as
+//! 1. **Lost-wakeup detection** — a thread that blocks forever on a
+//!    wait queue whose only signal arrived *before* the block (the
+//!    classic missed-signal bug), reported as
 //!    [`ViolationKind::LostWakeup`].
-//! 4. **Asymmetry invariant** — under
+//! 2. **Asymmetry invariant** — under
 //!    [`SchedPolicy::asymmetry_aware`](asym_kernel::SchedPolicy), a fast
 //!    core must never sit idle while a strictly slower core's run queue
 //!    holds a thread allowed to run on the fast core (§3.4 of the
 //!    paper); reported as [`ViolationKind::FastCoreIdle`]. Mid-run
 //!    `SpeedChange` faults re-rank the cores, so the invariant is
 //!    checked against the *post-change* fast set.
-//! 5. **Core liveness** — no thread is ever dispatched to (or parked
+//! 3. **Core liveness** — no thread is ever dispatched to (or parked
 //!    on) a core that a hotplug fault took offline, reported as
 //!    [`ViolationKind::OfflineDispatch`]. The replay tracks
 //!    `CoreOffline`/`CoreOnline` trace events, so the check follows the
 //!    *dynamic* core set, not the static machine shape.
-//! 6. **Forward progress** — a run the kernel's watchdog gave up on
+//! 4. **Forward progress** — a run the kernel's watchdog gave up on
 //!    ([`RunOutcome::Stalled`]) is reported as
 //!    [`ViolationKind::StalledRun`]; a trace that simply ends at its
 //!    time limit is not.
-//! 7. **Kill accounting** — every `ThreadKilled` record must be
+//! 5. **Kill accounting** — every `ThreadKilled` record must be
 //!    followed by a `Done` record retiring the victim; a kill the
 //!    kernel never accounted for (the bug class where a fault-injected
 //!    kill silently vanishes and the run's `lost_workers` undercounts)
 //!    is reported as [`ViolationKind::DroppedKill`].
-//! 8. **Determinism** — running the same seeded program twice must
+//! 6. **Determinism** — running the same seeded program twice must
 //!    produce byte-identical traces
 //!    ([`KernelTrace::stable_hash`]); any divergence is
 //!    [`ViolationKind::NonDeterminism`].
 //!
-//! [`check_workload`] packages all eight for one workload run, and the
+//! [`check_workload`] packages all six for one workload run, and the
 //! `asym-check` binary in `asym-bench` sweeps every workload across the
 //! paper's nine machine configurations. [`ViolationLog`] plugs analyses
-//! 1–7 into a sweep as a section check. The [`fixtures`] module holds
+//! 1–5 into a sweep as a section check. The [`fixtures`] module holds
 //! deliberately buggy programs proving each detector fires.
 //!
 //! # Examples
@@ -62,13 +55,13 @@
 //! ```
 //! use asym_analysis::{analyze_trace, fixtures};
 //!
-//! // A seeded AB/BA lock-order fixture: no deadlock this run, but the
-//! // inversion is latent and lockdep flags it.
-//! let trace = fixtures::lock_order_inversion();
+//! // A seeded missed-signal fixture: the notify fired before anyone
+//! // waited, so the consumer blocks forever.
+//! let trace = fixtures::missed_signal();
 //! let violations = analyze_trace(&trace);
 //! assert!(violations
 //!     .iter()
-//!     .any(|v| v.kind == asym_analysis::ViolationKind::LockOrderInversion));
+//!     .any(|v| v.kind == asym_analysis::ViolationKind::LostWakeup));
 //! ```
 
 use asym_core::{CheckFold, RunSetup, TraceCheck, Workload};
@@ -77,7 +70,7 @@ use asym_kernel::{
 };
 use asym_sim::{CoreId, CoreMask, MachineSpec, SimTime, Speed};
 use hb::{slot, Lint, LintFold};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,11 +83,6 @@ pub use asym_kernel::{KernelTrace, TraceRecord};
 /// The class of concurrency defect a [`Violation`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViolationKind {
-    /// A cycle in the wait-for graph: the run is wedged.
-    Deadlock,
-    /// Two locks were taken in both orders across the run — a potential
-    /// deadlock even when this particular schedule survived.
-    LockOrderInversion,
     /// A thread blocked forever on a wait queue whose signal had
     /// already fired (missed-signal bug).
     LostWakeup,
@@ -116,10 +104,6 @@ pub enum ViolationKind {
     /// Two plain accesses to the same shared word are unordered by the
     /// happens-before relation (vector-clock data race).
     DataRace,
-    /// A shared object accessed by multiple lock-holding threads has no
-    /// common lock protecting every access (Eraser-style lock-set
-    /// violation).
-    InconsistentLockSet,
     /// Under the asymmetry-aware policy, a thread was placed on a core
     /// that the speed ranking in force at that instant does not justify —
     /// an idle, eligible, strictly faster core existed (e.g. a dispatch
@@ -143,8 +127,6 @@ pub enum ViolationKind {
 impl fmt::Display for ViolationKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            ViolationKind::Deadlock => "deadlock",
-            ViolationKind::LockOrderInversion => "lock-order-inversion",
             ViolationKind::LostWakeup => "lost-wakeup",
             ViolationKind::FastCoreIdle => "fast-core-idle",
             ViolationKind::OfflineDispatch => "offline-dispatch",
@@ -152,7 +134,6 @@ impl fmt::Display for ViolationKind {
             ViolationKind::DroppedKill => "dropped-kill",
             ViolationKind::NonDeterminism => "non-determinism",
             ViolationKind::DataRace => "data-race",
-            ViolationKind::InconsistentLockSet => "inconsistent-lock-set",
             ViolationKind::StaleRanking => "stale-ranking",
             ViolationKind::StaleRerank => "stale-rerank",
             ViolationKind::RerankThrash => "rerank-thrash",
@@ -168,13 +149,12 @@ pub struct Violation {
     /// What kind of defect this is.
     pub kind: ViolationKind,
     /// The simulated time at which the defect manifested, when it has
-    /// one (lock-order inversions and non-determinism are properties of
-    /// the whole run).
+    /// one (non-determinism is a property of the whole run).
     pub time: Option<SimTime>,
     /// Human-readable description naming the threads and queues involved.
     pub message: String,
-    /// The entity the violation is about (a shared object, lock, core,
-    /// or thread), normalized for stable ordering and deduplication.
+    /// The entity the violation is about (a shared object, core, or
+    /// thread), normalized for stable ordering and deduplication.
     /// Empty when the defect has no single anchor object.
     pub object: String,
     /// The trace site(s) anchoring the violation, as `#index` record
@@ -241,19 +221,19 @@ pub fn normalize_violations(mut violations: Vec<Violation>) -> Vec<Violation> {
     violations
 }
 
-/// Runs analyses 1–7 (deadlock, lock order, lost wakeup, asymmetry
-/// invariant, core liveness, forward progress, kill accounting) over
-/// one captured trace. A replay of [`AnalysisFold`].
+/// Runs analyses 1–5 (lost wakeup, asymmetry invariant, core liveness,
+/// forward progress, kill accounting) over one captured trace. A replay
+/// of [`AnalysisFold`].
 ///
-/// The returned violations are in a deterministic order: detection
-/// order for the replay-driven checks, then lost wakeups by thread.
+/// The returned violations are in a deterministic order: lost wakeups
+/// by thread, then detection order for the replay-driven checks.
 pub fn analyze_trace(trace: &KernelTrace) -> Vec<Violation> {
     let mut fold = AnalysisFold::new(&trace.machine, trace.policy);
     trace.replay(&mut fold);
     fold.finish()
 }
 
-/// Analyses 1–7 as one streaming consumer of a kernel's events, each
+/// Analyses 1–5 as one streaming consumer of a kernel's events, each
 /// folded online in a single pass with dense per-thread, per-core and
 /// per-queue state. Feed it with
 /// [`capture_stream`](asym_kernel::capture_stream) (one fold per
@@ -265,7 +245,7 @@ impl AnalysisFold {
     /// A fold for one kernel managing `machine` under `policy`.
     pub fn new(machine: &MachineSpec, policy: SchedPolicy) -> Self {
         AnalysisFold(LintFold::new(TraceLints {
-            locks: LockLint::default(),
+            wakeups: WakeupLint::default(),
             fast_idle: FastIdleLint::new(machine, policy),
             liveness: LivenessLint::new(machine),
             progress: ProgressLint::default(),
@@ -289,9 +269,9 @@ impl TraceConsumer for AnalysisFold {
     }
 }
 
-/// The seven analyses, in report order (`locks` runs the first three).
+/// The five analyses, in report order.
 struct TraceLints {
-    locks: LockLint,
+    wakeups: WakeupLint,
     fast_idle: Option<FastIdleLint>,
     liveness: LivenessLint,
     progress: ProgressLint,
@@ -300,7 +280,7 @@ struct TraceLints {
 
 impl Lint for TraceLints {
     fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
-        self.locks.on_record(i, time, event);
+        self.wakeups.on_record(i, time, event);
         self.fast_idle.on_record(i, time, event);
         self.liveness.on_record(i, time, event);
         self.progress.on_record(i, time, event);
@@ -308,12 +288,12 @@ impl Lint for TraceLints {
     }
 
     fn on_close(&mut self, outcome: Option<RunOutcome>) {
-        self.locks.on_close(outcome);
+        self.wakeups.on_close(outcome);
         self.progress.on_close(outcome);
     }
 
     fn finish(self, labels: &[String]) -> Vec<Violation> {
-        let mut violations = self.locks.finish(labels);
+        let mut violations = self.wakeups.finish(labels);
         violations.extend(self.fast_idle.finish(labels));
         violations.extend(self.liveness.finish(labels));
         violations.extend(self.progress.finish(labels));
@@ -330,51 +310,15 @@ fn clear<T>(v: &mut [Option<T>], i: usize) {
 }
 
 // ----------------------------------------------------------------------
-// 1–3. Lock discipline: deadlocks, lock order, lost wakeups
+// 1. Lost wakeups
 // ----------------------------------------------------------------------
 
-/// Analyses 1–3, over one replay of lock ownership, waits and signals:
-///
-/// 1. **Deadlock.** Whenever a thread blocks on a held lock, walks
-///    owner→waits-on edges looking for a cycle back to the blocking
-///    thread. Each distinct cycle (as a thread set) is reported once.
-/// 2. **Lock order.** Records, for every lock acquisition *or blocking
-///    attempt*, the ordered pairs (held, wanted); a pair observed in
-///    both directions is a potential deadlock (as in Linux lockdep, the
-///    dependency is formed the moment a thread reaches for the inner
-///    lock, acquired or not). Each unordered lock pair is reported
-///    once, with both witness times.
-/// 3. **Lost wakeup.** For runs that ended deadlocked: a thread still
-///    blocked on a *non-lock* queue, where some signal on that queue
-///    fired before the block and woke nobody, and no signal arrived
-///    after — the blocked thread missed its wakeup. (Lock waits are
-///    excluded: a thread stuck on a mutex is the deadlock detector's
-///    business.)
-///
-/// The lock queues are learned from `LockAcquire` records as the stream
-/// goes. A thread blocks on a mutex only after failing to take it,
-/// which means another thread holds it, and that holder's acquisition
-/// was traced first. So every `Block` on a lock follows a `LockAcquire`
-/// of that lock, and the set learned so far classifies it exactly as
-/// the set of the whole trace would.
+/// For runs that ended deadlocked: a thread still blocked on a wait
+/// queue, where some signal on that queue fired before the block and
+/// woke nobody, and no signal arrived after — the blocked thread missed
+/// its wakeup.
 #[derive(Default)]
-struct LockLint {
-    /// Whether each wait queue backs a mutex, by queue.
-    is_lock: Vec<bool>,
-    /// Each lock's owner, by queue.
-    owner: Vec<Option<ThreadId>>,
-    /// The lock each thread waits on, by thread.
-    waiting: Vec<Option<WaitId>>,
-    /// The locks each thread holds, in acquisition order, by thread.
-    held: Vec<Vec<WaitId>>,
-    /// (outer, inner) → the first time that order was observed.
-    orders: BTreeMap<(WaitId, WaitId), SimTime>,
-    /// The wait-for cycles reported so far, as sorted thread sets.
-    cycles: BTreeSet<Vec<ThreadId>>,
-    /// The inverted lock pairs reported so far, low id first.
-    inverted: BTreeSet<(WaitId, WaitId)>,
-    deadlocks: Vec<Violation>,
-    inversions: Vec<Violation>,
+struct WakeupLint {
     /// Each thread's open block — (thread, queue, record index, time) —
     /// until a wakeup or kill, by thread.
     blocked: Vec<Option<(ThreadId, WaitId, usize, SimTime)>>,
@@ -385,120 +329,14 @@ struct LockLint {
     deadlocked: bool,
 }
 
-impl LockLint {
-    fn is_lock(&self, wait: WaitId) -> bool {
-        self.is_lock.get(wait.index()).copied().unwrap_or(false)
-    }
-
-    fn waits_on(&self, tid: ThreadId) -> Option<WaitId> {
-        self.waiting.get(tid.index()).copied().flatten()
-    }
-
-    /// Follows `start`'s waits-on → owned-by chain; returns the member
-    /// threads if it closes back on `start`.
-    fn find_cycle(&self, start: ThreadId) -> Option<Vec<ThreadId>> {
-        let mut path = vec![start];
-        let mut cur = start;
-        loop {
-            let lock = self.waits_on(cur)?;
-            let next = self.owner.get(lock.index()).copied().flatten()?;
-            if next == start {
-                return Some(path);
-            }
-            if path.contains(&next) {
-                // Cycle that does not include `start`; it was (or will
-                // be) reported when one of its own members blocked.
-                return None;
-            }
-            path.push(next);
-            cur = next;
-        }
-    }
-
-    /// `tid` just blocked on a lock at `time`: reports the wait-for
-    /// cycle it closes, if any.
-    fn check_cycle(&mut self, tid: ThreadId, time: SimTime) {
-        let Some(cycle) = self.find_cycle(tid) else {
-            return;
-        };
-        let mut key = cycle.clone();
-        key.sort_unstable();
-        if self.cycles.insert(key) {
-            let chain: Vec<String> = cycle
-                .iter()
-                .filter_map(|&t| self.waits_on(t).map(|w| format!("{t} waits for {w}")))
-                .collect();
-            self.deadlocks.push(Violation::new(
-                ViolationKind::Deadlock,
-                Some(time),
-                format!(
-                    "wait-for cycle among {} threads: {}",
-                    cycle.len(),
-                    chain.join(", ")
-                ),
-            ));
-        }
-    }
-
-    /// `tid` reaches for `lock` at `time` while holding its stack.
-    fn check_order(&mut self, tid: ThreadId, lock: WaitId, time: SimTime) {
-        let Some(stack) = self.held.get(tid.index()) else {
-            return;
-        };
-        for &outer in stack {
-            if outer == lock {
-                continue;
-            }
-            self.orders.entry((outer, lock)).or_insert(time);
-            let Some(&earlier) = self.orders.get(&(lock, outer)) else {
-                continue;
-            };
-            if self.inverted.insert((outer.min(lock), outer.max(lock))) {
-                self.inversions.push(Violation::new(
-                    ViolationKind::LockOrderInversion,
-                    None,
-                    format!(
-                        "{outer} and {lock} are taken in both orders ({lock} before \
-                         {outer} at {earlier}, {outer} before {lock} at {time}): \
-                         potential deadlock"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-impl Lint for LockLint {
+impl Lint for WakeupLint {
     fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
         match *event {
-            TraceEvent::LockAcquire { tid, lock, .. } => {
-                *slot(&mut self.is_lock, lock.index()) = true;
-                self.check_order(tid, lock, time);
-                slot(&mut self.held, tid.index()).push(lock);
-                *slot(&mut self.owner, lock.index()) = Some(tid);
-                clear(&mut self.waiting, tid.index());
-            }
-            TraceEvent::LockRelease { tid, lock } => {
-                clear(&mut self.owner, lock.index());
-                if let Some(stack) = self.held.get_mut(tid.index()) {
-                    if let Some(pos) = stack.iter().rposition(|&l| l == lock) {
-                        stack.remove(pos);
-                    }
-                }
-            }
-            // A killed thread stops waiting; any lock it owned stays
-            // taken, which later blockers will report as a deadlock.
             TraceEvent::Wakeup { tid, .. } | TraceEvent::ThreadKilled { tid } => {
-                clear(&mut self.waiting, tid.index());
                 clear(&mut self.blocked, tid.index());
             }
             TraceEvent::Block { tid, wait } => {
                 *slot(&mut self.blocked, tid.index()) = Some((tid, wait, i, time));
-                if self.is_lock(wait) {
-                    self.check_order(tid, wait, time);
-                    *slot(&mut self.waiting, tid.index()) = Some(wait);
-                    self.check_cycle(tid, time);
-                }
             }
             TraceEvent::Signal { wait, woken, .. } => {
                 *slot(&mut self.last_signal, wait.index()) = Some(i);
@@ -515,38 +353,34 @@ impl Lint for LockLint {
         self.deadlocked = matches!(outcome, Some(RunOutcome::Deadlock(_)));
     }
 
-    fn finish(mut self, _labels: &[String]) -> Vec<Violation> {
-        let mut violations = std::mem::take(&mut self.deadlocks);
-        violations.append(&mut self.inversions);
+    fn finish(self, _labels: &[String]) -> Vec<Violation> {
         if !self.deadlocked {
-            return violations;
+            return Vec::new();
         }
         let at = |v: &[Option<usize>], wait: WaitId| v.get(wait.index()).copied().flatten();
-        let lost = self
-            .blocked
+        self.blocked
             .iter()
             .flatten()
             .filter(|&&(_, wait, block, _)| {
-                !self.is_lock(wait)
-                    && at(&self.first_empty, wait).is_some_and(|s| s < block)
+                at(&self.first_empty, wait).is_some_and(|s| s < block)
                     && at(&self.last_signal, wait).is_none_or(|s| s <= block)
-            });
-        violations.extend(lost.map(|&(tid, wait, _, time)| {
-            Violation::new(
-                ViolationKind::LostWakeup,
-                Some(time),
-                format!(
-                    "{tid} blocked forever on {wait}; the queue was signalled with no \
-                     waiters before the block and never again after it"
-                ),
-            )
-        }));
-        violations
+            })
+            .map(|&(tid, wait, _, time)| {
+                Violation::new(
+                    ViolationKind::LostWakeup,
+                    Some(time),
+                    format!(
+                        "{tid} blocked forever on {wait}; the queue was signalled with no \
+                         waiters before the block and never again after it"
+                    ),
+                )
+            })
+            .collect()
     }
 }
 
 // ----------------------------------------------------------------------
-// 4. Asymmetry invariant: fast cores never idle over slower queued work
+// 2. Asymmetry invariant: fast cores never idle over slower queued work
 // ----------------------------------------------------------------------
 
 /// Replayed scheduler state, for the lints that judge where threads
@@ -725,7 +559,7 @@ impl Lint for FastIdleLint {
 }
 
 // ----------------------------------------------------------------------
-// 5. Core liveness: offline cores never receive or hold work
+// 3. Core liveness: offline cores never receive or hold work
 // ----------------------------------------------------------------------
 
 /// Replays hotplug state and asserts no thread is ever dispatched to,
@@ -830,7 +664,7 @@ impl Lint for LivenessLint {
 }
 
 // ----------------------------------------------------------------------
-// 6. Forward progress: the watchdog never has to give up
+// 4. Forward progress: the watchdog never has to give up
 // ----------------------------------------------------------------------
 
 /// A trace whose run the kernel's livelock watchdog abandoned
@@ -868,7 +702,7 @@ impl Lint for ProgressLint {
 }
 
 // ----------------------------------------------------------------------
-// 7. Kill accounting: every kill retires its victim
+// 5. Kill accounting: every kill retires its victim
 // ----------------------------------------------------------------------
 
 /// The kernel's kill path is a two-record contract: `ThreadKilled { tid }`
@@ -912,7 +746,7 @@ impl Lint for KillLint {
 }
 
 // ----------------------------------------------------------------------
-// 8. Determinism
+// 6. Determinism
 // ----------------------------------------------------------------------
 
 /// Compares the kernel traces of two runs of the same seeded program;
@@ -981,7 +815,7 @@ pub struct CheckReport {
     pub kernels: usize,
     /// Total trace events analyzed (first run).
     pub events: usize,
-    /// Every violation from all eight analyses.
+    /// Every violation from all six analyses.
     pub violations: Vec<Violation>,
 }
 
@@ -993,7 +827,7 @@ impl CheckReport {
 }
 
 /// Runs `workload` once under `setup` (twice, for the determinism
-/// check) and applies all eight analyses to the captured traces.
+/// check) and applies all six analyses to the captured traces.
 pub fn check_workload(workload: &dyn Workload, setup: &RunSetup) -> CheckReport {
     let label = format!(
         "{} @ {} / {} / seed {}",
@@ -1040,14 +874,14 @@ pub fn render_violations(violations: &[Violation]) -> String {
 // Sweep integration
 // ----------------------------------------------------------------------
 
-/// A shared, thread-safe violation counter that plugs analyses 1–7
+/// A shared, thread-safe violation counter that plugs analyses 1–5
 /// into a sweep as a section check.
 ///
 /// [`ViolationLog::check`] returns a [`TraceCheck`] for
 /// `ResilientOptions::trace_check`: every kernel of every attempt —
 /// failed attempts included — streams through an [`AnalysisFold`],
-/// findings are printed to stderr with the kernel's policy and core
-/// speeds, and their number accumulates in the log. Clones share the
+/// findings are printed to stderr with the cell's seed and the kernel's
+/// policy and core speeds, and their number accumulates in the log. Clones share the
 /// same counter, so one log can watch every section of a multi-spec
 /// sweep — including cells executing on parallel host threads.
 #[derive(Clone, Debug, Default)]
@@ -1070,11 +904,12 @@ impl ViolationLog {
     /// records what the analyses find.
     pub fn check(&self) -> TraceCheck {
         let log = self.clone();
-        Arc::new(move |machine, policy| {
+        Arc::new(move |machine, policy, seed| {
             Box::new(LoggedFold {
                 fold: AnalysisFold::new(machine, policy),
                 machine: machine.clone(),
                 policy,
+                seed,
                 log: log.clone(),
             })
         })
@@ -1086,6 +921,7 @@ struct LoggedFold {
     fold: AnalysisFold,
     machine: MachineSpec,
     policy: SchedPolicy,
+    seed: u64,
     log: ViolationLog,
 }
 
@@ -1105,7 +941,8 @@ impl CheckFold for LoggedFold {
         if !found.is_empty() {
             self.log.count.fetch_add(found.len(), Ordering::Relaxed);
             eprintln!(
-                "  [VIOLATION] {} on {}: {}",
+                "  [VIOLATION] seed {} {} on {}: {}",
+                self.seed,
                 self.policy,
                 self.machine,
                 render_violations(&found)
@@ -1150,35 +987,6 @@ mod tests {
         });
         let violations = analyze_trace(&trace);
         assert!(violations.is_empty(), "unexpected: {violations:?}");
-    }
-
-    #[test]
-    fn deadlock_fixture_trips_deadlock_detector() {
-        let trace = fixtures::ab_ba_deadlock();
-        assert!(matches!(trace.outcome, Some(RunOutcome::Deadlock(2))));
-        let violations = analyze_trace(&trace);
-        assert!(
-            violations.iter().any(|v| v.kind == ViolationKind::Deadlock),
-            "no deadlock reported: {violations:?}"
-        );
-        // The same trace also exhibits the order inversion.
-        assert!(violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::LockOrderInversion));
-    }
-
-    #[test]
-    fn staggered_inversion_trips_lockdep_only() {
-        let trace = fixtures::lock_order_inversion();
-        assert_eq!(trace.outcome, Some(RunOutcome::AllDone));
-        let violations = analyze_trace(&trace);
-        assert!(violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::LockOrderInversion));
-        assert!(
-            !violations.iter().any(|v| v.kind == ViolationKind::Deadlock),
-            "the staggered fixture completes; only the latent inversion should fire"
-        );
     }
 
     #[test]

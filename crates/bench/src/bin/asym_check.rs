@@ -3,16 +3,16 @@
 //!
 //! Default mode sweeps all nine machine configurations times all eight
 //! paper workloads under the asymmetry-aware kernel policy, applying
-//! every analysis in [`asym_analysis`] (deadlock, lock-order,
-//! lost-wakeup, fast-core-idle invariant, offline-core liveness,
-//! forward progress, kill accounting, determinism) to the captured
-//! kernel traces. Exits
-//! nonzero if any violation is found.
+//! every analysis in [`asym_analysis`] (lost-wakeup, fast-core-idle
+//! invariant, offline-core liveness, forward progress, kill accounting,
+//! determinism) to the captured kernel traces. Exits nonzero if any
+//! violation is found.
 //!
 //! `--races` sweeps the same matrix through the happens-before engine
 //! instead: FastTrack-style vector-clock race detection over the
-//! workloads' `SharedRead`/`SharedWrite` annotations, the Eraser-style
-//! lock-set checker, and the stale-speed-ranking policy lint.
+//! workloads' `SharedRead`/`SharedWrite` annotations and the
+//! scheduler-policy lints (stale speed ranking, re-rank hygiene,
+//! fair-share starvation).
 //!
 //! `--fixtures` instead runs the seeded negative fixtures and verifies
 //! each detector actually fires; here the exit code is nonzero if a
@@ -22,9 +22,8 @@
 //! (1f-3s/8) — the CI smoke mode (`--races --quick` likewise).
 
 use asym_analysis::fixtures::{
-    ab_ba_deadlock, downhill_steal, lock_order_inversion, lockset_violation, missed_signal,
-    missing_rerank, offline_core_dispatch, readers_then_writer_race, rerank_thrash,
-    stale_ranking_dispatch, stalled_run, swallowed_kill, unprotected_write_race,
+    downhill_steal, missed_signal, missing_rerank, offline_core_dispatch, readers_then_writer_race,
+    rerank_thrash, stale_ranking_dispatch, stalled_run, swallowed_kill, unprotected_write_race,
     vruntime_starvation,
 };
 use asym_analysis::hb::{check_concurrency, happens_before};
@@ -52,23 +51,7 @@ fn run_fixtures() -> ExitCode {
     println!("asym-check --fixtures: seeded negative fixtures");
     let mut ok = true;
     ok &= expect_fires(
-        "lock-order inversion (staggered AB/BA)",
-        &lock_order_inversion(),
-        ViolationKind::LockOrderInversion,
-    );
-    let deadlock = ab_ba_deadlock();
-    ok &= expect_fires(
-        "AB/BA deadlock (wait-for cycle)",
-        &deadlock,
-        ViolationKind::Deadlock,
-    );
-    ok &= expect_fires(
-        "AB/BA deadlock (lockdep on blocked attempt)",
-        &deadlock,
-        ViolationKind::LockOrderInversion,
-    );
-    ok &= expect_fires(
-        "missed signal (wait without recheck)",
+        "missed signal (block after the notify)",
         &missed_signal(),
         ViolationKind::LostWakeup,
     );
@@ -96,11 +79,6 @@ fn run_fixtures() -> ExitCode {
         "two unordered readers, then an unordered writer (cites the earlier read)",
         &readers_then_writer_race(),
         ViolationKind::DataRace,
-    );
-    ok &= expect_fires(
-        "same table guarded by two different locks",
-        &lockset_violation(),
-        ViolationKind::InconsistentLockSet,
     );
     ok &= expect_fires(
         "dispatch on stale speed ranking (forged re-rank)",
@@ -169,8 +147,8 @@ fn run_sweep(configs: &[AsymConfig]) -> ExitCode {
     }
     println!("analyzed {kernels} kernels / {events} trace events");
     if dirty == 0 {
-        println!("all runs clean: no deadlocks, order inversions, lost wakeups,");
-        println!("fast-core idling, offline-core dispatch, stalls, or trace");
+        println!("all runs clean: no lost wakeups, fast-core idling,");
+        println!("offline-core dispatch, stalls, dropped kills, or trace");
         println!("divergence across the matrix");
         ExitCode::SUCCESS
     } else {
@@ -180,8 +158,8 @@ fn run_sweep(configs: &[AsymConfig]) -> ExitCode {
 }
 
 /// Sweeps `configs` x all paper workloads through the happens-before
-/// engine: vector-clock data-race detection, lock-set checking, and the
-/// stale-speed-ranking policy lint. Exits nonzero on any finding.
+/// engine: vector-clock data-race detection and the scheduler-policy
+/// lints. Exits nonzero on any finding.
 fn run_races(configs: &[AsymConfig]) -> ExitCode {
     let policy = SchedPolicy::asymmetry_aware();
     let workloads = paper_workloads();
@@ -221,8 +199,8 @@ fn run_races(configs: &[AsymConfig]) -> ExitCode {
     println!("analyzed {kernels} kernels / {events} trace events / {edges} happens-before edges");
     if dirty == 0 {
         println!("all runs race-free: every shared access is ordered by the");
-        println!("happens-before relation, lock-sets are consistent, and no");
-        println!("dispatch used a stale speed ranking");
+        println!("happens-before relation, and the scheduler-policy lints");
+        println!("(speed ranking, re-rank hygiene, starvation) are clean");
         ExitCode::SUCCESS
     } else {
         println!("FAILURE: {dirty} run(s) reported violations");

@@ -13,8 +13,7 @@
 //! trace-event JSON file: both runs as sibling process groups from a
 //! shared t=0 origin, with per-core counter tracks (live speed,
 //! runnable-queue depth) and flow arrows linking migration decisions
-//! to landing dispatches and contended lock releases to the acquires
-//! they hand off to. Load it at <https://ui.perfetto.dev>.
+//! to landing dispatches. Load it at <https://ui.perfetto.dev>.
 
 use asym_bench::{output_path, paper_workloads};
 use asym_core::{AsymConfig, RunSetup};

@@ -58,9 +58,8 @@ pub struct SweepArgs {
     pub quick: bool,
     /// `--json` / `--json=PATH`: write the engine's structured report.
     pub json: Option<PathBuf>,
-    /// `--check`: run the happens-before race detector, lock-set
-    /// checker, and policy lints on every cell's traces; findings fail
-    /// the sweep.
+    /// `--check`: run the happens-before race detector and policy lints
+    /// on every cell's traces; findings fail the sweep.
     pub check: bool,
     /// `--list`: print registered specs and exit.
     pub list: bool,
@@ -327,12 +326,12 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
 }
 
 /// The [`TraceCheck`] that plugs `asym-analysis`'s happens-before race
-/// detection, lock-set checking, and policy lints into the cell engine:
+/// detection and policy lints into the cell engine:
 /// every kernel of a cell streams through a [`ConcurrencyFold`], and
 /// findings are rendered one line each in the analyses' deterministic
 /// (kind, object, site) order.
 pub fn concurrency_check() -> TraceCheck {
-    Arc::new(|machine, policy| Box::new(ConcurrencyFold::new(machine, policy)))
+    Arc::new(|machine, policy, _seed| Box::new(ConcurrencyFold::new(machine, policy)))
 }
 
 #[cfg(test)]

@@ -1633,16 +1633,17 @@ struct TournamentLog {
 
 /// The tournament's section check for policy `pname`: every kernel of
 /// every attempt streams through the complete analysis suite — the
-/// seven trace analyses and the happens-before suite — and the run
+/// five trace analyses and the happens-before suite — and the run
 /// profile, and is folded into `log` when its stream closes.
 fn tournament_check(log: &Arc<Mutex<TournamentLog>>, pname: &'static str) -> TraceCheck {
     let log = Arc::clone(log);
-    Arc::new(move |machine, policy| {
+    Arc::new(move |machine, policy, seed| {
         Box::new(TournamentFold {
             analyses: AnalysisFold::new(machine, policy),
             races: ConcurrencyFold::new(machine, policy),
             profile: ProfileFold::new(machine, policy),
             machine: machine.clone(),
+            seed,
             pname,
             log: Arc::clone(&log),
         })
@@ -1655,6 +1656,7 @@ struct TournamentFold {
     races: ConcurrencyFold,
     profile: ProfileFold,
     machine: MachineSpec,
+    seed: u64,
     pname: &'static str,
     log: Arc<Mutex<TournamentLog>>,
 }
@@ -1686,8 +1688,9 @@ impl CheckFold for TournamentFold {
         if !found.is_empty() {
             log.violations += found.len();
             eprintln!(
-                "  [VIOLATION] {} on {}: {}",
+                "  [VIOLATION] {} seed {} on {}: {}",
                 self.pname,
+                self.seed,
                 self.machine,
                 render_violations(&found)
             );

@@ -92,7 +92,7 @@ fn forged_trace_fails_the_engine_trace_check() {
     // a ranking reorder and no Rerank record must produce findings —
     // the driver turns any finding into a non-zero exit.
     let trace = asym_analysis::fixtures::missing_rerank();
-    let mut fold = concurrency_check()(&trace.machine, trace.policy);
+    let mut fold = concurrency_check()(&trace.machine, trace.policy, 0);
     trace.replay(&mut *fold);
     let findings = fold.findings();
     assert!(

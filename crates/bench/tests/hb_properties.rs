@@ -23,7 +23,7 @@ use asym_kernel::{
     SpawnOptions, Step, ThreadCx,
 };
 use asym_sim::{Cycles, FaultPlan, FaultProfile, SimDuration};
-use asym_sync::{SimMutex, SimShared};
+use asym_sync::SimShared;
 
 /// The HB relation of every trace of every (workload, config) cell is a
 /// DAG consistent with time: every edge points from an earlier record
@@ -285,54 +285,17 @@ fn streamed_check_equals_check_concurrency_over_buffered_traces() {
     assert_eq!(log.count(), 0);
 }
 
-/// Two threads taking two [`SimMutex`]es in opposite orders, with
-/// seed-dependent compute between the acquisitions: some schedules
-/// wedge in an AB/BA deadlock, and every schedule that brings both
-/// threads to their inner locks shows lockdep the inversion. A planned
-/// kill of a lock holder wedges the survivor too.
-struct AbBa;
+/// A producer that notifies a bare kernel wait queue once and a
+/// consumer that blocks on it once, each after a seed-dependent compute
+/// burst. When the notify comes first it wakes nobody and the consumer
+/// blocks forever: the run deadlocks with a lost wakeup. When the block
+/// comes first the notify wakes it and the run completes. A planned
+/// kill of the producer wedges the consumer without a lost wakeup.
+struct MissedSignal;
 
-/// A thread taking `first` then `second` for three rounds.
-fn ordered_locker(
-    name: &str,
-    first: SimMutex,
-    second: SimMutex,
-) -> FnThread<impl FnMut(&mut ThreadCx<'_>) -> Step> {
-    let (mut round, mut phase) = (0u32, 0u8);
-    FnThread::new(name, move |cx| loop {
-        match phase {
-            0 => match first.lock_step(cx) {
-                Ok(()) => phase = 1,
-                Err(step) => return step,
-            },
-            1 => {
-                phase = 2;
-                return Step::Compute(Cycles::new(cx.rng().range(10_000, 2_000_000)));
-            }
-            2 => match second.lock_step(cx) {
-                Ok(()) => phase = 3,
-                Err(step) => return step,
-            },
-            3 => {
-                phase = 4;
-                return Step::Compute(Cycles::new(20_000));
-            }
-            _ => {
-                second.unlock(cx);
-                first.unlock(cx);
-                round += 1;
-                phase = 0;
-                if round == 3 {
-                    return Step::Done;
-                }
-            }
-        }
-    })
-}
-
-impl Workload for AbBa {
+impl Workload for MissedSignal {
     fn name(&self) -> &str {
-        "ab-ba"
+        "missed-signal"
     }
     fn unit(&self) -> &str {
         "s"
@@ -342,13 +305,32 @@ impl Workload for AbBa {
     }
     fn run(&self, setup: &RunSetup) -> RunResult {
         let mut k = Kernel::new(setup.config.machine(), setup.policy, setup.seed);
-        let a = SimMutex::new(&mut k);
-        let b = SimMutex::new(&mut k);
+        let wait = k.create_wait_queue();
+        let burst = |cx: &mut ThreadCx<'_>| Cycles::new(cx.rng().range(10_000, 4_000_000));
+        let mut computed = false;
         k.spawn(
-            ordered_locker("ab", a.clone(), b.clone()),
+            FnThread::new("producer", move |cx| {
+                if computed {
+                    cx.notify_one(wait);
+                    return Step::Done;
+                }
+                computed = true;
+                Step::Compute(burst(cx))
+            }),
             SpawnOptions::new(),
         );
-        k.spawn(ordered_locker("ba", b, a), SpawnOptions::new());
+        let mut phase = 0u8;
+        k.spawn(
+            FnThread::new("consumer", move |cx| {
+                phase += 1;
+                match phase {
+                    1 => Step::Compute(burst(cx)),
+                    2 => Step::Block(wait),
+                    _ => Step::Done,
+                }
+            }),
+            SpawnOptions::new(),
+        );
         k.run();
         RunResult::new(k.now().as_secs_f64())
     }
@@ -368,14 +350,14 @@ fn kill_plan(setup: &RunSetup) -> FaultPlan {
 
 /// The streamed section check counts what the buffered analyses find:
 /// a [`ViolationLog`] on resilient hotplug/throttle and kill cells of
-/// the AB/BA workload, at `--jobs 1` and `--jobs 4`, counts exactly the
-/// `analyze_trace` findings over `capture_traces` of the same attempts
-/// — the reference replays the retry ladder, so failed attempts count
-/// too.
+/// the missed-signal workload, at `--jobs 1` and `--jobs 4`, counts
+/// exactly the `analyze_trace` findings over `capture_traces` of the
+/// same attempts — the reference replays the retry ladder, so failed
+/// attempts count too.
 #[test]
 fn violation_log_counts_what_analyze_trace_finds_in_every_attempt() {
     const RETRIES: u32 = 2;
-    let w = AbBa;
+    let w = MissedSignal;
     let configs = [AsymConfig::new(1, 1, 8), AsymConfig::new(2, 2, 4)];
     let planners: [fn(&RunSetup) -> FaultPlan; 2] = [hotplug_plan, kill_plan];
     let policy = SchedPolicy::asymmetry_aware();
@@ -444,5 +426,5 @@ fn violation_log_counts_what_analyze_trace_finds_in_every_attempt() {
         // The section check's findings stay its own.
         assert_eq!(outcome.report.total_violations(), 0);
     }
-    assert!(expected > 0, "the AB/BA cells must show findings");
+    assert!(expected > 0, "the missed-signal cells must show findings");
 }

@@ -224,7 +224,7 @@ fn render_entry(fingerprint: &str, key: &str, e: &CellEntry) -> String {
             let _ = writeln!(out, "metrics present");
             let _ = writeln!(
                 out,
-                "m {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+                "m {} {} {} {} {} {} {} {} {} {} {} {} {}",
                 m.kernels,
                 m.sim_ns,
                 m.busy_ns,
@@ -235,7 +235,6 @@ fn render_entry(fingerprint: &str, key: &str, e: &CellEntry) -> String {
                 m.migration_wait_ns,
                 m.preemptions,
                 m.sync_wait_ns,
-                m.contended_acquires,
                 m.speed_changes,
                 m.reranks,
                 m.tracking_lag_ns
@@ -307,7 +306,7 @@ fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
                 .map(str::parse)
                 .collect::<Result<_, _>>()
                 .ok()?;
-            if ints.len() != 14 {
+            if ints.len() != 13 {
                 return None;
             }
             let sched_latency = parse_hist(field(lines.next()?, "hl")?)?;
@@ -323,10 +322,9 @@ fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
                 migration_wait_ns: ints[7],
                 preemptions: ints[8],
                 sync_wait_ns: ints[9],
-                contended_acquires: ints[10],
-                speed_changes: ints[11],
-                reranks: ints[12],
-                tracking_lag_ns: ints[13],
+                speed_changes: ints[10],
+                reranks: ints[11],
+                tracking_lag_ns: ints[12],
                 sched_latency,
                 run_quantum,
             })
@@ -498,6 +496,36 @@ mod tests {
         let forged = fs::read_to_string(&path).expect("entry readable");
         let forged = forged.replace("key spec=w|seed=3", "key spec=OTHER");
         fs::write(&path, forged).expect("rewrite entry");
+        assert!(matches!(cache.load(key, false), Lookup::Miss));
+        let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn metrics_line_of_the_wrong_width_is_a_miss() {
+        // Entries once carried a 14th integer (a lock-contention count
+        // between `sync_wait_ns` and `speed_changes`). Such an entry
+        // must never load with every later metric shifted by one.
+        let cache = temp_cache("width");
+        let key = "spec=w|seed=4";
+        cache.store(key, &sample_entry(true)).expect("store");
+        assert!(matches!(cache.load(key, true), Lookup::Hit(_)));
+        let path = cache.entry_path(key);
+        let text = fs::read_to_string(&path).expect("entry readable");
+        let widened: String = text
+            .lines()
+            .map(|line| match line.strip_prefix("m ") {
+                Some(ints) => {
+                    let mut ints: Vec<&str> = ints.split(' ').collect();
+                    assert_eq!(ints.len(), 13);
+                    ints.insert(10, "0");
+                    format!("m {}\n", ints.join(" "))
+                }
+                None => format!("{line}\n"),
+            })
+            .collect();
+        assert_ne!(widened, text);
+        fs::write(&path, widened).expect("rewrite entry");
+        assert!(matches!(cache.load(key, true), Lookup::Miss));
         assert!(matches!(cache.load(key, false), Lookup::Miss));
         let _ = fs::remove_dir_all(cache.root());
     }

@@ -333,8 +333,11 @@ pub trait CheckFold: TraceConsumer {
 
 /// A per-cell trace check: a factory that builds one [`CheckFold`] for
 /// every kernel a cell attempt creates, from the kernel's machine and
-/// policy. The folds ride along with the engine's hash and metrics
-/// folds, so a checked cell streams exactly like an unchecked one.
+/// policy and the cell's seed (every attempt of a cell, reseeded
+/// retries and differential legs included, passes the same seed, so a
+/// finding can name its cell). The folds ride along with the engine's
+/// hash and metrics folds, so a checked cell streams exactly like an
+/// unchecked one.
 /// Installed on the runner ([`CellRunner::with_trace_check`]), its
 /// findings are those of each cell's final attempt's kernels, in
 /// creation order; installed on a section
@@ -343,7 +346,8 @@ pub trait CheckFold: TraceConsumer {
 /// is checked — `asym-analysis` plugs its happens-before race
 /// detection, policy lints and trace analyses in through this hook
 /// (see `asym_sweep --check`).
-pub type TraceCheck = Arc<dyn Fn(&MachineSpec, SchedPolicy) -> Box<dyn CheckFold> + Send + Sync>;
+pub type TraceCheck =
+    Arc<dyn Fn(&MachineSpec, SchedPolicy, u64) -> Box<dyn CheckFold> + Send + Sync>;
 
 /// What one executed cell produced, before reassembly.
 #[derive(Clone)]
@@ -460,8 +464,14 @@ impl CellFold {
         CellFold {
             hasher: TraceHasher::new(),
             profile: checks.metrics.then(|| ProfileFold::new(machine, policy)),
-            check: checks.runner.as_ref().map(|c| c(machine, policy)),
-            section_check: checks.section.as_ref().map(|c| c(machine, policy)),
+            check: checks
+                .runner
+                .as_ref()
+                .map(|c| c(machine, policy, checks.seed)),
+            section_check: checks
+                .section
+                .as_ref()
+                .map(|c| c(machine, policy, checks.seed)),
             outcome: None,
             budget_exhausted: false,
         }
@@ -509,10 +519,11 @@ impl TraceConsumer for CellFold {
 
 /// What every kernel of an attempt folds besides its hash: the run
 /// profile when `metrics` is set, the runner's check, and the
-/// section's check.
+/// section's check, both built with the cell's `seed`.
 #[derive(Clone)]
 struct Checks {
     metrics: bool,
+    seed: u64,
     runner: Option<TraceCheck>,
     section: Option<TraceCheck>,
 }
@@ -960,6 +971,7 @@ fn exec_cell(
     let start = Instant::now();
     let checks = |section: Option<&TraceCheck>| Checks {
         metrics: want_metrics,
+        seed: cell.setup.seed,
         runner: check.cloned(),
         section: section.cloned(),
     };
@@ -2043,14 +2055,76 @@ mod tests {
 
     /// A trace check that never reports anything.
     fn noop_check() -> TraceCheck {
-        Arc::new(|_, _| Box::new(NoFindings(None)))
+        Arc::new(|_, _, _| Box::new(NoFindings(None)))
     }
 
     /// A trace check that finds nothing and adds every kernel's closed
     /// fold to `closed`.
     fn counting_check(closed: &Arc<AtomicUsize>) -> TraceCheck {
         let closed = Arc::clone(closed);
-        Arc::new(move |_, _| Box::new(NoFindings(Some(Arc::clone(&closed)))))
+        Arc::new(move |_, _, _| Box::new(NoFindings(Some(Arc::clone(&closed)))))
+    }
+
+    /// A trace check that finds nothing and records the seed of every
+    /// fold it builds.
+    fn seed_check(seen: &Arc<std::sync::Mutex<Vec<u64>>>) -> TraceCheck {
+        let seen = Arc::clone(seen);
+        Arc::new(move |_, _, seed| {
+            seen.lock().expect("seed log").push(seed);
+            Box::new(NoFindings(None))
+        })
+    }
+
+    #[test]
+    fn trace_checks_are_built_with_each_cells_seed() {
+        let w = KernelBursts;
+        let section = Arc::default();
+        let mut plan = ExperimentPlan::new("seeds");
+        let resilient = |base: u64| ResilientOptions::new(2).base_seed(base).retries(2);
+        plan.push(
+            "aware",
+            &w,
+            &[AsymConfig::new(1, 3, 8)],
+            SpecMode::Resilient {
+                policy: SchedPolicy::asymmetry_aware(),
+                options: resilient(10).trace_check(seed_check(&section)),
+            },
+        );
+        plan.push(
+            "kills",
+            &w,
+            &[AsymConfig::new(2, 2, 8)],
+            SpecMode::Resilient {
+                policy: SchedPolicy::os_default(),
+                options: resilient(20)
+                    .fault_planner(kills)
+                    .trace_check(seed_check(&section)),
+            },
+        );
+        plan.push(
+            "diff",
+            &w,
+            &[AsymConfig::new(1, 3, 8)],
+            SpecMode::Differential {
+                options: ResilientOptions::new(1)
+                    .base_seed(30)
+                    .trace_check(seed_check(&section)),
+            },
+        );
+        let runner = Arc::default();
+        let out = CellRunner::new(2)
+            .with_trace_check(seed_check(&runner))
+            .run(plan);
+        let cells: Vec<u64> = out.report.cells.iter().map(|c| c.seed).collect();
+        assert_eq!(cells, [10, 11, 20, 21, 30]);
+        for seen in [&section, &runner] {
+            let mut seen = seen.lock().expect("seed log").clone();
+            // All four differential legs fold under the cell's seed.
+            assert!(seen.iter().filter(|&&s| s == 30).count() >= 4, "{seen:?}");
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen, cells);
+        }
     }
 
     /// The stable per-cell fields two equivalent runs must agree on.

@@ -175,7 +175,7 @@ impl CheckFold for Counting {
 /// to `closed`.
 fn counting_check(closed: &Arc<AtomicUsize>) -> TraceCheck {
     let closed = Arc::clone(closed);
-    Arc::new(move |_, _| Box::new(Counting(Arc::clone(&closed))))
+    Arc::new(move |_, _, _| Box::new(Counting(Arc::clone(&closed))))
 }
 
 #[test]

@@ -112,7 +112,14 @@ pub enum AtomicOp {
 /// every instant, which thread occupies each core, each core's run
 /// queue, every thread's affinity mask, and which threads are blocked,
 /// sleeping, or done.
+///
+/// The explicit discriminants are part of the trace-hash contract: the
+/// derived `Hash` feeds each variant's discriminant (as an `isize`) into
+/// [`KernelTrace::stable_hash`](crate::KernelTrace::stable_hash), so a
+/// variant keeps its number for good, and a removed variant's number is
+/// never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(isize)]
 pub enum TraceEvent {
     /// A thread was created and enqueued on a core's run queue.
     Spawn {
@@ -127,14 +134,14 @@ pub enum TraceEvent {
         /// happens-before analysis draws a spawn edge from the parent's
         /// spawn call to the child's first step.
         parent: Option<ThreadId>,
-    },
+    } = 0,
     /// A thread started a slice on a core.
     Dispatch {
         /// The dispatched thread.
         tid: ThreadId,
         /// The core granted.
         core: CoreId,
-    },
+    } = 1,
     /// A thread was moved between cores (steal, balance, or explicit
     /// migration).
     Migrate {
@@ -144,7 +151,7 @@ pub enum TraceEvent {
         from: CoreId,
         /// Where it went.
         to: CoreId,
-    },
+    } = 2,
     /// A running thread was taken off its core and put back on that
     /// core's run queue (quantum expiry, step-boundary round-robin,
     /// yield, or interruption before a cross-core move).
@@ -155,7 +162,7 @@ pub enum TraceEvent {
         core: CoreId,
         /// Why the thread lost the core.
         reason: PreemptReason,
-    },
+    } = 3,
     /// A *queued* thread was moved from one core's run queue to
     /// another's (idle stealing, periodic balancing, explicit pulls,
     /// affinity-forced requeues).
@@ -166,7 +173,7 @@ pub enum TraceEvent {
         from: CoreId,
         /// The queue it was pushed onto.
         to: CoreId,
-    },
+    } = 4,
     /// A thread became runnable after blocking or sleeping.
     Wakeup {
         /// The woken thread.
@@ -175,19 +182,19 @@ pub enum TraceEvent {
         core: CoreId,
         /// What made the thread runnable.
         reason: WakeReason,
-    },
+    } = 5,
     /// A thread blocked on a wait queue.
     Block {
         /// The blocking thread.
         tid: ThreadId,
         /// The queue it blocked on.
         wait: WaitId,
-    },
+    } = 6,
     /// A thread left the CPU to sleep until a timer fires.
     Sleep {
         /// The sleeping thread.
         tid: ThreadId,
-    },
+    } = 7,
     /// A wait queue was notified (whether or not anyone was waiting) —
     /// the raw kernel-level signal under every `asym-sync` primitive.
     Signal {
@@ -200,45 +207,19 @@ pub enum TraceEvent {
         /// How many waiters were woken (zero when nobody was waiting —
         /// the signature of a lost wakeup).
         woken: usize,
-    },
+    } = 8,
     /// A thread's affinity mask changed.
     SetAffinity {
         /// The re-pinned thread.
         tid: ThreadId,
         /// The new mask.
         affinity: CoreMask,
-    },
+    } = 9,
     /// A thread finished.
     Done {
         /// The finished thread.
         tid: ThreadId,
-    },
-    /// A `SimMutex` was acquired (emitted by `asym-sync`).
-    LockAcquire {
-        /// The new owner.
-        tid: ThreadId,
-        /// The lock's identity (its wait queue).
-        lock: WaitId,
-        /// Whether the acquisition previously blocked.
-        contended: bool,
-    },
-    /// A `SimMutex` was released (emitted by `asym-sync`).
-    LockRelease {
-        /// The previous owner.
-        tid: ThreadId,
-        /// The lock's identity (its wait queue).
-        lock: WaitId,
-    },
-    /// A thread began a condition-variable wait, atomically releasing
-    /// the paired mutex (emitted by `asym-sync`).
-    CondWait {
-        /// The waiting thread.
-        tid: ThreadId,
-        /// The condition variable's wait queue.
-        cond: WaitId,
-        /// The mutex released for the wait.
-        lock: WaitId,
-    },
+    } = 10,
     /// A thread arrived at a `SimBarrier` (emitted by `asym-sync`).
     BarrierArrive {
         /// The arriving thread.
@@ -247,35 +228,21 @@ pub enum TraceEvent {
         barrier: WaitId,
         /// Whether this arrival released the barrier.
         released: bool,
-    },
-    /// A semaphore permit was taken (emitted by `asym-sync`).
-    SemAcquire {
-        /// The acquiring thread.
-        tid: ThreadId,
-        /// The semaphore's wait queue.
-        sem: WaitId,
-    },
-    /// A semaphore permit was returned (emitted by `asym-sync`).
-    SemRelease {
-        /// The releasing thread.
-        tid: ThreadId,
-        /// The semaphore's wait queue.
-        sem: WaitId,
-    },
+    } = 14,
     /// An item was pushed onto a `SimQueue` (emitted by `asym-sync`).
     QueuePush {
         /// The producing thread.
         tid: ThreadId,
         /// The queue's wait queue.
         queue: WaitId,
-    },
+    } = 17,
     /// An item was popped from a `SimQueue` (emitted by `asym-sync`).
     QueuePop {
         /// The consuming thread.
         tid: ThreadId,
         /// The queue's wait queue.
         queue: WaitId,
-    },
+    } = 18,
     /// A core's execution rate changed mid-run (injected throttling /
     /// DVFS / duty-cycle re-modulation). Replayers must use the new
     /// speed from this instant on.
@@ -284,7 +251,7 @@ pub enum TraceEvent {
         core: CoreId,
         /// Its new speed.
         speed: Speed,
-    },
+    } = 19,
     /// The speed order of the online cores changed: the immediately
     /// preceding `SpeedChange` on `core` moved it past at least one
     /// other online core. Placement and balancing decisions made after
@@ -294,19 +261,19 @@ pub enum TraceEvent {
     Rerank {
         /// The core whose speed change reordered the ranking.
         core: CoreId,
-    },
+    } = 20,
     /// A core went offline (hotplug remove). Threads that were running
     /// or queued on it are migrated away by the immediately following
     /// `Preempt`/`Steal` events.
     CoreOffline {
         /// The departed core.
         core: CoreId,
-    },
+    } = 21,
     /// A core came back online (hotplug add).
     CoreOnline {
         /// The returning core.
         core: CoreId,
-    },
+    } = 22,
     /// The kernel widened a thread's affinity mask because the mask no
     /// longer covered any online core — the graceful-degradation
     /// alternative to stranding the thread forever.
@@ -315,13 +282,13 @@ pub enum TraceEvent {
         tid: ThreadId,
         /// The widened mask now in force.
         affinity: CoreMask,
-    },
+    } = 23,
     /// A thread was killed by an injected fault (always followed by a
     /// `Done` event for the same thread, keeping replay state-complete).
     ThreadKilled {
         /// The killed thread.
         tid: ThreadId,
-    },
+    } = 24,
     /// A plain (non-atomic) read of a registered shared object (emitted
     /// by `asym-sync`'s `SimShared`). Subject to vector-clock data-race
     /// checking: the read must be ordered against every write of the same
@@ -333,7 +300,7 @@ pub enum TraceEvent {
         obj: ShareId,
         /// The word (slot) within the object that was read.
         word: u32,
-    },
+    } = 25,
     /// A plain (non-atomic) write of a registered shared object (emitted
     /// by `asym-sync`'s `SimShared`). Subject to vector-clock data-race
     /// checking against all other accesses of the same word.
@@ -344,7 +311,7 @@ pub enum TraceEvent {
         obj: ShareId,
         /// The word (slot) within the object that was written.
         word: u32,
-    },
+    } = 26,
     /// A modeled atomic access of a registered shared object (emitted by
     /// `asym-sync`'s `SimShared`). Exempt from race checking; contributes
     /// acquire/release happens-before edges per (object, word).
@@ -357,7 +324,7 @@ pub enum TraceEvent {
         word: u32,
         /// Load (acquire), store (release), or RMW (both).
         op: AtomicOp,
-    },
+    } = 27,
     /// A thread observed another thread's completion via
     /// [`ThreadCx::join_check`] — the join half of an exit→join
     /// happens-before edge (everything the dead thread did is ordered
@@ -367,7 +334,7 @@ pub enum TraceEvent {
         by: ThreadId,
         /// The thread observed to be finished.
         of: ThreadId,
-    },
+    } = 28,
 }
 
 type Tracer = Box<dyn FnMut(SimTime, TraceEvent)>;
@@ -2270,8 +2237,8 @@ impl ThreadCx<'_> {
 
     /// Records a trace event on behalf of the calling thread, stamped
     /// with the current simulated time. Used by `asym-sync` to annotate
-    /// the kernel stream with primitive-level events (lock acquires,
-    /// condvar waits, barrier arrivals); tracing never affects
+    /// the kernel stream with primitive-level events (barrier arrivals,
+    /// queue pushes and pops, shared accesses); tracing never affects
     /// scheduling.
     pub fn trace(&mut self, event: TraceEvent) {
         self.kernel.trace(event);

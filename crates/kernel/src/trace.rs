@@ -14,7 +14,7 @@
 //! * **Buffered** ([`capture_traces`]) materializes one [`KernelTrace`]
 //!   per kernel. Events are stored in a compact wire encoding
 //!   (varint/delta timestamps, varint object ids — typically 4–6 bytes
-//!   per event instead of the 40 of a [`TraceRecord`]), decoded on
+//!   per event instead of the 56 of a [`TraceRecord`]), decoded on
 //!   demand by [`KernelTrace::records`].
 //! * **Streaming** ([`capture_stream`]) never buffers: each kernel's
 //!   events are pushed into a caller-supplied [`TraceConsumer`] as they
@@ -181,27 +181,6 @@ fn encode_event(buf: &mut Vec<u8>, event: &TraceEvent) {
             buf.push(10);
             put_varint(buf, tid.index() as u64);
         }
-        LockAcquire {
-            tid,
-            lock,
-            contended,
-        } => {
-            buf.push(11);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, lock.index() as u64);
-            buf.push(u8::from(contended));
-        }
-        LockRelease { tid, lock } => {
-            buf.push(12);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, lock.index() as u64);
-        }
-        CondWait { tid, cond, lock } => {
-            buf.push(13);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, cond.index() as u64);
-            put_varint(buf, lock.index() as u64);
-        }
         BarrierArrive {
             tid,
             barrier,
@@ -211,16 +190,6 @@ fn encode_event(buf: &mut Vec<u8>, event: &TraceEvent) {
             put_varint(buf, tid.index() as u64);
             put_varint(buf, barrier.index() as u64);
             buf.push(u8::from(released));
-        }
-        SemAcquire { tid, sem } => {
-            buf.push(15);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, sem.index() as u64);
-        }
-        SemRelease { tid, sem } => {
-            buf.push(16);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, sem.index() as u64);
         }
         QueuePush { tid, queue } => {
             buf.push(17);
@@ -358,32 +327,10 @@ fn decode_event(bytes: &[u8], pos: &mut usize) -> TraceEvent {
         10 => Done {
             tid: get_tid(bytes, pos),
         },
-        11 => LockAcquire {
-            tid: get_tid(bytes, pos),
-            lock: get_wait(bytes, pos),
-            contended: get_byte(bytes, pos) != 0,
-        },
-        12 => LockRelease {
-            tid: get_tid(bytes, pos),
-            lock: get_wait(bytes, pos),
-        },
-        13 => CondWait {
-            tid: get_tid(bytes, pos),
-            cond: get_wait(bytes, pos),
-            lock: get_wait(bytes, pos),
-        },
         14 => BarrierArrive {
             tid: get_tid(bytes, pos),
             barrier: get_wait(bytes, pos),
             released: get_byte(bytes, pos) != 0,
-        },
-        15 => SemAcquire {
-            tid: get_tid(bytes, pos),
-            sem: get_wait(bytes, pos),
-        },
-        16 => SemRelease {
-            tid: get_tid(bytes, pos),
-            sem: get_wait(bytes, pos),
         },
         17 => QueuePush {
             tid: get_tid(bytes, pos),
@@ -1086,12 +1033,13 @@ mod tests {
         }
     }
 
-    #[test]
+    /// At least one record of every [`TraceEvent`] variant, with payloads
+    /// at the codec's edges.
     #[allow(clippy::enum_glob_use)]
-    fn every_event_variant_roundtrips() {
+    fn every_variant() -> Vec<TraceRecord> {
         use TraceEvent::*;
         let t = |ns| SimTime::from_nanos(ns);
-        let records = vec![
+        vec![
             TraceRecord {
                 time: t(0),
                 event: Spawn {
@@ -1188,48 +1136,11 @@ mod tests {
                 event: Done { tid: ThreadId(3) },
             },
             TraceRecord {
-                time: t(17),
-                event: LockAcquire {
-                    tid: ThreadId(4),
-                    lock: WaitId(9),
-                    contended: true,
-                },
-            },
-            TraceRecord {
-                time: t(18),
-                event: LockRelease {
-                    tid: ThreadId(4),
-                    lock: WaitId(9),
-                },
-            },
-            TraceRecord {
-                time: t(19),
-                event: CondWait {
-                    tid: ThreadId(4),
-                    cond: WaitId(10),
-                    lock: WaitId(9),
-                },
-            },
-            TraceRecord {
                 time: t(20),
                 event: BarrierArrive {
                     tid: ThreadId(5),
                     barrier: WaitId(11),
                     released: false,
-                },
-            },
-            TraceRecord {
-                time: t(21),
-                event: SemAcquire {
-                    tid: ThreadId(5),
-                    sem: WaitId(12),
-                },
-            },
-            TraceRecord {
-                time: t(22),
-                event: SemRelease {
-                    tid: ThreadId(5),
-                    sem: WaitId(12),
                 },
             },
             TraceRecord {
@@ -1308,9 +1219,61 @@ mod tests {
                     of: ThreadId(8),
                 },
             },
-        ];
-        roundtrip(&records);
+        ]
     }
+
+    #[test]
+    fn every_event_variant_roundtrips() {
+        roundtrip(&every_variant());
+    }
+
+    #[test]
+    fn every_variant_hashes_as_pinned() {
+        // One fresh `TraceHasher` per record of `every_variant`. The
+        // derived `Hash` feeds the enum discriminant, so these values
+        // move if a variant's discriminant ever shifts; the golden
+        // matrix alone does not reach every variant.
+        let hashes: Vec<u64> = every_variant()
+            .iter()
+            .map(|r| {
+                let mut h = TraceHasher::new();
+                h.on_event(r.time, &r.event);
+                h.finish()
+            })
+            .collect();
+        assert_eq!(hashes, PINNED_HASHES);
+    }
+
+    /// Captured before the lock, condition-variable and semaphore events
+    /// were removed, in `every_variant` order.
+    const PINNED_HASHES: [u64; 26] = [
+        0x0f75_fa5b_4948_a5fc,
+        0x9c7d_f9dc_e85d_6824,
+        0xc970_256a_c910_8540,
+        0x6b83_9583_f741_23ac,
+        0x1284_6e3d_222d_0b6c,
+        0x5f3a_edab_7998_a80a,
+        0x57fe_baf6_8bb7_eb88,
+        0xefeb_8bc4_f7f8_1ce9,
+        0xe0c6_45f0_a82e_f7ad,
+        0x09b1_92b6_d688_5907,
+        0xd530_fd19_e890_b1e4,
+        0x6179_7359_828e_6c0a,
+        0xa549_5848_74df_dd3c,
+        0xfdfd_7542_4850_9e63,
+        0x091c_bc59_c1cf_8f68,
+        0xfacd_2ef5_8fab_2c44,
+        0xf5d8_a098_2f8f_a7a8,
+        0x0cfe_4ea5_9cf8_e0ea,
+        0x12fc_6d87_b732_3dab,
+        0x9d56_ae83_e6b3_3b09,
+        0xbc5f_4e34_2050_eec1,
+        0xd14d_35c3_91a9_4907,
+        0x9ec9_b333_ce25_899b,
+        0x67aa_297d_345d_e8ca,
+        0x3f30_ec79_da34_e181,
+        0x300f_d937_e9f9_9bd9,
+    ];
 
     #[test]
     fn non_monotonic_and_extreme_timestamps_roundtrip() {

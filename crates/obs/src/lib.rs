@@ -18,8 +18,7 @@
 //! * [`perfetto_trace`] — a Chrome/Perfetto `trace.json` exporter for
 //!   timeline inspection of any run, with per-core counter tracks
 //!   (live speed, runnable-queue depth) and flow arrows linking
-//!   migration decisions to landing dispatches and contended lock
-//!   releases to the acquires they hand off to;
+//!   migration decisions to landing dispatches;
 //! * [`ProfileDiff`] / [`DiffAttribution`] — the differential causality
 //!   view: align two runs of the same (workload, config, seed, plan)
 //!   under different policies and attribute the wall-time delta into

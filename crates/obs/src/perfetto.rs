@@ -8,8 +8,7 @@
 //! speed changes, and fault kills, `"C"` counter tracks for each core's
 //! live speed (the applied environment/fault target) and runnable-queue
 //! depth, and `"s"`/`"f"` flow arrows linking a migration decision to
-//! the dispatch that landed the thread, and a contended lock release to
-//! the acquire it handed the lock to.
+//! the dispatch that landed the thread.
 //!
 //! Event names are deduplicated through a string-interning table: each
 //! distinct name is escaped and stored once, and every event references
@@ -22,7 +21,7 @@
 //!
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 
-use crate::profile::{CounterKind, FlowKind, MarkKind, RunProfile};
+use crate::profile::{CounterKind, MarkKind, RunProfile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -195,11 +194,7 @@ impl TraceWriter {
                 ));
             }
             for f in &p.flows {
-                let name = match f.kind {
-                    FlowKind::Migration => format!("migrate tid{}", f.key),
-                    FlowKind::LockHandoff => format!("lock{} handoff", f.key),
-                };
-                let name = self.interner.intern(&name);
+                let name = self.interner.intern(&format!("migrate tid{}", f.tid));
                 let id = self.next_flow_id;
                 self.next_flow_id += 1;
                 self.events.push(format!(
@@ -208,7 +203,7 @@ impl TraceWriter {
                     self.interner.get(name),
                     micros(f.src_time.as_nanos()),
                     pid_base + f.src_core,
-                    f.src_tid
+                    f.tid
                 ));
                 self.events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\
@@ -216,7 +211,7 @@ impl TraceWriter {
                     self.interner.get(name),
                     micros(f.dst_time.as_nanos()),
                     pid_base + f.dst_core,
-                    f.dst_tid
+                    f.tid
                 ));
             }
         }

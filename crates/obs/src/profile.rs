@@ -124,14 +124,8 @@ impl ThreadProfile {
 /// recovered from the `asym-sync` annotation events in the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WaitKind {
-    /// A `SimMutex`.
-    Lock,
-    /// A `SimCondvar`.
-    Condvar,
     /// A `SimBarrier`.
     Barrier,
-    /// A `SimSemaphore`.
-    Semaphore,
     /// A `SimQueue`.
     Queue,
     /// A raw wait queue with no sync-layer annotation.
@@ -141,10 +135,7 @@ pub enum WaitKind {
 impl fmt::Display for WaitKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            WaitKind::Lock => "lock",
-            WaitKind::Condvar => "condvar",
             WaitKind::Barrier => "barrier",
-            WaitKind::Semaphore => "semaphore",
             WaitKind::Queue => "queue",
             WaitKind::Other => "wait",
         };
@@ -166,8 +157,6 @@ pub struct WaitProfile {
     pub total_wait: SimDuration,
     /// Longest single blocked spell.
     pub max_wait: SimDuration,
-    /// Lock acquisitions that had previously blocked (locks only).
-    pub contended_acquires: u64,
     /// Notifications delivered to the queue.
     pub signals: u64,
     /// Notifications that found nobody waiting.
@@ -182,7 +171,6 @@ impl WaitProfile {
             waits: 0,
             total_wait: SimDuration::ZERO,
             max_wait: SimDuration::ZERO,
-            contended_acquires: 0,
             signals: 0,
             unconsumed_signals: 0,
         }
@@ -251,29 +239,17 @@ pub(crate) struct CounterSample {
     pub(crate) value: u64,
 }
 
-/// What a flow arrow links.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum FlowKind {
-    /// A migration decision to the dispatch that landed the thread on
-    /// its new core.
-    Migration,
-    /// A contended lock release to the acquire it handed the lock to.
-    LockHandoff,
-}
-
 /// One flow pair (`"s"` start / `"f"` finish in the Perfetto export):
-/// the causal link between two instants on (possibly) different cores.
+/// a migration decision linked to the dispatch that landed the thread
+/// on its new core.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Flow {
-    pub(crate) kind: FlowKind,
-    /// The thread migrating, or the lock index handed off.
-    pub(crate) key: usize,
+    /// The migrating thread.
+    pub(crate) tid: usize,
     pub(crate) src_core: usize,
     pub(crate) src_time: SimTime,
-    pub(crate) src_tid: usize,
     pub(crate) dst_core: usize,
     pub(crate) dst_time: SimTime,
-    pub(crate) dst_tid: usize,
 }
 
 /// The complete observability profile of one kernel run, derived purely
@@ -443,10 +419,6 @@ pub struct ProfileFold {
     /// core)` set by `Migrate`, consumed by the dispatch that lands the
     /// thread (the flow arrow's two endpoints).
     pending_migration: Vec<Option<(SimTime, usize)>>,
-    /// Per-lock pending release: `(release time, core, releasing tid)`.
-    /// A contended acquire consumes it into a lock-handoff flow; an
-    /// uncontended acquire just clears it.
-    pending_release: BTreeMap<usize, (SimTime, usize, usize)>,
 }
 
 impl ProfileFold {
@@ -518,7 +490,6 @@ impl ProfileFold {
             counters,
             flows: Vec::new(),
             pending_migration: Vec::new(),
-            pending_release: BTreeMap::new(),
         }
     }
 
@@ -728,14 +699,11 @@ impl ProfileFold {
                     self.thread_acc[t].migration_wait += waited;
                     if let Some((src_time, src_core)) = self.pending_migration[t].take() {
                         self.flows.push(Flow {
-                            kind: FlowKind::Migration,
-                            key: t,
+                            tid: t,
                             src_core,
                             src_time,
-                            src_tid: t,
                             dst_core: core.0,
                             dst_time: time,
-                            dst_tid: t,
                         });
                     }
                 }
@@ -874,52 +842,8 @@ impl ProfileFold {
                     w.unconsumed_signals += 1;
                 }
             }
-            TraceEvent::LockAcquire {
-                tid,
-                lock,
-                contended,
-            } => {
-                self.classify(lock.index(), WaitKind::Lock);
-                // Any acquire consumes the lock's pending release; only a
-                // contended one completes a release→acquire handoff flow.
-                let pending = self.pending_release.remove(&lock.index());
-                if contended {
-                    self.wait_entry(lock.index()).contended_acquires += 1;
-                    let t = tid.index();
-                    self.ensure_thread(t);
-                    if let (Some((src_time, src_core, src_tid)), ThSt::Running { core, .. }) =
-                        (pending, self.threads[t])
-                    {
-                        self.flows.push(Flow {
-                            kind: FlowKind::LockHandoff,
-                            key: lock.index(),
-                            src_core,
-                            src_time,
-                            src_tid,
-                            dst_core: core,
-                            dst_time: time,
-                            dst_tid: t,
-                        });
-                    }
-                }
-            }
-            TraceEvent::LockRelease { tid, lock } => {
-                self.classify(lock.index(), WaitKind::Lock);
-                let t = tid.index();
-                self.ensure_thread(t);
-                if let ThSt::Running { core, .. } = self.threads[t] {
-                    self.pending_release.insert(lock.index(), (time, core, t));
-                }
-            }
-            TraceEvent::CondWait { cond, lock, .. } => {
-                self.classify(cond.index(), WaitKind::Condvar);
-                self.classify(lock.index(), WaitKind::Lock);
-            }
             TraceEvent::BarrierArrive { barrier, .. } => {
                 self.classify(barrier.index(), WaitKind::Barrier);
-            }
-            TraceEvent::SemAcquire { sem, .. } | TraceEvent::SemRelease { sem, .. } => {
-                self.classify(sem.index(), WaitKind::Semaphore);
             }
             TraceEvent::QueuePush { queue, .. } | TraceEvent::QueuePop { queue, .. } => {
                 self.classify(queue.index(), WaitKind::Queue);
@@ -1184,13 +1108,12 @@ impl fmt::Display for RunProfile {
         for w in waited {
             writeln!(
                 f,
-                "  wait{:<3} {:<9} waits {:>5}  total {}  max {}  contended {}  signals {} ({} unconsumed)",
+                "  wait{:<3} {:<9} waits {:>5}  total {}  max {}  signals {} ({} unconsumed)",
                 w.wait,
                 w.kind.to_string(),
                 w.waits,
                 w.total_wait,
                 w.max_wait,
-                w.contended_acquires,
                 w.signals,
                 w.unconsumed_signals
             )?;
@@ -1227,8 +1150,6 @@ pub struct ProfileMetrics {
     pub preemptions: u64,
     /// Total blocked time on sync objects, in nanoseconds.
     pub sync_wait_ns: u64,
-    /// Lock acquisitions that had previously blocked.
-    pub contended_acquires: u64,
     /// Mid-run speed changes (faults and environment commits).
     pub speed_changes: u64,
     /// Speed changes that reordered the online-core speed ranking.
@@ -1256,7 +1177,6 @@ impl ProfileMetrics {
             migration_wait_ns: 0,
             preemptions: 0,
             sync_wait_ns: 0,
-            contended_acquires: 0,
             speed_changes: 0,
             reranks: 0,
             tracking_lag_ns: 0,
@@ -1282,7 +1202,6 @@ impl ProfileMetrics {
             .saturating_add(other.migration_wait_ns);
         self.preemptions += other.preemptions;
         self.sync_wait_ns = self.sync_wait_ns.saturating_add(other.sync_wait_ns);
-        self.contended_acquires += other.contended_acquires;
         self.speed_changes += other.speed_changes;
         self.reranks += other.reranks;
         self.tracking_lag_ns = self.tracking_lag_ns.saturating_add(other.tracking_lag_ns);
@@ -1316,7 +1235,7 @@ impl ProfileMetrics {
             "{{\"kernels\":{},\"sim_ns\":{},\"busy_ns\":{},\"idle_ns\":{},\"offline_ns\":{},\
              \"utilization_pct\":{}.{:02},\"fast_idle_slow_runnable_ns\":{},\"migrations\":{},\
              \"migration_wait_ns\":{},\"preemptions\":{},\"sync_wait_ns\":{},\
-             \"contended_acquires\":{},\"speed_changes\":{},\"reranks\":{},\
+             \"speed_changes\":{},\"reranks\":{},\
              \"tracking_lag_ns\":{},\"sched_latency\":{},\"run_quantum\":{}}}",
             self.kernels,
             self.sim_ns,
@@ -1330,7 +1249,6 @@ impl ProfileMetrics {
             self.migration_wait_ns,
             self.preemptions,
             self.sync_wait_ns,
-            self.contended_acquires,
             self.speed_changes,
             self.reranks,
             self.tracking_lag_ns,
@@ -1366,7 +1284,6 @@ impl RunProfile {
         }
         m.preemptions = self.preemptions();
         m.sync_wait_ns = self.total_sync_wait().as_nanos();
-        m.contended_acquires = self.waits.iter().map(|w| w.contended_acquires).sum();
         m.speed_changes = self.speed_changes;
         m.reranks = self.reranks;
         m.tracking_lag_ns = self.tracking_lag.as_nanos();

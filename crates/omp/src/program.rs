@@ -6,6 +6,10 @@ use asym_sim::Cycles;
 use std::fmt;
 
 /// One region of an OpenMP-style program.
+///
+/// There is no `critical` region: the paper notes SPEC OMP "infrequently
+/// use critical-section synchronization constructs", and none of the
+/// modeled profiles has one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Region {
     /// Work executed by the master thread only, followed by an implicit
@@ -25,16 +29,6 @@ pub enum Region {
         /// When `true`, threads fall through to the next region without
         /// waiting at the loop-end barrier (the `nowait` directive).
         nowait: bool,
-    },
-    /// Every thread performs `private` work and then `protected` work
-    /// inside a shared `critical` section (serialized across the team),
-    /// followed by a barrier — the paper notes SPEC OMP "infrequently
-    /// use critical-section synchronization constructs".
-    Critical {
-        /// Per-thread work outside the critical section.
-        private: Cycles,
-        /// Per-thread work inside the critical section.
-        protected: Cycles,
     },
 }
 
@@ -64,20 +58,11 @@ impl Region {
         Region::Serial { work }
     }
 
-    /// Convenience constructor for a critical-section region.
-    pub fn critical(private: Cycles, protected: Cycles) -> Self {
-        Region::Critical { private, protected }
-    }
-
-    /// Total full-speed cycles this region contributes per time step
-    /// (for `Critical`, per team member is unknown here, so this counts a
-    /// single member's share times one; callers wanting exact totals for
-    /// critical regions should multiply by the team size).
+    /// Total full-speed cycles this region contributes per time step.
     pub fn total_work(&self) -> Cycles {
         match *self {
             Region::Serial { work } => work,
             Region::ParallelFor { iters, cost, .. } => Cycles::new(iters * cost.get()),
-            Region::Critical { private, protected } => private + protected,
         }
     }
 
@@ -86,7 +71,6 @@ impl Region {
         match *self {
             Region::Serial { .. } => true,
             Region::ParallelFor { nowait, .. } => !nowait,
-            Region::Critical { .. } => true,
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::program::{OmpProgram, Region};
 use crate::schedule::LoopState;
 use asym_kernel::{Kernel, SpawnOptions, Step, ThreadBody, ThreadCx, ThreadId};
 use asym_sim::{Cycles, SimDuration};
-use asym_sync::{Arrival, SimBarrier, SimLatch, SimMutex, SimShared};
+use asym_sync::{Arrival, SimBarrier, SimLatch, SimShared};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -78,10 +78,6 @@ impl TeamShared {
 enum Phase {
     Enter,
     Loop,
-    /// Private part of a critical region done; acquire the team lock.
-    CriticalAcquire,
-    /// Protected work finished; release and head to the barrier.
-    CriticalRelease,
     Barrier,
     BarrierWait(u64),
 }
@@ -91,8 +87,6 @@ struct OmpWorker {
     shared: Rc<TeamShared>,
     barrier: SimBarrier,
     latch: SimLatch,
-    /// The team-wide lock serializing `Region::Critical` bodies.
-    critical: SimMutex,
     step: u64,
     region: usize,
     phase: Phase,
@@ -105,10 +99,10 @@ impl OmpWorker {
     }
 
     /// Folds teammates killed by injected faults out of the team: each
-    /// corpse gives up its barrier seat (rescinding any pending arrival),
-    /// releases the critical lock if it died holding it, and has the
-    /// completion latch counted down on its behalf. Reaping is idempotent
-    /// per corpse and runs only when the kernel's kill count moved.
+    /// corpse gives up its barrier seat (rescinding any pending arrival)
+    /// and has the completion latch counted down on its behalf. Reaping
+    /// is idempotent per corpse and runs only when the kernel's kill
+    /// count moved.
     fn reap_dead(&self, cx: &mut ThreadCx<'_>) {
         let killed = cx.killed_count();
         if killed == self.shared.killed_seen.load(cx, |k| *k) {
@@ -125,7 +119,6 @@ impl OmpWorker {
                     .reaped
                     .store_at(cx, rank as u32, |r| r[rank] = true);
                 self.barrier.remove_party(cx, tid);
-                self.critical.recover(cx, tid);
                 self.latch.count_down(cx);
             }
         }
@@ -160,33 +153,7 @@ impl ThreadBody for OmpWorker {
                     Region::ParallelFor { .. } => {
                         self.phase = Phase::Loop;
                     }
-                    Region::Critical { private, .. } => {
-                        self.phase = Phase::CriticalAcquire;
-                        if !private.is_zero() {
-                            return Step::Compute(private);
-                        }
-                    }
                 },
-                Phase::CriticalAcquire => {
-                    let Region::Critical { protected, .. } =
-                        self.shared.program.regions()[self.region]
-                    else {
-                        unreachable!("critical phase outside critical region");
-                    };
-                    match self.critical.lock_step(cx) {
-                        Ok(()) => {
-                            self.phase = Phase::CriticalRelease;
-                            if !protected.is_zero() {
-                                return Step::Compute(protected);
-                            }
-                        }
-                        Err(step) => return step,
-                    }
-                }
-                Phase::CriticalRelease => {
-                    self.critical.unlock(cx);
-                    self.phase = Phase::Barrier;
-                }
                 Phase::Loop => {
                     let Region::ParallelFor { cost, nowait, .. } =
                         self.shared.program.regions()[self.region]
@@ -299,7 +266,6 @@ pub fn spawn_team(
     assert!(nthreads > 0, "team needs at least one thread");
     let barrier = SimBarrier::new(kernel, nthreads);
     let latch = SimLatch::new(kernel, nthreads as u64);
-    let critical = SimMutex::new(kernel);
     let loop_states = (0..program.regions().len())
         .map(|i| SimShared::new(kernel, &format!("omp.loop_state{i}"), None))
         .collect();
@@ -322,7 +288,6 @@ pub fn spawn_team(
                     shared: shared.clone(),
                     barrier: barrier.clone(),
                     latch: latch.clone(),
-                    critical: critical.clone(),
                     step: 0,
                     region: 0,
                     phase: Phase::Enter,
@@ -373,9 +338,9 @@ pub fn run_program(
 
 /// Like [`run_program`], but tolerant of injected `KillThread` faults:
 /// killed workers are reaped by survivors (barrier seats returned, the
-/// critical lock recovered, the completion latch counted down on their
-/// behalf) and reported in [`TeamRun::lost_workers`] instead of wedging
-/// the run or failing an all-done assertion.
+/// completion latch counted down on their behalf) and reported in
+/// [`TeamRun::lost_workers`] instead of wedging the run or failing an
+/// all-done assertion.
 ///
 /// # Panics
 ///

@@ -195,54 +195,3 @@ fn deterministic_runtime_per_seed() {
     let b = run_secs(machine, program, 99);
     assert_eq!(a, b);
 }
-
-#[test]
-fn critical_regions_serialize_protected_work() {
-    // 4 threads each do 1 ms private + 1 ms protected work: the critical
-    // section serializes the protected parts, so a 4-core machine needs
-    // at least 4 ms (protected chain) and at most 5 ms (chain + first
-    // private), per time step.
-    let program = OmpProgram::builder()
-        .region(Region::critical(
-            Cycles::from_millis_at_full_speed(1.0),
-            Cycles::from_millis_at_full_speed(1.0),
-        ))
-        .time_steps(3)
-        .build();
-    let t = run_program(
-        MachineSpec::symmetric(4, Speed::FULL),
-        SchedPolicy::os_default(),
-        1,
-        program,
-        4,
-        DEFAULT_DISPATCH_OVERHEAD,
-    )
-    .as_secs_f64();
-    assert!(
-        (0.012..0.0165).contains(&t),
-        "critical serialization bound violated: {t}s"
-    );
-}
-
-#[test]
-fn critical_region_on_slow_core_holds_everyone_back() {
-    // On 1f-3s/8 the protected chain includes three slow executions:
-    // 1 + 3x8 = 25 ms per step at minimum.
-    let program = OmpProgram::builder()
-        .region(Region::critical(
-            Cycles::ZERO,
-            Cycles::from_millis_at_full_speed(1.0),
-        ))
-        .time_steps(2)
-        .build();
-    let t = run_program(
-        MachineSpec::asymmetric(1, 3, Speed::fraction_of_full(8)),
-        SchedPolicy::os_default(),
-        1,
-        program,
-        4,
-        DEFAULT_DISPATCH_OVERHEAD,
-    )
-    .as_secs_f64();
-    assert!(t >= 0.049, "slow-core critical chain too fast: {t}s");
-}

@@ -2,7 +2,7 @@
 //! primitives need, implemented by both [`Kernel`] (for setup code) and
 //! [`ThreadCx`] (for running threads).
 
-use asym_kernel::{Kernel, ShareId, ThreadCx, ThreadId, WaitId};
+use asym_kernel::{Kernel, ShareId, ThreadCx, WaitId};
 
 /// Kernel services required by the synchronization primitives.
 ///
@@ -11,12 +11,6 @@ use asym_kernel::{Kernel, ShareId, ThreadCx, ThreadId, WaitId};
 pub trait SyncHost: private::Sealed {
     /// Allocates a kernel wait queue.
     fn create_wait_queue(&mut self) -> WaitId;
-    /// Wakes one waiter.
-    fn notify_one(&mut self, wait: WaitId) -> Option<ThreadId>;
-    /// Wakes all waiters; returns the count woken.
-    fn notify_all(&mut self, wait: WaitId) -> usize;
-    /// Number of threads blocked on `wait`.
-    fn waiter_count(&self, wait: WaitId) -> usize;
     /// Registers a shared object for access tracing.
     fn register_shared(&mut self, label: &str) -> ShareId;
 }
@@ -24,15 +18,6 @@ pub trait SyncHost: private::Sealed {
 impl SyncHost for Kernel {
     fn create_wait_queue(&mut self) -> WaitId {
         Kernel::create_wait_queue(self)
-    }
-    fn notify_one(&mut self, wait: WaitId) -> Option<ThreadId> {
-        Kernel::notify_one(self, wait)
-    }
-    fn notify_all(&mut self, wait: WaitId) -> usize {
-        Kernel::notify_all(self, wait)
-    }
-    fn waiter_count(&self, wait: WaitId) -> usize {
-        Kernel::waiter_count(self, wait)
     }
     fn register_shared(&mut self, label: &str) -> ShareId {
         Kernel::register_shared(self, label)
@@ -42,15 +27,6 @@ impl SyncHost for Kernel {
 impl SyncHost for ThreadCx<'_> {
     fn create_wait_queue(&mut self) -> WaitId {
         ThreadCx::create_wait_queue(self)
-    }
-    fn notify_one(&mut self, wait: WaitId) -> Option<ThreadId> {
-        ThreadCx::notify_one(self, wait)
-    }
-    fn notify_all(&mut self, wait: WaitId) -> usize {
-        ThreadCx::notify_all(self, wait)
-    }
-    fn waiter_count(&self, wait: WaitId) -> usize {
-        ThreadCx::waiter_count(self, wait)
     }
     fn register_shared(&mut self, label: &str) -> ShareId {
         ThreadCx::register_shared(self, label)

@@ -1,8 +1,8 @@
 //! # asym-sync
 //!
 //! Synchronization primitives for simulated threads running under
-//! [`asym_kernel`]: mutexes, cyclic barriers, counting semaphores,
-//! countdown latches, and blocking MPMC queues.
+//! [`asym_kernel`]: cyclic barriers, countdown latches, blocking MPMC
+//! queues, and traced shared objects.
 //!
 //! Because simulated thread bodies are state machines (see
 //! [`asym_kernel::ThreadBody`]), blocking operations follow a
@@ -10,6 +10,9 @@
 //! immediately or hands back the [`Step`](asym_kernel::Step) the body must
 //! return; when the thread is woken it retries the operation. This is the
 //! same recheck-loop discipline real condition-variable code uses.
+//!
+//! There is no mutex, condition variable or semaphore: none of the
+//! modeled workloads takes a lock, so none is provided.
 //!
 //! # Examples
 //!
@@ -58,18 +61,12 @@
 
 mod barrier;
 mod channel;
-mod condvar;
 mod host;
 mod latch;
-mod mutex;
-mod semaphore;
 mod shared;
 
 pub use barrier::{Arrival, SimBarrier};
 pub use channel::{SimQueue, TryPop};
-pub use condvar::SimCondvar;
 pub use host::SyncHost;
 pub use latch::SimLatch;
-pub use mutex::SimMutex;
-pub use semaphore::SimSemaphore;
 pub use shared::SimShared;

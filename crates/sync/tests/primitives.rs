@@ -3,7 +3,7 @@
 
 use asym_kernel::{FnThread, Kernel, RunOutcome, SchedPolicy, SpawnOptions, Step};
 use asym_sim::{Cycles, MachineSpec, SimDuration, Speed};
-use asym_sync::{Arrival, SimBarrier, SimLatch, SimMutex, SimQueue, SimSemaphore, TryPop};
+use asym_sync::{Arrival, SimBarrier, SimLatch, SimQueue, TryPop};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -15,112 +15,6 @@ fn kernel(cores: usize, seed: u64) -> Kernel {
     );
     k.set_context_switch(Cycles::ZERO);
     k
-}
-
-#[test]
-fn mutex_provides_mutual_exclusion() {
-    let mut k = kernel(4, 1);
-    let m = SimMutex::new(&mut k);
-    let counter = Rc::new(RefCell::new(0u64));
-    let in_critical = Rc::new(RefCell::new(0u32));
-
-    for _ in 0..8 {
-        let m = m.clone();
-        let counter = counter.clone();
-        let in_critical = in_critical.clone();
-        let mut iterations = 50u32;
-        let mut holding = false;
-        k.spawn(
-            FnThread::new("incr", move |cx| {
-                if holding {
-                    // Leaving the critical section.
-                    let mut ic = in_critical.borrow_mut();
-                    assert_eq!(*ic, 1, "two threads in the critical section");
-                    *ic -= 1;
-                    drop(ic);
-                    *counter.borrow_mut() += 1;
-                    m.unlock(cx);
-                    holding = false;
-                    iterations -= 1;
-                    if iterations == 0 {
-                        return Step::Done;
-                    }
-                }
-                match m.lock_step(cx) {
-                    Ok(()) => {
-                        holding = true;
-                        *in_critical.borrow_mut() += 1;
-                        Step::Compute(Cycles::new(10_000))
-                    }
-                    Err(step) => step,
-                }
-            }),
-            SpawnOptions::new(),
-        );
-    }
-    assert_eq!(k.run(), RunOutcome::AllDone);
-    assert_eq!(*counter.borrow(), 8 * 50);
-    assert_eq!(m.acquires(), 8 * 50);
-}
-
-#[test]
-fn mutex_try_lock_fails_when_held() {
-    let mut k = kernel(2, 1);
-    let m = SimMutex::new(&mut k);
-    let observed = Rc::new(RefCell::new(None::<bool>));
-
-    let m1 = m.clone();
-    let mut phase = 0;
-    k.spawn(
-        FnThread::new("holder", move |cx| {
-            phase += 1;
-            match phase {
-                1 => match m1.lock_step(cx) {
-                    Ok(()) => Step::Compute(Cycles::from_millis_at_full_speed(5.0)),
-                    Err(s) => s,
-                },
-                _ => {
-                    m1.unlock(cx);
-                    Step::Done
-                }
-            }
-        }),
-        SpawnOptions::new(),
-    );
-    let m2 = m.clone();
-    let obs = observed.clone();
-    let mut phase2 = 0;
-    k.spawn(
-        FnThread::new("prober", move |cx| {
-            phase2 += 1;
-            match phase2 {
-                1 => Step::Sleep(SimDuration::from_millis(1)),
-                _ => {
-                    *obs.borrow_mut() = Some(m2.try_lock(cx));
-                    Step::Done
-                }
-            }
-        }),
-        SpawnOptions::new(),
-    );
-    k.run();
-    assert_eq!(*observed.borrow(), Some(false));
-}
-
-#[test]
-#[should_panic(expected = "unlock by non-owner")]
-fn mutex_unlock_by_non_owner_panics() {
-    let mut k = kernel(2, 1);
-    let m = SimMutex::new(&mut k);
-    let m1 = m.clone();
-    k.spawn(
-        FnThread::new("rogue", move |cx| {
-            m1.unlock(cx);
-            Step::Done
-        }),
-        SpawnOptions::new(),
-    );
-    k.run();
 }
 
 #[test]
@@ -181,45 +75,6 @@ fn barrier_synchronizes_unequal_speeds() {
         "barrier spread too wide"
     );
     assert_eq!(barrier.crossings(), 1);
-}
-
-#[test]
-fn semaphore_caps_concurrency() {
-    let mut k = kernel(4, 5);
-    let sem = SimSemaphore::new(&mut k, 2);
-    let active = Rc::new(RefCell::new(0u32));
-    let peak = Rc::new(RefCell::new(0u32));
-
-    for _ in 0..6 {
-        let sem = sem.clone();
-        let active = active.clone();
-        let peak = peak.clone();
-        let mut holding = false;
-        k.spawn(
-            FnThread::new("job", move |cx| {
-                if holding {
-                    *active.borrow_mut() -= 1;
-                    sem.release(cx);
-                    return Step::Done;
-                }
-                match sem.acquire_step(cx) {
-                    Ok(()) => {
-                        holding = true;
-                        let mut a = active.borrow_mut();
-                        *a += 1;
-                        let mut p = peak.borrow_mut();
-                        *p = (*p).max(*a);
-                        Step::Compute(Cycles::from_millis_at_full_speed(1.0))
-                    }
-                    Err(step) => step,
-                }
-            }),
-            SpawnOptions::new(),
-        );
-    }
-    assert_eq!(k.run(), RunOutcome::AllDone);
-    assert_eq!(*peak.borrow(), 2, "semaphore admitted too many");
-    assert_eq!(sem.permits(), 2);
 }
 
 #[test]
@@ -382,112 +237,4 @@ fn barrier_reuses_across_generations() {
     }
     assert_eq!(k.run(), RunOutcome::AllDone);
     assert_eq!(barrier.crossings(), rounds);
-}
-
-#[test]
-fn condvar_bounded_buffer() {
-    // A classic bounded buffer built from SimMutex + SimCondvar: one
-    // producer, two consumers, capacity 3.
-    use asym_sync::SimCondvar;
-
-    let mut k = kernel(2, 11);
-    let m = SimMutex::new(&mut k);
-    let not_full = SimCondvar::new(&mut k);
-    let not_empty = SimCondvar::new(&mut k);
-    let buffer: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-    let consumed = Rc::new(RefCell::new(Vec::new()));
-    let total = 40u32;
-    const CAP: usize = 3;
-
-    // Producer state machine.
-    {
-        let (m, not_full, not_empty, buffer) = (
-            m.clone(),
-            not_full.clone(),
-            not_empty.clone(),
-            buffer.clone(),
-        );
-        let mut produced = 0u32;
-        let mut holding = false;
-        k.spawn(
-            FnThread::new("producer", move |cx| {
-                if !holding {
-                    match m.lock_step(cx) {
-                        Ok(()) => holding = true,
-                        Err(step) => return step,
-                    }
-                }
-                if produced == total {
-                    m.unlock(cx);
-                    not_empty.notify_all(cx);
-                    return Step::Done;
-                }
-                if buffer.borrow().len() >= CAP {
-                    holding = false;
-                    return not_full.wait_step(cx, &m);
-                }
-                buffer.borrow_mut().push(produced);
-                produced += 1;
-                not_empty.notify_one(cx);
-                m.unlock(cx);
-                holding = false;
-                Step::Compute(Cycles::new(5_000))
-            }),
-            SpawnOptions::new(),
-        );
-    }
-    // Two consumers.
-    let done_consumers = Rc::new(RefCell::new(0u32));
-    for _ in 0..2 {
-        let (m, not_full, not_empty, buffer, consumed, done_consumers) = (
-            m.clone(),
-            not_full.clone(),
-            not_empty.clone(),
-            buffer.clone(),
-            consumed.clone(),
-            done_consumers.clone(),
-        );
-        let mut holding = false;
-        k.spawn(
-            FnThread::new("consumer", move |cx| loop {
-                if consumed.borrow().len() as u32 == total {
-                    *done_consumers.borrow_mut() += 1;
-                    if holding {
-                        m.unlock(cx);
-                    }
-                    return Step::Done;
-                }
-                if !holding {
-                    match m.lock_step(cx) {
-                        Ok(()) => holding = true,
-                        Err(step) => return step,
-                    }
-                }
-                let item = buffer.borrow_mut().pop();
-                match item {
-                    Some(v) => {
-                        consumed.borrow_mut().push(v);
-                        not_full.notify_one(cx);
-                        m.unlock(cx);
-                        holding = false;
-                        return Step::Compute(Cycles::new(12_000));
-                    }
-                    None => {
-                        if consumed.borrow().len() as u32 == total {
-                            continue;
-                        }
-                        holding = false;
-                        return not_empty.wait_step(cx, &m);
-                    }
-                }
-            }),
-            SpawnOptions::new(),
-        );
-    }
-    let outcome = k.run();
-    assert_eq!(outcome, RunOutcome::AllDone, "bounded buffer deadlocked");
-    let mut got = consumed.borrow().clone();
-    got.sort_unstable();
-    assert_eq!(got, (0..total).collect::<Vec<_>>());
-    assert!(not_empty.notifications() > 0);
 }

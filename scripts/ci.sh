@@ -16,13 +16,13 @@ cargo test --workspace -q
 echo "==> cargo doc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> asym-check --fixtures (detectors must fire, incl. race/lock-set/ranking fixtures)"
+echo "==> asym-check --fixtures (detectors must fire, incl. lost-wakeup/race/ranking fixtures)"
 cargo run -q --release -p asym-bench --bin asym_check -- --fixtures
 
 echo "==> asym-check --quick (1f-3s/8 smoke sweep must be clean)"
 cargo run -q --release -p asym-bench --bin asym_check -- --quick
 
-echo "==> asym-check --races --quick (happens-before race/lock-set/ranking pass must be clean)"
+echo "==> asym-check --races --quick (happens-before race and policy-lint pass must be clean)"
 cargo run -q --release -p asym-bench --bin asym_check -- --races --quick
 
 echo "==> asym_sweep extra_fault_sweep --quick --check (faulted smoke sweep: classified, clean, deterministic, race- and lint-clean under faults)"
@@ -103,6 +103,11 @@ assert scale, "no extra_scale cells in the checked sweep"
 bad = [c for c in report["cells"] if c["class"] in ("panicked", "deadlock")]
 assert not bad, f"{len(bad)} panicked/deadlocked cell(s): {bad[:3]}"
 with_metrics = 0
+# Liveness ratchet: a numeric metric that reads 0 in every cell shows
+# nothing. `offline_ns` and `reranks` are exempt until a CI cell
+# exercises hotplug and a ranking-reordering speed change.
+LIVENESS_EXEMPT = {"offline_ns", "reranks"}
+live = {}
 for c in report["cells"]:
     assert "memoized" in c, "cell lacks 'memoized' flag"
     m = c.get("metrics")
@@ -112,16 +117,22 @@ for c in report["cells"]:
     for field in ("kernels", "sim_ns", "busy_ns", "idle_ns", "offline_ns",
                   "utilization_pct", "fast_idle_slow_runnable_ns", "migrations",
                   "migration_wait_ns", "preemptions", "sync_wait_ns",
-                  "contended_acquires", "speed_changes", "reranks",
+                  "speed_changes", "reranks",
                   "tracking_lag_ns", "sched_latency", "run_quantum"):
         assert field in m, f"cell metrics lack {field!r}"
         v = m[field]
         if isinstance(v, (int, float)):
             assert math.isfinite(v), f"non-finite metrics field {field!r}: {v}"
+    assert "contended_acquires" not in m, "cell metrics still carry 'contended_acquires'"
+    for field, v in m.items():
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            live[field] = live.get(field, False) or v != 0
     for hist in ("sched_latency", "run_quantum"):
         for field in ("count", "mean_ns", "max_ns", "p50_ns", "p99_ns", "p999_ns"):
             assert field in m[hist], f"{hist} lacks percentile key {field!r}"
 assert with_metrics, "no cell carries profile metrics despite --json"
+dead = sorted(k for k, moved in live.items() if not moved and k not in LIVENESS_EXEMPT)
+assert not dead, f"metrics keys 0 in every cell (dead): {dead}"
 
 # The dynamic-environment cells must be present and actually disturbed:
 # their regimes drive mid-run speed changes the kernel re-ranks against.
