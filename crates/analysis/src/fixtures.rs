@@ -436,6 +436,7 @@ pub fn vruntime_starvation() -> KernelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ViolationKind;
     use asym_kernel::{capture_stream, RunOutcome};
 
     #[test]
@@ -647,6 +648,23 @@ mod tests {
         ("vruntime_starvation", "clean"),
     ];
 
+    /// The detector each negative fixture plants its bug for: the kind
+    /// must be among the findings of `analyze_trace` and
+    /// `check_concurrency` together.
+    const EXPECTED: &[(&str, ViolationKind)] = &[
+        ("missed_signal", ViolationKind::LostWakeup),
+        ("stalled_run", ViolationKind::StalledRun),
+        ("offline_core_dispatch", ViolationKind::OfflineDispatch),
+        ("swallowed_kill", ViolationKind::DroppedKill),
+        ("unprotected_write_race", ViolationKind::DataRace),
+        ("readers_then_writer_race", ViolationKind::DataRace),
+        ("stale_ranking_dispatch", ViolationKind::StaleRanking),
+        ("missing_rerank", ViolationKind::StaleRerank),
+        ("rerank_thrash", ViolationKind::RerankThrash),
+        ("downhill_steal", ViolationKind::StaleRanking),
+        ("vruntime_starvation", ViolationKind::Starvation),
+    ];
+
     fn analyzed(name: &str) -> &'static str {
         ANALYZED
             .iter()
@@ -675,6 +693,22 @@ mod tests {
         for (name, trace) in &all {
             let text = crate::render_violations(&crate::analyze_trace(trace));
             assert_eq!(text, analyzed(name), "{name} (analyze_trace)");
+        }
+        // Every fixture fires the detector it was planted for.
+        assert_eq!(
+            all.len(),
+            EXPECTED.len(),
+            "every fixture names its detector"
+        );
+        for ((name, trace), (expected_name, kind)) in all.iter().zip(EXPECTED) {
+            assert_eq!(name, expected_name);
+            let mut found = crate::analyze_trace(trace);
+            found.extend(check_concurrency(trace));
+            assert!(
+                found.iter().any(|v| v.kind == *kind),
+                "{name}: expected {kind}, found {}",
+                crate::render_violations(&found)
+            );
         }
         for (name, trace) in fixtures {
             // The replay wrapper over the buffered trace.

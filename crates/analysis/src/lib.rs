@@ -10,9 +10,9 @@
 //! [`hb::ConcurrencyFold`] the happens-before suite, fed live by
 //! [`capture_stream`](asym_kernel::capture_stream) (how sweeps check
 //! runs without buffering them) or by [`KernelTrace::replay`] of a
-//! trace recorded with [`capture_traces`]; [`analyze_trace`] and
-//! [`hb::check_concurrency`] are those replays. The crate checks six
-//! properties:
+//! trace recorded with [`capture_traces`](asym_kernel::capture_traces);
+//! [`analyze_trace`] and [`hb::check_concurrency`] are those replays.
+//! The crate checks five trace properties:
 //!
 //! 1. **Lost-wakeup detection** — a thread that blocks forever on a
 //!    wait queue whose only signal arrived *before* the block (the
@@ -39,16 +39,18 @@
 //!    kernel never accounted for (the bug class where a fault-injected
 //!    kill silently vanishes and the run's `lost_workers` undercounts)
 //!    is reported as [`ViolationKind::DroppedKill`].
-//! 6. **Determinism** — running the same seeded program twice must
-//!    produce byte-identical traces
-//!    ([`KernelTrace::stable_hash`]); any divergence is
-//!    [`ViolationKind::NonDeterminism`].
 //!
-//! [`check_workload`] packages all six for one workload run, and the
-//! `asym-check` binary in `asym-bench` sweeps every workload across the
-//! paper's nine machine configurations. [`ViolationLog`] plugs analyses
-//! 1–5 into a sweep as a section check. The [`fixtures`] module holds
-//! deliberately buggy programs proving each detector fires.
+//! Same-seed determinism is not a trace analysis: every cell the engine
+//! runs reports its trace hash, tests compare those hashes across host
+//! thread counts and cold and warm cache runs, and the golden-hash
+//! tests pin them across commits.
+//!
+//! [`ViolationLog`] plugs analyses 1–5 into a sweep as a section check;
+//! the `extra_check_matrix` spec of `asym-bench` runs them over every
+//! paper workload on the paper's nine machine configurations, and
+//! `asym_sweep --check` adds the happens-before suite in the same
+//! pass. The [`fixtures`] module holds deliberately buggy programs
+//! proving each detector fires.
 //!
 //! # Examples
 //!
@@ -64,10 +66,8 @@
 //!     .any(|v| v.kind == asym_analysis::ViolationKind::LostWakeup));
 //! ```
 
-use asym_core::{CheckFold, RunSetup, TraceCheck, Workload};
-use asym_kernel::{
-    capture_traces, RunOutcome, SchedPolicy, ThreadId, TraceConsumer, TraceEvent, WaitId,
-};
+use asym_core::{CheckFold, TraceCheck};
+use asym_kernel::{RunOutcome, SchedPolicy, ThreadId, TraceConsumer, TraceEvent, WaitId};
 use asym_sim::{CoreId, CoreMask, MachineSpec, SimTime, Speed};
 use hb::{slot, Lint, LintFold};
 use std::collections::BTreeMap;
@@ -99,8 +99,6 @@ pub enum ViolationKind {
     /// `ThreadKilled` with no matching `Done`, so the kill was silently
     /// swallowed and lost-worker accounting undercounts.
     DroppedKill,
-    /// The same seeded program produced two different traces.
-    NonDeterminism,
     /// Two plain accesses to the same shared word are unordered by the
     /// happens-before relation (vector-clock data race).
     DataRace,
@@ -132,7 +130,6 @@ impl fmt::Display for ViolationKind {
             ViolationKind::OfflineDispatch => "offline-dispatch",
             ViolationKind::StalledRun => "stalled-run",
             ViolationKind::DroppedKill => "dropped-kill",
-            ViolationKind::NonDeterminism => "non-determinism",
             ViolationKind::DataRace => "data-race",
             ViolationKind::StaleRanking => "stale-ranking",
             ViolationKind::StaleRerank => "stale-rerank",
@@ -149,7 +146,7 @@ pub struct Violation {
     /// What kind of defect this is.
     pub kind: ViolationKind,
     /// The simulated time at which the defect manifested, when it has
-    /// one (non-determinism is a property of the whole run).
+    /// one (a stalled run that recorded nothing has none).
     pub time: Option<SimTime>,
     /// Human-readable description naming the threads and queues involved.
     pub message: String,
@@ -745,112 +742,6 @@ impl Lint for KillLint {
     }
 }
 
-// ----------------------------------------------------------------------
-// 6. Determinism
-// ----------------------------------------------------------------------
-
-/// Compares the kernel traces of two runs of the same seeded program;
-/// any difference in kernel count or per-kernel stable hash is a
-/// [`ViolationKind::NonDeterminism`] violation.
-pub fn compare_runs(label: &str, first: &[KernelTrace], second: &[KernelTrace]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    if first.len() != second.len() {
-        violations.push(Violation {
-            object: String::new(),
-            site: String::new(),
-            kind: ViolationKind::NonDeterminism,
-            time: None,
-            message: format!(
-                "{label}: replay created {} kernels, original created {}",
-                second.len(),
-                first.len()
-            ),
-        });
-        return violations;
-    }
-    for (i, (a, b)) in first.iter().zip(second).enumerate() {
-        if a.stable_hash() != b.stable_hash() {
-            violations.push(Violation {
-                object: String::new(),
-                site: String::new(),
-                kind: ViolationKind::NonDeterminism,
-                time: None,
-                message: format!(
-                    "{label}: kernel #{i} trace hash {:#018x} != replay hash {:#018x} \
-                     ({} vs {} events)",
-                    a.stable_hash(),
-                    b.stable_hash(),
-                    a.num_records(),
-                    b.num_records()
-                ),
-            });
-        }
-    }
-    violations
-}
-
-/// Runs `f` twice under trace capture and checks the two runs produced
-/// identical traces. Returns the first run's traces plus any
-/// determinism violations.
-pub fn check_determinism<R>(
-    label: &str,
-    mut f: impl FnMut() -> R,
-) -> (Vec<KernelTrace>, Vec<Violation>) {
-    let (_, first) = capture_traces(&mut f);
-    let (_, second) = capture_traces(&mut f);
-    let violations = compare_runs(label, &first, &second);
-    (first, violations)
-}
-
-// ----------------------------------------------------------------------
-// Workload harness
-// ----------------------------------------------------------------------
-
-/// The complete checker report for one workload run.
-#[derive(Debug, Clone)]
-pub struct CheckReport {
-    /// `workload @ config / policy / seed`, for display.
-    pub label: String,
-    /// Number of kernels the run created.
-    pub kernels: usize,
-    /// Total trace events analyzed (first run).
-    pub events: usize,
-    /// Every violation from all six analyses.
-    pub violations: Vec<Violation>,
-}
-
-impl CheckReport {
-    /// `true` when no analysis found anything.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Runs `workload` once under `setup` (twice, for the determinism
-/// check) and applies all six analyses to the captured traces.
-pub fn check_workload(workload: &dyn Workload, setup: &RunSetup) -> CheckReport {
-    let label = format!(
-        "{} @ {} / {} / seed {}",
-        workload.name(),
-        setup.config,
-        setup.policy,
-        setup.seed
-    );
-    let (traces, mut violations) = check_determinism(&label, || workload.run(setup));
-    for trace in &traces {
-        violations.extend(analyze_trace(trace));
-    }
-    CheckReport {
-        label,
-        kernels: traces.len(),
-        events: traces
-            .iter()
-            .map(asym_kernel::KernelTrace::num_records)
-            .sum(),
-        violations,
-    }
-}
-
 /// Formats a violation list: a per-kind summary line followed by one
 /// bullet per violation, or `"clean"`.
 pub fn render_violations(violations: &[Violation]) -> String {
@@ -955,7 +846,10 @@ impl CheckFold for LoggedFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asym_kernel::{FnThread, Kernel, SchedPolicy, SpawnOptions, Step, TraceRecord};
+    use asym_kernel::{
+        capture_stream, capture_traces, FnThread, Kernel, SchedPolicy, SpawnOptions, Step,
+        TraceHasher, TraceRecord,
+    };
     use asym_sim::{Cycles, MachineSpec, Speed};
 
     fn capture_one(f: impl FnOnce()) -> KernelTrace {
@@ -1202,57 +1096,48 @@ mod tests {
         assert!(violations.is_empty(), "unexpected: {violations:?}");
     }
 
-    #[test]
-    fn determinism_check_passes_for_seeded_program() {
-        let (traces, violations) = check_determinism("seeded", || {
-            let machine = MachineSpec::asymmetric(2, 2, Speed::fraction_of_full(4));
-            let mut k = Kernel::new(machine, SchedPolicy::os_default(), 99);
-            for t in 0..4 {
-                let mut left = 5u32;
-                k.spawn(
-                    FnThread::new(format!("w{t}"), move |cx| {
-                        if left == 0 {
-                            Step::Done
-                        } else {
-                            left -= 1;
-                            let jitter = cx.rng().range(1_000, 50_000);
-                            Step::Compute(Cycles::new(jitter))
-                        }
-                    }),
-                    SpawnOptions::new(),
-                );
-            }
-            k.run();
-        });
-        assert_eq!(traces.len(), 1);
-        assert!(violations.is_empty(), "unexpected: {violations:?}");
+    /// The streamed stable hash of every kernel `f` creates, in creation
+    /// order: what the cell engine reports and compares per cell.
+    fn trace_hashes(f: impl FnOnce()) -> Vec<u64> {
+        let ((), hashers) = capture_stream(|_, _| TraceHasher::new(), f);
+        hashers.iter().map(TraceHasher::finish).collect()
     }
 
-    #[test]
-    fn determinism_check_catches_divergence() {
-        use std::cell::Cell;
-        let call = Cell::new(0u64);
-        let (_, violations) = check_determinism("diverging", || {
-            call.set(call.get() + 1);
-            let machine = MachineSpec::symmetric(2, Speed::FULL);
-            // Different seed per call: the traces must differ.
-            let mut k = Kernel::new(machine, SchedPolicy::os_default(), call.get());
-            let mut left = 3u32;
+    /// Four threads computing seeded random bursts on a 2f-2s/4 machine.
+    fn jittered_run(seed: u64) {
+        let machine = MachineSpec::asymmetric(2, 2, Speed::fraction_of_full(4));
+        let mut k = Kernel::new(machine, SchedPolicy::os_default(), seed);
+        for t in 0..4 {
+            let mut left = 5u32;
             k.spawn(
-                FnThread::new("w", move |cx| {
+                FnThread::new(format!("w{t}"), move |cx| {
                     if left == 0 {
                         Step::Done
                     } else {
                         left -= 1;
-                        Step::Compute(Cycles::new(cx.rng().range(1_000, 9_000)))
+                        let jitter = cx.rng().range(1_000, 50_000);
+                        Step::Compute(Cycles::new(jitter))
                     }
                 }),
                 SpawnOptions::new(),
             );
-            k.run();
-        });
-        assert!(violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::NonDeterminism));
+        }
+        k.run();
+    }
+
+    #[test]
+    fn determinism_check_passes_for_seeded_program() {
+        let first = trace_hashes(|| jittered_run(99));
+        assert_eq!(first.len(), 1);
+        assert_eq!(first, trace_hashes(|| jittered_run(99)));
+    }
+
+    #[test]
+    fn determinism_check_catches_divergence() {
+        // A different seed per run: the hashes must tell the traces apart.
+        assert_ne!(
+            trace_hashes(|| jittered_run(1)),
+            trace_hashes(|| jittered_run(2))
+        );
     }
 }

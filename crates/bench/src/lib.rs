@@ -25,12 +25,11 @@ mod spec;
 pub use driver::{
     concurrency_check, output_path, run_sweeps, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR,
 };
-pub use spec::{
-    registry, spec_names, RenderFn, Rendered, Section, SweepContext, SweepDef, SweepSpec,
-};
+pub use spec::{registry, RenderFn, Rendered, Section, SweepContext, SweepDef, SweepSpec};
 
 /// The eight paper workloads at the harness's standard
-/// parameterizations — the matrix `asym_check` sweeps and the menu
+/// parameterizations, in fig10 / table-1 order: the roster of the
+/// all-workload specs (`extra_check_matrix` among them) and the menu
 /// `asym_profile` selects from by [`Workload::name`].
 pub fn paper_workloads() -> Vec<Box<dyn Workload>> {
     vec![

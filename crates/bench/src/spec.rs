@@ -8,7 +8,7 @@
 //! every selected figure shares the same host thread pool and lands in
 //! the same structured JSON report.
 
-use crate::{header, render_experiment, render_runs, stability_line};
+use crate::{header, paper_workloads, render_experiment, render_runs, stability_line};
 use asym_analysis::hb::ConcurrencyFold;
 use asym_analysis::{render_violations, AnalysisFold, ViolationLog};
 use asym_core::{
@@ -248,30 +248,15 @@ pub fn registry() -> Vec<SweepSpec> {
             build: extra_scale,
         },
         SweepSpec {
+            name: "extra_check_matrix",
+            caption: "Concurrency checker over every workload x config under the aware kernel",
+            build: extra_check_matrix,
+        },
+        SweepSpec {
             name: "mini",
             caption: "CI smoke sweep: two fast workloads, nine configs, 2 runs",
             build: mini,
         },
-    ]
-}
-
-/// The registered spec names, in registry order.
-pub fn spec_names() -> Vec<&'static str> {
-    registry().iter().map(|s| s.name).collect()
-}
-
-/// The paper's eight-workload roster (fig10 / table-1 / fault-sweep
-/// order).
-fn paper_workloads() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(JAppServer::new(320.0)),
-        Box::new(SpecJbb::new(16).gc(GcKind::ConcurrentGenerational)),
-        Box::new(Apache::new(LoadLevel::light())),
-        Box::new(Zeus::new(LoadLevel::light())),
-        Box::new(TpcH::power_run()),
-        Box::new(H264::new()),
-        Box::new(SpecOmp::new("swim").work_scale(0.5)),
-        Box::new(Pmake::new()),
     ]
 }
 
@@ -1306,6 +1291,62 @@ fn extra_fault_sweep(ctx: &SweepContext) -> SweepDef {
         let ok = all_classified && total_panicked == 0 && violations == 0 && deterministic;
         if !ok {
             out += "FAILURE: unclassified runs, panics, violations, or non-determinism\n";
+        }
+        Rendered { text: out, ok }
+    });
+    SweepDef { sections, render }
+}
+
+/// The concurrency checker over the experiment matrix: every paper
+/// workload on every standard configuration (quick: 1f-3s/8) under the
+/// asymmetry-aware kernel, one fault-free run per cell. The five trace
+/// analyses stream through every kernel as a section check; `--check`
+/// adds the happens-before suite in the same pass. Same-seed
+/// determinism is the engine's and the golden hashes' business.
+fn extra_check_matrix(ctx: &SweepContext) -> SweepDef {
+    let policy = SchedPolicy::asymmetry_aware();
+    let configs = if ctx.quick {
+        vec![AsymConfig::new(1, 3, 8)]
+    } else {
+        AsymConfig::standard_nine()
+    };
+    let log = ViolationLog::new();
+    let sections: Vec<Section> = paper_workloads()
+        .into_iter()
+        .map(|w| {
+            let label = format!("check/{}", w.name());
+            let opts = ResilientOptions::new(1).retries(0).trace_check(log.check());
+            Section::resilient(label, w, &configs, policy, opts)
+        })
+        .collect();
+    let render = Box::new(move |results: &[SpecResult]| {
+        let mut out = header(
+            "Extension",
+            &format!(
+                "concurrency checker: {} workloads x {} configuration(s) under {policy}",
+                results.len(),
+                configs.len()
+            ),
+        );
+        let mut table = TextTable::new(vec!["workload", "completed"]);
+        let (mut cells, mut completed) = (0usize, 0usize);
+        for r in results {
+            let exp = r.resilient();
+            let total: usize = exp.outcomes.iter().map(|o| o.records.len()).sum();
+            let done = exp.count(RunClass::Completed);
+            cells += total;
+            completed += done;
+            table.row(vec![exp.workload.clone(), format!("{done}/{total}")]);
+        }
+        out += &format!("{}\n", table.render());
+        let violations = log.count();
+        out += &format!(
+            "trace analyses (lost wakeup, fast-core idle, offline dispatch, forward \
+             progress, kill accounting) over {cells} cell(s): {violations} violation(s)\n"
+        );
+        let ok = cells == results.len() * configs.len() && completed == cells && violations == 0;
+        if !ok {
+            out += "FAILURE: a cell did not complete, or an analysis found a violation\n";
         }
         Rendered { text: out, ok }
     });

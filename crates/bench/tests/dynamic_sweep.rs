@@ -5,9 +5,9 @@
 //!   environment plans must produce bit-identical outcomes, trace
 //!   hashes, and per-cell profile metrics whatever the host thread
 //!   count (`--jobs 1` vs `--jobs 4`).
-//! * The `asym_sweep` / `asym_check` binaries must exit non-zero when
-//!   given bad input or when a run-level step fails, and zero on their
-//!   clean smoke paths — CI relies on those codes.
+//! * The `asym_sweep` binary must exit non-zero when given bad input or
+//!   when a run-level step fails, and zero on its clean checker smoke
+//!   path — CI relies on those codes.
 
 use asym_bench::concurrency_check;
 use asym_core::{AsymConfig, CellRunner, ExperimentPlan, ResilientOptions, SpecMode};
@@ -137,23 +137,36 @@ fn sweep_binary_exits_nonzero_when_report_write_fails() {
 
 #[test]
 fn check_binary_exit_codes() {
-    let out = Command::new(env!("CARGO_BIN_EXE_asym_check"))
-        .arg("--bogus")
+    let out = Command::new(env!("CARGO_BIN_EXE_asym_sweep"))
+        .args(["extra_check_matrix", "--bogus"])
         .output()
-        .expect("spawn asym_check");
-    assert!(!out.status.success(), "unknown flag must fail asym_check");
+        .expect("spawn asym_sweep");
+    assert!(!out.status.success(), "unknown flag must fail the checker");
 
-    // The fixtures path exits zero only when every detector — including
-    // the re-ranking hygiene lints — fires on its forged trace.
-    let out = Command::new(env!("CARGO_BIN_EXE_asym_check"))
-        .arg("--fixtures")
+    // The concurrency checker's CI entry point: the eight paper
+    // workloads on 1f-3s/8, the five trace analyses as a section check
+    // and the happens-before suite from `--check`, all clean.
+    let out = Command::new(env!("CARGO_BIN_EXE_asym_sweep"))
+        .args(["extra_check_matrix", "--quick", "--check", "--cache=off"])
         .output()
-        .expect("spawn asym_check");
+        .expect("spawn asym_sweep");
     let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         out.status.success(),
-        "asym_check --fixtures failed:\n{stdout}"
+        "extra_check_matrix --quick --check failed:\n{stdout}{stderr}"
     );
-    assert!(stdout.contains("stale-rerank"));
-    assert!(stdout.contains("rerank-thrash"));
+    assert!(
+        stdout.contains("over 8 cell(s): 0 violation(s)\n"),
+        "section check:\n{stdout}"
+    );
+    assert_eq!(
+        stdout.matches(" 1/1\n").count(),
+        8,
+        "completed cells:\n{stdout}"
+    );
+    assert!(
+        stderr.contains("--check: all 8 cell(s) race- and lint-clean"),
+        "runner check:\n{stderr}"
+    );
 }

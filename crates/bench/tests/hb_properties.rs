@@ -28,8 +28,8 @@ use asym_sync::SimShared;
 /// The HB relation of every trace of every (workload, config) cell is a
 /// DAG consistent with time: every edge points from an earlier record
 /// index to a strictly later one, and never backwards in simulated
-/// time. Clean runs must also be free of data races. The matrix totals
-/// are the ones `asym_check --races` prints.
+/// time. Clean runs must also be free of data races. Every cell runs
+/// seed 0, and the totals pin that traced matrix.
 #[test]
 fn hb_relation_is_acyclic_and_time_consistent_across_matrix() {
     let policy = SchedPolicy::asymmetry_aware();
@@ -82,24 +82,30 @@ fn hb_relation_is_acyclic_and_time_consistent_across_matrix() {
     assert_eq!((kernels, events, edges), (72, 11_262_562, 4_755_243));
 }
 
-/// `asym_check --races --quick` sweeps the 1f-3s/8 smoke cell clean and
-/// prints the same totals it always has.
+/// The quick happens-before pass — the eight paper workloads on the
+/// 1f-3s/8 smoke cell, seed 0 — is race- and lint-clean and keeps its
+/// pinned kernel, event and edge totals.
 #[test]
 fn races_quick_prints_pinned_totals() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_asym_check"))
-        .args(["--races", "--quick"])
-        .output()
-        .expect("spawn asym_check");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "asym_check --races --quick failed:\n{stdout}"
-    );
-    assert!(
-        stdout
-            .contains("analyzed 8 kernels / 1063229 trace events / 447848 happens-before edges\n"),
-        "totals moved:\n{stdout}"
-    );
+    let policy = SchedPolicy::asymmetry_aware();
+    let config = AsymConfig::new(1, 3, 8);
+    let (mut kernels, mut events, mut edges) = (0usize, 0usize, 0usize);
+    for w in paper_workloads() {
+        let setup = RunSetup::new(config, policy, 0);
+        let (_, traces) = capture_traces(|| w.run(&setup));
+        for trace in &traces {
+            let violations = check_concurrency(trace);
+            assert!(
+                violations.is_empty(),
+                "{} @ {config}: {violations:?}",
+                w.name()
+            );
+            kernels += 1;
+            events += trace.num_records();
+            edges += happens_before(trace).edges.len();
+        }
+    }
+    assert_eq!((kernels, events, edges), (8, 1_063_229, 447_848));
 }
 
 /// A deliberately racy workload: two threads increment one [`SimShared`]

@@ -122,52 +122,6 @@ impl Experiment {
         Scalability::from_points(&points)
     }
 
-    /// Serializes the experiment as CSV: one row per (configuration,
-    /// run), with the compute power and run index — ready for plotting.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use asym_core::{run_spec, AsymConfig, Direction, ExperimentOptions,
-    /// #                 RunResult, RunSetup, SpecMode, Workload};
-    /// # use asym_kernel::SchedPolicy;
-    /// # struct W;
-    /// # impl Workload for W {
-    /// #     fn name(&self) -> &str { "w" }
-    /// #     fn unit(&self) -> &str { "ops" }
-    /// #     fn direction(&self) -> Direction { Direction::HigherIsBetter }
-    /// #     fn run(&self, s: &RunSetup) -> RunResult {
-    /// #         RunResult::new(s.config.compute_power())
-    /// #     }
-    /// # }
-    /// let mode = SpecMode::Clean {
-    ///     policy: SchedPolicy::os_default(),
-    ///     options: ExperimentOptions::new(2),
-    /// };
-    /// let result = run_spec(&W, &[AsymConfig::new(2, 2, 8)], mode);
-    /// let csv = result.clean().to_csv();
-    /// assert!(csv.starts_with("workload,unit,policy,config,compute_power,run,value"));
-    /// assert_eq!(csv.lines().count(), 3); // header + 2 runs
-    /// ```
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("workload,unit,policy,config,compute_power,run,value\n");
-        for o in &self.outcomes {
-            for (i, v) in o.samples.values().iter().enumerate() {
-                out.push_str(&format!(
-                    "{},{},{},{},{},{},{}\n",
-                    self.workload,
-                    self.unit,
-                    self.policy,
-                    o.config,
-                    o.config.compute_power(),
-                    i,
-                    v
-                ));
-            }
-        }
-        out
-    }
-
     /// Speedup of each configuration's mean performance over `baseline`'s
     /// (the paper's Figure 10 normalization, baseline `0f-4s/8`).
     ///

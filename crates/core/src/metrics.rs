@@ -162,26 +162,17 @@ pub enum Stability {
 }
 
 impl Stability {
-    /// Default CoV threshold below which runs count as stable (5%).
+    /// CoV threshold below which runs count as stable (5%).
     pub const STABLE_COV: f64 = 0.05;
-    /// Default CoV threshold above which runs count as unstable (15%).
+    /// CoV threshold at and above which runs count as unstable (15%).
     pub const UNSTABLE_COV: f64 = 0.15;
 
-    /// Classifies a CoV with the default thresholds.
+    /// Classifies a CoV against [`STABLE_COV`](Self::STABLE_COV) and
+    /// [`UNSTABLE_COV`](Self::UNSTABLE_COV).
     pub fn from_cov(cov: f64) -> Stability {
-        Self::from_cov_with(cov, Self::STABLE_COV, Self::UNSTABLE_COV)
-    }
-
-    /// Classifies a CoV with explicit thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stable > unstable`.
-    pub fn from_cov_with(cov: f64, stable: f64, unstable: f64) -> Stability {
-        assert!(stable <= unstable, "thresholds out of order");
-        if cov < stable {
+        if cov < Self::STABLE_COV {
             Stability::Stable
-        } else if cov < unstable {
+        } else if cov < Self::UNSTABLE_COV {
             Stability::Marginal
         } else {
             Stability::Unstable

@@ -94,11 +94,6 @@ pub fn fmt_f(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
 }
 
-/// Formats a fraction as a percentage with one decimal.
-pub fn fmt_pct(fraction: f64) -> String {
-    format!("{:.1}%", fraction * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +124,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_pct(0.0712), "7.1%");
     }
 }

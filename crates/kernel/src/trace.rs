@@ -544,7 +544,8 @@ impl KernelTrace {
     /// A platform-independent FNV-1a hash over the full event stream
     /// (timestamps, event payloads, and the final outcome). Two runs of
     /// the same seeded program must produce equal hashes — the
-    /// determinism contract checked by `asym-analysis`. Equal to what
+    /// determinism contract the cell engine's reports and the golden
+    /// hashes pin. Equal to what
     /// a [`TraceHasher`] fed the same stream reports.
     pub fn stable_hash(&self) -> u64 {
         let mut h = StableHasher::new();
