@@ -16,7 +16,8 @@ use asym_core::{
     Scalability, SpecMode, SpecResult, SummaryRow, TextTable, TraceCheck, Workload, WorkloadClass,
 };
 use asym_kernel::{
-    capture_traces, with_run_guard, RunGuard, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent,
+    capture_stream, with_run_guard, RunGuard, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent,
+    TraceHasher,
 };
 use asym_obs::{ProfileFold, ProfileMetrics};
 use asym_sim::{
@@ -1164,7 +1165,7 @@ fn kills_plan_for(setup: &RunSetup) -> FaultPlan {
 }
 
 /// Runs one workload twice with the identical seed and fault plan and
-/// checks the captured traces hash identically — determinism must
+/// checks the streamed traces hash identically — determinism must
 /// survive fault injection.
 fn same_seed_guarded_reruns_match(policy: SchedPolicy, config: AsymConfig) -> bool {
     let w = H264::new();
@@ -1173,8 +1174,11 @@ fn same_seed_guarded_reruns_match(policy: SchedPolicy, config: AsymConfig) -> bo
         let guard = RunGuard::new()
             .watchdog(SimDuration::from_secs(5))
             .fault_plan(throttle_plan_for(&setup));
-        let (_, traces) = capture_traces(|| with_run_guard(guard, || w.run(&setup)));
-        traces.iter().map(|t| t.stable_hash()).collect::<Vec<_>>()
+        let (_, hashers) = capture_stream(
+            |_, _| TraceHasher::new(),
+            || with_run_guard(guard, || w.run(&setup)),
+        );
+        hashers.iter().map(TraceHasher::finish).collect::<Vec<_>>()
     };
     let (a, b) = (run(), run());
     !a.is_empty() && a == b

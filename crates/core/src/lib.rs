@@ -75,5 +75,5 @@ pub use experiment::{
 };
 pub use metrics::{Direction, Samples, Scalability, Stability};
 pub use summary::{SummaryRow, Verdict, WorkloadClass};
-pub use table::{fmt_f, TextTable};
+pub use table::TextTable;
 pub use workload::{RunResult, RunSetup, Workload};

@@ -89,11 +89,6 @@ impl TextTable {
     }
 }
 
-/// Formats a float with `digits` decimal places (helper for table cells).
-pub fn fmt_f(value: f64, digits: usize) -> String {
-    format!("{value:.digits$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,10 +114,5 @@ mod tests {
         t.row(vec!["1".into()]);
         let s = t.render();
         assert!(s.contains('1'));
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
     }
 }

@@ -14,9 +14,12 @@
 //! * [`Log2Histogram`] — fixed log2-bucketed scheduler-latency and
 //!   run-quantum histograms with no floats in the accumulation path;
 //! * [`ProfileMetrics`] — the compact mergeable summary the sweep engine
-//!   attaches per cell in `BENCH_sweep.json`;
+//!   attaches per cell in `BENCH_sweep.json`, streamed through the
+//!   metrics fold [`ProfileFold`], whose state is O(1) in the event
+//!   count;
 //! * [`perfetto_trace`] — a Chrome/Perfetto `trace.json` exporter for
-//!   timeline inspection of any run, with per-core counter tracks
+//!   timeline inspection of any run replayed by
+//!   [`RunProfile::from_trace`], with per-core counter tracks
 //!   (live speed, runnable-queue depth) and flow arrows linking
 //!   migration decisions to landing dispatches;
 //! * [`ProfileDiff`] / [`DiffAttribution`] — the differential causality

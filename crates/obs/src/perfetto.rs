@@ -145,8 +145,13 @@ impl TraceWriter {
                     esc(&name)
                 ));
             }
+            // A metrics-fold profile carries no timeline: its cores export
+            // as empty processes.
+            let Some(tl) = &p.timeline else {
+                continue;
+            };
             let mut tracks: BTreeSet<(usize, usize)> = BTreeSet::new();
-            for s in &p.slices {
+            for s in &tl.slices {
                 tracks.insert((pid_base + s.core, s.tid));
             }
             for (pid, tid) in tracks {
@@ -155,7 +160,7 @@ impl TraceWriter {
                      \"args\":{{\"name\":\"tid{tid}\"}}}}"
                 ));
             }
-            for s in &p.slices {
+            for s in &tl.slices {
                 let name = self.interner.intern(&format!("tid{}", s.tid));
                 self.events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"run\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
@@ -168,7 +173,7 @@ impl TraceWriter {
                     s.end
                 ));
             }
-            for m in &p.marks {
+            for m in &tl.marks {
                 let name = self.interner.intern(&mark_name(m.kind));
                 self.events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{},\
@@ -178,7 +183,7 @@ impl TraceWriter {
                     pid_base + m.core
                 ));
             }
-            for c in &p.counters {
+            for c in &tl.counters {
                 let (name, arg) = match c.kind {
                     CounterKind::Speed => ("speed_pmy", "pmy"),
                     CounterKind::Runnable => ("runnable", "n"),
@@ -193,7 +198,7 @@ impl TraceWriter {
                     c.value
                 ));
             }
-            for f in &p.flows {
+            for f in &tl.flows {
                 let name = self.interner.intern(&format!("migrate tid{}", f.tid));
                 let id = self.next_flow_id;
                 self.next_flow_id += 1;
@@ -235,7 +240,11 @@ impl TraceWriter {
 /// Trace Event Format JSON document.
 ///
 /// Kernel `k`'s core `c` becomes process `k * 100 + c`, keeping multi-
-/// kernel workloads (rare, but legal) on disjoint tracks.
+/// kernel workloads (rare, but legal) on disjoint tracks. The slices,
+/// marks, counters and flows come from the timeline that only
+/// [`RunProfile::from_trace`] records; a profile from the metrics fold
+/// ([`ProfileFold::new`](crate::ProfileFold::new)) exports its cores'
+/// process names and nothing else.
 ///
 /// # Examples
 ///

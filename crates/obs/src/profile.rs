@@ -14,7 +14,6 @@ use asym_kernel::{
     KernelTrace, PreemptReason, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent, WakeReason,
 };
 use asym_sim::{MachineSpec, SimDuration, SimTime, Speed};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Where one core's time went over a run.
@@ -252,6 +251,47 @@ pub(crate) struct Flow {
     pub(crate) dst_time: SimTime,
 }
 
+/// The Perfetto timeline of one run: every run slice, mark, counter
+/// sample and migration flow, in event order. It grows with the event
+/// count, so only [`RunProfile::from_trace`] records one; the metrics
+/// fold the sweep engine streams ([`ProfileFold::new`]) never does.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Timeline {
+    pub(crate) slices: Vec<Slice>,
+    pub(crate) marks: Vec<Mark>,
+    pub(crate) counters: Vec<CounterSample>,
+    pub(crate) flows: Vec<Flow>,
+}
+
+impl Timeline {
+    /// An empty timeline with both counter tracks of every core seeded
+    /// at t=0, so every core exports a track even if nothing ever
+    /// changes on it.
+    fn new(cores: &[CoreSt]) -> Self {
+        let mut counters = Vec::with_capacity(2 * cores.len());
+        for (c, st) in cores.iter().enumerate() {
+            counters.push(CounterSample {
+                core: c,
+                time: SimTime::ZERO,
+                kind: CounterKind::Speed,
+                value: st.speed_pmy,
+            });
+            counters.push(CounterSample {
+                core: c,
+                time: SimTime::ZERO,
+                kind: CounterKind::Runnable,
+                value: 0,
+            });
+        }
+        Timeline {
+            slices: Vec::new(),
+            marks: Vec::new(),
+            counters,
+            flows: Vec::new(),
+        }
+    }
+}
+
 /// The complete observability profile of one kernel run, derived purely
 /// from its [`KernelTrace`].
 ///
@@ -329,10 +369,9 @@ pub struct RunProfile {
     pub preempt_interrupt: u64,
     /// Queued threads moved between run queues without running.
     pub steals: u64,
-    pub(crate) slices: Vec<Slice>,
-    pub(crate) marks: Vec<Mark>,
-    pub(crate) counters: Vec<CounterSample>,
-    pub(crate) flows: Vec<Flow>,
+    /// The Perfetto timeline, present only on profiles built by
+    /// [`RunProfile::from_trace`].
+    pub(crate) timeline: Option<Timeline>,
 }
 
 /// Integer per-myriad (hundredths of a percent): `part / whole * 10_000`,
@@ -377,6 +416,9 @@ enum ThSt {
 struct CoreSt {
     online: bool,
     speed: Speed,
+    /// `speed` as integer per-myriad of full, kept beside it for the
+    /// per-interval speed-weighted accrual.
+    speed_pmy: u64,
     running: Option<usize>,
     queued: u64,
 }
@@ -386,10 +428,15 @@ struct CoreSt {
 /// events in emission order (it implements
 /// [`TraceConsumer`](asym_kernel::TraceConsumer), so
 /// [`capture_stream`](asym_kernel::capture_stream) can drive it directly
-/// off the hot path), then call [`finish`](ProfileFold::finish). The
-/// resulting profile is field-for-field identical to replaying the
-/// buffered trace post hoc — per-cell trace memory stays O(1) in the
-/// event count.
+/// off the hot path), then call [`finish`](ProfileFold::finish).
+///
+/// [`ProfileFold::new`] builds the *metrics fold*: its state is per
+/// core, per thread and per wait queue only, so per-cell trace memory
+/// stays O(1) in the event count. Its profile equals the post-hoc
+/// replay's field for field, except that it records no Perfetto
+/// timeline. Only [`RunProfile::from_trace`] installs the timeline
+/// recorder, whose slices, marks, counter samples and flows grow with
+/// the run.
 pub struct ProfileFold {
     policy: SchedPolicy,
     outcome: Option<RunOutcome>,
@@ -397,9 +444,20 @@ pub struct ProfileFold {
     core_acc: Vec<CoreProfile>,
     threads: Vec<ThSt>,
     thread_acc: Vec<ThreadProfile>,
-    migrating: Vec<bool>,
-    waits: BTreeMap<usize, WaitProfile>,
-    last: SimTime,
+    /// Per-thread pending migration decision: `(decision time, source
+    /// core)` set by `Migrate` and consumed by the dispatch that lands
+    /// the thread, which counts the migration (and, on the timeline,
+    /// links the flow arrow's two endpoints).
+    migrating: Vec<Option<(SimTime, usize)>>,
+    /// Blocked-time attribution, indexed by wait-queue id.
+    waits: Vec<Option<WaitProfile>>,
+    /// The instant the core accounting has been advanced to.
+    accrued: SimTime,
+    /// The timestamp of the last event seen: where `finish` closes the
+    /// run.
+    end: SimTime,
+    /// The top speed across online cores, if any core is online.
+    top: Option<Speed>,
     fast_idle_slow_runnable: SimDuration,
     speed_changes: u64,
     reranks: u64,
@@ -411,19 +469,12 @@ pub struct ProfileFold {
     preempt_yield: u64,
     preempt_interrupt: u64,
     steals: u64,
-    slices: Vec<Slice>,
-    marks: Vec<Mark>,
-    counters: Vec<CounterSample>,
-    flows: Vec<Flow>,
-    /// Per-thread pending migration decision: `(decision time, source
-    /// core)` set by `Migrate`, consumed by the dispatch that lands the
-    /// thread (the flow arrow's two endpoints).
-    pending_migration: Vec<Option<(SimTime, usize)>>,
+    timeline: Option<Timeline>,
 }
 
 impl ProfileFold {
-    /// A fresh fold for one kernel on `machine` under `policy` (the two
-    /// trace-independent inputs the profile needs).
+    /// A fresh metrics fold for one kernel on `machine` under `policy`
+    /// (the two trace-independent inputs the profile needs).
     pub fn new(machine: &MachineSpec, policy: SchedPolicy) -> Self {
         let cores: Vec<CoreSt> = machine
             .speeds()
@@ -431,6 +482,7 @@ impl ProfileFold {
             .map(|&speed| CoreSt {
                 online: true,
                 speed,
+                speed_pmy: speed_permyriad(speed),
                 running: None,
                 queued: 0,
             })
@@ -447,23 +499,8 @@ impl ProfileFold {
                 speed_weighted: 0,
             })
             .collect();
-        // Seed both counter tracks at t=0 so every core exports a track
-        // even if nothing ever changes on it.
-        let mut counters = Vec::new();
-        for (c, st) in cores.iter().enumerate() {
-            counters.push(CounterSample {
-                core: c,
-                time: SimTime::ZERO,
-                kind: CounterKind::Speed,
-                value: speed_permyriad(st.speed),
-            });
-            counters.push(CounterSample {
-                core: c,
-                time: SimTime::ZERO,
-                kind: CounterKind::Runnable,
-                value: 0,
-            });
-        }
+        // Every core starts online.
+        let top = cores.iter().map(|c| c.speed).max();
         ProfileFold {
             policy,
             outcome: None,
@@ -472,8 +509,10 @@ impl ProfileFold {
             threads: Vec::new(),
             thread_acc: Vec::new(),
             migrating: Vec::new(),
-            waits: BTreeMap::new(),
-            last: SimTime::ZERO,
+            waits: Vec::new(),
+            accrued: SimTime::ZERO,
+            end: SimTime::ZERO,
+            top,
             fast_idle_slow_runnable: SimDuration::ZERO,
             speed_changes: 0,
             reranks: 0,
@@ -485,11 +524,7 @@ impl ProfileFold {
             preempt_yield: 0,
             preempt_interrupt: 0,
             steals: 0,
-            slices: Vec::new(),
-            marks: Vec::new(),
-            counters,
-            flows: Vec::new(),
-            pending_migration: Vec::new(),
+            timeline: None,
         }
     }
 
@@ -498,25 +533,35 @@ impl ProfileFold {
             let next = self.threads.len();
             self.threads.push(ThSt::Absent);
             self.thread_acc.push(ThreadProfile::new(next));
-            self.migrating.push(false);
-            self.pending_migration.push(None);
+            self.migrating.push(None);
         }
     }
 
-    /// Samples `core`'s runnable-queue-depth counter track at `time`.
+    /// Samples `core`'s runnable-queue-depth counter track at `time`,
+    /// when a timeline is recorded.
     fn sample_queue(&mut self, core: usize, time: SimTime) {
-        self.counters.push(CounterSample {
-            core,
-            time,
-            kind: CounterKind::Runnable,
-            value: self.cores[core].queued,
-        });
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.counters.push(CounterSample {
+                core,
+                time,
+                kind: CounterKind::Runnable,
+                value: self.cores[core].queued,
+            });
+        }
+    }
+
+    /// Records an instantaneous mark, when a timeline is recorded.
+    fn mark(&mut self, core: usize, time: SimTime, kind: MarkKind) {
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.marks.push(Mark { core, time, kind });
+        }
     }
 
     fn wait_entry(&mut self, wait: usize) -> &mut WaitProfile {
-        self.waits
-            .entry(wait)
-            .or_insert_with(|| WaitProfile::new(wait))
+        if self.waits.len() <= wait {
+            self.waits.resize_with(wait + 1, || None);
+        }
+        self.waits[wait].get_or_insert_with(|| WaitProfile::new(wait))
     }
 
     fn classify(&mut self, wait: usize, kind: WaitKind) {
@@ -535,58 +580,58 @@ impl ProfileFold {
             .max()
     }
 
-    /// Accounts the interval `[self.last, now)` against the current core
-    /// states: busy/idle/offline per core, plus the fast-idle-while-
-    /// slow-runnable condition across the machine.
+    /// Accounts the interval `[self.accrued, now)` against the current
+    /// core states in one pass over the cores: busy/idle/offline and
+    /// speed-weighted time per core, plus the tracking-lag and
+    /// fast-idle-while-slow-runnable conditions across the machine.
     fn advance(&mut self, now: SimTime) {
-        let dt = now.saturating_duration_since(self.last);
-        self.last = now;
+        let dt = now.saturating_duration_since(self.accrued);
+        self.accrued = now;
         if dt.is_zero() {
             return;
         }
+        let dt_ns = dt.as_nanos();
+        // Over online cores: the fastest idle one, the slowest running
+        // one, and the slowest one holding work (running or queued).
+        let mut best_idle: Option<Speed> = None;
+        let mut slowest_running: Option<Speed> = None;
+        let mut slowest_with_work: Option<Speed> = None;
         for (st, acc) in self.cores.iter().zip(self.core_acc.iter_mut()) {
             if !st.online {
                 acc.offline += dt;
-            } else if st.running.is_some() {
+                continue;
+            }
+            acc.speed_weighted = acc
+                .speed_weighted
+                .saturating_add(dt_ns.saturating_mul(st.speed_pmy));
+            if st.running.is_some() {
                 acc.busy += dt;
+                slowest_running = Some(slowest_running.map_or(st.speed, |s| s.min(st.speed)));
             } else {
                 acc.idle += dt;
+                best_idle = best_idle.max(Some(st.speed));
             }
-            if st.online {
-                acc.speed_weighted = acc
-                    .speed_weighted
-                    .saturating_add(dt.as_nanos().saturating_mul(speed_permyriad(st.speed)));
+            if st.running.is_some() || st.queued > 0 {
+                slowest_with_work = Some(slowest_with_work.map_or(st.speed, |s| s.min(st.speed)));
             }
         }
         // Tracking lag: threads running on cores strictly slower than the
         // fastest idle online core are on a tier the schedule should have
         // re-ranked them out of.
-        let best_idle = self
-            .cores
-            .iter()
-            .filter(|c| c.online && c.running.is_none())
-            .map(|c| c.speed)
-            .max();
-        if let Some(best) = best_idle {
-            let lagging = self
-                .cores
-                .iter()
-                .filter(|c| c.online && c.running.is_some() && c.speed < best)
-                .count() as u64;
-            if lagging > 0 {
+        if let (Some(best), Some(slowest)) = (best_idle, slowest_running) {
+            if slowest < best {
+                let lagging = self
+                    .cores
+                    .iter()
+                    .filter(|c| c.online && c.running.is_some() && c.speed < best)
+                    .count() as u64;
                 self.tracking_lag += dt * lagging;
             }
         }
-        if let Some(top) = self.max_online_speed() {
-            let fast_idle = self
-                .cores
-                .iter()
-                .any(|c| c.online && c.speed == top && c.running.is_none());
-            let slow_has_work = self
-                .cores
-                .iter()
-                .any(|c| c.online && c.speed < top && (c.running.is_some() || c.queued > 0));
-            if fast_idle && slow_has_work {
+        // A top-speed core idles exactly when the fastest idle core runs
+        // at top speed.
+        if let Some(top) = self.top {
+            if best_idle == Some(top) && slowest_with_work.is_some_and(|s| s < top) {
                 self.fast_idle_slow_runnable += dt;
             }
         }
@@ -594,10 +639,7 @@ impl ProfileFold {
 
     /// Whether `core` currently runs at the machine's top online speed.
     fn core_is_fast(&self, core: usize) -> bool {
-        match self.max_online_speed() {
-            Some(top) => self.cores[core].speed == top,
-            None => false,
-        }
+        self.top == Some(self.cores[core].speed)
     }
 
     /// Closes the fast/slow accounting segment of every running thread
@@ -632,7 +674,8 @@ impl ProfileFold {
 
     /// Ends a running spell: accrues the residency segment, records the
     /// quantum (unless the run was truncated mid-slice), emits the
-    /// Perfetto slice, and clears the core's run slot.
+    /// Perfetto slice when a timeline is recorded, and clears the core's
+    /// run slot.
     fn end_running(&mut self, tid: usize, now: SimTime, end: &'static str, complete: bool) {
         let ThSt::Running {
             core,
@@ -647,13 +690,15 @@ impl ProfileFold {
         if complete {
             self.run_quantum.record(quantum);
         }
-        self.slices.push(Slice {
-            core,
-            tid,
-            start: spell_start,
-            dur: quantum,
-            end,
-        });
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.slices.push(Slice {
+                core,
+                tid,
+                start: spell_start,
+                dur: quantum,
+                end,
+            });
+        }
         if self.cores[core].running == Some(tid) {
             self.cores[core].running = None;
         }
@@ -682,6 +727,22 @@ impl ProfileFold {
     }
 
     fn apply(&mut self, time: SimTime, event: &TraceEvent) {
+        self.end = time;
+        // These events leave every core and thread state unchanged, and
+        // accrual is linear in elapsed time: the next state-changing
+        // event (or `finish`) accounts their interval exactly, so the
+        // most frequent events of the stream skip `advance` altogether.
+        if matches!(
+            event,
+            TraceEvent::SharedRead { .. }
+                | TraceEvent::SharedWrite { .. }
+                | TraceEvent::SharedAtomic { .. }
+                | TraceEvent::ThreadJoin { .. }
+                | TraceEvent::SetAffinity { .. }
+                | TraceEvent::AffinityOverride { .. }
+        ) {
+            return;
+        }
         self.advance(time);
         match *event {
             TraceEvent::Spawn { tid, core, .. } => {
@@ -693,12 +754,11 @@ impl ProfileFold {
                 self.ensure_thread(t);
                 let waited = self.end_queued(t, time);
                 self.sched_latency.record(waited);
-                if self.migrating[t] {
-                    self.migrating[t] = false;
+                if let Some((src_time, src_core)) = self.migrating[t].take() {
                     self.thread_acc[t].migrations += 1;
                     self.thread_acc[t].migration_wait += waited;
-                    if let Some((src_time, src_core)) = self.pending_migration[t].take() {
-                        self.flows.push(Flow {
+                    if let Some(tl) = self.timeline.as_mut() {
+                        tl.flows.push(Flow {
                             tid: t,
                             src_core,
                             src_time,
@@ -719,13 +779,8 @@ impl ProfileFold {
             TraceEvent::Migrate { tid, from, to } => {
                 let t = tid.index();
                 self.ensure_thread(t);
-                self.migrating[t] = true;
-                self.pending_migration[t] = Some((time, from.0));
-                self.marks.push(Mark {
-                    core: to.0,
-                    time,
-                    kind: MarkKind::Migrate { tid: t },
-                });
+                self.migrating[t] = Some((time, from.0));
+                self.mark(to.0, time, MarkKind::Migrate { tid: t });
             }
             TraceEvent::Preempt { tid, core, reason } => {
                 let t = tid.index();
@@ -832,8 +887,7 @@ impl ProfileFold {
                     ThSt::Absent => {}
                 }
                 self.threads[t] = ThSt::Absent;
-                self.migrating[t] = false;
-                self.pending_migration[t] = None;
+                self.migrating[t] = None;
             }
             TraceEvent::Signal { wait, woken, .. } => {
                 let w = self.wait_entry(wait.index());
@@ -850,45 +904,36 @@ impl ProfileFold {
             }
             TraceEvent::SpeedChange { core, speed } => {
                 self.reseat_running_segments(time);
+                let pmy = speed_permyriad(speed);
                 self.cores[core.0].speed = speed;
+                self.cores[core.0].speed_pmy = pmy;
+                self.top = self.max_online_speed();
                 self.speed_changes += 1;
-                self.marks.push(Mark {
-                    core: core.0,
-                    time,
-                    kind: MarkKind::Speed,
-                });
-                self.counters.push(CounterSample {
-                    core: core.0,
-                    time,
-                    kind: CounterKind::Speed,
-                    value: speed_permyriad(speed),
-                });
+                self.mark(core.0, time, MarkKind::Speed);
+                if let Some(tl) = self.timeline.as_mut() {
+                    tl.counters.push(CounterSample {
+                        core: core.0,
+                        time,
+                        kind: CounterKind::Speed,
+                        value: pmy,
+                    });
+                }
             }
             TraceEvent::Rerank { core } => {
                 self.reranks += 1;
-                self.marks.push(Mark {
-                    core: core.0,
-                    time,
-                    kind: MarkKind::Rerank,
-                });
+                self.mark(core.0, time, MarkKind::Rerank);
             }
             TraceEvent::CoreOffline { core } => {
                 self.reseat_running_segments(time);
                 self.cores[core.0].online = false;
-                self.marks.push(Mark {
-                    core: core.0,
-                    time,
-                    kind: MarkKind::Offline,
-                });
+                self.top = self.max_online_speed();
+                self.mark(core.0, time, MarkKind::Offline);
             }
             TraceEvent::CoreOnline { core } => {
                 self.reseat_running_segments(time);
                 self.cores[core.0].online = true;
-                self.marks.push(Mark {
-                    core: core.0,
-                    time,
-                    kind: MarkKind::Online,
-                });
+                self.top = self.max_online_speed();
+                self.mark(core.0, time, MarkKind::Online);
             }
             TraceEvent::ThreadKilled { tid } => {
                 let t = tid.index();
@@ -898,19 +943,15 @@ impl ProfileFold {
                     ThSt::Running { core, .. } | ThSt::Queued { core, .. } => core,
                     _ => 0,
                 };
-                self.marks.push(Mark {
-                    core,
-                    time,
-                    kind: MarkKind::Killed { tid: t },
-                });
+                self.mark(core, time, MarkKind::Killed { tid: t });
             }
-            TraceEvent::SetAffinity { .. } | TraceEvent::AffinityOverride { .. } => {}
-            // Shared-access annotations and join observations carry no
-            // scheduling state; the profiler ignores them.
+            // Returned before `advance` above.
             TraceEvent::SharedRead { .. }
             | TraceEvent::SharedWrite { .. }
             | TraceEvent::SharedAtomic { .. }
-            | TraceEvent::ThreadJoin { .. } => {}
+            | TraceEvent::ThreadJoin { .. }
+            | TraceEvent::SetAffinity { .. }
+            | TraceEvent::AffinityOverride { .. } => {}
         }
     }
 
@@ -946,7 +987,7 @@ impl ProfileFold {
     /// Ends the fold: closes every open spell at the timestamp of the
     /// last event seen and returns the finished profile.
     pub fn finish(mut self) -> RunProfile {
-        let end = self.last;
+        let end = self.end;
         self.advance(end);
         self.close_open_spells(end);
         RunProfile {
@@ -955,7 +996,7 @@ impl ProfileFold {
             duration: end.saturating_duration_since(SimTime::ZERO),
             cores: self.core_acc,
             threads: self.thread_acc,
-            waits: self.waits.into_values().collect(),
+            waits: self.waits.into_iter().flatten().collect(),
             fast_idle_slow_runnable: self.fast_idle_slow_runnable,
             speed_changes: self.speed_changes,
             reranks: self.reranks,
@@ -967,10 +1008,7 @@ impl ProfileFold {
             preempt_yield: self.preempt_yield,
             preempt_interrupt: self.preempt_interrupt,
             steals: self.steals,
-            slices: self.slices,
-            marks: self.marks,
-            counters: self.counters,
-            flows: self.flows,
+            timeline: self.timeline,
         }
     }
 }
@@ -986,13 +1024,16 @@ impl TraceConsumer for ProfileFold {
 }
 
 impl RunProfile {
-    /// Replays `trace` into a profile. Purely a function of the trace:
-    /// equal traces produce equal profiles, whatever thread or process
-    /// performed the replay. A thin wrapper over [`ProfileFold`]; the
-    /// two paths are equivalent by construction (and by regression
-    /// test).
+    /// Replays `trace` into a profile, Perfetto timeline included.
+    /// Purely a function of the trace: equal traces produce equal
+    /// profiles, whatever thread or process performed the replay. A
+    /// thin wrapper over [`ProfileFold`] with the timeline recorder
+    /// installed; the metrics fold of [`ProfileFold::new`] yields the
+    /// same profile in every other field (by construction, and by
+    /// regression test).
     pub fn from_trace(trace: &KernelTrace) -> RunProfile {
         let mut fold = ProfileFold::new(&trace.machine, trace.policy);
+        fold.timeline = Some(Timeline::new(&fold.cores));
         trace.replay(&mut fold);
         fold.finish()
     }
@@ -1298,11 +1339,15 @@ pub fn profile_traces(traces: &[KernelTrace]) -> Vec<RunProfile> {
     traces.iter().map(RunProfile::from_trace).collect()
 }
 
-/// Folds the metrics of every kernel of a captured run into one record.
+/// Folds the metrics of every kernel of a captured run into one record,
+/// replaying each trace through the metrics fold (no timeline), as the
+/// sweep engine streams it.
 pub fn metrics_of_traces(traces: &[KernelTrace]) -> ProfileMetrics {
     let mut m = ProfileMetrics::new();
     for t in traces {
-        m.merge(&RunProfile::from_trace(t).metrics());
+        let mut fold = ProfileFold::new(&t.machine, t.policy);
+        t.replay(&mut fold);
+        m.merge(&fold.finish().metrics());
     }
     m
 }
@@ -1310,8 +1355,11 @@ pub fn metrics_of_traces(traces: &[KernelTrace]) -> ProfileMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asym_kernel::{capture_traces, FnThread, Kernel, SpawnOptions, Step};
-    use asym_sim::{Cycles, MachineSpec};
+    use asym_kernel::{
+        capture_traces, AtomicOp, FnThread, Kernel, ShareId, SpawnOptions, Step, ThreadId,
+        TraceRecord,
+    };
+    use asym_sim::{CoreId, CoreMask, Cycles, MachineSpec};
 
     fn two_thread_trace() -> KernelTrace {
         let ((), traces) = capture_traces(|| {
@@ -1350,9 +1398,82 @@ mod tests {
         }
         fold.on_close(trace.outcome, trace.budget_exhausted);
         let streamed = fold.finish();
-        assert_eq!(post_hoc, streamed);
+        // The metrics fold records no timeline; every other field
+        // matches the replay's.
+        assert!(post_hoc.timeline.is_some());
+        assert!(streamed.timeline.is_none());
+        assert_eq!(
+            RunProfile {
+                timeline: None,
+                ..post_hoc.clone()
+            },
+            streamed
+        );
         assert_eq!(post_hoc.metrics(), streamed.metrics());
         assert_eq!(post_hoc.to_string(), streamed.to_string());
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(n)
+    }
+
+    fn spawn(tid: ThreadId, core: usize) -> TraceEvent {
+        TraceEvent::Spawn {
+            tid,
+            core: CoreId(core),
+            affinity: CoreMask::from_bits(0b11),
+            parent: None,
+        }
+    }
+
+    fn dispatch(tid: ThreadId, core: usize) -> TraceEvent {
+        TraceEvent::Dispatch {
+            tid,
+            core: CoreId(core),
+        }
+    }
+
+    fn record(at_ms: u64, event: TraceEvent) -> TraceRecord {
+        TraceRecord {
+            time: ms(at_ms),
+            event,
+        }
+    }
+
+    /// Profiles `records` on a 1f-1s machine (1/8-speed slow core) with
+    /// both the metrics fold and the timeline replay, checks the two
+    /// agree outside the timeline, and returns the replay.
+    fn profile_forged(
+        records: impl FnOnce(&[ThreadId], ShareId) -> Vec<TraceRecord>,
+    ) -> RunProfile {
+        // A genuine (never run) kernel supplies the machine, policy and
+        // ids; the history is then written by hand.
+        let ((tids, obj), mut traces) = capture_traces(|| {
+            let machine = MachineSpec::asymmetric(1, 1, Speed::fraction_of_full(8));
+            let mut k = Kernel::new(machine, SchedPolicy::os_default(), 1);
+            let obj = k.register_shared("x");
+            let tids: Vec<ThreadId> = (0..2)
+                .map(|_| k.spawn(FnThread::new("w", |_cx| Step::Done), SpawnOptions::new()))
+                .collect();
+            (tids, obj)
+        });
+        let mut trace = traces.pop().expect("one kernel");
+        trace.set_records(records(&tids, obj));
+        let replayed = RunProfile::from_trace(&trace);
+        let mut fold = ProfileFold::new(&trace.machine, trace.policy);
+        trace.replay(&mut fold);
+        let streamed = fold.finish();
+        assert_eq!(
+            RunProfile {
+                timeline: None,
+                ..replayed.clone()
+            },
+            streamed
+        );
+        for c in &replayed.cores {
+            assert_eq!(c.busy + c.idle + c.offline, replayed.duration);
+        }
+        replayed
     }
 
     #[test]
@@ -1442,7 +1563,6 @@ mod tests {
         // One thread pinned to the slow core of a 1f-1s machine: the fast
         // core idles the whole time the slow core works — the entire run
         // is a §3.1.1 violation window.
-        use asym_sim::{CoreId, CoreMask};
         let ((), traces) = capture_traces(|| {
             let machine = MachineSpec::asymmetric(1, 1, Speed::fraction_of_full(8));
             let mut k = Kernel::new(machine, SchedPolicy::os_default(), 3);
@@ -1464,5 +1584,102 @@ mod tests {
         assert_eq!(p.fast_idle_slow_runnable.as_nanos(), p.duration.as_nanos());
         assert!(p.threads[0].running_slow > SimDuration::ZERO);
         assert_eq!(p.threads[0].running_fast, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn trailing_annotations_set_the_run_end() {
+        // The last scheduling event is at 1 ms; two atomics follow. The
+        // fold skips `advance` on annotations, yet the run must still end
+        // at the last record and close the open spell there.
+        let p = profile_forged(|tids, obj| {
+            let atomic = |time| TraceRecord {
+                time,
+                event: TraceEvent::SharedAtomic {
+                    tid: tids[0],
+                    obj,
+                    word: 0,
+                    op: AtomicOp::Rmw,
+                },
+            };
+            vec![
+                record(0, spawn(tids[0], 0)),
+                record(1, dispatch(tids[0], 0)),
+                atomic(ms(2)),
+                atomic(ms(5)),
+            ]
+        });
+        assert_eq!(p.duration, SimDuration::from_millis(5));
+        assert_eq!(p.cores[0].busy, SimDuration::from_millis(4));
+        assert_eq!(p.cores[0].idle, SimDuration::from_millis(1));
+        assert_eq!(p.cores[1].idle, SimDuration::from_millis(5));
+        assert_eq!(p.threads[0].running_fast, SimDuration::from_millis(4));
+        assert_eq!(p.threads[0].runnable, SimDuration::from_millis(1));
+        // The spell was cut by the end of the trace: no quantum.
+        assert!(p.run_quantum.is_empty());
+        let tl = p.timeline.as_ref().expect("replay records a timeline");
+        let last = tl.slices.last().expect("the open spell is closed");
+        assert_eq!(
+            (last.start, last.dur, last.end),
+            (ms(1), SimDuration::from_millis(4), "end")
+        );
+    }
+
+    #[test]
+    fn topology_changes_reseat_running_threads() {
+        // Thread A runs on the fast core 0 and B on the slow core 1.
+        // Core 0 throttles to the slow speed at 2 ms, B finishes and core
+        // 1 goes offline at 3 ms, core 1 is re-clocked to full speed while
+        // offline at 5 ms and comes back at 6 ms, and A finishes at 8 ms.
+        let slow = Speed::fraction_of_full(8);
+        let p = profile_forged(|tids, _| {
+            let (a, b) = (tids[0], tids[1]);
+            vec![
+                record(0, spawn(a, 0)),
+                record(0, spawn(b, 1)),
+                record(1, dispatch(a, 0)),
+                record(1, dispatch(b, 1)),
+                record(
+                    2,
+                    TraceEvent::SpeedChange {
+                        core: CoreId(0),
+                        speed: slow,
+                    },
+                ),
+                record(3, TraceEvent::Done { tid: b }),
+                record(3, TraceEvent::CoreOffline { core: CoreId(1) }),
+                record(
+                    5,
+                    TraceEvent::SpeedChange {
+                        core: CoreId(1),
+                        speed: Speed::FULL,
+                    },
+                ),
+                record(6, TraceEvent::CoreOnline { core: CoreId(1) }),
+                record(8, TraceEvent::Done { tid: a }),
+            ]
+        });
+        let d = SimDuration::from_millis;
+        assert_eq!(p.duration, d(8));
+        let (c0, c1) = (&p.cores[0], &p.cores[1]);
+        assert_eq!((c0.busy, c0.idle, c0.offline), (d(7), d(1), d(0)));
+        assert_eq!((c1.busy, c1.idle, c1.offline), (d(2), d(3), d(3)));
+        // Core 0: 2 ms at full speed, then 6 ms at 1/8; core 1: 3 ms at
+        // 1/8 before going offline, then 2 ms at full speed.
+        assert_eq!(c0.speed_weighted, 2_000_000 * 10_000 + 6_000_000 * 1_250);
+        assert_eq!(c1.speed_weighted, 3_000_000 * 1_250 + 2_000_000 * 10_000);
+        // A is on the top-speed core until core 1 returns at full speed
+        // (the two cores tie from 2 ms to 3 ms, and core 0 is the only
+        // online core from 3 ms to 6 ms).
+        let (ta, tb) = (&p.threads[0], &p.threads[1]);
+        assert_eq!((ta.running_fast, ta.running_slow), (d(5), d(2)));
+        assert_eq!((tb.running_fast, tb.running_slow), (d(1), d(1)));
+        assert_eq!(p.run_quantum.count(), 2);
+        // The fast core idles with B queued on the slow one in [0, 1),
+        // and the re-clocked core 1 idles while A runs slow in [6, 8).
+        assert_eq!(p.fast_idle_slow_runnable, d(3));
+        assert_eq!(p.tracking_lag, d(2));
+        assert_eq!(p.speed_changes, 2);
+        let tl = p.timeline.as_ref().expect("replay records a timeline");
+        assert_eq!(tl.marks.len(), 4);
     }
 }

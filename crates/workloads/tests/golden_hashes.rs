@@ -3,7 +3,8 @@
 //! must hash exactly as recorded in `tests/golden_hashes.txt`. Any
 //! scheduler, sync-primitive, or workload change that shifts even one
 //! trace event shows up here as a per-cell diff instead of silently
-//! altering published results.
+//! altering published results. The same matrix pins the streamed
+//! metrics profile fold to the buffered timeline replay.
 //!
 //! To re-bless after an intentional behaviour change:
 //!
@@ -15,6 +16,7 @@ use asym_core::{
     AsymConfig, CellRunner, ExperimentOptions, ExperimentPlan, RunSetup, SpecMode, Workload,
 };
 use asym_kernel::{capture_traces, fold_trace_hashes, SchedPolicy};
+use asym_obs::{ProfileFold, RunProfile};
 use asym_workloads::h264::H264;
 use asym_workloads::japps::JAppServer;
 use asym_workloads::pmake::Pmake;
@@ -171,6 +173,67 @@ fn kernel_traces_match_golden_hashes() {
         "kernel traces diverged from golden hashes:\n{diff}\
          If the change is intentional, re-bless with UPDATE_GOLDEN=1."
     );
+}
+
+/// Asserts `a` and `b` agree in every public field: everywhere but the
+/// Perfetto timeline, which only [`RunProfile::from_trace`] records.
+fn assert_same_outside_timeline(key: &str, a: &RunProfile, b: &RunProfile) {
+    macro_rules! same {
+        ($($field:ident),+) => {$(
+            assert_eq!(a.$field, b.$field, "{key}: `{}` differs", stringify!($field));
+        )+};
+    }
+    same!(
+        policy,
+        outcome,
+        duration,
+        cores,
+        threads,
+        waits,
+        fast_idle_slow_runnable,
+        speed_changes,
+        reranks,
+        tracking_lag,
+        sched_latency,
+        run_quantum,
+        preempt_quantum,
+        preempt_step,
+        preempt_yield,
+        preempt_interrupt,
+        steals
+    );
+}
+
+/// The metrics fold the sweep engine streams ([`ProfileFold::new`])
+/// must agree with the timeline replay ([`RunProfile::from_trace`]) on
+/// every kernel of the golden matrix: equal metrics, equal profiles
+/// outside the timeline, and per-core busy + idle + offline tiling the
+/// run exactly.
+#[test]
+fn metrics_fold_matches_timeline_replay() {
+    for w in workloads() {
+        for (config, policy, policy_name) in matrix() {
+            let setup = RunSetup::new(config, policy, SEED);
+            let (_, traces) = capture_traces(|| w.run(&setup));
+            for (k, trace) in traces.iter().enumerate() {
+                let key = format!("{}|{}|{} kernel {k}", w.name(), config, policy_name);
+                let replayed = RunProfile::from_trace(trace);
+                let mut fold = ProfileFold::new(&trace.machine, trace.policy);
+                trace.replay(&mut fold);
+                let folded = fold.finish();
+                assert_eq!(folded.metrics(), replayed.metrics(), "{key}: metrics");
+                assert_same_outside_timeline(&key, &folded, &replayed);
+                for c in &folded.cores {
+                    assert_eq!(
+                        c.busy + c.idle + c.offline,
+                        folded.duration,
+                        "{key}: core {} accounting does not tile the run",
+                        c.core
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Runs a 2-workload × 9-configuration mini-sweep through the cell

@@ -65,6 +65,12 @@ EOF
 fi
 rm -f ASYM_diff_rerun.txt
 
+echo "==> asym_profile / asym_diff outputs match their pinned SHA-256 digests (the Perfetto timeline recorder is unchanged)"
+# The four outputs are build artefacts (the diff export alone is 34 MB),
+# so their digests are what the repository pins.
+sha256sum --check --quiet scripts/profile_outputs.sha256 \
+  || { echo "FAIL: asym_profile/asym_diff output differs from scripts/profile_outputs.sha256"; exit 1; }
+
 echo "==> asym_soak --quick --json (chaos soak: randomized environment x fault campaigns)"
 cargo run -q --release -p asym-bench --bin asym_soak -- --quick --json > /dev/null
 test -s SOAK_report.json || { echo "FAIL: SOAK_report.json missing or empty"; exit 1; }
