@@ -12,7 +12,9 @@
 use crate::spec::{registry, SweepContext, SweepSpec};
 use asym_analysis::hb::ConcurrencyFold;
 use asym_core::{resolve_jobs, CellCache, CellRunner, ExperimentPlan, TraceCheck};
-use std::path::PathBuf;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -215,6 +217,16 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
         }
     }
 
+    // Open the report file before any cell runs, so an unwritable path
+    // fails in milliseconds rather than after the whole sweep.
+    let json = match args.json.as_deref().map(JsonReport::open).transpose() {
+        Ok(json) => json,
+        Err(e) => {
+            eprintln!("[asym-sweep] {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
     let jobs = resolve_jobs(args.jobs);
     eprintln!(
         "[asym-sweep] {}: {} cell(s) across {} section(s) on {} host thread(s)",
@@ -308,11 +320,11 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
             report.cached_cells()
         );
     }
-    if let Some(path) = &args.json {
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => eprintln!("[asym-sweep] wrote {}", path.display()),
+    if let Some(json) = json {
+        match json.write(&report.to_json()) {
+            Ok(path) => eprintln!("[asym-sweep] wrote {}", path.display()),
             Err(e) => {
-                eprintln!("[asym-sweep] failed to write {}: {e}", path.display());
+                eprintln!("[asym-sweep] {e}");
                 ok = false;
             }
         }
@@ -322,6 +334,41 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+/// The `--json` report file, opened for writing before the sweep runs.
+/// An existing file keeps its contents until [`JsonReport::write`]
+/// replaces them with the finished report.
+#[derive(Debug)]
+struct JsonReport {
+    path: PathBuf,
+    file: File,
+}
+
+impl JsonReport {
+    /// Opens (creating if needed, but not truncating) `path`, or says in
+    /// one line why it cannot be written.
+    fn open(path: &Path) -> Result<JsonReport, String> {
+        OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .map(|file| JsonReport {
+                path: path.to_path_buf(),
+                file,
+            })
+            .map_err(|e| format!("cannot write --json report {}: {e}", path.display()))
+    }
+
+    /// Replaces the file's contents with `json`; returns the path written.
+    fn write(mut self, json: &str) -> Result<PathBuf, String> {
+        self.file
+            .set_len(0)
+            .and_then(|()| self.file.write_all(json.as_bytes()))
+            .map(|()| self.path.clone())
+            .map_err(|e| format!("failed to write {}: {e}", self.path.display()))
     }
 }
 
@@ -363,6 +410,27 @@ mod tests {
         assert_eq!(a.max_cells, Some(5));
         let a = parse(&["--cache", "dir"]).expect("valid command line");
         assert_eq!(a.cache, CacheSetting::Dir(PathBuf::from("dir")));
+    }
+
+    #[test]
+    fn json_report_opens_before_the_run_and_replaces_only_when_written() {
+        let dir = std::env::temp_dir().join(format!("asym-sweep-json-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("report.json");
+        std::fs::write(&path, "an older, longer report").expect("seed file");
+        let json = JsonReport::open(&path).expect("writable path");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("readable"),
+            "an older, longer report",
+            "opening must not truncate"
+        );
+        assert_eq!(json.write("{}").expect("written"), path);
+        assert_eq!(std::fs::read_to_string(&path).expect("readable"), "{}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+
+        let err = JsonReport::open(&dir.join("missing-dir").join("x.json")).unwrap_err();
+        assert!(err.starts_with("cannot write --json report "), "{err}");
+        assert!(!err.contains('\n'), "one-line error: {err}");
     }
 
     #[test]

@@ -555,6 +555,12 @@ pub struct Kernel {
     env_scheduled: bool,
     /// Per-core hysteresis state for environment speed targets.
     pub(crate) env_pending: Vec<EnvPending>,
+    /// Per-core busy samples of the latest environment tick, kept so
+    /// ticks do not allocate.
+    env_busy: Vec<bool>,
+    /// Waiter list of the running `notify_all_from`, kept so wakeups do
+    /// not allocate.
+    notify_buf: Vec<ThreadId>,
     /// Number of shared objects registered via [`Kernel::register_shared`].
     shared_count: usize,
     /// Whether shared-access annotation events (`SharedRead`/`SharedWrite`/
@@ -620,6 +626,8 @@ impl Kernel {
             environment: None,
             env_scheduled: false,
             env_pending: vec![EnvPending::default(); n],
+            env_busy: Vec::new(),
+            notify_buf: Vec::new(),
             shared_count: 0,
             annotate: access_tracing_enabled(),
             stats: KernelStats {
@@ -932,16 +940,21 @@ impl Kernel {
         waker_core: Option<usize>,
         waker: Option<ThreadId>,
     ) -> usize {
-        let waiters: Vec<ThreadId> = self.waits[wait.0].drain(..).collect();
+        // Taken, not borrowed: a wakeup that notifies again finds an
+        // empty buffer of its own instead of this one.
+        let mut waiters = std::mem::take(&mut self.notify_buf);
+        waiters.extend(self.waits[wait.0].drain(..));
         let n = waiters.len();
         self.trace(TraceEvent::Signal {
             waker,
             wait,
             woken: n,
         });
-        for tid in waiters {
+        for &tid in &waiters {
             self.wakeup(tid, waker_core);
         }
+        waiters.clear();
+        self.notify_buf = waiters;
         n
     }
 
@@ -1512,13 +1525,14 @@ impl Kernel {
         self.stats.env_ticks += 1;
         // Binary utilization feedback: a core is busy when a thread holds
         // it at the tick instant (mid-slice or being stepped).
-        let busy: Vec<bool> = self
-            .cores
-            .iter()
-            .map(|core| core.online && (core.current.is_some() || core.executing))
-            .collect();
+        self.env_busy.clear();
+        self.env_busy.extend(
+            self.cores
+                .iter()
+                .map(|core| core.online && (core.current.is_some() || core.executing)),
+        );
         let state = self.environment.as_mut().expect("checked above");
-        let targets = state.tick(self.time, &busy);
+        let targets = state.tick(self.time, &self.env_busy);
         let period = state.plan().tick_period();
         for (core, speed) in targets {
             let p = &mut self.env_pending[core.0];
@@ -1729,10 +1743,9 @@ impl Kernel {
     /// a child stays near its parent unless somewhere is strictly less
     /// loaded).
     fn place_thread_prefer(&mut self, tid: ThreadId, prefer: Option<usize>) -> usize {
-        let affinity = self.threads[tid.0].affinity;
-        let mut candidates: Vec<usize> = (0..self.cores.len())
-            .filter(|&i| self.cores[i].online && affinity.contains(CoreId(i)))
-            .collect();
+        let mut candidates = self.threads[tid.0]
+            .affinity
+            .intersection(self.online_mask());
         if candidates.is_empty() {
             // The mask covers no online core (empty at spawn, disjoint
             // from the machine, or every allowed core hotplugged out).
@@ -1742,12 +1755,12 @@ impl Kernel {
         }
         debug_assert!(!candidates.is_empty(), "one core is always online");
         let placement = Rc::clone(&self.placement);
-        placement.choose_core(self, tid, prefer, &candidates)
+        placement.choose_core(self, tid, prefer, candidates)
     }
 
     /// Widens `tid`'s affinity to all online cores, tracing the override,
-    /// and returns the new candidate list.
-    fn widen_affinity(&mut self, tid: ThreadId) -> Vec<usize> {
+    /// and returns the new mask.
+    fn widen_affinity(&mut self, tid: ThreadId) -> CoreMask {
         let widened = self.online_mask();
         self.threads[tid.0].affinity = widened;
         self.stats.affinity_overrides += 1;
@@ -1755,9 +1768,7 @@ impl Kernel {
             tid,
             affinity: widened,
         });
-        (0..self.cores.len())
-            .filter(|&i| self.cores[i].online)
-            .collect()
+        widened
     }
 
     /// Called when `core` has nothing to run: try to pull work from
@@ -1798,37 +1809,40 @@ impl Kernel {
 
     /// The core (≠ `for_core`) with the longest non-empty queue holding at
     /// least one thread allowed to run on `for_core`, ties broken randomly
-    /// under the stock policy.
+    /// under the stock policy. The ties are counted, not collected: one
+    /// `rng.index(ties)` draw picks the n-th in core order.
     pub(crate) fn busiest_queue(&mut self, for_core: usize) -> Option<usize> {
-        let mut best: Vec<usize> = Vec::new();
-        let mut best_len = 0usize;
+        let is_source = |k: &Kernel, i: usize| {
+            i != for_core
+                && k.cores[i]
+                    .queue
+                    .iter()
+                    .any(|&t| k.can_idle_steal(t, for_core))
+        };
+        let (mut best_len, mut ties) = (0usize, 0usize);
         for i in 0..self.cores.len() {
-            if i == for_core {
-                continue;
-            }
-            let movable = self.cores[i]
-                .queue
-                .iter()
-                .filter(|t| self.can_idle_steal(**t, for_core))
-                .count();
-            if movable == 0 {
+            if !is_source(self, i) {
                 continue;
             }
             let len = self.cores[i].queue.len();
             if len > best_len {
                 best_len = len;
-                best = vec![i];
+                ties = 1;
             } else if len == best_len {
-                best.push(i);
+                ties += 1;
             }
         }
-        if best.is_empty() {
-            None
-        } else if best.len() == 1 || !self.policy.random_tie_break() {
-            Some(best[0])
-        } else {
-            Some(best[self.rng.index(best.len())])
+        if ties == 0 {
+            return None;
         }
+        let pick = if ties > 1 && self.policy.random_tie_break() {
+            self.rng.index(ties)
+        } else {
+            0
+        };
+        (0..self.cores.len())
+            .filter(|&i| self.cores[i].queue.len() == best_len && is_source(self, i))
+            .nth(pick)
     }
 
     /// Moves the most recently queued eligible thread from `src`'s queue to
@@ -2096,8 +2110,7 @@ impl Kernel {
         let mask = if schedulable {
             mask
         } else {
-            self.widen_affinity(tid);
-            self.threads[tid.0].affinity
+            self.widen_affinity(tid)
         };
         match self.threads[tid.0].state {
             TState::Running(core) if !mask.contains(CoreId(core)) => {
@@ -2325,5 +2338,135 @@ impl fmt::Debug for ThreadCx<'_> {
             .field("core", &self.core)
             .field("now", &self.kernel.time)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::thread::FnThread;
+
+    /// A kernel on `per_core.len()` equal cores with `per_core[i]`
+    /// threads queued on core `i`, none running and all past the
+    /// cache-hot window, plus one never-run thread in no queue.
+    fn queued_kernel(policy: SchedPolicy, seed: u64, per_core: &[usize]) -> (Kernel, ThreadId) {
+        let machine = MachineSpec::symmetric(per_core.len(), Speed::FULL);
+        let mut k = Kernel::new(machine, policy, seed);
+        let total: usize = per_core.iter().sum();
+        let tids: Vec<ThreadId> = (0..=total)
+            .map(|_| k.spawn(FnThread::new("t", |_| Step::Done), SpawnOptions::new()))
+            .collect();
+        for core in &mut k.cores {
+            core.queue.clear();
+        }
+        let mut next = tids.into_iter();
+        for (core, &count) in per_core.iter().enumerate() {
+            for tid in next.by_ref().take(count) {
+                k.threads[tid.0].state = TState::Runnable(core);
+                k.cores[core].queue.push_back(tid);
+            }
+        }
+        k.time = SimTime::from_nanos(CACHE_HOT_WINDOW.as_nanos());
+        let extra = next.next().expect("one thread left over");
+        (k, extra)
+    }
+
+    /// `stock_choose` as it was: collect the least-loaded candidates,
+    /// then draw an index into them.
+    fn collected_stock_pick(k: &Kernel, rng: &mut Rng, candidates: &[usize]) -> usize {
+        let min = candidates.iter().map(|&i| k.cores[i].load()).min();
+        let ties: Vec<usize> = candidates
+            .iter()
+            .copied()
+            .filter(|&i| Some(k.cores[i].load()) == min)
+            .collect();
+        if k.policy.random_tie_break() && ties.len() > 1 {
+            ties[rng.index(ties.len())]
+        } else {
+            ties[0]
+        }
+    }
+
+    /// `busiest_queue` as it was: collect the longest queues holding a
+    /// movable thread, then draw an index into them.
+    fn collected_busiest(k: &Kernel, rng: &mut Rng, for_core: usize) -> Option<usize> {
+        let mut best = Vec::new();
+        let mut best_len = 0;
+        for i in (0..k.cores.len()).filter(|&i| i != for_core) {
+            let q = &k.cores[i].queue;
+            if q.iter().filter(|&&t| k.can_idle_steal(t, for_core)).count() == 0 {
+                continue;
+            }
+            if q.len() > best_len {
+                best_len = q.len();
+                best = vec![i];
+            } else if q.len() == best_len {
+                best.push(i);
+            }
+        }
+        match best.len() {
+            0 => None,
+            1 => Some(best[0]),
+            n if k.policy.random_tie_break() => Some(best[rng.index(n)]),
+            _ => Some(best[0]),
+        }
+    }
+
+    /// The RNG after exactly one draw from `rng`.
+    fn one_draw(rng: &Rng) -> Rng {
+        let mut r = rng.clone();
+        r.next_u64();
+        r
+    }
+
+    #[test]
+    fn stock_placement_counts_ties_with_one_draw() {
+        let mut picks = Vec::new();
+        for seed in 0..64 {
+            // Cores 0, 2 and 3 tie at load 1; core 1 is busier.
+            let (mut k, tid) = queued_kernel(SchedPolicy::os_default(), seed, &[1, 2, 1, 1]);
+            let mut reference = k.rng.clone();
+            let expected = collected_stock_pick(&k, &mut reference, &[0, 1, 2, 3]);
+            assert_eq!(reference, one_draw(&k.rng));
+            let (placement, online) = (Rc::clone(&k.placement), k.online_mask());
+            let got = placement.choose_core(&mut k, tid, None, online);
+            assert_eq!(got, expected, "seed {seed}");
+            assert_eq!(k.rng, reference, "seed {seed}: not exactly one draw");
+            picks.push(got);
+        }
+        picks.sort_unstable();
+        picks.dedup();
+        assert_eq!(picks, [0, 2, 3], "the draw must reach every tie");
+
+        let (mut k, tid) = queued_kernel(SchedPolicy::os_default_deterministic(), 7, &[1, 2, 1, 1]);
+        let before = k.rng.clone();
+        let (placement, online) = (Rc::clone(&k.placement), k.online_mask());
+        assert_eq!(placement.choose_core(&mut k, tid, None, online), 0);
+        assert_eq!(k.rng, before, "deterministic placement draws nothing");
+    }
+
+    #[test]
+    fn busiest_queue_counts_ties_with_one_draw() {
+        let mut picks = Vec::new();
+        for seed in 0..64 {
+            // Cores 1, 2 and 3 tie at two queued threads; core 4 has one.
+            let (mut k, _) = queued_kernel(SchedPolicy::os_default(), seed, &[0, 2, 2, 2, 1]);
+            let mut reference = k.rng.clone();
+            let expected = collected_busiest(&k, &mut reference, 0);
+            assert_eq!(reference, one_draw(&k.rng));
+            let got = k.busiest_queue(0);
+            assert_eq!(got, expected, "seed {seed}");
+            assert_eq!(k.rng, reference, "seed {seed}: not exactly one draw");
+            picks.extend(got);
+        }
+        picks.sort_unstable();
+        picks.dedup();
+        assert_eq!(picks, [1, 2, 3], "the draw must reach every tie");
+
+        let (mut k, _) =
+            queued_kernel(SchedPolicy::os_default_deterministic(), 7, &[0, 2, 2, 2, 1]);
+        let before = k.rng.clone();
+        assert_eq!(k.busiest_queue(0), Some(1));
+        assert_eq!(k.rng, before, "deterministic stealing draws nothing");
     }
 }

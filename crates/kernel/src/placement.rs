@@ -19,7 +19,7 @@
 use crate::kernel::Kernel;
 use crate::policy::{PolicyKind, SchedPolicy};
 use crate::thread::ThreadId;
-use asym_sim::{CoreId, SimDuration, Speed};
+use asym_sim::{CoreId, CoreMask, SimDuration, Speed};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -57,14 +57,15 @@ pub(crate) trait PlacementPolicy {
     }
 
     /// Picks the core for a newly runnable `tid` from `candidates`
-    /// (online ∧ affine, never empty). `prefer` is the exec-placement
-    /// hint: the parent's core at spawn.
+    /// (affinity ∩ online, never empty; iterated in index order).
+    /// `prefer` is the exec-placement hint: the parent's core at spawn.
+    /// Runs on every spawn and wakeup, so it must not allocate.
     fn choose_core(
         &self,
         k: &mut Kernel,
         tid: ThreadId,
         prefer: Option<usize>,
-        candidates: &[usize],
+        candidates: CoreMask,
     ) -> usize;
 
     /// Called when `core` runs dry: pull work from elsewhere. Returns
@@ -123,23 +124,24 @@ fn stock_wake_target(k: &Kernel, tid: ThreadId, waker_core: Option<usize>) -> Op
 }
 
 /// Stock placement: least-loaded with wake affinity, exec preference,
-/// and (under `random_tie_break`) randomized tie-breaking.
+/// and (under `random_tie_break`) randomized tie-breaking. The ties form
+/// a mask, not a `Vec`: one `rng.index(n)` draw picks the n-th.
 fn stock_choose(
     k: &mut Kernel,
     tid: ThreadId,
     prefer: Option<usize>,
-    candidates: &[usize],
+    candidates: CoreMask,
 ) -> usize {
     let min_load = candidates
         .iter()
-        .map(|&i| k.cores[i].load())
+        .map(|c| k.cores[c.0].load())
         .min()
         .expect("non-empty candidates");
-    let ties: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|&i| k.cores[i].load() == min_load)
-        .collect();
+    let ties = CoreMask::from_cores(
+        candidates
+            .iter()
+            .filter(|c| k.cores[c.0].load() == min_load),
+    );
     if k.policy().wake_affine() {
         // Cache-affine wakeups with the classic one-task imbalance
         // tolerance: a woken thread returns to the core it last ran on —
@@ -148,33 +150,38 @@ fn stock_choose(
         // available" (§3.4.1) — unless that core is more than one task
         // busier than the least-loaded alternative.
         if let Some(prev) = k.threads[tid.0].last_core {
-            if candidates.contains(&prev) {
+            if candidates.contains(CoreId(prev)) {
                 return prev;
             }
         }
     }
     if let Some(p) = prefer {
-        if ties.contains(&p) {
+        if ties.contains(CoreId(p)) {
             return p;
         }
     }
-    if k.policy().random_tie_break() && ties.len() > 1 {
-        ties[k.rng.index(ties.len())]
+    let n = ties.iter().count();
+    let pick = if k.policy().random_tie_break() && n > 1 {
+        k.rng.index(n)
     } else {
-        ties[0]
-    }
+        0
+    };
+    ties.iter()
+        .nth(pick)
+        .expect("pick is below the tie count")
+        .0
 }
 
 /// Asymmetry-aware placement over `speed_of`: fastest idle core first;
 /// otherwise minimize `(load+1)/speed`.
 fn aware_choose(
     k: &Kernel,
-    candidates: &[usize],
+    candidates: CoreMask,
     speed_of: impl Fn(&Kernel, usize) -> Speed,
 ) -> usize {
     let idle: Option<usize> = candidates
         .iter()
-        .copied()
+        .map(|c| c.0)
         .filter(|&i| k.cores[i].load() == 0)
         .max_by(|&a, &b| {
             speed_of(k, a).cmp(&speed_of(k, b)).then(b.cmp(&a)) // prefer lowest index on ties
@@ -184,7 +191,7 @@ fn aware_choose(
     }
     candidates
         .iter()
-        .copied()
+        .map(|c| c.0)
         .min_by(|&a, &b| {
             let da = (k.cores[a].load() + 1) as f64 / speed_of(k, a).factor();
             let db = (k.cores[b].load() + 1) as f64 / speed_of(k, b).factor();
@@ -239,7 +246,7 @@ impl PlacementPolicy for Stock {
         k: &mut Kernel,
         tid: ThreadId,
         prefer: Option<usize>,
-        candidates: &[usize],
+        candidates: CoreMask,
     ) -> usize {
         stock_choose(k, tid, prefer, candidates)
     }
@@ -263,7 +270,7 @@ impl PlacementPolicy for Aware {
         k: &mut Kernel,
         _tid: ThreadId,
         _prefer: Option<usize>,
-        candidates: &[usize],
+        candidates: CoreMask,
     ) -> usize {
         aware_choose(k, candidates, |k, i| k.cores[i].speed)
     }
@@ -323,11 +330,11 @@ impl PlacementPolicy for VrtFair {
         k: &mut Kernel,
         tid: ThreadId,
         _prefer: Option<usize>,
-        candidates: &[usize],
+        candidates: CoreMask,
     ) -> usize {
         let core = candidates
             .iter()
-            .copied()
+            .map(|c| c.0)
             .min_by(|&a, &b| {
                 k.cores[a]
                     .load()
@@ -378,7 +385,7 @@ impl PlacementPolicy for StaticPrio {
         k: &mut Kernel,
         tid: ThreadId,
         prefer: Option<usize>,
-        candidates: &[usize],
+        candidates: CoreMask,
     ) -> usize {
         stock_choose(k, tid, prefer, candidates)
     }
@@ -420,7 +427,7 @@ impl PlacementPolicy for SpeedSliceQuantum {
         k: &mut Kernel,
         tid: ThreadId,
         prefer: Option<usize>,
-        candidates: &[usize],
+        candidates: CoreMask,
     ) -> usize {
         stock_choose(k, tid, prefer, candidates)
     }
@@ -457,21 +464,21 @@ impl PlacementPolicy for StealAware {
         k: &mut Kernel,
         tid: ThreadId,
         prefer: Option<usize>,
-        candidates: &[usize],
+        candidates: CoreMask,
     ) -> usize {
         if let Some(prev) = k.threads[tid.0].last_core {
-            if candidates.contains(&prev) {
+            if candidates.contains(CoreId(prev)) {
                 return prev;
             }
         }
         if let Some(p) = prefer {
-            if candidates.contains(&p) {
+            if candidates.contains(CoreId(p)) {
                 return p;
             }
         }
         candidates
             .iter()
-            .copied()
+            .map(|c| c.0)
             .max_by(|&a, &b| k.cores[a].speed.cmp(&k.cores[b].speed).then(b.cmp(&a)))
             .expect("non-empty candidates")
     }
@@ -528,7 +535,7 @@ impl PlacementPolicy for TempAware {
         k: &mut Kernel,
         _tid: ThreadId,
         _prefer: Option<usize>,
-        candidates: &[usize],
+        candidates: CoreMask,
     ) -> usize {
         aware_choose(k, candidates, effective_speed)
     }

@@ -586,25 +586,25 @@ impl KernelTrace {
 /// run (or the per-run hashes of one sweep cell) into a single number.
 /// Order matters, exactly as it does for the underlying event streams.
 #[derive(Debug, Clone, Copy)]
-pub struct TraceHashFold(u64);
+pub struct TraceHashFold(StableHasher);
 
 impl TraceHashFold {
     /// An empty fold (the FNV-1a offset basis).
     pub fn new() -> Self {
-        TraceHashFold(0xcbf2_9ce4_8422_2325)
+        TraceHashFold(StableHasher::new())
     }
 
-    /// Folds one 64-bit hash into the accumulator, byte by byte.
+    /// Folds the little-endian bytes of one 64-bit hash into the
+    /// accumulator.
     pub fn push(&mut self, hash: u64) {
-        for byte in hash.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        // `write_u64` feeds native-endian bytes; this value's native
+        // bytes are `hash`'s little-endian ones on every platform.
+        std::hash::Hasher::write_u64(&mut self.0, u64::from_ne_bytes(hash.to_le_bytes()));
     }
 
     /// The folded hash.
     pub fn finish(&self) -> u64 {
-        self.0
+        std::hash::Hasher::finish(&self.0)
     }
 }
 
@@ -1002,6 +1002,7 @@ where
 mod tests {
     use super::*;
     use asym_sim::SimDuration;
+    use std::hash::{Hash, Hasher};
 
     fn roundtrip(records: &[TraceRecord]) {
         let machine = MachineSpec::symmetric(2, Speed::FULL);
@@ -1228,21 +1229,61 @@ mod tests {
         roundtrip(&every_variant());
     }
 
+    /// FNV-1a that implements only [`Hasher::write`], so every integer
+    /// takes the default `write(&i.to_ne_bytes())` byte loop: the
+    /// reference the word-wise [`StableHasher`] writes must reproduce.
+    struct ByteLoopFnv(u64);
+
+    impl ByteLoopFnv {
+        fn new() -> Self {
+            ByteLoopFnv(0xcbf2_9ce4_8422_2325)
+        }
+    }
+
+    impl Hasher for ByteLoopFnv {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
     #[test]
     fn every_variant_hashes_as_pinned() {
         // One fresh `TraceHasher` per record of `every_variant`. The
         // derived `Hash` feeds the enum discriminant, so these values
         // move if a variant's discriminant ever shifts; the golden
-        // matrix alone does not reach every variant.
-        let hashes: Vec<u64> = every_variant()
-            .iter()
-            .map(|r| {
-                let mut h = TraceHasher::new();
-                h.on_event(r.time, &r.event);
-                h.finish()
-            })
-            .collect();
+        // matrix alone does not reach every variant. Each value must
+        // also equal the byte-loop reference, and so must the whole
+        // stream, its close and the `TraceHashFold` of the values.
+        let records = every_variant();
+        let mut stream = TraceHasher::new();
+        let mut stream_ref = ByteLoopFnv::new();
+        let mut fold = TraceHashFold::new();
+        let mut fold_ref = ByteLoopFnv::new();
+        let mut hashes = Vec::new();
+        for r in &records {
+            let mut h = TraceHasher::new();
+            h.on_event(r.time, &r.event);
+            let mut h_ref = ByteLoopFnv::new();
+            r.hash(&mut h_ref);
+            assert_eq!(h.finish(), h_ref.finish(), "{r:?}");
+            hashes.push(h.finish());
+            fold.push(h.finish());
+            fold_ref.write(&h.finish().to_le_bytes());
+            stream.on_event(r.time, &r.event);
+            r.hash(&mut stream_ref);
+        }
         assert_eq!(hashes, PINNED_HASHES);
+        assert_eq!(fold.finish(), fold_ref.finish());
+        stream.on_close(Some(RunOutcome::Deadlock(3)), true);
+        Some(RunOutcome::Deadlock(3)).hash(&mut stream_ref);
+        true.hash(&mut stream_ref);
+        assert_eq!(stream.finish(), stream_ref.finish());
     }
 
     /// Captured before the lock, condition-variable and semaphore events

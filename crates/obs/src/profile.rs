@@ -825,21 +825,7 @@ impl ProfileFold {
             TraceEvent::Wakeup { tid, core, reason } => {
                 let t = tid.index();
                 self.ensure_thread(t);
-                match self.threads[t] {
-                    ThSt::Blocked { wait, start } => {
-                        let dur = time.saturating_duration_since(start);
-                        self.thread_acc[t].blocked += dur;
-                        let w = self.wait_entry(wait);
-                        w.waits += 1;
-                        w.total_wait += dur;
-                        w.max_wait = w.max_wait.max(dur);
-                    }
-                    ThSt::Sleeping { start } => {
-                        let dur = time.saturating_duration_since(start);
-                        self.thread_acc[t].sleeping += dur;
-                    }
-                    _ => {}
-                }
+                self.end_wait_spell(t, time);
                 match reason {
                     WakeReason::Signal => self.thread_acc[t].wakeups_signal += 1,
                     WakeReason::Timer => self.thread_acc[t].wakeups_timer += 1,
@@ -872,19 +858,9 @@ impl ProfileFold {
                         // record no dispatch latency — it never ran again.
                         self.end_queued(t, time);
                     }
-                    ThSt::Blocked { wait, start } => {
-                        let dur = time.saturating_duration_since(start);
-                        self.thread_acc[t].blocked += dur;
-                        let w = self.wait_entry(wait);
-                        w.waits += 1;
-                        w.total_wait += dur;
-                        w.max_wait = w.max_wait.max(dur);
+                    ThSt::Blocked { .. } | ThSt::Sleeping { .. } | ThSt::Absent => {
+                        self.end_wait_spell(t, time);
                     }
-                    ThSt::Sleeping { start } => {
-                        let dur = time.saturating_duration_since(start);
-                        self.thread_acc[t].sleeping += dur;
-                    }
-                    ThSt::Absent => {}
                 }
                 self.threads[t] = ThSt::Absent;
                 self.migrating[t] = None;
@@ -966,21 +942,33 @@ impl ProfileFold {
                 ThSt::Queued { .. } => {
                     self.end_queued(tid, end);
                 }
-                ThSt::Blocked { wait, start } => {
-                    let dur = end.saturating_duration_since(start);
-                    self.thread_acc[tid].blocked += dur;
-                    let w = self.wait_entry(wait);
-                    w.waits += 1;
-                    w.total_wait += dur;
-                    w.max_wait = w.max_wait.max(dur);
+                ThSt::Blocked { .. } | ThSt::Sleeping { .. } | ThSt::Absent => {
+                    self.end_wait_spell(tid, end);
                 }
-                ThSt::Sleeping { start } => {
-                    let dur = end.saturating_duration_since(start);
-                    self.thread_acc[tid].sleeping += dur;
-                }
-                ThSt::Absent => {}
             }
             self.threads[tid] = ThSt::Absent;
+        }
+    }
+
+    /// Credits `t`'s blocked or sleeping spell ending at `end`: a blocked
+    /// spell to the thread's `blocked` time and to its wait queue's
+    /// `waits`, `total_wait` and `max_wait`; a sleeping spell to the
+    /// thread's `sleeping` time. Does nothing in any other state.
+    fn end_wait_spell(&mut self, t: usize, end: SimTime) {
+        match self.threads[t] {
+            ThSt::Blocked { wait, start } => {
+                let dur = end.saturating_duration_since(start);
+                self.thread_acc[t].blocked += dur;
+                let w = self.wait_entry(wait);
+                w.waits += 1;
+                w.total_wait += dur;
+                w.max_wait = w.max_wait.max(dur);
+            }
+            ThSt::Sleeping { start } => {
+                let dur = end.saturating_duration_since(start);
+                self.thread_acc[t].sleeping += dur;
+            }
+            _ => {}
         }
     }
 

@@ -79,12 +79,30 @@ impl CoreMask {
         self.0 == 0
     }
 
+    /// The cores allowed by both `self` and `other`.
+    #[inline]
+    pub fn intersection(self, other: CoreMask) -> CoreMask {
+        CoreMask(self.0 & other.0)
+    }
+
+    /// Iterates over the cores of the mask, in index order, without
+    /// allocating.
+    #[inline]
+    pub fn iter(self) -> impl Iterator<Item = CoreId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let core = CoreId(bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                core
+            })
+        })
+    }
+
     /// Iterates over the cores of the mask that exist on a machine with
     /// `num_cores` cores, in index order.
     pub fn cores_on(self, num_cores: usize) -> impl Iterator<Item = CoreId> {
-        (0..num_cores.min(64))
-            .map(CoreId)
-            .filter(move |c| self.contains(*c))
+        self.iter().take_while(move |c| c.0 < num_cores)
     }
 }
 
@@ -326,6 +344,11 @@ mod tests {
         assert!(mask.contains(CoreId(3)));
         let cores: Vec<usize> = mask.cores_on(4).map(|c| c.0).collect();
         assert_eq!(cores, vec![0, 3]);
+        assert_eq!(mask.cores_on(3).count(), 1);
+        let both = mask.intersection(CoreMask::from_cores([CoreId(3), CoreId(63)]));
+        assert_eq!(both, CoreMask::single(CoreId(3)));
+        let all: Vec<usize> = CoreMask::ALL.iter().map(|c| c.0).collect();
+        assert_eq!(all, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -75,6 +75,14 @@ echo "==> asym_soak --quick --json (chaos soak: randomized environment x fault c
 cargo run -q --release -p asym-bench --bin asym_soak -- --quick --json > /dev/null
 test -s SOAK_report.json || { echo "FAIL: SOAK_report.json missing or empty"; exit 1; }
 
+echo "==> asym_sweep mini --json=/nonexistent-dir/x.json (an unwritable report path fails before any cell runs)"
+# The figure text is printed only after the sweep, so empty stdout shows
+# the run stopped before it.
+if SWEEP_OUT="$(cargo run -q --release -p asym-bench --bin asym_sweep -- mini --json=/nonexistent-dir/x.json)"; then
+  echo "FAIL: asym_sweep accepted an unwritable --json path"; exit 1
+fi
+test -z "$SWEEP_OUT" || { echo "FAIL: asym_sweep ran the sweep before rejecting its --json path"; exit 1; }
+
 echo "==> asym_sweep mini extra_dynamic extra_tournament extra_scale --quick --check --jobs 2 --json (driver smoke + dynamic regimes + policy tournament + policy zoo x regimes + per-cell concurrency check)"
 # The report goes to a temporary file: the committed BENCH_sweep.json
 # comes from a different spec selection and must stay untouched.
