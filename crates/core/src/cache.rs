@@ -22,7 +22,12 @@
 //!
 //! Entries are plain text, written atomically (temp file + rename), and
 //! fanned out over 256 subdirectories by the top byte of the key
-//! digest so million-cell sweeps do not melt a single directory.
+//! digest so million-cell sweeps do not melt a single directory. Each
+//! entry ends with a `sum` line, the FNV-1a digest of every byte before
+//! it, checked before anything else is parsed: a corrupted or truncated
+//! entry is a miss (and the re-executed cell overwrites it), never a
+//! wrong result. FNV-1a maps each step's state through a bijection, so
+//! any single changed byte is caught.
 
 use crate::experiment::RunClass;
 use asym_obs::{Log2Histogram, ProfileMetrics, HIST_BUCKETS};
@@ -36,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format tag on the first line of every entry; bump it to orphan all
 /// existing entries when the entry layout itself changes.
-const MAGIC: &str = "asym-cell-cache v1";
+const MAGIC: &str = "asym-cell-cache v2";
 
 /// Counters of one plan run's cache traffic, reported in the sweep
 /// summary and the JSON sink.
@@ -95,8 +100,8 @@ pub(crate) struct CellEntry {
 pub(crate) enum Lookup {
     /// A usable entry written by this build.
     Hit(Box<CellEntry>),
-    /// No entry, an unreadable entry, a key collision, or an entry
-    /// missing metrics the caller needs.
+    /// No entry, an unreadable or corrupted entry, a key collision, or an
+    /// entry missing metrics the caller needs.
     Miss,
     /// An entry written by a different build of the simulator.
     Stale,
@@ -195,8 +200,12 @@ impl CellCache {
 /// itself is stored inside the entry and verified on load, so the
 /// digest only has to spread entries, not prove identity.
 fn key_digest(key: &str) -> u64 {
+    fnv(key.as_bytes())
+}
+
+fn fnv(bytes: &[u8]) -> u64 {
     let mut h = StableHasher::new();
-    h.write(key.as_bytes());
+    h.write(bytes);
     h.finish()
 }
 
@@ -243,6 +252,8 @@ fn render_entry(fingerprint: &str, key: &str, e: &CellEntry) -> String {
             render_hist(&mut out, "hq", &m.run_quantum);
         }
     }
+    let sum = fnv(out.as_bytes());
+    let _ = writeln!(out, "sum {sum:016x}");
     out
 }
 
@@ -270,11 +281,19 @@ fn render_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "none".to_string(), |v| format!("{v:016x}"))
 }
 
-/// Parses an entry, returning its fingerprint and payload. `None` on
-/// any malformation or if the stored key differs from `expect_key`
-/// (digest collision) — both degrade to a miss.
+/// Strips and checks the closing `sum` line: the body before it, if the
+/// line reads exactly as `render_entry` wrote it for that body.
+fn checked_body(text: &str) -> Option<&str> {
+    let (body, sum) = text.strip_suffix('\n')?.rsplit_once('\n')?;
+    let body = &text[..=body.len()];
+    (field(sum, "sum")? == format!("{:016x}", fnv(body.as_bytes()))).then_some(body)
+}
+
+/// Parses an entry, returning its fingerprint and payload. `None` on a
+/// checksum mismatch, any malformation, or if the stored key differs
+/// from `expect_key` (digest collision) — all degrade to a miss.
 fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
-    let mut lines = text.lines();
+    let mut lines = checked_body(text)?.lines();
     if lines.next()? != MAGIC {
         return None;
     }
@@ -405,6 +424,18 @@ mod tests {
         CellCache::open(dir).expect("temp cache opens")
     }
 
+    /// `text`, an entry edited after it was stored, with its closing
+    /// `sum` line rewritten to match, so it gets past `checked_body` and
+    /// is judged by the checks behind it.
+    fn reseal(text: &str) -> String {
+        let (body, _) = text
+            .trim_end_matches('\n')
+            .rsplit_once('\n')
+            .expect("sum line");
+        let body = format!("{body}\n");
+        format!("{body}sum {:016x}\n", fnv(body.as_bytes()))
+    }
+
     fn sample_entry(metrics: bool) -> CellEntry {
         let metrics = metrics.then(|| {
             let mut m = ProfileMetrics::new();
@@ -430,6 +461,81 @@ mod tests {
             trace_hash: Some(0xdead_beef_cafe_f00d),
             metrics,
         }
+    }
+
+    /// One entry per cacheable mode, with and without metrics: the
+    /// resilient sample above and a completed clean cell. (Differential
+    /// cells are never cached, so they have no entry to corrupt.)
+    fn corpus() -> Vec<(&'static str, CellEntry)> {
+        let clean = |metrics| CellEntry {
+            mode: "clean".to_string(),
+            class: RunClass::Completed,
+            attempts: 1,
+            seed: 2000,
+            value: Some(1.098),
+            extras: vec![("throughput".to_string(), 412.5)],
+            ..sample_entry(metrics)
+        };
+        vec![
+            ("clean", clean(false)),
+            ("clean+metrics", clean(true)),
+            ("resilient", sample_entry(false)),
+            ("resilient+metrics", sample_entry(true)),
+        ]
+    }
+
+    #[test]
+    fn every_flipped_byte_and_every_truncation_is_a_miss() {
+        let key = "spec=w|config=3f-1s/8|policy=stock|seed=2000|mode=clean";
+        let load = |bytes: &[u8]| {
+            std::str::from_utf8(bytes)
+                .ok()
+                .and_then(|text| parse_entry(text, key))
+        };
+        for (name, entry) in corpus() {
+            let text = render_entry("fp", key, &entry);
+            assert_eq!(
+                load(text.as_bytes()).map(|(_, e)| e.attempts),
+                Some(entry.attempts)
+            );
+            let mut bytes = text.clone().into_bytes();
+            for i in 0..bytes.len() {
+                let original = bytes[i];
+                for flip in 1..=255u8 {
+                    bytes[i] = original ^ flip;
+                    assert!(
+                        load(&bytes).is_none(),
+                        "{name}: byte {i} ^ {flip:#04x} loaded"
+                    );
+                }
+                bytes[i] = original;
+            }
+            for len in 0..bytes.len() {
+                assert!(
+                    load(&bytes[..len]).is_none(),
+                    "{name}: truncated to {len} bytes loaded"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupted_entry_misses_and_is_overwritten() {
+        let cache = temp_cache("corrupt");
+        let key = "spec=w|seed=6";
+        let entry = sample_entry(false);
+        cache.store(key, &entry).expect("store");
+        // One hex digit of the stored value changes (-0.0625 to -0.5):
+        // the entry still parses, but no longer matches its checksum.
+        let path = cache.entry_path(key);
+        let text = fs::read_to_string(&path).expect("entry readable");
+        let forged = text.replace("value bfb0000000000000", "value bfe0000000000000");
+        assert_ne!(forged, text);
+        fs::write(&path, forged).expect("rewrite entry");
+        assert!(matches!(cache.load(key, false), Lookup::Miss));
+        cache.store(key, &entry).expect("store");
+        assert!(matches!(cache.load(key, false), Lookup::Hit(_)));
+        let _ = fs::remove_dir_all(cache.root());
     }
 
     #[test]
@@ -491,10 +597,12 @@ mod tests {
         let cache = temp_cache("collide");
         let key = "spec=w|seed=3";
         cache.store(key, &sample_entry(false)).expect("store");
-        // Forge a second key that maps to the same file path.
+        // Forge a second key that maps to the same file path, in an entry
+        // whose checksum holds, as a real digest collision's would.
         let path = cache.entry_path(key);
-        let forged = fs::read_to_string(&path).expect("entry readable");
-        let forged = forged.replace("key spec=w|seed=3", "key spec=OTHER");
+        let text = fs::read_to_string(&path).expect("entry readable");
+        let forged = reseal(&text.replace("key spec=w|seed=3", "key spec=OTHER"));
+        assert!(checked_body(&forged).is_some());
         fs::write(&path, forged).expect("rewrite entry");
         assert!(matches!(cache.load(key, false), Lookup::Miss));
         let _ = fs::remove_dir_all(cache.root());
@@ -524,6 +632,8 @@ mod tests {
             })
             .collect();
         assert_ne!(widened, text);
+        let widened = reseal(&widened);
+        assert!(checked_body(&widened).is_some());
         fs::write(&path, widened).expect("rewrite entry");
         assert!(matches!(cache.load(key, true), Lookup::Miss));
         assert!(matches!(cache.load(key, false), Lookup::Miss));

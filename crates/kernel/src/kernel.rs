@@ -40,11 +40,10 @@ pub const ENV_CONFIRM_TICKS: u32 = 2;
 /// fast the modeled environment oscillates.
 pub const ENV_MIN_APPLY_INTERVAL: SimDuration = DEFAULT_BALANCE_PERIOD;
 
+/// The events of the kernel's heap. Slice ends are not among them: each
+/// core's running slice ends on its own timer (`Kernel::slice_ends`).
 #[derive(Debug)]
 enum Event {
-    SliceEnd {
-        core: usize,
-    },
     SleepDone {
         tid: ThreadId,
     },
@@ -400,7 +399,6 @@ pub(crate) struct Thread {
 struct Running {
     tid: ThreadId,
     slice_start: SimTime,
-    slice_key: EventKey,
     /// True when the slice ends because the compute step completes (rather
     /// than the quantum expiring).
     completes: bool,
@@ -413,6 +411,9 @@ pub(crate) struct Core {
     online: bool,
     pub(crate) queue: VecDeque<ThreadId>,
     current: Option<Running>,
+    /// Slice arithmetic at this core's speed, refreshed when the speed or
+    /// the kernel's quantum changes.
+    slicing: Slicing,
     /// True while a thread body is being stepped on this core (between
     /// slices, `current` is empty but the core is NOT idle — placement
     /// decisions must still count the occupant).
@@ -428,6 +429,55 @@ pub(crate) struct Core {
 impl Core {
     pub(crate) fn load(&self) -> usize {
         self.queue.len() + usize::from(self.current.is_some() || self.executing)
+    }
+}
+
+/// The slice arithmetic of one core at one `(speed, quantum)`, computed
+/// once per change instead of once per slice.
+#[derive(Debug, Clone, Copy)]
+struct Slicing {
+    speed: Speed,
+    quantum: SimDuration,
+    /// The policy's slice length at `speed` (`PlacementPolicy::slice_for`).
+    slice: SimDuration,
+    /// The cycles one full slice retires (`retired_over(speed, slice)`).
+    per_slice: Cycles,
+    /// The most work that completes within one slice: the largest `W`
+    /// with `W.duration_at(speed) <= slice`. `duration_at` is monotone in
+    /// `W`, so a slice completes its work exactly when it is `<= fits`.
+    fits: Cycles,
+}
+
+impl Slicing {
+    fn new(speed: Speed, quantum: SimDuration, slice: SimDuration) -> Self {
+        let per_slice = Cycles::new(u64::MAX).retired_over(speed, slice);
+        // `fits` lies within a cycle or two of `per_slice`: step up while
+        // the next work still fits, then down until this one does.
+        let fits_in = |w: u64| Cycles::new(w).duration_at(speed) <= slice;
+        let mut fits = per_slice.get();
+        while fits_in(fits + 1) {
+            fits += 1;
+        }
+        while !fits_in(fits) {
+            fits -= 1;
+        }
+        Slicing {
+            speed,
+            quantum,
+            slice,
+            per_slice,
+            fits: Cycles::new(fits),
+        }
+    }
+
+    /// The length of a slice that starts with `work` pending, and whether
+    /// it completes that work (rather than running the full slice).
+    fn slice_of(&self, work: Cycles) -> (SimDuration, bool) {
+        if work <= self.fits {
+            (work.duration_at(self.speed), true)
+        } else {
+            (self.slice, false)
+        }
     }
 }
 
@@ -518,6 +568,11 @@ pub struct Kernel {
     placement: Rc<dyn PlacementPolicy>,
     time: SimTime,
     events: EventQueue<Event>,
+    /// Each core's running slice ends at `(end, key)`: a timer outside
+    /// the heap whose key is reserved from the heap's sequence when the
+    /// slice starts, so it fires in exactly the `(time, key)` order a
+    /// heap event scheduled then would have. `None` while no slice runs.
+    slice_ends: Vec<Option<(SimTime, EventKey)>>,
     pub(crate) rng: Rng,
     pub(crate) threads: Vec<Thread>,
     waits: Vec<VecDeque<ThreadId>>,
@@ -581,6 +636,7 @@ impl Kernel {
     /// the mechanism the resilient experiment harness uses to bound and
     /// perturb runs of workloads that construct their kernels internally.
     pub fn new(machine: MachineSpec, policy: SchedPolicy, seed: u64) -> Self {
+        let placement = placement_for(policy);
         let cores = machine
             .speeds()
             .iter()
@@ -589,6 +645,11 @@ impl Kernel {
                 online: true,
                 queue: VecDeque::new(),
                 current: None,
+                slicing: Slicing::new(
+                    speed,
+                    DEFAULT_QUANTUM,
+                    placement.slice_for(DEFAULT_QUANTUM, speed),
+                ),
                 executing: false,
                 idle_since: None,
                 load_avg: 0.0,
@@ -599,9 +660,10 @@ impl Kernel {
         let mut kernel = Kernel {
             machine,
             policy,
-            placement: placement_for(policy),
+            placement,
             time: SimTime::ZERO,
             events: EventQueue::new(),
+            slice_ends: vec![None; n],
             rng: Rng::new(seed),
             threads: Vec::new(),
             waits: Vec::new(),
@@ -1022,22 +1084,46 @@ impl Kernel {
                 // notify: the simulated program has deadlocked.
                 return RunOutcome::Deadlock(self.live_threads);
             }
-            let Some(next) = self.events.peek_time() else {
-                return RunOutcome::Deadlock(self.live_threads);
-            };
-            if next > effective {
-                self.time = effective;
-                if effective < limit {
-                    self.budget_exhausted = true;
+            // A renewal traces nothing, dispatches nothing and schedules
+            // nothing, so the checks above and the heap's top stay as
+            // they are across a run of renewals: only the slice ends
+            // need another look between them.
+            let next_event = self.events.peek();
+            loop {
+                // The next event is the heap's top or the earliest slice
+                // end, whichever comes first in `(time, key)` order.
+                let (next, slice_core) = match (next_event, self.next_slice_end()) {
+                    (None, None) => return RunOutcome::Deadlock(self.live_threads),
+                    (Some(event), Some((end, core))) if end < event => (end.0, Some(core)),
+                    (Some(event), _) => (event.0, None),
+                    (None, Some((end, core))) => (end.0, Some(core)),
+                };
+                if next > effective {
+                    self.time = effective;
+                    if effective < limit {
+                        self.budget_exhausted = true;
+                    }
+                    return RunOutcome::TimeLimit;
                 }
-                return RunOutcome::TimeLimit;
+                debug_assert!(next >= self.time, "time went backwards");
+                self.time = next;
+                self.stats.events += 1;
+                let Some(core) = slice_core else {
+                    let (_, ev) = self.events.pop().expect("peeked event exists");
+                    self.handle_event(ev);
+                    break;
+                };
+                if !self.handle_slice_end(core) {
+                    break;
+                }
             }
-            let (t, ev) = self.events.pop().expect("peeked event exists");
-            debug_assert!(t >= self.time, "time went backwards");
-            self.time = t;
-            self.stats.events += 1;
-            self.handle_event(ev);
         }
+    }
+
+    /// The earliest pending slice end and its core.
+    fn next_slice_end(&self) -> Option<((SimTime, EventKey), usize)> {
+        let ends = self.slice_ends.iter().enumerate();
+        ends.filter_map(|(core, end)| Some(((*end)?, core))).min()
     }
 
     // ------------------------------------------------------------------
@@ -1046,7 +1132,6 @@ impl Kernel {
 
     fn handle_event(&mut self, ev: Event) {
         match ev {
-            Event::SliceEnd { core } => self.handle_slice_end(core),
             Event::SleepDone { tid } => {
                 // A sleeping thread may have been killed by a fault while
                 // its timer was pending; the stale timer is ignored.
@@ -1074,13 +1159,20 @@ impl Kernel {
         }
     }
 
-    fn handle_slice_end(&mut self, core: usize) {
-        let running = self.cores[core]
-            .current
-            .take()
-            .expect("slice-end event for idle core (stale events must be cancelled)");
+    /// Takes the running slice off `core`, with its timer.
+    fn take_slice(&mut self, core: usize) -> Option<Running> {
+        self.slice_ends[core] = None;
+        self.cores[core].current.take()
+    }
+
+    /// Ends the running slice on `core`. Returns `true` when that only
+    /// renewed it: the quantum ran out, work is left and nobody waits for
+    /// the core, so the same thread runs on and nothing is traced,
+    /// dispatched or scheduled on the heap.
+    fn handle_slice_end(&mut self, core: usize) -> bool {
+        let running = self.take_slice(core).expect("slice end on an idle core");
         let tid = running.tid;
-        let speed = self.cores[core].speed;
+        let slicing = self.slicing(core);
         let elapsed = self.time.duration_since(running.slice_start);
         self.stats.core_busy[core] += elapsed;
         // Every slice end retires cycles (slices are only started for
@@ -1096,7 +1188,14 @@ impl Kernel {
                         th.stats.cycles_retired += remaining;
                         th.pending = Pending::Fresh;
                     } else {
-                        let retired = remaining.retired_over(speed, elapsed);
+                        // A full slice retires the cached `per_slice`;
+                        // only a quantum change mid-slice ends one at
+                        // another length.
+                        let retired = if elapsed == slicing.slice {
+                            slicing.per_slice.min(remaining)
+                        } else {
+                            remaining.retired_over(slicing.speed, elapsed)
+                        };
                         th.stats.cycles_retired += retired;
                         let left = remaining.saturating_sub(retired);
                         th.pending = if left.is_zero() {
@@ -1114,24 +1213,25 @@ impl Kernel {
             // Compute step finished: ask the body for its next step while
             // the thread still notionally owns the core.
             self.step_thread_on_core(tid, core);
+        } else if self.cores[core].queue.is_empty() {
+            // Quantum expired mid-compute with nobody waiting: renew.
+            self.start_slice(core, tid);
+            return true;
         } else {
-            // Quantum expired mid-compute.
-            if self.cores[core].queue.is_empty() {
-                self.start_slice(core, tid);
-            } else {
-                let th = &mut self.threads[tid.0];
-                th.stats.preemptions += 1;
-                th.state = TState::Runnable(core);
-                th.state_since = self.time;
-                self.cores[core].queue.push_back(tid);
-                self.trace(TraceEvent::Preempt {
-                    tid,
-                    core: CoreId(core),
-                    reason: PreemptReason::Quantum,
-                });
-                self.mark_dispatch(core);
-            }
+            // Quantum expired mid-compute: go to the back of the queue.
+            let th = &mut self.threads[tid.0];
+            th.stats.preemptions += 1;
+            th.state = TState::Runnable(core);
+            th.state_since = self.time;
+            self.cores[core].queue.push_back(tid);
+            self.trace(TraceEvent::Preempt {
+                tid,
+                core: CoreId(core),
+                reason: PreemptReason::Quantum,
+            });
+            self.mark_dispatch(core);
         }
+        false
     }
 
     /// Drives `tid` (which currently owns `core` but has no pending
@@ -1247,28 +1347,29 @@ impl Kernel {
         step
     }
 
+    /// The slice arithmetic of `core` at its current speed and the
+    /// kernel's current quantum.
+    fn slicing(&mut self, core: usize) -> Slicing {
+        let c = &mut self.cores[core];
+        if c.slicing.speed != c.speed || c.slicing.quantum != self.quantum {
+            let slice = self.placement.slice_for(self.quantum, c.speed);
+            c.slicing = Slicing::new(c.speed, self.quantum, slice);
+        }
+        c.slicing
+    }
+
     /// Begins a compute slice for `tid` on `core`. The thread must have
     /// pending compute work.
     fn start_slice(&mut self, core: usize, tid: ThreadId) {
         let Pending::Compute(remaining) = self.threads[tid.0].pending else {
             unreachable!("start_slice without pending compute");
         };
-        let speed = self.cores[core].speed;
-        let to_finish = remaining.duration_at(speed);
-        let quantum = self.placement.slice_for(self.quantum, speed);
-        let (len, completes) = if to_finish <= quantum {
-            (to_finish, true)
-        } else {
-            (quantum, false)
-        };
-        let key = self
-            .events
-            .schedule(self.time + len, Event::SliceEnd { core });
+        let (len, completes) = self.slicing(core).slice_of(remaining);
+        self.slice_ends[core] = Some((self.time + len, self.events.reserve_key()));
         self.threads[tid.0].state = TState::Running(core);
         self.cores[core].current = Some(Running {
             tid,
             slice_start: self.time,
-            slice_key: key,
             completes,
         });
     }
@@ -1326,8 +1427,7 @@ impl Kernel {
         }
         let ranking_before = self.speed_ranking();
         let old_speed = self.cores[c].speed;
-        let resume = self.cores[c].current.take().map(|running| {
-            self.events.cancel(running.slice_key);
+        let resume = self.take_slice(c).map(|running| {
             let elapsed = self.time.duration_since(running.slice_start);
             self.stats.core_busy[c] += elapsed;
             let th = &mut self.threads[running.tid.0];
@@ -1908,11 +2008,9 @@ impl Kernel {
     /// for partial progress, and returns it (in `Runnable`-ready form; the
     /// caller re-queues it).
     fn interrupt_running(&mut self, core: usize) -> ThreadId {
-        let running = self.cores[core]
-            .current
-            .take()
+        let running = self
+            .take_slice(core)
             .expect("interrupt_running on idle core");
-        self.events.cancel(running.slice_key);
         let elapsed = self.time.duration_since(running.slice_start);
         self.stats.core_busy[core] += elapsed;
         let speed = self.cores[core].speed;
@@ -2345,6 +2443,28 @@ impl fmt::Debug for ThreadCx<'_> {
 mod tests {
     use super::*;
     use crate::thread::FnThread;
+
+    /// `fits` is exactly the largest work that completes within one
+    /// slice, and `per_slice` what a full slice retires, for the paper's
+    /// speeds, arbitrary ones, and slices from 1 ns to the speed-slice cap.
+    #[test]
+    fn slicing_matches_duration_and_retirement() {
+        let mut rng = Rng::new(11);
+        let mut speeds: Vec<Speed> = (1..=8).map(Speed::fraction_of_full).collect();
+        speeds.extend((0..32).map(|_| Speed::new(1.0 - rng.next_f64() * 0.99)));
+        for speed in speeds {
+            for nanos in [1, 7, 1_000, 999_999, 1_000_000, 4_000_000, 8_000_000] {
+                let slice = SimDuration::from_nanos(nanos);
+                let s = Slicing::new(speed, DEFAULT_QUANTUM, slice);
+                assert!(s.fits.duration_at(speed) <= slice, "{speed:?} {nanos}");
+                assert!((s.fits + Cycles::new(1)).duration_at(speed) > slice);
+                assert_eq!(
+                    s.per_slice,
+                    Cycles::new(u64::MAX).retired_over(speed, slice)
+                );
+            }
+        }
+    }
 
     /// A kernel on `per_core.len()` equal cores with `per_core[i]`
     /// threads queued on core `i`, none running and all past the

@@ -1,18 +1,24 @@
-//! A cancellable discrete-event queue.
+//! A deterministic discrete-event queue.
 //!
-//! [`EventQueue`] is a min-heap of `(time, sequence)`-ordered events with
-//! O(log n) insertion and O(1) cancellation: a bitset indexed by the
-//! monotonic [`EventKey`] marks every event that has fired or been
-//! cancelled, and cancelled entries are skipped when they reach the top
-//! of the heap. Ties in time are broken by insertion order, which keeps
-//! simulations deterministic.
+//! [`EventQueue`] is a min-heap of `(time, key)`-ordered events with
+//! O(log n) insertion and removal. Every key comes from one monotonic
+//! counter, so events at equal times fire in scheduling order, which
+//! keeps simulations deterministic.
+//!
+//! [`EventQueue::reserve_key`] draws the next key without scheduling
+//! anything. A caller that keeps a timer outside the heap (the kernel's
+//! per-core slice ends) reserves a key at the moment it would have
+//! scheduled the event, and fires the timer when its `(time, key)` is
+//! smaller than [`EventQueue::peek`]'s. The timer then keeps exactly the
+//! place in the order that a scheduled event would have had.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-/// A handle to a scheduled event, usable to cancel it.
+/// The tie-breaking sequence number of an event or reserved timer:
+/// among equal times, the smaller key fires first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventKey(u64);
 
@@ -55,11 +61,7 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Bit `k` is set once the event with key `k` has fired or been
-    /// cancelled.
-    retired: Vec<u64>,
     next_key: u64,
-    live: usize,
 }
 
 impl<E> EventQueue<E> {
@@ -67,76 +69,62 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            retired: Vec::new(),
             next_key: 0,
-            live: 0,
         }
     }
 
-    /// Schedules `payload` to fire at `time`; returns a key that can cancel
-    /// it. Events scheduled at equal times fire in scheduling order.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventKey {
+    /// Schedules `payload` to fire at `time`. Events scheduled at equal
+    /// times fire in scheduling order.
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
+        let key = self.reserve_key();
+        self.heap.push(Reverse(Entry { time, key, payload }));
+    }
+
+    /// Draws the next key from the scheduling sequence without
+    /// scheduling anything: a timer kept outside the queue under this key
+    /// orders against queued events exactly as if it had been scheduled
+    /// now.
+    ///
+    /// ```
+    /// use asym_sim::{EventQueue, SimTime};
+    ///
+    /// let mut q = EventQueue::new();
+    /// let t = SimTime::from_nanos(5);
+    /// q.schedule(t, "before");
+    /// let timer = (t, q.reserve_key());
+    /// q.schedule(t, "after");
+    /// assert!(q.peek().unwrap() < timer);
+    /// q.pop();
+    /// assert!(timer < q.peek().unwrap());
+    /// ```
+    pub fn reserve_key(&mut self) -> EventKey {
         let key = EventKey(self.next_key);
         self.next_key += 1;
-        if key.0.is_multiple_of(64) {
-            self.retired.push(0);
-        }
-        self.heap.push(Reverse(Entry { time, key, payload }));
-        self.live += 1;
         key
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending (not yet fired or cancelled).
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        if key.0 >= self.next_key || self.is_retired(key) {
-            return false;
-        }
-        self.retire(key);
-        self.live -= 1;
-        true
-    }
-
-    fn is_retired(&self, key: EventKey) -> bool {
-        self.retired[(key.0 / 64) as usize] & (1 << (key.0 % 64)) != 0
-    }
-
-    fn retire(&mut self, key: EventKey) {
-        self.retired[(key.0 / 64) as usize] |= 1 << (key.0 % 64);
-    }
-
-    /// Removes and returns the earliest live event, or `None` when empty.
+    /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.is_retired(entry.key) {
-                continue; // cancelled
-            }
-            self.retire(entry.key);
-            self.live -= 1;
-            return Some((entry.time, entry.payload));
-        }
-        None
+        self.heap
+            .pop()
+            .map(|Reverse(entry)| (entry.time, entry.payload))
     }
 
-    /// The time of the earliest live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if !self.is_retired(entry.key) {
-                return Some(entry.time);
-            }
-            self.heap.pop();
-        }
-        None
+    /// The `(time, key)` of the earliest event, without removing it.
+    pub fn peek(&self) -> Option<(SimTime, EventKey)> {
+        self.heap
+            .peek()
+            .map(|Reverse(entry)| (entry.time, entry.key))
     }
 
-    /// The number of live (scheduled, not cancelled) events.
+    /// The number of scheduled events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// Returns `true` if no live events remain.
+    /// Returns `true` if no events are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 }
 
@@ -149,8 +137,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.live)
-            .field("heap_size", &self.heap.len())
+            .field("len", &self.heap.len())
+            .field("next_key", &self.next_key)
             .finish()
     }
 }
@@ -184,58 +172,36 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_suppresses_delivery() {
+    fn reserved_keys_share_the_scheduling_sequence() {
         let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
+        let a = q.reserve_key();
+        q.schedule(t(1), "x");
+        let b = q.reserve_key();
+        assert!(a < q.peek().unwrap().1 && q.peek().unwrap().1 < b);
+    }
+
+    #[test]
+    fn peek_matches_pop() {
+        let mut q = EventQueue::new();
+        assert!(q.peek().is_none());
         q.schedule(t(2), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel reports false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_a_no_op() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        q.schedule(t(3), "c");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert!(!q.cancel(a), "an event that already fired is not pending");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(t(2)));
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_unknown_key_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventKey(99)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(5), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(5)));
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.peek_time(), None);
+        q.schedule(t(1), "a");
+        assert_eq!(q.peek().map(|(time, _)| time), Some(t(1)));
+        assert_eq!(q.pop(), Some((t(1), "a")));
+        assert_eq!(q.peek().map(|(time, _)| time), Some(t(2)));
+        assert_eq!(q.pop(), Some((t(2), "b")));
+        assert!(q.peek().is_none() && q.pop().is_none());
     }
 
     #[test]
     fn len_tracks_live_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        let a = q.schedule(t(1), 1);
+        q.schedule(t(1), 1);
         q.schedule(t(2), 2);
+        q.reserve_key();
         assert_eq!(q.len(), 2);
-        q.cancel(a);
+        q.pop();
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());

@@ -13,7 +13,8 @@
 //! * [`Cycles`], [`Speed`], [`DutyCycle`] — work and per-core execution
 //!   rates (duty cycle ⇒ speed factor);
 //! * [`MachineSpec`], [`CoreId`], [`CoreMask`] — machine shape and affinity;
-//! * [`EventQueue`] — a cancellable, deterministic event queue;
+//! * [`EventQueue`] — a deterministic `(time, key)` min-heap of events,
+//!   whose keys can also be reserved for timers kept outside it;
 //! * [`Rng`] — a seedable SplitMix64 generator so each run is a pure
 //!   function of its seed;
 //! * [`StableHasher`] — a platform-independent FNV-1a hasher for trace

@@ -139,13 +139,13 @@ impl EncShared {
             .load_at(cx, slot as u32, |d| d[slot][row as usize][seg as usize])
     }
 
-    /// Marks a task done; returns newly-ready successor tasks and whether
-    /// the frame is now complete.
+    /// Marks a task done; returns the (at most three) newly-ready
+    /// successor tasks and whether the frame is now complete.
     ///
     /// A segment `(r, s)` depends on its left neighbour `(r, s-1)` and,
     /// for the motion-estimation context, on the upper-right segment
     /// `(r-1, min(s+1, last))` — the standard macro-block wavefront.
-    fn complete(&self, cx: &mut ThreadCx<'_>, t: Task) -> (Vec<Task>, bool) {
+    fn complete(&self, cx: &mut ThreadCx<'_>, t: Task) -> ([Option<Task>; 3], bool) {
         let slot = self.frame_slot(t.frame);
         self.done.store_at(cx, slot as u32, |done| {
             assert!(
@@ -156,10 +156,10 @@ impl EncShared {
             done[slot][t.row as usize][t.seg as usize] = true;
         });
         let last = self.segments - 1;
-        let mut ready = Vec::new();
+        let mut ready = [None; 3];
         // Right neighbour in the same row (we are its left predecessor).
         if t.seg < last && self.pred_done(cx, t.frame, t.row, t.seg + 1) {
-            ready.push(Task {
+            ready[0] = Some(Task {
                 frame: t.frame,
                 row: t.row,
                 seg: t.seg + 1,
@@ -169,16 +169,10 @@ impl EncShared {
         // (r+1, s-1) always; additionally (r+1, last) when we are the
         // last segment (its context is clamped to us).
         if t.row + 1 < self.rows {
-            let mut candidates = Vec::new();
-            if t.seg > 0 {
-                candidates.push(t.seg - 1);
-            }
-            if t.seg == last {
-                candidates.push(last);
-            }
-            for seg in candidates {
-                if self.pred_done(cx, t.frame, t.row + 1, seg) {
-                    ready.push(Task {
+            let candidates = [t.seg.checked_sub(1), (t.seg == last).then_some(last)];
+            for (out, seg) in ready[1..].iter_mut().zip(candidates) {
+                if let Some(seg) = seg.filter(|&seg| self.pred_done(cx, t.frame, t.row + 1, seg)) {
+                    *out = Some(Task {
                         frame: t.frame,
                         row: t.row + 1,
                         seg,
@@ -242,7 +236,7 @@ impl ThreadBody for Encoder {
             .write_at(cx, slot as u32, |s| s[slot].take());
         if let Some(task) = in_flight {
             let (ready, frame_complete) = self.shared.complete(cx, task);
-            for t in ready {
+            for t in ready.into_iter().flatten() {
                 self.shared.ready.push(cx, t);
             }
             if frame_complete {
@@ -341,7 +335,7 @@ impl ThreadBody for MainThread {
         self.reap_dead(cx);
         if let Some(task) = self.fallback.take() {
             let (ready, _) = self.shared.complete(cx, task);
-            for t in ready {
+            for t in ready.into_iter().flatten() {
                 self.shared.ready.push(cx, t);
             }
         }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The repository's CI gate: formatting, lints, tests, the full
-# concurrency-checker matrix and the sweep smokes. Everything runs offline.
+# concurrency-checker matrix, the committed figures and the sweep
+# smokes. Everything runs offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> asym_sweep extra_check_matrix --check --jobs 2 (concurrency checker over 9 configs x 8 workloads: the five trace analyses and the happens-before race and policy-lint pass must be clean)"
 cargo run -q --release -p asym-bench --bin asym_sweep -- extra_check_matrix --check --jobs 2 > /dev/null
+
+echo "==> results/*.txt regenerate byte-identically (every committed figure: asym_sweep <spec> --cache=off --jobs 2)"
+# A change that moves a paper number re-commits the figure, so the move
+# shows in review.
+for committed in results/*.txt; do
+  spec="$(basename "$committed" .txt)"
+  cargo run -q --release -p asym-bench --bin asym_sweep -- "$spec" --cache=off --jobs 2 2> /dev/null \
+    | cmp -s - "$committed" \
+    || { echo "FAIL: results/$spec.txt differs from 'asym_sweep $spec --cache=off --jobs 2'"; exit 1; }
+done
 
 echo "==> asym_sweep extra_fault_sweep --quick --check (faulted smoke sweep: classified, clean, deterministic, race- and lint-clean under faults)"
 cargo run -q --release -p asym-bench --bin asym_sweep -- extra_fault_sweep --quick --check > /dev/null

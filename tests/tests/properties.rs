@@ -1,12 +1,12 @@
 //! Randomized-but-seeded tests over the simulation substrate: work
-//! conservation, loop-scheduler coverage, event ordering, configuration
-//! arithmetic, and determinism. Each test sweeps many deterministic cases
+//! conservation, loop-scheduler coverage, event and timer ordering,
+//! configuration arithmetic, and determinism. Each test sweeps many deterministic cases
 //! drawn from [`asym_sim::Rng`], so failures reproduce exactly.
 
 use asym_core::{AsymConfig, Samples};
 use asym_kernel::{FnThread, Kernel, RunOutcome, SchedPolicy, SpawnOptions, Step};
 use asym_omp::{LoopSchedule, LoopState};
-use asym_sim::{Cycles, EventQueue, MachineSpec, Rng, SimTime, Speed};
+use asym_sim::{Cycles, EventKey, EventQueue, MachineSpec, Rng, SimTime, Speed};
 
 /// Every iteration of a loop is dispensed exactly once, under any
 /// schedule, trip count, and thread count.
@@ -45,41 +45,53 @@ fn loop_scheduler_covers_every_iteration_exactly_once() {
     }
 }
 
-/// The event queue pops in nondecreasing time order with FIFO ties,
-/// regardless of insertion order and cancellations.
+/// Heap events and timers kept outside the queue under reserved keys,
+/// merged by `(time, key)`, fire in nondecreasing time order with ties
+/// in creation order, however the two kinds interleave and whenever they
+/// are created — so a timer fires exactly where the same event, scheduled
+/// when its key was reserved, would have.
 #[test]
-fn event_queue_orders_and_cancels() {
+fn event_queue_orders_events_and_reserved_timers() {
     let mut gen = Rng::new(0xBEEF);
     for _case in 0..64 {
-        let n = 1 + gen.index(200);
+        let total = 1 + gen.index(200);
         let mut q = EventQueue::new();
-        let mut keys = Vec::new();
-        for i in 0..n {
-            let t = gen.below(1_000);
-            keys.push((q.schedule(SimTime::from_nanos(t), i), i));
-        }
-        let mut cancelled = std::collections::HashSet::new();
-        for &(key, i) in &keys {
-            if gen.chance(0.3) {
-                assert!(q.cancel(key));
-                cancelled.insert(i);
-            }
-        }
+        let mut timers: Vec<(SimTime, EventKey, usize)> = Vec::new();
+        let (mut created, mut fired) = (0usize, 0usize);
         let mut last: Option<(u64, usize)> = None;
-        let mut popped = 0usize;
-        while let Some((t, i)) = q.pop() {
-            assert!(!cancelled.contains(&i), "cancelled event delivered");
-            let now = (t.as_nanos(), i);
+        while fired < total {
+            // Create a few events or timers, none earlier than the last
+            // one fired, as a simulation does between events.
+            let now = last.map_or(0, |(t, _)| t);
+            while created < total && (created == fired || gen.chance(0.6)) {
+                let t = SimTime::from_nanos(now + gen.below(50));
+                if gen.chance(0.4) {
+                    timers.push((t, q.reserve_key(), created));
+                } else {
+                    q.schedule(t, created);
+                }
+                created += 1;
+            }
+            let timer = (0..timers.len()).min_by_key(|&i| (timers[i].0, timers[i].1));
+            let (t, id) = match (timer, q.peek()) {
+                (Some(i), Some(top)) if (timers[i].0, timers[i].1) < top => {
+                    let (t, _, id) = timers.swap_remove(i);
+                    (t, id)
+                }
+                (Some(i), None) => {
+                    let (t, _, id) = timers.swap_remove(i);
+                    (t, id)
+                }
+                _ => q.pop().expect("an event is pending"),
+            };
+            let now = (t.as_nanos(), id);
             if let Some(prev) = last {
-                assert!(
-                    prev.0 < now.0 || (prev.0 == now.0 && prev.1 < now.1),
-                    "out of order: {prev:?} then {now:?}"
-                );
+                assert!(prev < now, "out of order: {prev:?} then {now:?}");
             }
             last = Some(now);
-            popped += 1;
+            fired += 1;
         }
-        assert_eq!(popped, n - cancelled.len());
+        assert!(q.is_empty() && timers.is_empty());
     }
 }
 
