@@ -17,8 +17,8 @@
 
 use asym_bench::{output_path, paper_workloads};
 use asym_core::{AsymConfig, RunSetup};
-use asym_kernel::{capture_traces, SchedPolicy};
-use asym_obs::{perfetto_diff_trace, profile_traces, ProfileDiff};
+use asym_kernel::{capture_stream, SchedPolicy};
+use asym_obs::{perfetto_diff_trace, ProfileDiff, ProfileFold, RunProfile};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -162,8 +162,9 @@ fn main() -> ExitCode {
 
     let run = |policy: SchedPolicy| {
         let setup = RunSetup::new(args.config, policy, args.seed);
-        let (result, traces) = capture_traces(|| workload.run(&setup));
-        (result, profile_traces(&traces))
+        let (result, folds) = capture_stream(ProfileFold::with_timeline, || workload.run(&setup));
+        let profiles: Vec<RunProfile> = folds.into_iter().map(ProfileFold::finish).collect();
+        (result, profiles)
     };
     let (result_a, profiles_a) = run(args.policy_a);
     let (result_b, profiles_b) = run(args.policy_b);

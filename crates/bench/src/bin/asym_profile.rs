@@ -1,9 +1,9 @@
 //! `asym-profile`: trace-derived observability for one cell.
 //!
 //! Runs one paper workload on one machine configuration under one
-//! policy and seed, captures the kernel traces, and prints the derived
-//! run profiles: per-core busy/idle/offline time and utilization, the
-//! paper's §3.1.1 "fast core idle while a slow core has runnable work"
+//! policy and seed, streams each kernel's events into a profile fold,
+//! and prints the derived run profiles: per-core busy/idle/offline time
+//! and utilization, the paper's §3.1.1 "fast core idle while a slow core has runnable work"
 //! time, migration and preemption counts, per-thread fast/slow
 //! residency, sync-object wait attribution, and the scheduler-latency
 //! and run-quantum histograms.
@@ -14,8 +14,8 @@
 
 use asym_bench::{output_path, paper_workloads};
 use asym_core::{AsymConfig, RunSetup};
-use asym_kernel::{capture_traces, SchedPolicy};
-use asym_obs::{perfetto_trace, profile_traces};
+use asym_kernel::{capture_stream, SchedPolicy};
+use asym_obs::{perfetto_trace, ProfileFold, RunProfile};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -145,8 +145,8 @@ fn main() -> ExitCode {
     };
 
     let setup = RunSetup::new(args.config, args.policy, args.seed);
-    let (result, traces) = capture_traces(|| workload.run(&setup));
-    let profiles = profile_traces(&traces);
+    let (result, folds) = capture_stream(ProfileFold::with_timeline, || workload.run(&setup));
+    let profiles: Vec<RunProfile> = folds.into_iter().map(ProfileFold::finish).collect();
 
     println!(
         "asym_profile: {} on {} under {} (seed {})",

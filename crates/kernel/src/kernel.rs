@@ -101,9 +101,9 @@ pub enum AtomicOp {
     Rmw,
 }
 
-/// A scheduling event reported to a tracer installed with
-/// [`Kernel::set_tracer`] and captured by
-/// [`capture_traces`](crate::capture_traces). Useful for debugging
+/// A scheduling event, delivered to the consumers of a
+/// [`capture_stream`](crate::capture_stream) session (and buffered by
+/// [`capture_traces`](crate::capture_traces)). Useful for debugging
 /// workload models, visualizing schedules, and driving the trace
 /// analyses in `asym-analysis`.
 ///
@@ -335,8 +335,6 @@ pub enum TraceEvent {
         of: ThreadId,
     } = 28,
 }
-
-type Tracer = Box<dyn FnMut(SimTime, TraceEvent)>;
 
 /// Why [`Kernel::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -585,9 +583,8 @@ pub struct Kernel {
     balance_period: SimDuration,
     balance_scheduled: bool,
     context_switch: Cycles,
-    tracer: Option<Tracer>,
-    /// Trace sink registered by an active [`crate::capture_traces`]
-    /// session, if any.
+    /// The sink of the [`crate::capture_stream`] session active when the
+    /// kernel was created, if any: every trace event goes there.
     capture: Option<TraceSink>,
     /// Livelock-watchdog window, if armed.
     watchdog: Option<SimDuration>,
@@ -676,7 +673,6 @@ impl Kernel {
             balance_period: DEFAULT_BALANCE_PERIOD,
             balance_scheduled: false,
             context_switch: DEFAULT_CONTEXT_SWITCH,
-            tracer: None,
             capture,
             watchdog: None,
             watchdog_scheduled: false,
@@ -825,21 +821,9 @@ impl Kernel {
         )
     }
 
-    /// Installs a tracer invoked on every scheduling event (dispatches,
-    /// migrations, wakeups, blocks, thread exits) with the simulated
-    /// timestamp. Pass a closure that records or prints; tracing has no
-    /// effect on scheduling decisions.
-    pub fn set_tracer(&mut self, tracer: impl FnMut(SimTime, TraceEvent) + 'static) -> &mut Self {
-        self.tracer = Some(Box::new(tracer));
-        self
-    }
-
     fn trace(&mut self, event: TraceEvent) {
         if let Some(sink) = &self.capture {
             sink.borrow_mut().push_record(self.time, &event);
-        }
-        if let Some(tracer) = &mut self.tracer {
-            tracer(self.time, event);
         }
     }
 
@@ -1173,41 +1157,20 @@ impl Kernel {
         let running = self.take_slice(core).expect("slice end on an idle core");
         let tid = running.tid;
         let slicing = self.slicing(core);
-        let elapsed = self.time.duration_since(running.slice_start);
-        self.stats.core_busy[core] += elapsed;
+        self.settle_slice(core, &running, |remaining, elapsed| {
+            if running.completes {
+                remaining
+            } else if elapsed == slicing.slice {
+                // A full slice retires the cached `per_slice`; only a
+                // quantum change mid-slice ends one at another length.
+                slicing.per_slice.min(remaining)
+            } else {
+                remaining.retired_over(slicing.speed, elapsed)
+            }
+        });
         // Every slice end retires cycles (slices are only started for
         // non-zero pending compute) — that is forward progress.
         self.progress += 1;
-        {
-            let th = &mut self.threads[tid.0];
-            th.last_ran = self.time;
-            th.stats.cpu_time += elapsed;
-            match th.pending {
-                Pending::Compute(remaining) => {
-                    if running.completes {
-                        th.stats.cycles_retired += remaining;
-                        th.pending = Pending::Fresh;
-                    } else {
-                        // A full slice retires the cached `per_slice`;
-                        // only a quantum change mid-slice ends one at
-                        // another length.
-                        let retired = if elapsed == slicing.slice {
-                            slicing.per_slice.min(remaining)
-                        } else {
-                            remaining.retired_over(slicing.speed, elapsed)
-                        };
-                        th.stats.cycles_retired += retired;
-                        let left = remaining.saturating_sub(retired);
-                        th.pending = if left.is_zero() {
-                            Pending::Fresh
-                        } else {
-                            Pending::Compute(left)
-                        };
-                    }
-                }
-                Pending::Fresh => unreachable!("running thread always has compute pending"),
-            }
-        }
 
         if self.threads[tid.0].pending == Pending::Fresh {
             // Compute step finished: ask the body for its next step while
@@ -1232,6 +1195,36 @@ impl Kernel {
             self.mark_dispatch(core);
         }
         false
+    }
+
+    /// Settles the slice `running` ran on `core` until now: its elapsed
+    /// time goes to the core's busy time and the thread's CPU time, and
+    /// `retire(remaining, elapsed)` cycles of the thread's pending
+    /// compute are retired, leaving the rest pending. Returns the cycles
+    /// retired; progress and preemption counts are the caller's.
+    fn settle_slice(
+        &mut self,
+        core: usize,
+        running: &Running,
+        retire: impl FnOnce(Cycles, SimDuration) -> Cycles,
+    ) -> Cycles {
+        let elapsed = self.time.duration_since(running.slice_start);
+        self.stats.core_busy[core] += elapsed;
+        let th = &mut self.threads[running.tid.0];
+        th.last_ran = self.time;
+        th.stats.cpu_time += elapsed;
+        let Pending::Compute(remaining) = th.pending else {
+            unreachable!("running thread always has compute pending");
+        };
+        let retired = retire(remaining, elapsed);
+        th.stats.cycles_retired += retired;
+        let left = remaining.saturating_sub(retired);
+        th.pending = if left.is_zero() {
+            Pending::Fresh
+        } else {
+            Pending::Compute(left)
+        };
+        retired
     }
 
     /// Drives `tid` (which currently owns `core` but has no pending
@@ -1428,23 +1421,11 @@ impl Kernel {
         let ranking_before = self.speed_ranking();
         let old_speed = self.cores[c].speed;
         let resume = self.take_slice(c).map(|running| {
-            let elapsed = self.time.duration_since(running.slice_start);
-            self.stats.core_busy[c] += elapsed;
-            let th = &mut self.threads[running.tid.0];
-            th.last_ran = self.time;
-            th.stats.cpu_time += elapsed;
-            if let Pending::Compute(remaining) = th.pending {
-                let retired = remaining.retired_over(old_speed, elapsed);
-                th.stats.cycles_retired += retired;
-                if !retired.is_zero() {
-                    self.progress += 1;
-                }
-                let left = remaining.saturating_sub(retired);
-                th.pending = if left.is_zero() {
-                    Pending::Fresh
-                } else {
-                    Pending::Compute(left)
-                };
+            let retired = self.settle_slice(c, &running, |remaining, elapsed| {
+                remaining.retired_over(old_speed, elapsed)
+            });
+            if !retired.is_zero() {
+                self.progress += 1;
             }
             running.tid
         });
@@ -2011,27 +1992,15 @@ impl Kernel {
         let running = self
             .take_slice(core)
             .expect("interrupt_running on idle core");
-        let elapsed = self.time.duration_since(running.slice_start);
-        self.stats.core_busy[core] += elapsed;
         let speed = self.cores[core].speed;
-        let th = &mut self.threads[running.tid.0];
-        th.last_ran = self.time;
-        th.stats.cpu_time += elapsed;
-        th.stats.preemptions += 1;
-        if let Pending::Compute(remaining) = th.pending {
-            let retired = remaining.retired_over(speed, elapsed);
-            th.stats.cycles_retired += retired;
-            if !retired.is_zero() {
-                self.progress += 1;
-            }
-            let left = remaining.saturating_sub(retired);
-            th.pending = if left.is_zero() {
-                Pending::Fresh
-            } else {
-                Pending::Compute(left)
-            };
+        let retired = self.settle_slice(core, &running, |remaining, elapsed| {
+            remaining.retired_over(speed, elapsed)
+        });
+        if !retired.is_zero() {
+            self.progress += 1;
         }
         let tid = running.tid;
+        self.threads[tid.0].stats.preemptions += 1;
         // For replay purposes the interrupted thread is momentarily back
         // on its own core's queue; the caller's Steal event records where
         // it actually went.

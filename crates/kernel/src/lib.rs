@@ -67,5 +67,5 @@ pub use thread::{
 };
 pub use trace::{
     access_tracing_enabled, capture_stream, capture_traces, fold_trace_hashes, set_access_tracing,
-    KernelTrace, TraceConsumer, TraceHashFold, TraceHasher, TraceRecord, TraceRecords,
+    KernelTrace, TraceConsumer, TraceHashFold, TraceHasher, TraceRecord,
 };

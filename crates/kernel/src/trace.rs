@@ -2,29 +2,23 @@
 //! kernel built inside a closure, without touching workload code.
 //!
 //! Workloads construct their [`Kernel`](crate::Kernel)s internally, so a
-//! checker cannot install a tracer by hand. [`capture_traces`] instead
-//! registers a thread-local capture session: every kernel *created on the
-//! current OS thread* while the closure runs appends its events (and its
-//! final [`RunOutcome`]) to a [`KernelTrace`]. Sessions nest, and each
-//! OS thread has its own session, so captured runs may execute on
-//! parallel worker threads as the experiment harness does.
+//! checker cannot hook one by hand. [`capture_stream`] instead registers
+//! a thread-local capture session: every kernel *created on the current
+//! OS thread* while the closure runs gets a fresh [`TraceConsumer`], and
+//! its events (and its final [`RunOutcome`]) are pushed into that
+//! consumer as they are emitted. Sessions nest, and each OS thread has
+//! its own session, so captured runs may execute on parallel worker
+//! threads as the experiment harness does.
 //!
-//! Two capture modes share the same sink plumbing:
-//!
-//! * **Buffered** ([`capture_traces`]) materializes one [`KernelTrace`]
-//!   per kernel. Events are stored in a compact wire encoding
-//!   (varint/delta timestamps, varint object ids — typically 4–6 bytes
-//!   per event instead of the 56 of a [`TraceRecord`]), decoded on
-//!   demand by [`KernelTrace::records`].
-//! * **Streaming** ([`capture_stream`]) never buffers: each kernel's
-//!   events are pushed into a caller-supplied [`TraceConsumer`] as they
-//!   are emitted, bounding trace memory to the consumer's own state —
-//!   O(1) for the profile folds the sweep engine uses.
+//! This is the only way events leave a kernel. Trace memory is bounded
+//! by the consumers' own state — O(1) for the hash and profile folds the
+//! sweep engine uses. A buffered [`KernelTrace`] is just one more
+//! consumer, which [`capture_traces`] installs for tests, fixtures and
+//! tools that want the whole stream.
 
-use crate::kernel::{AtomicOp, PreemptReason, RunOutcome, TraceEvent, WakeReason};
+use crate::kernel::{RunOutcome, TraceEvent};
 use crate::policy::SchedPolicy;
-use crate::thread::{ShareId, ThreadId, WaitId};
-use asym_sim::{CoreId, CoreMask, MachineSpec, SimTime, Speed, StableHasher};
+use asym_sim::{MachineSpec, SimTime, StableHasher};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -38,442 +32,20 @@ pub struct TraceRecord {
 }
 
 // ----------------------------------------------------------------------
-// Compact event encoding
-// ----------------------------------------------------------------------
-
-/// Appends `v` as an LEB128 varint (7 bits per byte, high bit = more).
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-/// Reads one LEB128 varint starting at `*pos`, advancing `*pos`.
-fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-fn put_opt_tid(buf: &mut Vec<u8>, tid: Option<ThreadId>) {
-    put_varint(buf, tid.map_or(0, |t| t.index() as u64 + 1));
-}
-
-fn get_opt_tid(bytes: &[u8], pos: &mut usize) -> Option<ThreadId> {
-    match get_varint(bytes, pos) {
-        0 => None,
-        n => Some(ThreadId(n as usize - 1)),
-    }
-}
-
-fn get_tid(bytes: &[u8], pos: &mut usize) -> ThreadId {
-    ThreadId(get_varint(bytes, pos) as usize)
-}
-
-fn get_wait(bytes: &[u8], pos: &mut usize) -> WaitId {
-    WaitId(get_varint(bytes, pos) as usize)
-}
-
-fn get_share(bytes: &[u8], pos: &mut usize) -> ShareId {
-    ShareId(get_varint(bytes, pos) as usize)
-}
-
-fn get_core(bytes: &[u8], pos: &mut usize) -> CoreId {
-    CoreId(get_varint(bytes, pos) as usize)
-}
-
-fn get_byte(bytes: &[u8], pos: &mut usize) -> u8 {
-    let b = bytes[*pos];
-    *pos += 1;
-    b
-}
-
-/// Appends the tag byte and payload of `event` to `buf`. The inverse of
-/// [`decode_event`]; both must enumerate variants in identical order.
-#[allow(clippy::enum_glob_use)]
-fn encode_event(buf: &mut Vec<u8>, event: &TraceEvent) {
-    use TraceEvent::*;
-    match *event {
-        Spawn {
-            tid,
-            core,
-            affinity,
-            parent,
-        } => {
-            buf.push(0);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, core.0 as u64);
-            put_varint(buf, affinity.bits());
-            put_opt_tid(buf, parent);
-        }
-        Dispatch { tid, core } => {
-            buf.push(1);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, core.0 as u64);
-        }
-        Migrate { tid, from, to } => {
-            buf.push(2);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, from.0 as u64);
-            put_varint(buf, to.0 as u64);
-        }
-        Preempt { tid, core, reason } => {
-            buf.push(3);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, core.0 as u64);
-            buf.push(match reason {
-                PreemptReason::Quantum => 0,
-                PreemptReason::StepBoundary => 1,
-                PreemptReason::Yield => 2,
-                PreemptReason::Interrupt => 3,
-            });
-        }
-        Steal { tid, from, to } => {
-            buf.push(4);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, from.0 as u64);
-            put_varint(buf, to.0 as u64);
-        }
-        Wakeup { tid, core, reason } => {
-            buf.push(5);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, core.0 as u64);
-            buf.push(match reason {
-                WakeReason::Signal => 0,
-                WakeReason::Timer => 1,
-            });
-        }
-        Block { tid, wait } => {
-            buf.push(6);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, wait.index() as u64);
-        }
-        Sleep { tid } => {
-            buf.push(7);
-            put_varint(buf, tid.index() as u64);
-        }
-        Signal { waker, wait, woken } => {
-            buf.push(8);
-            put_opt_tid(buf, waker);
-            put_varint(buf, wait.index() as u64);
-            put_varint(buf, woken as u64);
-        }
-        SetAffinity { tid, affinity } => {
-            buf.push(9);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, affinity.bits());
-        }
-        Done { tid } => {
-            buf.push(10);
-            put_varint(buf, tid.index() as u64);
-        }
-        BarrierArrive {
-            tid,
-            barrier,
-            released,
-        } => {
-            buf.push(14);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, barrier.index() as u64);
-            buf.push(u8::from(released));
-        }
-        QueuePush { tid, queue } => {
-            buf.push(17);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, queue.index() as u64);
-        }
-        QueuePop { tid, queue } => {
-            buf.push(18);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, queue.index() as u64);
-        }
-        SpeedChange { core, speed } => {
-            buf.push(19);
-            put_varint(buf, core.0 as u64);
-            buf.extend_from_slice(&speed.factor().to_bits().to_le_bytes());
-        }
-        Rerank { core } => {
-            buf.push(20);
-            put_varint(buf, core.0 as u64);
-        }
-        CoreOffline { core } => {
-            buf.push(21);
-            put_varint(buf, core.0 as u64);
-        }
-        CoreOnline { core } => {
-            buf.push(22);
-            put_varint(buf, core.0 as u64);
-        }
-        AffinityOverride { tid, affinity } => {
-            buf.push(23);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, affinity.bits());
-        }
-        ThreadKilled { tid } => {
-            buf.push(24);
-            put_varint(buf, tid.index() as u64);
-        }
-        SharedRead { tid, obj, word } => {
-            buf.push(25);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, obj.index() as u64);
-            put_varint(buf, u64::from(word));
-        }
-        SharedWrite { tid, obj, word } => {
-            buf.push(26);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, obj.index() as u64);
-            put_varint(buf, u64::from(word));
-        }
-        SharedAtomic { tid, obj, word, op } => {
-            buf.push(27);
-            put_varint(buf, tid.index() as u64);
-            put_varint(buf, obj.index() as u64);
-            put_varint(buf, u64::from(word));
-            buf.push(match op {
-                AtomicOp::Load => 0,
-                AtomicOp::Store => 1,
-                AtomicOp::Rmw => 2,
-            });
-        }
-        ThreadJoin { by, of } => {
-            buf.push(28);
-            put_varint(buf, by.index() as u64);
-            put_varint(buf, of.index() as u64);
-        }
-    }
-}
-
-/// Decodes one event starting at `*pos` (the tag byte), advancing `*pos`
-/// past its payload.
-///
-/// # Panics
-///
-/// Panics on a malformed buffer — encoding is internal, so corruption is
-/// a bug, not an input error.
-#[allow(clippy::enum_glob_use)]
-fn decode_event(bytes: &[u8], pos: &mut usize) -> TraceEvent {
-    use TraceEvent::*;
-    let tag = get_byte(bytes, pos);
-    match tag {
-        0 => Spawn {
-            tid: get_tid(bytes, pos),
-            core: get_core(bytes, pos),
-            affinity: CoreMask::from_bits(get_varint(bytes, pos)),
-            parent: get_opt_tid(bytes, pos),
-        },
-        1 => Dispatch {
-            tid: get_tid(bytes, pos),
-            core: get_core(bytes, pos),
-        },
-        2 => Migrate {
-            tid: get_tid(bytes, pos),
-            from: get_core(bytes, pos),
-            to: get_core(bytes, pos),
-        },
-        3 => Preempt {
-            tid: get_tid(bytes, pos),
-            core: get_core(bytes, pos),
-            reason: match get_byte(bytes, pos) {
-                0 => PreemptReason::Quantum,
-                1 => PreemptReason::StepBoundary,
-                2 => PreemptReason::Yield,
-                _ => PreemptReason::Interrupt,
-            },
-        },
-        4 => Steal {
-            tid: get_tid(bytes, pos),
-            from: get_core(bytes, pos),
-            to: get_core(bytes, pos),
-        },
-        5 => Wakeup {
-            tid: get_tid(bytes, pos),
-            core: get_core(bytes, pos),
-            reason: match get_byte(bytes, pos) {
-                0 => WakeReason::Signal,
-                _ => WakeReason::Timer,
-            },
-        },
-        6 => Block {
-            tid: get_tid(bytes, pos),
-            wait: get_wait(bytes, pos),
-        },
-        7 => Sleep {
-            tid: get_tid(bytes, pos),
-        },
-        8 => Signal {
-            waker: get_opt_tid(bytes, pos),
-            wait: get_wait(bytes, pos),
-            woken: get_varint(bytes, pos) as usize,
-        },
-        9 => SetAffinity {
-            tid: get_tid(bytes, pos),
-            affinity: CoreMask::from_bits(get_varint(bytes, pos)),
-        },
-        10 => Done {
-            tid: get_tid(bytes, pos),
-        },
-        14 => BarrierArrive {
-            tid: get_tid(bytes, pos),
-            barrier: get_wait(bytes, pos),
-            released: get_byte(bytes, pos) != 0,
-        },
-        17 => QueuePush {
-            tid: get_tid(bytes, pos),
-            queue: get_wait(bytes, pos),
-        },
-        18 => QueuePop {
-            tid: get_tid(bytes, pos),
-            queue: get_wait(bytes, pos),
-        },
-        19 => SpeedChange {
-            core: get_core(bytes, pos),
-            speed: {
-                let mut raw = [0u8; 8];
-                raw.copy_from_slice(&bytes[*pos..*pos + 8]);
-                *pos += 8;
-                Speed::new(f64::from_bits(u64::from_le_bytes(raw)))
-            },
-        },
-        20 => Rerank {
-            core: get_core(bytes, pos),
-        },
-        21 => CoreOffline {
-            core: get_core(bytes, pos),
-        },
-        22 => CoreOnline {
-            core: get_core(bytes, pos),
-        },
-        23 => AffinityOverride {
-            tid: get_tid(bytes, pos),
-            affinity: CoreMask::from_bits(get_varint(bytes, pos)),
-        },
-        24 => ThreadKilled {
-            tid: get_tid(bytes, pos),
-        },
-        25 => SharedRead {
-            tid: get_tid(bytes, pos),
-            obj: get_share(bytes, pos),
-            word: get_varint(bytes, pos) as u32,
-        },
-        26 => SharedWrite {
-            tid: get_tid(bytes, pos),
-            obj: get_share(bytes, pos),
-            word: get_varint(bytes, pos) as u32,
-        },
-        27 => SharedAtomic {
-            tid: get_tid(bytes, pos),
-            obj: get_share(bytes, pos),
-            word: get_varint(bytes, pos) as u32,
-            op: match get_byte(bytes, pos) {
-                0 => AtomicOp::Load,
-                1 => AtomicOp::Store,
-                _ => AtomicOp::Rmw,
-            },
-        },
-        28 => ThreadJoin {
-            by: get_tid(bytes, pos),
-            of: get_tid(bytes, pos),
-        },
-        other => panic!("corrupt compact trace: unknown event tag {other}"),
-    }
-}
-
-/// The compact wire form of an event stream: per record, a varint
-/// wrapping-delta timestamp followed by a tag byte and varint payload.
-/// Wrapping deltas make the encoding total — even a hand-built,
-/// non-monotonic record sequence round-trips exactly.
-#[derive(Debug, Clone, Default)]
-struct CompactEvents {
-    bytes: Vec<u8>,
-    len: usize,
-    last: u64,
-}
-
-impl CompactEvents {
-    fn push(&mut self, time: SimTime, event: &TraceEvent) {
-        let nanos = time.as_nanos();
-        put_varint(&mut self.bytes, nanos.wrapping_sub(self.last));
-        self.last = nanos;
-        encode_event(&mut self.bytes, event);
-        self.len += 1;
-    }
-
-    fn iter(&self) -> TraceRecords<'_> {
-        TraceRecords {
-            bytes: &self.bytes,
-            pos: 0,
-            remaining: self.len,
-            last: 0,
-        }
-    }
-}
-
-/// Decoding iterator over a [`KernelTrace`]'s compactly encoded events,
-/// yielding [`TraceRecord`]s in emission order. Created by
-/// [`KernelTrace::records`].
-#[derive(Debug, Clone)]
-pub struct TraceRecords<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    remaining: usize,
-    last: u64,
-}
-
-impl Iterator for TraceRecords<'_> {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.last = self
-            .last
-            .wrapping_add(get_varint(self.bytes, &mut self.pos));
-        let event = decode_event(self.bytes, &mut self.pos);
-        Some(TraceRecord {
-            time: SimTime::from_nanos(self.last),
-            event,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for TraceRecords<'_> {}
-
-// ----------------------------------------------------------------------
 // KernelTrace
 // ----------------------------------------------------------------------
 
-/// The complete event stream of one kernel run, captured by
-/// [`capture_traces`]. Events are held in a compact varint/delta
-/// encoding; [`records`](KernelTrace::records) decodes them on demand.
+/// The complete event stream of one kernel run, buffered in memory as
+/// plain [`TraceRecord`]s. [`capture_traces`] fills one per kernel (it
+/// is a [`TraceConsumer`] like any other); fixtures build them by hand.
 #[derive(Debug, Clone)]
 pub struct KernelTrace {
     /// The machine the kernel managed.
     pub machine: MachineSpec,
     /// The scheduling policy in force.
     pub policy: SchedPolicy,
-    /// Every trace event in emission order, compactly encoded.
-    events: CompactEvents,
+    /// Every trace event in emission order.
+    records: Vec<TraceRecord>,
     /// How the most recent `run`/`run_until` call ended, if any.
     pub outcome: Option<RunOutcome>,
     /// True when the run was truncated by the kernel's sim-time budget
@@ -491,54 +63,45 @@ pub struct KernelTrace {
 
 impl KernelTrace {
     /// An empty trace for `machine` under `policy` (no events, no
-    /// outcome). The starting point for capture sinks and hand-built
+    /// outcome). The starting point for capture sessions and hand-built
     /// fixture traces alike.
     pub fn new(machine: MachineSpec, policy: SchedPolicy) -> Self {
         KernelTrace {
             machine,
             policy,
-            events: CompactEvents::default(),
+            records: Vec::new(),
             outcome: None,
             budget_exhausted: false,
             shared_labels: Vec::new(),
         }
     }
 
-    /// Appends one event to the trace.
-    pub fn push_record(&mut self, time: SimTime, event: &TraceEvent) {
-        self.events.push(time, event);
+    /// Iterates the captured events in emission order.
+    pub fn records(&self) -> std::iter::Copied<std::slice::Iter<'_, TraceRecord>> {
+        self.records.iter().copied()
     }
 
-    /// Iterates the captured events in emission order, decoding each
-    /// [`TraceRecord`] from the compact encoding. For random access,
-    /// collect with [`records_vec`](KernelTrace::records_vec).
-    pub fn records(&self) -> TraceRecords<'_> {
-        self.events.iter()
-    }
-
-    /// The captured events materialized into a vector (for consumers
-    /// that need random access or slicing).
+    /// The captured events copied into a vector (for consumers that
+    /// need random access or slicing).
     pub fn records_vec(&self) -> Vec<TraceRecord> {
-        self.records().collect()
+        self.records.clone()
     }
 
     /// Replaces the event stream with `records` (fixture construction
     /// and trace surgery in tests).
     pub fn set_records(&mut self, records: impl IntoIterator<Item = TraceRecord>) {
-        self.events = CompactEvents::default();
-        for r in records {
-            self.events.push(r.time, &r.event);
-        }
+        self.records = records.into_iter().collect();
     }
 
     /// Number of captured events.
     pub fn num_records(&self) -> usize {
-        self.events.len
+        self.records.len()
     }
 
-    /// Size of the compact event encoding in bytes (diagnostics).
+    /// The bytes the buffered records occupy,
+    /// `num_records × size_of::<TraceRecord>()` (diagnostics).
     pub fn encoded_len(&self) -> usize {
-        self.events.bytes.len()
+        self.records.len() * std::mem::size_of::<TraceRecord>()
     }
 
     /// A platform-independent FNV-1a hash over the full event stream
@@ -640,7 +203,7 @@ pub trait TraceConsumer {
     fn on_event(&mut self, time: SimTime, event: &TraceEvent);
 
     /// A shared-object label registered via `Kernel::register_shared`
-    /// (labels arrive in [`ShareId`] order). Default: ignored.
+    /// (labels arrive in [`ShareId`](crate::ShareId) order). Default: ignored.
     fn on_shared_label(&mut self, label: &str) {
         let _ = label;
     }
@@ -721,91 +284,68 @@ impl<T: TraceConsumer + 'static> AnyConsumer for T {
     }
 }
 
+impl TraceConsumer for KernelTrace {
+    fn on_event(&mut self, time: SimTime, event: &TraceEvent) {
+        self.records.push(TraceRecord {
+            time,
+            event: *event,
+        });
+    }
+
+    fn on_shared_label(&mut self, label: &str) {
+        self.shared_labels.push(label.to_string());
+    }
+
+    fn on_close(&mut self, outcome: Option<RunOutcome>, budget_exhausted: bool) {
+        self.outcome = outcome;
+        self.budget_exhausted = budget_exhausted;
+    }
+}
+
 // ----------------------------------------------------------------------
 // Capture sessions
 // ----------------------------------------------------------------------
 
-/// Where one kernel's events go. The kernel holds an `Rc` to its sink
-/// and pushes through [`SinkKind`]'s methods, oblivious to the mode.
-pub(crate) enum SinkKind {
-    /// Buffered capture: materialize a [`KernelTrace`].
-    Buffer(KernelTrace),
-    /// Streaming capture: feed a consumer, latching the outcome so
-    /// [`TraceConsumer::on_close`] can deliver it at session end.
-    Stream {
-        consumer: Box<dyn AnyConsumer>,
-        outcome: Option<RunOutcome>,
-        budget_exhausted: bool,
-    },
-    /// Tombstone left behind when a streaming kernel outlives its
-    /// session: the consumer is gone, later events are dropped.
-    Detached,
+/// Where one kernel's events go: its session's consumer, plus the
+/// outcome latched for [`TraceConsumer::on_close`] at session end. The
+/// kernel holds an `Rc` to its sink.
+pub(crate) struct Sink {
+    /// `None` once the session has handed the consumer back: a kernel
+    /// that outlives its session drops its later events.
+    consumer: Option<Box<dyn AnyConsumer>>,
+    outcome: Option<RunOutcome>,
+    budget_exhausted: bool,
 }
 
-impl std::fmt::Debug for SinkKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SinkKind::Buffer(trace) => f.debug_tuple("Buffer").field(trace).finish(),
-            SinkKind::Stream {
-                outcome,
-                budget_exhausted,
-                ..
-            } => f
-                .debug_struct("Stream")
-                .field("outcome", outcome)
-                .field("budget_exhausted", budget_exhausted)
-                .finish_non_exhaustive(),
-            SinkKind::Detached => f.write_str("Detached"),
-        }
-    }
-}
-
-impl SinkKind {
+impl Sink {
     pub(crate) fn push_record(&mut self, time: SimTime, event: &TraceEvent) {
-        match self {
-            SinkKind::Buffer(trace) => trace.push_record(time, event),
-            SinkKind::Stream { consumer, .. } => consumer.on_event(time, event),
-            SinkKind::Detached => {}
+        if let Some(consumer) = &mut self.consumer {
+            consumer.on_event(time, event);
         }
     }
 
     pub(crate) fn push_shared_label(&mut self, label: &str) {
-        match self {
-            SinkKind::Buffer(trace) => trace.shared_labels.push(label.to_string()),
-            SinkKind::Stream { consumer, .. } => consumer.on_shared_label(label),
-            SinkKind::Detached => {}
+        if let Some(consumer) = &mut self.consumer {
+            consumer.on_shared_label(label);
         }
     }
 
     pub(crate) fn set_outcome(&mut self, outcome: RunOutcome, budget_exhausted: bool) {
-        match self {
-            SinkKind::Buffer(trace) => {
-                trace.outcome = Some(outcome);
-                trace.budget_exhausted = budget_exhausted;
-            }
-            SinkKind::Stream {
-                outcome: latched,
-                budget_exhausted: latched_budget,
-                ..
-            } => {
-                *latched = Some(outcome);
-                *latched_budget = budget_exhausted;
-            }
-            SinkKind::Detached => {}
-        }
+        self.outcome = Some(outcome);
+        self.budget_exhausted = budget_exhausted;
     }
 }
 
-pub(crate) type TraceSink = Rc<RefCell<SinkKind>>;
+pub(crate) type TraceSink = Rc<RefCell<Sink>>;
 
 /// Builds one streaming consumer per registered kernel.
 type ConsumerFactory = Box<dyn FnMut(&MachineSpec, SchedPolicy) -> Box<dyn AnyConsumer>>;
 
 /// One active capture session: the sinks of kernels created while it is
-/// active, plus (for streaming sessions) the consumer factory.
+/// active, and the factory that builds their consumers.
 struct Session {
     sinks: Rc<RefCell<Vec<TraceSink>>>,
-    factory: Option<Rc<RefCell<ConsumerFactory>>>,
+    factory: Rc<RefCell<ConsumerFactory>>,
 }
 
 thread_local! {
@@ -850,15 +390,11 @@ pub(crate) fn register_kernel(machine: &MachineSpec, policy: SchedPolicy) -> Opt
             .last()
             .map(|sess| (sess.sinks.clone(), sess.factory.clone()))
     })?;
-    let kind = match factory {
-        Some(make) => SinkKind::Stream {
-            consumer: (make.borrow_mut())(machine, policy),
-            outcome: None,
-            budget_exhausted: false,
-        },
-        None => SinkKind::Buffer(KernelTrace::new(machine.clone(), policy)),
-    };
-    let sink = Rc::new(RefCell::new(kind));
+    let sink = Rc::new(RefCell::new(Sink {
+        consumer: Some((factory.borrow_mut())(machine, policy)),
+        outcome: None,
+        budget_exhausted: false,
+    }));
     sinks.borrow_mut().push(sink.clone());
     Some(sink)
 }
@@ -876,12 +412,12 @@ impl Drop for SessionGuard {
 }
 
 /// Runs `f` with trace capture enabled and returns its result together
-/// with the trace of every kernel created (on this OS thread) while it
-/// ran, in creation order.
+/// with the buffered trace of every kernel created (on this OS thread)
+/// while it ran, in creation order: [`capture_stream`] with a
+/// [`KernelTrace`] as each kernel's consumer.
 ///
 /// Capture is transparent to the code under test: tracing never affects
-/// scheduling decisions, and any tracer installed with
-/// [`Kernel::set_tracer`](crate::Kernel::set_tracer) still runs.
+/// scheduling decisions.
 ///
 /// # Examples
 ///
@@ -902,45 +438,16 @@ impl Drop for SessionGuard {
 /// assert!(traces[0].num_records() > 0);
 /// ```
 pub fn capture_traces<R>(f: impl FnOnce() -> R) -> (R, Vec<KernelTrace>) {
-    let sinks: Rc<RefCell<Vec<TraceSink>>> = Rc::new(RefCell::new(Vec::new()));
-    SESSIONS.with(|s| {
-        s.borrow_mut().push(Session {
-            sinks: sinks.clone(),
-            factory: None,
-        })
-    });
-    let guard = SessionGuard;
-    let result = f();
-    drop(guard);
-    let sinks = Rc::try_unwrap(sinks)
-        .expect("capture session still referenced")
-        .into_inner();
-    let traces = sinks
-        .into_iter()
-        .map(|sink| {
-            let kind = match Rc::try_unwrap(sink) {
-                Ok(cell) => cell.into_inner(),
-                // The kernel outlived the capture scope; snapshot its
-                // trace (buffered sinks are cloneable).
-                Err(shared) => match &*shared.borrow() {
-                    SinkKind::Buffer(trace) => return trace.clone(),
-                    _ => unreachable!("buffered session held a streaming sink"),
-                },
-            };
-            match kind {
-                SinkKind::Buffer(trace) => trace,
-                _ => unreachable!("buffered session held a streaming sink"),
-            }
-        })
-        .collect();
-    (result, traces)
+    capture_stream(
+        |machine, policy| KernelTrace::new(machine.clone(), policy),
+        f,
+    )
 }
 
-/// Runs `f` with *streaming* trace capture: every kernel created (on
-/// this OS thread) while it runs gets a fresh consumer from `factory`,
-/// and its events are fed into that consumer as they are emitted — no
-/// [`KernelTrace`] is ever materialized, so trace memory is bounded by
-/// the consumers' own state.
+/// Runs `f` with trace capture: every kernel created (on this OS thread)
+/// while it runs gets a fresh consumer from `factory`, and its events are
+/// fed into that consumer as they are emitted, so trace memory is bounded
+/// by the consumers' own state.
 ///
 /// At session end each consumer receives
 /// [`on_close`](TraceConsumer::on_close) with its kernel's final
@@ -961,38 +468,25 @@ where
     SESSIONS.with(|s| {
         s.borrow_mut().push(Session {
             sinks: sinks.clone(),
-            factory: Some(Rc::new(RefCell::new(erased))),
+            factory: Rc::new(RefCell::new(erased)),
         })
     });
     let guard = SessionGuard;
     let result = f();
     drop(guard);
-    let sinks = Rc::try_unwrap(sinks)
-        .expect("capture session still referenced")
-        .into_inner();
     let consumers = sinks
+        .take()
         .into_iter()
         .map(|sink| {
-            let kind = match Rc::try_unwrap(sink) {
-                Ok(cell) => cell.into_inner(),
-                // The kernel outlived the capture scope: detach it (its
-                // later events are dropped) and take the consumer.
-                Err(shared) => std::mem::replace(&mut *shared.borrow_mut(), SinkKind::Detached),
-            };
-            match kind {
-                SinkKind::Stream {
-                    mut consumer,
-                    outcome,
-                    budget_exhausted,
-                } => {
-                    consumer.on_close(outcome, budget_exhausted);
-                    *consumer
-                        .into_any()
-                        .downcast::<C>()
-                        .expect("streaming consumer downcast to its factory type")
-                }
-                _ => unreachable!("streaming session held a buffered sink"),
-            }
+            // Taking the consumer detaches a kernel that outlived the
+            // capture scope: its later events are dropped.
+            let mut sink = sink.borrow_mut();
+            let mut consumer = sink.consumer.take().expect("each consumer is taken once");
+            consumer.on_close(sink.outcome, sink.budget_exhausted);
+            *consumer
+                .into_any()
+                .downcast::<C>()
+                .expect("streaming consumer downcast to its factory type")
         })
         .collect();
     (result, consumers)
@@ -1001,39 +495,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{AtomicOp, PreemptReason, WakeReason};
+    use crate::thread::{ShareId, ThreadId, WaitId};
     use asym_sim::SimDuration;
+    use asym_sim::{CoreId, CoreMask, Speed};
     use std::hash::{Hash, Hasher};
-
-    fn roundtrip(records: &[TraceRecord]) {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut trace = KernelTrace::new(machine, SchedPolicy::os_default());
-        for r in records {
-            trace.push_record(r.time, &r.event);
-        }
-        assert_eq!(trace.records_vec(), records);
-        assert_eq!(trace.num_records(), records.len());
-    }
-
-    #[test]
-    fn varint_roundtrip_edges() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            16383,
-            16384,
-            u64::from(u32::MAX),
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos), v);
-            assert_eq!(pos, buf.len());
-        }
-    }
 
     /// At least one record of every [`TraceEvent`] variant, with payloads
     /// at the codec's edges.
@@ -1226,7 +692,31 @@ mod tests {
 
     #[test]
     fn every_event_variant_roundtrips() {
-        roundtrip(&every_variant());
+        // A buffered trace is a consumer like any other: `replay` hands
+        // on exactly what it took in, and its stable hash is the one a
+        // `TraceHasher` fed the same stream reports.
+        let records = every_variant();
+        let machine = MachineSpec::symmetric(2, Speed::FULL);
+        let mut trace = KernelTrace::new(machine.clone(), SchedPolicy::os_default());
+        trace.on_shared_label("x");
+        for r in &records {
+            trace.on_event(r.time, &r.event);
+        }
+        trace.on_close(Some(RunOutcome::Deadlock(3)), true);
+        let mut copy = KernelTrace::new(machine, SchedPolicy::os_default());
+        trace.replay(&mut copy);
+        let mut hasher = TraceHasher::new();
+        trace.replay(&mut hasher);
+        assert_eq!(copy.records_vec(), records);
+        assert_eq!(copy.shared_labels, ["x"]);
+        assert_eq!(copy.outcome, Some(RunOutcome::Deadlock(3)));
+        assert!(copy.budget_exhausted);
+        assert_eq!(copy.stable_hash(), trace.stable_hash());
+        assert_eq!(hasher.finish(), trace.stable_hash());
+        assert_eq!(
+            trace.encoded_len(),
+            records.len() * std::mem::size_of::<TraceRecord>()
+        );
     }
 
     /// FNV-1a that implements only [`Hasher::write`], so every integer
@@ -1318,33 +808,10 @@ mod tests {
     ];
 
     #[test]
-    fn non_monotonic_and_extreme_timestamps_roundtrip() {
-        let records = vec![
-            TraceRecord {
-                time: SimTime::from_nanos(100),
-                event: TraceEvent::Sleep { tid: ThreadId(0) },
-            },
-            TraceRecord {
-                time: SimTime::from_nanos(0),
-                event: TraceEvent::Sleep { tid: ThreadId(1) },
-            },
-            TraceRecord {
-                time: SimTime::MAX,
-                event: TraceEvent::Sleep { tid: ThreadId(2) },
-            },
-            TraceRecord {
-                time: SimTime::from_nanos(17),
-                event: TraceEvent::Sleep { tid: ThreadId(3) },
-            },
-        ];
-        roundtrip(&records);
-    }
-
-    #[test]
     fn set_records_replaces_stream() {
         let machine = MachineSpec::symmetric(1, Speed::FULL);
         let mut trace = KernelTrace::new(machine, SchedPolicy::os_default());
-        trace.push_record(
+        trace.on_event(
             SimTime::from_nanos(4),
             &TraceEvent::Sleep { tid: ThreadId(0) },
         );
@@ -1362,67 +829,61 @@ mod tests {
         assert_eq!(trace.records_vec(), replacement);
     }
 
-    #[test]
-    fn reencoding_preserves_the_stable_hash_fold() {
-        // Golden property of the compact codec: decoding a trace and
-        // re-encoding the records yields the identical stable hash (and
-        // therefore the identical fold across kernels) — the encoding
-        // is invisible to every hash-pinned contract in the repo.
-        let ((), traces) = capture_traces(|| {
-            let machine = MachineSpec::asymmetric(1, 1, Speed::fraction_of_full(4));
-            let mut k = crate::Kernel::new(machine, SchedPolicy::asymmetry_aware(), 99);
-            for _ in 0..2 {
-                let mut bursts = 3u32;
-                k.spawn(
-                    crate::FnThread::new("w", move |_cx| {
-                        if bursts == 0 {
-                            crate::Step::Done
-                        } else {
-                            bursts -= 1;
-                            crate::Step::Compute(asym_sim::Cycles::from_millis_at_full_speed(0.2))
-                        }
-                    }),
-                    crate::SpawnOptions::new(),
-                );
-            }
-            k.run();
-        });
-        let original = &traces[0];
-        assert!(original.num_records() > 0);
-        let mut rebuilt = KernelTrace::new(original.machine.clone(), original.policy);
-        rebuilt.set_records(original.records());
-        rebuilt.outcome = original.outcome;
-        rebuilt.budget_exhausted = original.budget_exhausted;
-        assert_eq!(original.stable_hash(), rebuilt.stable_hash());
-        assert_eq!(
-            fold_trace_hashes(std::slice::from_ref(original)),
-            fold_trace_hashes(&[rebuilt])
-        );
+    /// Two compute threads on a 1f-1s machine, spawned but not run.
+    fn two_workers() -> crate::Kernel {
+        let machine = MachineSpec::asymmetric(1, 1, Speed::fraction_of_full(4));
+        let mut k = crate::Kernel::new(machine, SchedPolicy::asymmetry_aware(), 99);
+        for _ in 0..2 {
+            let mut bursts = 3u32;
+            k.spawn(
+                crate::FnThread::new("w", move |_cx| {
+                    if bursts == 0 {
+                        crate::Step::Done
+                    } else {
+                        bursts -= 1;
+                        crate::Step::Compute(asym_sim::Cycles::from_millis_at_full_speed(0.2))
+                    }
+                }),
+                crate::SpawnOptions::new(),
+            );
+        }
+        k
     }
 
     #[test]
-    fn compact_encoding_is_compact() {
-        let machine = MachineSpec::symmetric(2, Speed::FULL);
-        let mut trace = KernelTrace::new(machine, SchedPolicy::os_default());
-        let step = SimDuration::from_micros(10);
-        let mut now = SimTime::ZERO;
-        for i in 0..1000usize {
-            trace.push_record(
-                now,
-                &TraceEvent::Dispatch {
-                    tid: ThreadId(i % 8),
-                    core: CoreId(i % 2),
-                },
-            );
-            now += step;
-        }
-        // Delta-varint timestamps + varint ids: a dispatch event costs a
-        // handful of bytes, not `size_of::<TraceRecord>()`.
-        assert!(
-            trace.encoded_len() <= 8 * trace.num_records(),
-            "encoding too large: {} bytes for {} records",
-            trace.encoded_len(),
-            trace.num_records()
+    fn kernel_outliving_its_capture_scope_is_detached() {
+        let half = SimTime::ZERO + SimDuration::from_micros(300);
+        let ((), stopped) = capture_traces(|| {
+            two_workers().run_until(half);
+        });
+        let (mut kept, traces) = capture_traces(|| {
+            let mut k = two_workers();
+            k.run_until(half);
+            k
+        });
+        assert_eq!(kept.run(), RunOutcome::AllDone);
+        let (mut kept, hashers) = capture_stream(
+            |_, _| TraceHasher::new(),
+            || {
+                let mut k = two_workers();
+                k.run_until(half);
+                k
+            },
         );
+        assert_eq!(kept.run(), RunOutcome::AllDone);
+        // Both captures end where the scope did: the same events and
+        // outcome as a run stopped there, and the same hash.
+        assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].records_vec(), stopped[0].records_vec());
+        assert_eq!(traces[0].outcome, Some(RunOutcome::TimeLimit));
+        assert_eq!(traces[0].stable_hash(), stopped[0].stable_hash());
+        assert_eq!(hashers.len(), 1);
+        assert!(hashers[0].is_closed());
+        assert_eq!(hashers[0].finish(), traces[0].stable_hash());
+        // The run did go on past the scope.
+        let ((), full) = capture_traces(|| {
+            two_workers().run();
+        });
+        assert!(full[0].num_records() > traces[0].num_records());
     }
 }

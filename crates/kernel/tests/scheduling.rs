@@ -606,41 +606,39 @@ fn policies_keep_affinity_masks_sacred() {
 fn tracer_observes_full_thread_lifecycle() {
     use asym_kernel::TraceEvent;
 
-    let mut k = kernel_no_ctx(fast_machine(2), SchedPolicy::os_default(), 1);
-    let events = Rc::new(RefCell::new(Vec::new()));
-    {
-        let events = events.clone();
-        k.set_tracer(move |_now, ev| events.borrow_mut().push(ev));
-    }
-    let wait = k.create_wait_queue();
-    let mut phase = 0;
-    let t = k.spawn(
-        FnThread::new("traced", move |_cx: &mut ThreadCx<'_>| {
-            phase += 1;
-            match phase {
-                1 => Step::Compute(Cycles::from_millis_at_full_speed(0.5)),
-                2 => Step::Block(wait),
-                _ => Step::Done,
-            }
-        }),
-        SpawnOptions::new(),
-    );
-    let mut p2 = 0;
-    k.spawn(
-        FnThread::new("waker", move |cx: &mut ThreadCx<'_>| {
-            p2 += 1;
-            match p2 {
-                1 => Step::Sleep(SimDuration::from_millis(2)),
-                _ => {
-                    cx.notify_one(wait);
-                    Step::Done
+    let (t, traces) = asym_kernel::capture_traces(|| {
+        let mut k = kernel_no_ctx(fast_machine(2), SchedPolicy::os_default(), 1);
+        let wait = k.create_wait_queue();
+        let mut phase = 0;
+        let t = k.spawn(
+            FnThread::new("traced", move |_cx: &mut ThreadCx<'_>| {
+                phase += 1;
+                match phase {
+                    1 => Step::Compute(Cycles::from_millis_at_full_speed(0.5)),
+                    2 => Step::Block(wait),
+                    _ => Step::Done,
                 }
-            }
-        }),
-        SpawnOptions::new(),
-    );
-    k.run();
-    let evs = events.borrow();
+            }),
+            SpawnOptions::new(),
+        );
+        let mut p2 = 0;
+        k.spawn(
+            FnThread::new("waker", move |cx: &mut ThreadCx<'_>| {
+                p2 += 1;
+                match p2 {
+                    1 => Step::Sleep(SimDuration::from_millis(2)),
+                    _ => {
+                        cx.notify_one(wait);
+                        Step::Done
+                    }
+                }
+            }),
+            SpawnOptions::new(),
+        );
+        k.run();
+        t
+    });
+    let evs: Vec<TraceEvent> = traces[0].records().map(|r| r.event).collect();
     let dispatched = evs
         .iter()
         .any(|e| matches!(e, TraceEvent::Dispatch { tid, .. } if *tid == t));

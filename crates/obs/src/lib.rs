@@ -1,8 +1,10 @@
 //! # asym-obs
 //!
 //! Trace-derived observability for the asymmetric-multicore simulator:
-//! this crate turns the state-complete [`KernelTrace`](asym_kernel::KernelTrace)
-//! streams the kernel already emits into the quantities the source paper
+//! this crate folds the state-complete event streams the kernel already
+//! emits (streamed by [`capture_stream`](asym_kernel::capture_stream), or
+//! replayed from a buffered [`KernelTrace`](asym_kernel::KernelTrace))
+//! into the quantities the source paper
 //! (*The Impact of Performance Asymmetry in Emerging Multicore
 //! Architectures*, ISCA 2005) reasons with:
 //!
@@ -18,8 +20,8 @@
 //!   metrics fold [`ProfileFold`], whose state is O(1) in the event
 //!   count;
 //! * [`perfetto_trace`] — a Chrome/Perfetto `trace.json` exporter for
-//!   timeline inspection of any run replayed by
-//!   [`RunProfile::from_trace`], with per-core counter tracks
+//!   timeline inspection of any run folded by
+//!   [`ProfileFold::with_timeline`], with per-core counter tracks
 //!   (live speed, runnable-queue depth) and flow arrows linking
 //!   migration decisions to landing dispatches;
 //! * [`ProfileDiff`] / [`DiffAttribution`] — the differential causality
@@ -28,19 +30,19 @@
 //!   exact machine-time buckets, with [`perfetto_diff_trace`] rendering
 //!   both timelines side by side from a shared origin.
 //!
-//! Everything here is a pure function of the captured trace: equal
-//! traces produce byte-identical profiles, reports, and exports,
+//! Everything here is a pure function of the event stream: equal
+//! streams produce byte-identical profiles, reports, and exports,
 //! whatever host thread produced them — the same determinism contract
 //! the golden-hash tests already enforce for the traces themselves.
 //!
 //! # Examples
 //!
 //! ```
-//! use asym_kernel::{capture_traces, FnThread, Kernel, SchedPolicy, SpawnOptions, Step};
-//! use asym_obs::RunProfile;
+//! use asym_kernel::{capture_stream, FnThread, Kernel, SchedPolicy, SpawnOptions, Step};
+//! use asym_obs::ProfileFold;
 //! use asym_sim::{Cycles, MachineSpec, Speed};
 //!
-//! let ((), traces) = capture_traces(|| {
+//! let ((), folds) = capture_stream(ProfileFold::with_timeline, || {
 //!     let machine = MachineSpec::asymmetric(1, 1, Speed::fraction_of_full(8));
 //!     let mut k = Kernel::new(machine, SchedPolicy::asymmetry_aware(), 42);
 //!     let mut bursts = 3u32;
@@ -57,7 +59,7 @@
 //!     );
 //!     k.run();
 //! });
-//! let profile = RunProfile::from_trace(&traces[0]);
+//! let profile = folds.into_iter().next().unwrap().finish();
 //! // The asymmetry-aware policy keeps the lone thread on the fast core.
 //! assert!(profile.threads[0].running_slow.is_zero());
 //! println!("{profile}");
@@ -74,6 +76,6 @@ pub use diff::{DiffAttribution, DiffError, ProfileDiff, ThreadDelta};
 pub use hist::{HistogramPartsError, Log2Histogram, PercentileBound, HIST_BUCKETS};
 pub use perfetto::{perfetto_diff_trace, perfetto_trace};
 pub use profile::{
-    metrics_of_traces, profile_traces, CoreProfile, ProfileFold, ProfileMetrics, RunProfile,
-    ThreadProfile, WaitKind, WaitProfile,
+    metrics_of_traces, CoreProfile, ProfileFold, ProfileMetrics, RunProfile, ThreadProfile,
+    WaitKind, WaitProfile,
 };

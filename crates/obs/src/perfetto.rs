@@ -242,18 +242,20 @@ impl TraceWriter {
 /// Kernel `k`'s core `c` becomes process `k * 100 + c`, keeping multi-
 /// kernel workloads (rare, but legal) on disjoint tracks. The slices,
 /// marks, counters and flows come from the timeline that only
-/// [`RunProfile::from_trace`] records; a profile from the metrics fold
+/// [`ProfileFold::with_timeline`](crate::ProfileFold::with_timeline)
+/// records (as does [`RunProfile::from_trace`](crate::RunProfile::from_trace),
+/// which replays through it); a profile from the metrics fold
 /// ([`ProfileFold::new`](crate::ProfileFold::new)) exports its cores'
 /// process names and nothing else.
 ///
 /// # Examples
 ///
 /// ```
-/// use asym_kernel::{capture_traces, FnThread, Kernel, SchedPolicy, SpawnOptions, Step};
-/// use asym_obs::{perfetto_trace, RunProfile};
+/// use asym_kernel::{capture_stream, FnThread, Kernel, SchedPolicy, SpawnOptions, Step};
+/// use asym_obs::{perfetto_trace, ProfileFold, RunProfile};
 /// use asym_sim::{MachineSpec, Speed};
 ///
-/// let ((), traces) = capture_traces(|| {
+/// let ((), folds) = capture_stream(ProfileFold::with_timeline, || {
 ///     let mut k = Kernel::new(
 ///         MachineSpec::symmetric(1, Speed::FULL),
 ///         SchedPolicy::os_default(),
@@ -262,7 +264,7 @@ impl TraceWriter {
 ///     k.spawn(FnThread::new("w", |_cx| Step::Done), SpawnOptions::new());
 ///     k.run();
 /// });
-/// let profiles: Vec<RunProfile> = traces.iter().map(RunProfile::from_trace).collect();
+/// let profiles: Vec<RunProfile> = folds.into_iter().map(ProfileFold::finish).collect();
 /// let json = perfetto_trace(&profiles);
 /// assert!(json.starts_with("{\"displayTimeUnit\""));
 /// assert!(json.contains("\"traceEvents\""));

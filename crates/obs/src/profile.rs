@@ -253,8 +253,9 @@ pub(crate) struct Flow {
 
 /// The Perfetto timeline of one run: every run slice, mark, counter
 /// sample and migration flow, in event order. It grows with the event
-/// count, so only [`RunProfile::from_trace`] records one; the metrics
-/// fold the sweep engine streams ([`ProfileFold::new`]) never does.
+/// count, so only [`ProfileFold::with_timeline`] records one; the
+/// metrics fold the sweep engine streams ([`ProfileFold::new`]) never
+/// does.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Timeline {
     pub(crate) slices: Vec<Slice>,
@@ -370,7 +371,7 @@ pub struct RunProfile {
     /// Queued threads moved between run queues without running.
     pub steals: u64,
     /// The Perfetto timeline, present only on profiles built by
-    /// [`RunProfile::from_trace`].
+    /// [`ProfileFold::with_timeline`].
     pub(crate) timeline: Option<Timeline>,
 }
 
@@ -423,20 +424,18 @@ struct CoreSt {
     queued: u64,
 }
 
-/// An *online* fold of one kernel's trace stream into a [`RunProfile`]:
-/// the streaming counterpart of [`RunProfile::from_trace`]. Feed it
-/// events in emission order (it implements
+/// An *online* fold of one kernel's trace stream into a [`RunProfile`].
+/// Feed it events in emission order (it implements
 /// [`TraceConsumer`](asym_kernel::TraceConsumer), so
 /// [`capture_stream`](asym_kernel::capture_stream) can drive it directly
 /// off the hot path), then call [`finish`](ProfileFold::finish).
 ///
 /// [`ProfileFold::new`] builds the *metrics fold*: its state is per
 /// core, per thread and per wait queue only, so per-cell trace memory
-/// stays O(1) in the event count. Its profile equals the post-hoc
-/// replay's field for field, except that it records no Perfetto
-/// timeline. Only [`RunProfile::from_trace`] installs the timeline
-/// recorder, whose slices, marks, counter samples and flows grow with
-/// the run.
+/// stays O(1) in the event count. [`ProfileFold::with_timeline`] also
+/// records the Perfetto timeline, whose slices, marks, counter samples
+/// and flows grow with the run; the two folds' profiles are equal in
+/// every other field.
 pub struct ProfileFold {
     policy: SchedPolicy,
     outcome: Option<RunOutcome>,
@@ -526,6 +525,14 @@ impl ProfileFold {
             steals: 0,
             timeline: None,
         }
+    }
+
+    /// A fresh fold that also records the Perfetto timeline (what
+    /// `asym_profile` and `asym_diff` stream their runs into).
+    pub fn with_timeline(machine: &MachineSpec, policy: SchedPolicy) -> Self {
+        let mut fold = ProfileFold::new(machine, policy);
+        fold.timeline = Some(Timeline::new(&fold.cores));
+        fold
     }
 
     fn ensure_thread(&mut self, tid: usize) {
@@ -1012,16 +1019,12 @@ impl TraceConsumer for ProfileFold {
 }
 
 impl RunProfile {
-    /// Replays `trace` into a profile, Perfetto timeline included.
-    /// Purely a function of the trace: equal traces produce equal
-    /// profiles, whatever thread or process performed the replay. A
-    /// thin wrapper over [`ProfileFold`] with the timeline recorder
-    /// installed; the metrics fold of [`ProfileFold::new`] yields the
-    /// same profile in every other field (by construction, and by
-    /// regression test).
+    /// Replays `trace` into a profile, Perfetto timeline included:
+    /// [`ProfileFold::with_timeline`] fed the buffered stream. Purely a
+    /// function of the trace: equal traces produce equal profiles,
+    /// whatever thread or process performed the replay.
     pub fn from_trace(trace: &KernelTrace) -> RunProfile {
-        let mut fold = ProfileFold::new(&trace.machine, trace.policy);
-        fold.timeline = Some(Timeline::new(&fold.cores));
+        let mut fold = ProfileFold::with_timeline(&trace.machine, trace.policy);
         trace.replay(&mut fold);
         fold.finish()
     }
@@ -1320,11 +1323,6 @@ impl RunProfile {
         m.run_quantum = self.run_quantum.clone();
         m
     }
-}
-
-/// Profiles every kernel of a captured run, in creation order.
-pub fn profile_traces(traces: &[KernelTrace]) -> Vec<RunProfile> {
-    traces.iter().map(RunProfile::from_trace).collect()
 }
 
 /// Folds the metrics of every kernel of a captured run into one record,

@@ -16,8 +16,8 @@
 use asym_core::{
     AsymConfig, CellRunner, ExperimentOptions, ExperimentPlan, RunSetup, SpecMode, Workload,
 };
-use asym_kernel::{capture_traces, SchedPolicy};
-use asym_obs::{profile_traces, ProfileMetrics};
+use asym_kernel::{capture_stream, SchedPolicy};
+use asym_obs::{ProfileFold, ProfileMetrics, RunProfile};
 use asym_workloads::specjbb::{GcKind, SpecJbb};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -38,8 +38,8 @@ fn pinned_cell() -> (SpecJbb, AsymConfig, SchedPolicy) {
 fn rendered_profile() -> String {
     let (w, config, policy) = pinned_cell();
     let setup = RunSetup::new(config, policy, SEED);
-    let (_, traces) = capture_traces(|| w.run(&setup));
-    let profiles = profile_traces(&traces);
+    let (_, folds) = capture_stream(ProfileFold::with_timeline, || w.run(&setup));
+    let profiles: Vec<RunProfile> = folds.into_iter().map(ProfileFold::finish).collect();
     assert!(!profiles.is_empty(), "run produced no kernel traces");
     let mut out = String::from(
         "# Golden rendered RunProfile: SPECjbb (concurrent GC) on 2f-2s/4,\n\

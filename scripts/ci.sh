@@ -30,6 +30,28 @@ for committed in results/*.txt; do
     || { echo "FAIL: results/$spec.txt differs from 'asym_sweep $spec --cache=off --jobs 2'"; exit 1; }
 done
 
+echo "==> BENCH_sweep.json regenerates (asym_sweep mini extra_dynamic extra_tournament --quick --cache=off --jobs 2, host-timing fields stripped)"
+# Host timing and cache provenance vary run to run: the top-level
+# wall_ms, cells_wall_ms, speedup and cache lines, and each cell's
+# wall_ms and cached fields. Everything else must match the committed
+# report byte for byte.
+strip_volatile() {
+  sed -E -e '/^  "(wall_ms|cells_wall_ms|speedup|cache)": /d' \
+    -e 's/"wall_ms": [^,]*, //' -e 's/"cached": (true|false), //' "$1"
+}
+PIN_DIR="$(mktemp -d)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- mini extra_dynamic extra_tournament \
+  --quick --cache=off --jobs 2 --json="$PIN_DIR/fresh.json" > /dev/null 2>&1
+strip_volatile "$PIN_DIR/fresh.json" > "$PIN_DIR/fresh"
+strip_volatile BENCH_sweep.json > "$PIN_DIR/committed"
+if ! cmp -s "$PIN_DIR/fresh" "$PIN_DIR/committed"; then
+  line="$({ cmp "$PIN_DIR/fresh" "$PIN_DIR/committed" || true; } | sed -E 's/.*line ([0-9]+).*/\1/')"
+  echo "FAIL: BENCH_sweep.json differs from a fresh run, first at:"
+  sed -n "${line}p" "$PIN_DIR/committed" | cut -c1-200
+  exit 1
+fi
+rm -rf "$PIN_DIR"
+
 echo "==> asym_sweep extra_fault_sweep --quick --check (faulted smoke sweep: classified, clean, deterministic, race- and lint-clean under faults)"
 cargo run -q --release -p asym-bench --bin asym_sweep -- extra_fault_sweep --quick --check > /dev/null
 
