@@ -12,8 +12,9 @@ use crate::{header, paper_workloads, render_experiment, render_runs, stability_l
 use asym_analysis::hb::ConcurrencyFold;
 use asym_analysis::{render_violations, AnalysisFold, ViolationLog};
 use asym_core::{
-    run_spec, AsymConfig, CheckFold, ExperimentOptions, ResilientOptions, RunClass, RunSetup,
-    Scalability, SpecMode, SpecResult, SummaryRow, TextTable, TraceCheck, Workload, WorkloadClass,
+    run_spec, AsymConfig, CheckFold, ExperimentOptions, ResilientOptions, RunClass, RunRecord,
+    RunSetup, Scalability, SpecMode, SpecResult, SummaryRow, TextTable, TraceCheck, Workload,
+    WorkloadClass,
 };
 use asym_kernel::{
     capture_stream, with_run_guard, RunGuard, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent,
@@ -21,7 +22,7 @@ use asym_kernel::{
 };
 use asym_obs::{ProfileFold, ProfileMetrics};
 use asym_sim::{
-    DutyCycle, EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, MachineSpec,
+    DutyCycle, EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, MachineSpec, Rng,
     SimDuration, SimTime,
 };
 use asym_workloads::h264::H264;
@@ -237,6 +238,11 @@ pub fn registry() -> Vec<SweepSpec> {
             name: "extra_dynamic",
             caption: "Stock-vs-aware differential under continuous dynamic environments",
             build: extra_dynamic,
+        },
+        SweepSpec {
+            name: "extra_soak",
+            caption: "Chaos soak: randomized environment x fault campaigns on the retry ladder",
+            build: extra_soak,
         },
         SweepSpec {
             name: "extra_tournament",
@@ -1948,6 +1954,177 @@ fn extra_tournament(ctx: &SweepContext) -> SweepDef {
         if !ok {
             out += "FAILURE: unclassified runs, panics, violations, or non-determinism\n";
         }
+        Rendered { text: out, ok }
+    });
+    SweepDef { sections, render }
+}
+
+// ----------------------------------------------------------------------
+// Chaos soak
+// ----------------------------------------------------------------------
+
+/// Every run record of a resilient or differential section.
+fn section_records(r: &SpecResult) -> Vec<&RunRecord> {
+    match r {
+        SpecResult::Clean(_) => Vec::new(),
+        SpecResult::Resilient(e) => e.outcomes.iter().flat_map(|o| &o.records).collect(),
+        SpecResult::Differential(e) => e
+            .outcomes
+            .iter()
+            .flat_map(|o| &o.reps)
+            .flat_map(|rep| rep.records())
+            .collect(),
+    }
+}
+
+/// The chaos soak: randomized campaigns, each one section on one
+/// configuration (quick: 1f-3s/8, 6 campaigns of 1 rep; full: the nine
+/// standard configurations, 24 campaigns of 2 reps). A campaign draws a
+/// dynamic regime (DVFS / thermal / co-tenant / combined), a fault
+/// profile (none / hotplug+throttle / kills), a runner (resilient under
+/// a drawn policy, or differential), a seed, a workload and a
+/// configuration from one SplitMix64 stream, in that order. Every
+/// campaign runs on the engine's retry ladder — watchdog 5 s, sim-time
+/// budget 60 s, one retry — with the trace analyses as its section
+/// check. Hostile conditions may cost retries, never correctness: every
+/// run must complete and every trace stay clean.
+fn extra_soak(ctx: &SweepContext) -> SweepDef {
+    let configs = if ctx.quick {
+        vec![AsymConfig::new(1, 3, 8)]
+    } else {
+        AsymConfig::standard_nine()
+    };
+    let (campaigns, reps) = if ctx.quick { (6, 1) } else { (24, 2) };
+    let mut regimes = dynamic_regimes();
+    regimes.push(("combined", EnvironmentProfile::combined(FAULT_HORIZON)));
+    let faults = [
+        ("none", None),
+        (
+            "hotplug+throttle",
+            Some(throttle_plan_for as fn(&RunSetup) -> FaultPlan),
+        ),
+        ("kills", Some(kills_plan_for)),
+    ];
+    let log = ViolationLog::new();
+    // The stream's seed is fixed: `results/extra_soak.txt` pins its draws.
+    let mut rng = Rng::new(0x50_41_4b);
+    // Per campaign: its table columns and the runs it must classify.
+    let mut rows: Vec<(Vec<String>, usize)> = Vec::new();
+    let mut sections = Vec::new();
+    for id in 0..campaigns {
+        let (regime, profile) = regimes[rng.index(regimes.len())];
+        let (fault_name, planner) = *rng.pick(&faults);
+        let differential = *rng.pick(&[false, true]);
+        let policy = if rng.chance(0.5) {
+            SchedPolicy::os_default()
+        } else {
+            SchedPolicy::asymmetry_aware()
+        };
+        let seed = rng.next_u64();
+        let mut roster = paper_workloads();
+        let workload = roster.swap_remove(rng.index(roster.len()));
+        let config = configs[rng.index(configs.len())];
+        let mut options = ResilientOptions::new(reps)
+            .base_seed(seed)
+            .watchdog(SimDuration::from_secs(5))
+            .sim_time_budget(SimDuration::from_secs(60))
+            .retries(1)
+            .trace_check(log.check())
+            .environment_planner(move |setup| {
+                EnvironmentPlan::generate(setup.seed, setup.config.num_cores() as usize, &profile)
+            });
+        if let Some(planner) = planner {
+            options = options.fault_planner(planner);
+        }
+        let label = format!("soak/{id}/{}", workload.name());
+        // The differential runner pairs both kernels itself; the drawn
+        // policy is unused there.
+        let (runner, runs) = if differential {
+            ("differential (stock+aware)".to_string(), reps * 4)
+        } else {
+            (format!("resilient ({policy})"), reps)
+        };
+        rows.push((
+            vec![
+                id.to_string(),
+                workload.name().to_string(),
+                config.to_string(),
+                regime.to_string(),
+                fault_name.to_string(),
+                runner,
+            ],
+            runs,
+        ));
+        sections.push(if differential {
+            Section::differential(label, workload, &[config], options)
+        } else {
+            Section::resilient(label, workload, &[config], policy, options)
+        });
+    }
+    let render = Box::new(move |results: &[SpecResult]| {
+        let mut out = header(
+            "Extension",
+            &format!(
+                "chaos soak: {} randomized environment x fault campaign(s)",
+                results.len()
+            ),
+        );
+        let mut table = TextTable::new(vec![
+            "#",
+            "workload",
+            "config",
+            "env",
+            "faults",
+            "runner",
+            "completed",
+            "retries",
+            "tl/st/dl/pn",
+        ]);
+        let (mut runs, mut completed, mut panicked, mut deadlocked, mut unclassified) =
+            (0usize, 0usize, 0usize, 0usize, 0usize);
+        for (r, (cols, expected)) in results.iter().zip(&rows) {
+            let records = section_records(r);
+            let count = |class| records.iter().filter(|rec| rec.class == class).count();
+            let retries: u32 = records.iter().map(|rec| rec.attempts - 1).sum();
+            let done = count(RunClass::Completed);
+            runs += records.len();
+            completed += done;
+            panicked += count(RunClass::Panicked);
+            deadlocked += count(RunClass::Deadlock);
+            unclassified += expected.saturating_sub(records.len());
+            let mut row = cols.clone();
+            row.extend([
+                format!("{done}/{}", records.len()),
+                retries.to_string(),
+                format!(
+                    "{}/{}/{}/{}",
+                    count(RunClass::TimeLimit),
+                    count(RunClass::Stalled),
+                    count(RunClass::Deadlock),
+                    count(RunClass::Panicked)
+                ),
+            ]);
+            table.row(row);
+        }
+        out += &format!("{}\n", table.render());
+        out += "classes: tl = time-limit, st = stalled, dl = deadlock, pn = panicked\n";
+        let violations = log.count();
+        out += &format!(
+            "soak invariants: {completed}/{runs} run(s) completed, {panicked} panic(s), \
+             {deadlocked} deadlock(s), {unclassified} unclassified run(s), \
+             {violations} trace violation(s)\n"
+        );
+        let ok = completed == runs
+            && panicked == 0
+            && deadlocked == 0
+            && unclassified == 0
+            && violations == 0;
+        out += if ok {
+            "Hostile environments and faults cost retries and budget, never correctness.\n"
+        } else {
+            "FAILURE: a run did not complete, panicked, deadlocked or went unclassified, \
+             or a trace analysis found a violation\n"
+        };
         Rendered { text: out, ok }
     });
     SweepDef { sections, render }

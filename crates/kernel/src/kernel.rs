@@ -354,6 +354,17 @@ pub enum RunOutcome {
     Stalled,
 }
 
+impl RunOutcome {
+    /// Whether the run stopped with work in flight but not wedged: a
+    /// time limit (a run guard's sim-time budget among them) or the
+    /// watchdog cut it. Run-to-completion workloads return such a run
+    /// early, so a harness classifies it from the trace's close instead
+    /// of from a panic.
+    pub fn is_cut_short(self) -> bool {
+        matches!(self, RunOutcome::TimeLimit | RunOutcome::Stalled)
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pending {
     /// The body must be asked for its next step.
@@ -1182,19 +1193,44 @@ impl Kernel {
             return true;
         } else {
             // Quantum expired mid-compute: go to the back of the queue.
-            let th = &mut self.threads[tid.0];
-            th.stats.preemptions += 1;
-            th.state = TState::Runnable(core);
-            th.state_since = self.time;
-            self.cores[core].queue.push_back(tid);
-            self.trace(TraceEvent::Preempt {
-                tid,
-                core: CoreId(core),
-                reason: PreemptReason::Quantum,
-            });
-            self.mark_dispatch(core);
+            self.threads[tid.0].stats.preemptions += 1;
+            self.requeue_on(tid, core, PreemptReason::Quantum);
         }
         false
+    }
+
+    /// Puts `tid`, which just left `core`'s CPU with work to do, at the
+    /// back of `core`'s queue, traces why, and marks `core` for dispatch.
+    /// Under the asymmetry-aware policy every idle online core faster
+    /// than `core` that `tid` may run on is marked too, so it pulls the
+    /// thread now instead of idling until the next balance tick; other
+    /// policies mark `core` alone, so their tie-break draws never move.
+    fn requeue_on(&mut self, tid: ThreadId, core: usize, reason: PreemptReason) {
+        let th = &mut self.threads[tid.0];
+        th.state = TState::Runnable(core);
+        th.state_since = self.time;
+        let affinity = th.affinity;
+        self.cores[core].queue.push_back(tid);
+        self.trace(TraceEvent::Preempt {
+            tid,
+            core: CoreId(core),
+            reason,
+        });
+        self.mark_dispatch(core);
+        if self.policy.is_asymmetry_aware() {
+            let speed = self.cores[core].speed;
+            for i in 0..self.cores.len() {
+                let c = &self.cores[i];
+                if c.online
+                    && c.current.is_none()
+                    && !c.executing
+                    && c.speed > speed
+                    && affinity.contains(CoreId(i))
+                {
+                    self.mark_dispatch(i);
+                }
+            }
+        }
     }
 
     /// Settles the slice `running` ran on `core` until now: its elapsed
@@ -1251,16 +1287,7 @@ impl Kernel {
                         th.state = TState::Running(core);
                         self.start_slice(core, tid);
                     } else {
-                        let th = &mut self.threads[tid.0];
-                        th.state = TState::Runnable(core);
-                        th.state_since = self.time;
-                        self.cores[core].queue.push_back(tid);
-                        self.trace(TraceEvent::Preempt {
-                            tid,
-                            core: CoreId(core),
-                            reason: PreemptReason::StepBoundary,
-                        });
-                        self.mark_dispatch(core);
+                        self.requeue_on(tid, core, PreemptReason::StepBoundary);
                     }
                     return;
                 }
@@ -1298,16 +1325,7 @@ impl Kernel {
                     return;
                 }
                 Step::Yield => {
-                    let th = &mut self.threads[tid.0];
-                    th.state = TState::Runnable(core);
-                    th.state_since = self.time;
-                    self.cores[core].queue.push_back(tid);
-                    self.trace(TraceEvent::Preempt {
-                        tid,
-                        core: CoreId(core),
-                        reason: PreemptReason::Yield,
-                    });
-                    self.mark_dispatch(core);
+                    self.requeue_on(tid, core, PreemptReason::Yield);
                     return;
                 }
                 Step::Done => {

@@ -320,8 +320,8 @@ pub struct TeamRun {
 ///
 /// # Panics
 ///
-/// Panics if the program deadlocks, stalls, or loses a worker to an
-/// injected kill. Use [`run_program_tolerant`] for runs under hostile
+/// Panics if the program deadlocks or loses a worker to an injected
+/// kill. Use [`run_program_tolerant`] for runs under hostile
 /// fault plans.
 pub fn run_program(
     machine: asym_sim::MachineSpec,
@@ -344,8 +344,9 @@ pub fn run_program(
 ///
 /// # Panics
 ///
-/// Panics if the run still fails to complete — a genuine runtime bug or
-/// an exhausted sim-time budget.
+/// Panics if the run deadlocks — a genuine runtime bug. A run a time
+/// limit or the watchdog cut short returns early with the time elapsed
+/// so far; the harness classifies it from the trace.
 pub fn run_program_tolerant(
     machine: asym_sim::MachineSpec,
     policy: asym_kernel::SchedPolicy,
@@ -357,15 +358,18 @@ pub fn run_program_tolerant(
     let mut kernel = Kernel::new(machine, policy, seed);
     let team = spawn_team(&mut kernel, program, nthreads, dispatch_overhead);
     let outcome = kernel.run();
+    let run = TeamRun {
+        elapsed: kernel.now().duration_since(asym_sim::SimTime::ZERO),
+        lost_workers: team.lost_workers(),
+    };
+    if outcome.is_cut_short() {
+        return run;
+    }
     assert_eq!(
         outcome,
         asym_kernel::RunOutcome::AllDone,
         "OMP program did not complete"
     );
-    let lost_workers = team.lost_workers();
-    debug_assert!(lost_workers > 0 || team.is_complete());
-    TeamRun {
-        elapsed: kernel.now().duration_since(asym_sim::SimTime::ZERO),
-        lost_workers,
-    }
+    debug_assert!(run.lost_workers > 0 || team.is_complete());
+    run
 }

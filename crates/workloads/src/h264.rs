@@ -512,6 +512,11 @@ impl Workload for H264 {
         );
 
         let outcome = kernel.run();
+        let lost_workers = kernel.stats().threads_killed;
+        if outcome.is_cut_short() {
+            return RunResult::new(kernel.now().as_secs_f64())
+                .with_extra("lost_workers", lost_workers as f64);
+        }
         if outcome != asym_kernel::RunOutcome::AllDone {
             eprintln!(
                 "H264 DEADLOCK: completed={} ready_len={} counts={:?}",
@@ -526,7 +531,6 @@ impl Workload for H264 {
             "H.264 encode did not complete"
         );
         assert_eq!(shared.frames_completed.peek(|c| *c), u64::from(p.frames));
-        let lost_workers = kernel.stats().threads_killed;
         let main_stats = kernel.thread_stats(main_tid);
         let encoder_migrations: u64 = encoder_tids
             .iter()

@@ -300,14 +300,18 @@ impl Workload for Pmake {
         );
 
         let outcome = kernel.run();
+        let result = RunResult::new(kernel.now().as_secs_f64())
+            .with_extra("lost_workers", kernel.stats().threads_killed as f64);
+        if outcome.is_cut_short() {
+            return result;
+        }
         assert_eq!(
             outcome,
             asym_kernel::RunOutcome::AllDone,
             "build did not complete"
         );
         assert_eq!(shared.finished_jobs.peek(|c| *c), u64::from(p.files));
-        RunResult::new(kernel.now().as_secs_f64())
-            .with_extra("lost_workers", kernel.stats().threads_killed as f64)
+        result
     }
 }
 

@@ -388,10 +388,9 @@ impl Workload for TpcH {
         );
 
         let outcome = kernel.run();
-        assert_eq!(
-            outcome,
-            asym_kernel::RunOutcome::AllDone,
-            "TPC-H run did not complete"
+        assert!(
+            outcome == asym_kernel::RunOutcome::AllDone || outcome.is_cut_short(),
+            "TPC-H run did not complete: {outcome:?}"
         );
         RunResult::new(kernel.now().as_secs_f64())
             .with_extra("lost_workers", kernel.stats().threads_killed as f64)

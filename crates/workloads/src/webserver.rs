@@ -516,7 +516,16 @@ impl Workload for Apache {
                 SpawnOptions::new().kill_exempt(),
             );
         }
-        kernel.run();
+        let outcome = kernel.run();
+        let lost_workers = kernel.stats().threads_killed as f64;
+        if outcome.is_cut_short() {
+            // Throughput so far; the harness classifies the cut run.
+            let elapsed = kernel.now().as_secs_f64();
+            let served = shared.served.peek(|n| *n) as f64;
+            return RunResult::new(served / elapsed)
+                .with_extra("elapsed_s", elapsed)
+                .with_extra("lost_workers", lost_workers);
+        }
         let finished = shared
             .finished_at
             .borrow()
@@ -524,7 +533,7 @@ impl Workload for Apache {
         let elapsed = finished.as_secs_f64();
         RunResult::new(self.load.total_requests as f64 / elapsed)
             .with_extra("elapsed_s", elapsed)
-            .with_extra("lost_workers", kernel.stats().threads_killed as f64)
+            .with_extra("lost_workers", lost_workers)
     }
 }
 

@@ -5,9 +5,12 @@
 use asym_analysis::{render_violations, AnalysisFold};
 use asym_core::{AsymConfig, RunSetup, Workload};
 use asym_kernel::{
-    capture_stream, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent, TraceHasher,
+    capture_stream, with_run_guard, RunGuard, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent,
+    TraceHasher,
 };
-use asym_sim::{MachineSpec, SimTime};
+use asym_sim::{
+    EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, MachineSpec, SimDuration, SimTime,
+};
 use asym_workloads::h264::H264;
 use asym_workloads::japps::JAppServer;
 use asym_workloads::pmake::Pmake;
@@ -85,4 +88,38 @@ fn all_workloads_clean_on_asymmetric_config() {
             render_violations(&violations)
         );
     }
+}
+
+#[test]
+fn requeued_thread_is_pulled_by_a_faster_idle_core() {
+    // A thermal trajectory plus hotplug and throttle faults leave core3
+    // idle and faster than core2 when a quantum expiry requeues a thread
+    // on core2. The aware kernel must let core3 pull it at once; waiting
+    // for the next balance tick breaks the fast-core-idle invariant.
+    let config = AsymConfig::new(3, 1, 4);
+    let seed = 1_397_698_963_602_964_042;
+    let setup = RunSetup::new(config, SchedPolicy::asymmetry_aware(), seed);
+    let horizon = SimDuration::from_secs(2);
+    let cores = config.num_cores() as usize;
+    let guard = RunGuard::new()
+        .watchdog(SimDuration::from_secs(5))
+        .sim_time_budget(SimDuration::from_secs(60))
+        .environment(EnvironmentPlan::generate(
+            seed,
+            cores,
+            &EnvironmentProfile::thermal(horizon),
+        ))
+        .fault_plan(FaultPlan::generate(
+            seed,
+            cores,
+            &FaultProfile::hotplug_and_throttle(horizon),
+        ));
+    let (_, kernels) = capture_stream(Checked::new, || {
+        with_run_guard(guard, || H264::new().run(&setup))
+    });
+    let violations: Vec<_> = kernels
+        .into_iter()
+        .flat_map(|k| k.analyses.finish())
+        .collect();
+    assert!(violations.is_empty(), "{}", render_violations(&violations));
 }
