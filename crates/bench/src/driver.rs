@@ -8,10 +8,16 @@
 //! queue — a slow spec never serializes behind a fast one — and the
 //! JSON report covers the whole invocation with per-cell timings, retry
 //! counts, and trace hashes.
+//!
+//! `--profile=CELL` and `--diff=CELL_A,CELL_B` expand the same plan but
+//! re-run only the named cells, with timeline profiles.
 
-use crate::spec::{registry, SweepContext, SweepSpec};
+use crate::spec::{registry, Section, SweepContext, SweepSpec};
 use asym_analysis::hb::ConcurrencyFold;
-use asym_core::{resolve_jobs, CellCache, CellRunner, ExperimentPlan, TraceCheck};
+use asym_core::{
+    resolve_jobs, Cell, CellCache, CellRunner, ExperimentPlan, ProfiledRun, TraceCheck,
+};
+use asym_obs::{perfetto_diff_trace, perfetto_runs, perfetto_trace, ProfileDiff};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -71,6 +77,14 @@ pub struct SweepArgs {
     /// `--max-cells N`: refuse to run a plan larger than `N` cells
     /// (guards against accidentally huge sweeps).
     pub max_cells: Option<usize>,
+    /// `--profile=CELL` (one cell) or `--diff=CELL_A,CELL_B` (two):
+    /// re-run these cells instead of the sweep. A cell is named
+    /// `SPEC:CONFIG:REP` from its report's `spec`, `config` and `rep`,
+    /// e.g. `table1/jbb-stock:2f-2s/4:0`.
+    pub cells: Vec<String>,
+    /// `--perfetto[=PATH]`: also write the re-run cells' timelines as
+    /// Perfetto JSON (default: `asym_trace.json`).
+    pub perfetto: Option<PathBuf>,
 }
 
 impl SweepArgs {
@@ -79,43 +93,42 @@ impl SweepArgs {
         let mut out = SweepArgs::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quick" => out.quick = true,
-                "--check" => out.check = true,
-                "--list" => out.list = true,
-                "--json" => out.json = Some(PathBuf::from(DEFAULT_JSON_PATH)),
-                "--jobs" => {
-                    let v = it.next().ok_or("--jobs needs a value")?;
-                    out.jobs = Some(parse_jobs(&v)?);
+            let (flag, inline) = match a.split_once('=') {
+                Some((flag, v)) if flag.starts_with("--") => (flag, Some(v)),
+                _ => (a.as_str(), None),
+            };
+            // A valued flag reads `--flag=V` or `--flag V`.
+            let mut value = || inline.map(str::to_string).or_else(|| it.next());
+            match (flag, inline) {
+                ("--quick", None) => out.quick = true,
+                ("--check", None) => out.check = true,
+                ("--list", None) => out.list = true,
+                ("--json", None) => out.json = Some(PathBuf::from(DEFAULT_JSON_PATH)),
+                ("--json", Some(v)) => out.json = Some(output_path(flag, v)?),
+                ("--perfetto", None) => out.perfetto = Some(PathBuf::from("asym_trace.json")),
+                ("--perfetto", Some(v)) => out.perfetto = Some(output_path(flag, v)?),
+                ("--jobs", _) => out.jobs = Some(positive(flag, value())?),
+                ("--max-cells", _) => out.max_cells = Some(positive(flag, value())?),
+                ("--cache", _) => out.cache = parse_cache(&value().unwrap_or_default())?,
+                ("--profile" | "--diff", Some(v)) => {
+                    let wanted = if flag == "--profile" { 1 } else { 2 };
+                    if !out.cells.is_empty() || v.split(',').count() != wanted {
+                        return Err("give one --profile=CELL or --diff=CELL_A,CELL_B".into());
+                    }
+                    out.cells = v.split(',').map(str::to_string).collect();
                 }
-                s if s.starts_with("--jobs=") => {
-                    out.jobs = Some(parse_jobs(&s["--jobs=".len()..])?);
-                }
-                s if s.starts_with("--json=") => {
-                    out.json = Some(output_path("--json", &s["--json=".len()..])?);
-                }
-                "--cache" => {
-                    let v = it.next().unwrap_or_default();
-                    out.cache = parse_cache(&v)?;
-                }
-                s if s.starts_with("--cache=") => {
-                    out.cache = parse_cache(&s["--cache=".len()..])?;
-                }
-                "--max-cells" => {
-                    let v = it.next().ok_or("--max-cells needs a value")?;
-                    out.max_cells = Some(parse_max_cells(&v)?);
-                }
-                s if s.starts_with("--max-cells=") => {
-                    out.max_cells = Some(parse_max_cells(&s["--max-cells=".len()..])?);
-                }
-                s if s.starts_with('-') => {
+                (s, _) if s.starts_with('-') => {
                     return Err(format!(
-                        "unknown flag '{s}' (expected --quick, --check, --jobs N, \
-                         --json[=PATH], --cache[=DIR|=off], --max-cells N, --list)"
+                        "unknown flag '{a}' (expected --quick, --check, --jobs N, \
+                         --json[=PATH], --cache[=DIR|=off], --max-cells N, --list, \
+                         --profile=CELL, --diff=CELL_A,CELL_B, --perfetto[=PATH])"
                     ));
                 }
-                name => out.names.push(name.to_string()),
+                _ => out.names.push(a.clone()),
             }
+        }
+        if out.perfetto.is_some() && out.cells.is_empty() {
+            return Err("--perfetto needs --profile=CELL or --diff=CELL_A,CELL_B".into());
         }
         Ok(out)
     }
@@ -126,17 +139,19 @@ impl SweepArgs {
     }
 }
 
-fn parse_jobs(v: &str) -> Result<usize, String> {
+/// Parses the positive integer a flag such as `--jobs N` takes.
+fn positive(flag: &str, v: Option<String>) -> Result<usize, String> {
+    let v = v.ok_or(format!("{flag} needs a value"))?;
     match v.parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("--jobs needs a positive integer, got '{v}'")),
+        _ => Err(format!("{flag} needs a positive integer, got '{v}'")),
     }
 }
 
 /// Parses the `PATH` of an output flag such as `--json=PATH`. An empty
 /// path is a typed error, caught before anything runs rather than when
 /// the finished run tries to write to it.
-pub fn output_path(flag: &str, v: &str) -> Result<PathBuf, String> {
+fn output_path(flag: &str, v: &str) -> Result<PathBuf, String> {
     if v.is_empty() {
         Err(format!("{flag} needs a file path"))
     } else {
@@ -149,13 +164,6 @@ fn parse_cache(v: &str) -> Result<CacheSetting, String> {
         "" => Err("--cache needs a directory (or 'off')".to_string()),
         "off" => Ok(CacheSetting::Off),
         dir => Ok(CacheSetting::Dir(PathBuf::from(dir))),
-    }
-}
-
-fn parse_max_cells(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("--max-cells needs a positive integer, got '{v}'")),
     }
 }
 
@@ -203,6 +211,17 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
             &s.configs,
             s.mode.clone(),
         );
+    }
+
+    if !args.cells.is_empty() {
+        let perfetto = args.perfetto.as_deref();
+        let run = resolve(&sections, &plan, &args.cells)
+            .and_then(|cells| rerun(&sections, &plan, &args.cells, &cells, perfetto));
+        let Err(e) = run else {
+            return ExitCode::SUCCESS;
+        };
+        eprintln!("[asym-sweep] {e}");
+        return ExitCode::FAILURE;
     }
 
     // Fail fast on oversized plans BEFORE any cell executes.
@@ -268,12 +287,23 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
     }
 
     let report = &outcome.report;
+    // Memoized and restored cells spend no host time: the
+    // serial-equivalent time and the speedup are the executed cells'.
+    let memoized = report.memoized_cells();
+    let restored = report.cells.iter().filter(|c| c.cached && !c.memoized);
+    let restored = restored.count();
+    let executed = report.cells.len() - memoized - restored;
+    let timing = format!(
+        " ({:.0} ms serial-equivalent, {:.2}x speedup)",
+        report.cells_wall_ms(),
+        report.speedup()
+    );
     eprintln!(
-        "[asym-sweep] {} cell(s) in {:.0} ms wall ({:.0} ms serial-equivalent, {:.2}x speedup, {} retries)",
+        "[asym-sweep] {} cell(s) in {:.0} ms wall: {executed} executed{}, {memoized} memoized \
+         in-plan, {restored} restored from the cache, {} retries",
         report.cells.len(),
         report.wall_ms,
-        report.cells_wall_ms(),
-        report.speedup(),
+        if executed > 0 { timing.as_str() } else { "" },
         report.total_retries()
     );
     if args.check {
@@ -284,8 +314,8 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
             .collect();
         for c in &dirty {
             eprintln!(
-                "[asym-sweep] CONCURRENCY VIOLATION {} {} {} seed {}:",
-                c.spec, c.config, c.policy, c.seed
+                "[asym-sweep] CONCURRENCY VIOLATION {} {} {} seed {} (--profile={}:{}:{}):",
+                c.spec, c.config, c.policy, c.seed, c.spec, c.config, c.rep
             );
             for v in &c.violations {
                 eprintln!("[asym-sweep]   - {v}");
@@ -305,19 +335,10 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
             ok = false;
         }
     }
-    eprintln!(
-        "[asym-sweep] {} cell(s) reused in-plan from an earlier cell with the same cache address",
-        report.memoized_cells()
-    );
     if let Some(stats) = &report.cache {
         eprintln!(
-            "[asym-sweep] cache: {} hit(s), {} miss(es), {} skip(s), {} store(s), {} invalidation(s) — {} cell(s) restored without executing",
-            stats.hits,
-            stats.misses,
-            stats.skips,
-            stats.stores,
-            stats.invalidations,
-            report.cached_cells()
+            "[asym-sweep] cache: {} hit(s), {} miss(es), {} skip(s), {} store(s), {} invalidation(s)",
+            stats.hits, stats.misses, stats.skips, stats.stores, stats.invalidations,
         );
     }
     if let Some(json) = json {
@@ -370,6 +391,119 @@ impl JsonReport {
             .map(|()| self.path.clone())
             .map_err(|e| format!("failed to write {}: {e}", self.path.display()))
     }
+}
+
+/// The plan index of each cell `names` selects, or why one cannot be
+/// re-run; decided before any cell runs.
+fn resolve(
+    sections: &[Section],
+    plan: &ExperimentPlan<'_>,
+    names: &[String],
+) -> Result<Vec<usize>, String> {
+    let name = |c: &Cell| format!("{}:{}:{}", sections[c.spec].label, c.setup.config, c.rep);
+    let cells = plan.cells();
+    names
+        .iter()
+        .map(|sel| {
+            let mut found = (0..cells.len()).filter(|&i| name(&cells[i]) == *sel);
+            match (found.next(), found.next()) {
+                (None, _) => Err(format!(
+                    "no cell '{sel}' in the selected specs: name the spec that holds it, \
+                     and the cell as SPEC:CONFIG:REP from its report's spec, config and rep"
+                )),
+                (Some(_), Some(_)) => Err(format!(
+                    "cell selector '{sel}' is ambiguous: its section appears twice in the plan"
+                )),
+                (Some(i), None)
+                    if names.len() == 2
+                        && sections[cells[i].spec].mode.name() == "differential" =>
+                {
+                    Err(format!(
+                        "--diff takes single-run cells, and '{sel}' is differential: \
+                         open its four legs with --profile={sel}"
+                    ))
+                }
+                (Some(i), None) => Ok(i),
+            }
+        })
+        .collect()
+}
+
+/// Re-runs `cells` (selected as `names`) through the engine with
+/// timeline profiles, prints the `--profile` report (one cell) or the
+/// `--diff` report (two), and writes the Perfetto export to `perfetto`.
+fn rerun(
+    sections: &[Section],
+    plan: &ExperimentPlan<'_>,
+    names: &[String],
+    cells: &[usize],
+    perfetto: Option<&Path>,
+) -> Result<(), String> {
+    // A run's workload, configuration, policy and seed, and its metric.
+    let describe = |i: usize, run: &ProfiledRun| {
+        let (cell, r) = (&plan.cells()[i], &run.record);
+        let (section, policy, seed) = (&sections[cell.spec], run.policy, r.seed);
+        let (w, config) = (&section.workload, cell.setup.config);
+        let mut about = format!("{} on {config} under {policy}, seed {seed}", w.name());
+        if section.mode.name() != "clean" {
+            about += &format!(", {} after {} attempt(s)", r.class, r.attempts);
+        }
+        let metric = match r.value {
+            Some(v) => format!("{v:.1} {}", w.unit()),
+            None => format!("none ({})", r.class),
+        };
+        (about, metric)
+    };
+    if let ([name], [i]) = (names, cells) {
+        let runs = plan.profile_cell(*i);
+        for (k, run) in runs.iter().enumerate() {
+            let (about, metric) = describe(*i, run);
+            let leg = run.leg.map_or(String::new(), |l| format!(" leg {l}"));
+            let n = run.profiles.len();
+            print!("{}", if k > 0 { "\n" } else { "" });
+            println!("asym_sweep --profile={name}{leg}: {about}");
+            println!("primary metric: {metric} over {n} kernel(s)\n");
+            for (k, p) in run.profiles.iter().enumerate() {
+                if n > 1 {
+                    println!("--- kernel {k} ---");
+                }
+                print!("{p}");
+            }
+        }
+        return write_trace(perfetto, || match &runs[..] {
+            [run] if run.leg.is_none() => perfetto_trace(&run.profiles),
+            legs => perfetto_runs(
+                &legs
+                    .iter()
+                    .map(|r| (r.leg.unwrap_or_default(), &r.profiles[..]))
+                    .collect::<Vec<_>>(),
+            ),
+        });
+    }
+    let [a, b] = [cells[0], cells[1]].map(|i| plan.profile_cell(i).remove(0));
+    let (name_a, name_b) = (&names[0], &names[1]);
+    let diff = ProfileDiff::new(&a.profiles, &b.profiles, name_a, name_b)
+        .map_err(|e| format!("--diff cannot align {name_a} with {name_b}: {e}"))?;
+    let ((about_a, metric_a), (about_b, metric_b)) =
+        (describe(cells[0], &a), describe(cells[1], &b));
+    println!("asym_sweep --diff: A={name_a} ({about_a}) vs B={name_b} ({about_b})");
+    println!("primary metric: A {metric_a}  B {metric_b}\n");
+    print!("{diff}");
+    println!("attribution json: {}", diff.attribution.to_json());
+    write_trace(perfetto, || {
+        let (label_a, label_b) = (format!("A:{name_a}"), format!("B:{name_b}"));
+        perfetto_diff_trace(&a.profiles, &b.profiles, &label_a, &label_b)
+    })
+}
+
+/// Writes the Perfetto export `json` renders to `path`, if one was asked for.
+fn write_trace(path: Option<&Path>, json: impl FnOnce() -> String) -> Result<(), String> {
+    let Some(path) = path else {
+        return Ok(());
+    };
+    std::fs::write(path, json()).map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+    eprintln!("[asym-sweep] wrote {}", path.display());
+    Ok(())
 }
 
 /// The [`TraceCheck`] that plugs `asym-analysis`'s happens-before race
@@ -445,5 +579,48 @@ mod tests {
         assert!(parse(&["--jobs=x"]).is_err());
         assert!(parse(&["--max-cells=0"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
+        let perfetto_err = Err("--perfetto needs a file path".to_string());
+        let args = ["--profile=t:2f-2s/4:0", "--perfetto="];
+        assert_eq!(parse(&args).map(|a| a.perfetto), perfetto_err);
+        assert!(parse(&["--diff=t:2f-2s/4:0"]).is_err());
+        assert!(parse(&["--profile=t:2f-2s/4:0,t:2f-2s/4:1"]).is_err());
+        let err = parse(&["--perfetto"]).unwrap_err();
+        assert_eq!(
+            err,
+            "--perfetto needs --profile=CELL or --diff=CELL_A,CELL_B"
+        );
+        let both = ["--profile=t:2f-2s/4:0", "--diff=t:2f-2s/4:0,t:2f-2s/4:1"];
+        assert!(parse(&both).is_err());
+
+        // Selectors that name no single cell fail before any cell runs.
+        let resolve = |argv: &[&str]| {
+            let args = parse(argv).expect("valid command line");
+            let ctx = SweepContext { quick: args.quick };
+            let specs = registry();
+            let sections: Vec<Section> = args
+                .names
+                .iter()
+                .flat_map(|n| (specs.iter().find(|s| s.name == n).unwrap().build)(&ctx).sections)
+                .collect();
+            let mut plan = ExperimentPlan::new("test");
+            for s in &sections {
+                let mode = s.mode.clone();
+                plan.push(s.label.as_str(), s.workload.as_ref(), &s.configs, mode);
+            }
+            resolve(&sections, &plan, &args.cells)
+        };
+        let jbb = "--profile=table1/jbb-stock:2f-2s/4:0";
+        assert_eq!(resolve(&["table1", jbb]).map(|c| c.len()), Ok(1));
+        assert!(resolve(&["mini", jbb]).unwrap_err().contains("no cell"));
+        for cell in ["nope", "a:b", ":2f-2s/4:0", "table1/jbb-stock:2f-2s/4:4"] {
+            let err = resolve(&["table1", &format!("--profile={cell}")]).unwrap_err();
+            assert!(err.contains("SPEC:CONFIG:REP"), "{cell}: {err}");
+        }
+        let err = resolve(&["table1", "table1", jbb]).unwrap_err();
+        assert!(err.contains("is ambiguous"), "{err}");
+        let cell = "absorb/Apache:1f-3s/8:0";
+        let diff = format!("--diff={cell},{cell}");
+        let err = resolve(&["extra_absorption", "--quick", &diff]).unwrap_err();
+        assert!(err.contains(&format!("--profile={cell}")), "{err}");
     }
 }

@@ -22,16 +22,13 @@ use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
 mod driver;
 mod spec;
 
-pub use driver::{
-    concurrency_check, output_path, run_sweeps, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR,
-};
+pub use driver::{concurrency_check, run_sweeps, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR};
 pub use spec::{registry, RenderFn, Rendered, Section, SweepContext, SweepDef, SweepSpec};
 
 /// The eight paper workloads at the harness's standard
 /// parameterizations, in fig10 / table-1 order: the roster of the
-/// all-workload specs (`extra_check_matrix` among them) and the menu
-/// `asym_profile` selects from by [`Workload::name`].
-pub fn paper_workloads() -> Vec<Box<dyn Workload>> {
+/// all-workload specs (`fig10` and `extra_check_matrix` among them).
+pub(crate) fn paper_workloads() -> Vec<Box<dyn Workload>> {
     vec![
         Box::new(JAppServer::new(320.0)),
         Box::new(SpecJbb::new(16).gc(GcKind::ConcurrentGenerational)),

@@ -4,10 +4,23 @@
 //! ladder's budget doubling (and a differential leg's escalation) sees
 //! what actually happened.
 
-use asym_bench::paper_workloads;
-use asym_core::{run_spec, AsymConfig, ResilientOptions, RunClass, SpecMode};
+use asym_bench::{registry, SweepContext};
+use asym_core::{run_spec, AsymConfig, ResilientOptions, RunClass, SpecMode, Workload};
 use asym_kernel::SchedPolicy;
 use asym_sim::SimDuration;
+
+/// The eight paper workloads, in the order the `fig10` spec sweeps them.
+fn paper_workloads() -> Vec<Box<dyn Workload>> {
+    let fig10 = registry()
+        .into_iter()
+        .find(|s| s.name == "fig10")
+        .expect("fig10 is registered");
+    (fig10.build)(&SweepContext { quick: false })
+        .sections
+        .into_iter()
+        .map(|s| s.workload)
+        .collect()
+}
 
 #[test]
 fn budget_cut_runs_are_classed_time_limit() {

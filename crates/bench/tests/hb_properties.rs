@@ -13,7 +13,7 @@
 
 use asym_analysis::hb::{check_concurrency, happens_before};
 use asym_analysis::{analyze_trace, ViolationLog};
-use asym_bench::{concurrency_check, paper_workloads};
+use asym_bench::{concurrency_check, registry, SweepContext};
 use asym_core::{
     AsymConfig, CellRunner, Direction, ExperimentOptions, ExperimentPlan, ResilientOptions,
     RunClass, RunResult, RunSetup, SpecMode, TraceCheck, Workload,
@@ -24,6 +24,19 @@ use asym_kernel::{
 };
 use asym_sim::{Cycles, FaultPlan, FaultProfile, SimDuration};
 use asym_sync::SimShared;
+
+/// The eight paper workloads, in the order the `fig10` spec sweeps them.
+fn paper_workloads() -> Vec<Box<dyn Workload>> {
+    let fig10 = registry()
+        .into_iter()
+        .find(|s| s.name == "fig10")
+        .expect("fig10 is registered");
+    (fig10.build)(&SweepContext { quick: false })
+        .sections
+        .into_iter()
+        .map(|s| s.workload)
+        .collect()
+}
 
 /// The HB relation of every trace of every (workload, config) cell is a
 /// DAG consistent with time: every edge points from an earlier record

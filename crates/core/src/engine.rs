@@ -37,7 +37,7 @@ use asym_kernel::{
     capture_stream, with_run_guard, RunGuard, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent,
     TraceHashFold, TraceHasher,
 };
-use asym_obs::{DiffAttribution, ProfileFold, ProfileMetrics};
+use asym_obs::{DiffAttribution, ProfileFold, ProfileMetrics, RunProfile};
 use asym_sim::{EnvironmentPlan, FaultPlan, MachineSpec, SimDuration, SimTime, StableHasher};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -290,6 +290,60 @@ impl<'w> ExperimentPlan<'w> {
             .map(|cell| cache_key(&self.specs[cell.spec], cell))
             .collect()
     }
+
+    /// The plan's cells, in execution order.
+    pub fn cells(&self) -> &[Cell] {
+        &self.cells
+    }
+
+    /// Re-executes cell `index` as [`CellRunner::run`] would (same seed,
+    /// plans, retry ladder and section check), folding every kernel
+    /// through [`ProfileFold::with_timeline`], and returns the runs it
+    /// reported: a single-run cell's final attempt, or a differential
+    /// cell's four legs. No cache, memoization or runner check applies.
+    /// Panics if `index` is out of range or a clean cell panics.
+    pub fn profile_cell(&self, index: usize) -> Vec<ProfiledRun> {
+        let cell = &self.cells[index];
+        let tap = ProfileTap::default();
+        let out = exec_cell(&self.specs[cell.spec], cell, false, None, Some(&tap));
+        // The tap holds every attempt in execution order; each run's
+        // record counts its attempts, and the last of them is the one
+        // reported.
+        let mut attempts = tap.take().into_iter();
+        let mut last = |leg, policy, record: RunRecord| {
+            let final_attempt = attempts.nth(record.attempts as usize - 1);
+            let (trace_hash, profiles) = final_attempt.expect("every attempt reaches the tap");
+            ProfiledRun {
+                leg,
+                policy,
+                record,
+                trace_hash,
+                profiles,
+            }
+        };
+        match out.data {
+            CellData::Clean(result) => {
+                let record = RunRecord {
+                    seed: cell.setup.seed,
+                    attempts: 1,
+                    class: RunClass::Completed,
+                    value: Some(result.value),
+                    extras: result.extras,
+                };
+                vec![last(None, cell.setup.policy, record)]
+            }
+            CellData::Resilient(record) => vec![last(None, cell.setup.policy, record)],
+            CellData::Differential(rep) => {
+                let [stock, aware] = [SchedPolicy::os_default(), SchedPolicy::asymmetry_aware()];
+                let policies = [stock, stock, aware, aware];
+                LEGS.into_iter()
+                    .zip(policies)
+                    .zip(rep.records())
+                    .map(|((leg, policy), r)| last(Some(leg), policy, r.clone()))
+                    .collect()
+            }
+        }
+    }
 }
 
 /// For each key, the index of its first occurrence when that is an
@@ -348,6 +402,37 @@ pub trait CheckFold: TraceConsumer {
 /// (see `asym_sweep --check`).
 pub type TraceCheck =
     Arc<dyn Fn(&MachineSpec, SchedPolicy, u64) -> Box<dyn CheckFold> + Send + Sync>;
+
+/// One run of a cell re-executed by [`ExperimentPlan::profile_cell`]:
+/// the final attempt of a clean or resilient cell, or one leg of a
+/// differential cell.
+#[derive(Debug, Clone)]
+pub struct ProfiledRun {
+    /// The differential leg (`stock-clean`, `stock-faulted`,
+    /// `aware-clean` or `aware-faulted`); `None` for a single-run cell.
+    pub leg: Option<&'static str>,
+    /// The policy the run was scheduled under.
+    pub policy: SchedPolicy,
+    /// The final attempt's seed, attempt count, class and value.
+    pub record: RunRecord,
+    /// The profiled kernels' stable hashes, folded in creation order;
+    /// absent when the attempt panicked.
+    pub trace_hash: Option<u64>,
+    /// The timeline profile of every kernel, in creation order.
+    pub profiles: Vec<RunProfile>,
+}
+
+/// Where a profiled cell's attempts hand over their folded trace hash
+/// and timeline profiles, in execution order.
+type ProfileTap = std::rc::Rc<std::cell::RefCell<Vec<(Option<u64>, Vec<RunProfile>)>>>;
+
+/// A differential cell's four runs, in execution order.
+const LEGS: [&str; 4] = [
+    "stock-clean",
+    "stock-faulted",
+    "aware-clean",
+    "aware-faulted",
+];
 
 /// What one executed cell produced, before reassembly.
 #[derive(Clone)]
@@ -463,7 +548,10 @@ impl CellFold {
     fn new(machine: &MachineSpec, policy: SchedPolicy, checks: &Checks) -> Self {
         CellFold {
             hasher: TraceHasher::new(),
-            profile: checks.metrics.then(|| ProfileFold::new(machine, policy)),
+            profile: match checks.timeline {
+                Some(_) => Some(ProfileFold::with_timeline(machine, policy)),
+                None => checks.metrics.then(|| ProfileFold::new(machine, policy)),
+            },
             check: checks
                 .runner
                 .as_ref()
@@ -519,13 +607,15 @@ impl TraceConsumer for CellFold {
 
 /// What every kernel of an attempt folds besides its hash: the run
 /// profile when `metrics` is set, the runner's check, and the
-/// section's check, both built with the cell's `seed`.
+/// section's check, both built with the cell's `seed`. A `timeline` tap
+/// gets every attempt's hash and timeline profiles.
 #[derive(Clone)]
 struct Checks {
     metrics: bool,
     seed: u64,
     runner: Option<TraceCheck>,
     section: Option<TraceCheck>,
+    timeline: Option<ProfileTap>,
 }
 
 /// What the folds of one attempt's kernels add up to.
@@ -547,6 +637,7 @@ struct Folded {
 /// folds are closed here, on every attempt; their findings stay theirs.
 fn run_folded(checks: &Checks, f: impl FnOnce() -> RunResult) -> (RunResult, Folded) {
     let mut metrics = checks.metrics.then(ProfileMetrics::new);
+    let tap = checks.timeline.clone();
     let checks = checks.clone();
     let (result, folds) = capture_stream(
         move |machine: &MachineSpec, policy| CellFold::new(machine, policy, &checks),
@@ -555,11 +646,13 @@ fn run_folded(checks: &Checks, f: impl FnOnce() -> RunResult) -> (RunResult, Fol
     let mut class = RunClass::Completed;
     let mut hash = TraceHashFold::new();
     let mut violations = Vec::new();
+    let mut profiles = Vec::new();
     for fold in folds {
         class = class.max(classify_one(fold.outcome, fold.budget_exhausted));
         hash.push(fold.hasher.finish());
-        if let (Some(acc), Some(p)) = (metrics.as_mut(), fold.profile) {
-            acc.merge(&p.finish().metrics());
+        if let Some(p) = fold.profile.map(ProfileFold::finish) {
+            metrics.iter_mut().for_each(|acc| acc.merge(&p.metrics()));
+            profiles.extend(tap.is_some().then_some(p));
         }
         if let Some(c) = fold.check {
             violations.extend(c.findings());
@@ -568,9 +661,13 @@ fn run_folded(checks: &Checks, f: impl FnOnce() -> RunResult) -> (RunResult, Fol
             c.findings();
         }
     }
+    let hash = hash.finish();
+    if let Some(tap) = tap {
+        tap.borrow_mut().push((Some(hash), profiles));
+    }
     let folded = Folded {
         class,
-        hash: hash.finish(),
+        hash,
         metrics,
         violations,
     };
@@ -654,14 +751,18 @@ fn attempt_run(
         run_folded(checks, || with_run_guard(guard, || workload.run(setup)))
     }));
     match caught {
-        Err(_) => Attempt {
-            class: RunClass::Panicked,
-            value: None,
-            extras: BTreeMap::new(),
-            hash: None,
-            metrics: None,
-            violations: Vec::new(),
-        },
+        Err(_) => {
+            let tap = checks.timeline.iter();
+            tap.for_each(|tap| tap.borrow_mut().push((None, Vec::new())));
+            Attempt {
+                class: RunClass::Panicked,
+                value: None,
+                extras: BTreeMap::new(),
+                hash: None,
+                metrics: None,
+                violations: Vec::new(),
+            }
+        }
         Ok((result, folded)) => Attempt {
             class: folded.class,
             value: (folded.class == RunClass::Completed).then_some(result.value),
@@ -849,20 +950,11 @@ fn exec_differential(
     // legs only: the clean legs stay the undisturbed baseline, so the
     // absorption metric quantifies how much of the *dynamic* slowdown
     // the aware policy recovers.
-    let (stock_clean, _) = run("stock-clean", SchedPolicy::os_default(), None, None);
-    let (stock_faulted, stock_m) = run(
-        "stock-faulted",
-        SchedPolicy::os_default(),
-        plan,
-        environment,
-    );
-    let (aware_clean, _) = run("aware-clean", SchedPolicy::asymmetry_aware(), None, None);
-    let (aware_faulted, aware_m) = run(
-        "aware-faulted",
-        SchedPolicy::asymmetry_aware(),
-        plan,
-        environment,
-    );
+    let [stock, aware] = [SchedPolicy::os_default(), SchedPolicy::asymmetry_aware()];
+    let (stock_clean, _) = run(LEGS[0], stock, None, None);
+    let (stock_faulted, stock_m) = run(LEGS[1], stock, plan, environment);
+    let (aware_clean, _) = run(LEGS[2], aware, None, None);
+    let (aware_faulted, aware_m) = run(LEGS[3], aware, plan, environment);
     let diff = match (&stock_m, &aware_m) {
         (Some(a), Some(b)) => Some(DiffAttribution::from_metrics(a, b)),
         _ => None,
@@ -967,6 +1059,7 @@ fn exec_cell(
     cell: &Cell,
     want_metrics: bool,
     check: Option<&TraceCheck>,
+    timeline: Option<&ProfileTap>,
 ) -> CellOutcome {
     let start = Instant::now();
     let checks = |section: Option<&TraceCheck>| Checks {
@@ -974,6 +1067,7 @@ fn exec_cell(
         seed: cell.setup.seed,
         runner: check.cloned(),
         section: section.cloned(),
+        timeline: timeline.cloned(),
     };
     let mut out = match &spec.mode {
         SpecMode::Clean { .. } => exec_clean(spec.workload, cell, &checks(None)),
@@ -1153,9 +1247,13 @@ impl CellRunner {
                     Some(hit) => hit,
                     None => match dup_of[i] {
                         Some(j) => outs[j].memoized_copy(),
-                        None => {
-                            exec_cell(&plan.specs[c.spec], c, self.metrics, self.check.as_ref())
-                        }
+                        None => exec_cell(
+                            &plan.specs[c.spec],
+                            c,
+                            self.metrics,
+                            self.check.as_ref(),
+                            None,
+                        ),
                     },
                 };
                 outs.push(out);
@@ -1183,6 +1281,7 @@ impl CellRunner {
                         &cells[i],
                         self.metrics,
                         self.check.as_ref(),
+                        None,
                     );
                     *slots[i].lock().expect("cell slot poisoned") = Some(out);
                 });

@@ -66,7 +66,7 @@ pub use cache::{CacheStats, CellCache};
 pub use config::{AsymConfig, ParseConfigError};
 pub use engine::{
     default_jobs, resolve_jobs, run_spec, Cell, CellReport, CellRunner, CheckFold, ExperimentPlan,
-    PlanOutcome, SpecMode, SpecResult, SweepReport, TraceCheck,
+    PlanOutcome, ProfiledRun, SpecMode, SpecResult, SweepReport, TraceCheck,
 };
 pub use experiment::{
     ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, EnvPlanner,

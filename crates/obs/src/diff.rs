@@ -11,7 +11,7 @@
 //!   busy, slow-core busy, fast-idle-while-slow-runnable, other idle,
 //!   offline — five buckets whose sum is identically `wall_delta ×
 //!   cores`), demand-side wait deltas, and a per-thread table. Its
-//!   `Display` is the deterministic text report of `asym_diff`.
+//!   `Display` is the deterministic text report of `asym_sweep --diff`.
 //! * [`DiffAttribution`] — the compact integer summary derived from two
 //!   merged [`ProfileMetrics`] records, embedded per differential cell
 //!   in `BENCH_sweep.json`.
@@ -174,7 +174,7 @@ impl ThreadDelta {
 
 /// The full differential view of two aligned runs. Build with
 /// [`ProfileDiff::new`]; render with `Display` (the deterministic text
-/// report `asym_diff` prints and CI byte-compares).
+/// report `asym_sweep --diff` prints and CI byte-compares).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileDiff {
     /// Label of run A (the baseline, e.g. `stock`).

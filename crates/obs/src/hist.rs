@@ -368,7 +368,7 @@ impl Default for Log2Histogram {
 
 /// Renders occupied buckets as `[low, high) count |bar|` lines, top-count
 /// normalised to a 40-column bar — the representation used by
-/// `asym_profile` and pinned by the golden-profile test.
+/// `asym_sweep --profile` and pinned by the golden-profile test.
 impl fmt::Display for Log2Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.count == 0 {

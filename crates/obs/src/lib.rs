@@ -74,7 +74,7 @@ mod profile;
 
 pub use diff::{DiffAttribution, DiffError, ProfileDiff, ThreadDelta};
 pub use hist::{HistogramPartsError, Log2Histogram, PercentileBound, HIST_BUCKETS};
-pub use perfetto::{perfetto_diff_trace, perfetto_trace};
+pub use perfetto::{perfetto_diff_trace, perfetto_runs, perfetto_trace};
 pub use profile::{
     metrics_of_traces, CoreProfile, ProfileFold, ProfileMetrics, RunProfile, ThreadProfile,
     WaitKind, WaitProfile,

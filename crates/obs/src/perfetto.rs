@@ -25,8 +25,8 @@ use crate::profile::{CounterKind, MarkKind, RunProfile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Process-id offset separating run B from run A in a dual-timeline
-/// diff export (run A's pids are `k*100 + core`, far below this).
+/// Process-id offset between consecutive runs of a multi-run export
+/// (run A's pids are `k*100 + core`, far below this).
 const DIFF_PID_OFFSET: usize = 50_000;
 
 /// Escapes a string for embedding in a JSON string literal. Our
@@ -287,9 +287,18 @@ pub fn perfetto_diff_trace(
     label_a: &str,
     label_b: &str,
 ) -> String {
+    perfetto_runs(&[(label_a, a), (label_b, b)])
+}
+
+/// Renders labelled runs — the four legs of a differential cell, say —
+/// into one document from a shared t=0 origin: run `i`'s cores are
+/// processes `i*50 000 + k*100 + c`, their names prefixed by its label.
+/// Two runs render exactly as [`perfetto_diff_trace`].
+pub fn perfetto_runs(runs: &[(&str, &[RunProfile])]) -> String {
     let mut w = TraceWriter::new();
-    w.emit_runs(a, 0, Some(label_a));
-    w.emit_runs(b, DIFF_PID_OFFSET, Some(label_b));
+    for (i, (label, profiles)) in runs.iter().enumerate() {
+        w.emit_runs(profiles, i * DIFF_PID_OFFSET, Some(label));
+    }
     w.finish()
 }
 

@@ -528,7 +528,7 @@ impl ProfileFold {
     }
 
     /// A fresh fold that also records the Perfetto timeline (what
-    /// `asym_profile` and `asym_diff` stream their runs into).
+    /// `asym_sweep --profile` and `--diff` stream their runs into).
     pub fn with_timeline(machine: &MachineSpec, policy: SchedPolicy) -> Self {
         let mut fold = ProfileFold::new(machine, policy);
         fold.timeline = Some(Timeline::new(&fold.cores));

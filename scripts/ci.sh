@@ -58,22 +58,21 @@ cargo run -q --release -p asym-bench --bin asym_sweep -- extra_fault_sweep --qui
 echo "==> asym_sweep extra_absorption --quick --check (differential stock-vs-aware smoke: paired, panic-free, kills accounted, race- and lint-clean)"
 cargo run -q --release -p asym-bench --bin asym_sweep -- extra_absorption --quick --check > /dev/null
 
-echo "==> asym_profile (observability smoke: one SPECjbb cell + Perfetto export)"
-cargo run -q --release -p asym-bench --bin asym_profile -- \
-  --workload SPECjbb --config 2f-2s/4 --policy stock --seed 42 \
-  --perfetto=ASYM_profile_trace.json > ASYM_profile.txt
+echo "==> asym_sweep table1 --profile (observability smoke: one SPECjbb cell re-run with its timeline + Perfetto export)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- table1 \
+  --profile=table1/jbb-stock:2f-2s/4:0 --perfetto=ASYM_profile_trace.json > ASYM_profile.txt
 for needle in "util" "fast idle while slow runnable" "migrations" "scheduler latency" "run quantum"; do
-  grep -q "$needle" ASYM_profile.txt || { echo "FAIL: asym_profile report lacks '$needle'"; exit 1; }
+  grep -q "$needle" ASYM_profile.txt || { echo "FAIL: --profile report lacks '$needle'"; exit 1; }
 done
 
-echo "==> asym_diff (differential smoke: Apache stock vs asym-aware, same seed, twice)"
-cargo run -q --release -p asym-bench --bin asym_diff -- \
-  --workload Apache --config 4f-4s/8 --seed 1 \
-  --perfetto=ASYM_diff_trace.json > ASYM_diff.txt
-cargo run -q --release -p asym-bench --bin asym_diff -- \
-  --workload Apache --config 4f-4s/8 --seed 1 > ASYM_diff_rerun.txt
-cmp ASYM_diff.txt ASYM_diff_rerun.txt || { echo "FAIL: asym_diff report not byte-identical across invocations"; exit 1; }
-grep -q "residual +0ns" ASYM_diff.txt || { echo "FAIL: asym_diff attribution does not tile the wall delta"; exit 1; }
+echo "==> asym_sweep table1 --diff (differential smoke: Apache stock vs asym-aware cells, same seed, twice)"
+DIFF_CELLS="table1/apache-stock:2f-2s/4:0,table1/apache-aware:2f-2s/4:0"
+cargo run -q --release -p asym-bench --bin asym_sweep -- table1 \
+  --diff="$DIFF_CELLS" --perfetto=ASYM_diff_trace.json > ASYM_diff.txt
+cargo run -q --release -p asym-bench --bin asym_sweep -- table1 \
+  --diff="$DIFF_CELLS" > ASYM_diff_rerun.txt
+cmp ASYM_diff.txt ASYM_diff_rerun.txt || { echo "FAIL: --diff report not byte-identical across invocations"; exit 1; }
+grep -q "residual +0ns" ASYM_diff.txt || { echo "FAIL: --diff attribution does not tile the wall delta"; exit 1; }
 if command -v python3 > /dev/null; then
   python3 - <<'EOF'
 import json
@@ -83,7 +82,7 @@ ev = trace["traceEvents"]
 assert ev, "diff Perfetto export has no traceEvents"
 assert {e["ph"] for e in ev} <= {"M", "X", "i", "C", "s", "f"}, "unexpected event phase"
 pids = {e["pid"] for e in ev if e["ph"] == "M" and e["name"] == "process_name"}
-assert len(pids) == 16, f"expected 16 core processes (two 8-core runs), got {len(pids)}"
+assert len(pids) == 8, f"expected 8 core processes (two 4-core runs), got {len(pids)}"
 counters = {(e["pid"], e["name"]) for e in ev if e["ph"] == "C"}
 for pid in pids:
     assert (pid, "speed_pmy") in counters, f"pid {pid} lacks a speed counter track"
@@ -98,11 +97,11 @@ EOF
 fi
 rm -f ASYM_diff_rerun.txt
 
-echo "==> asym_profile / asym_diff outputs match their pinned SHA-256 digests (the Perfetto timeline recorder is unchanged)"
+echo "==> --profile / --diff outputs match their pinned SHA-256 digests (the Perfetto timeline recorder is unchanged)"
 # The four outputs are build artefacts (the diff export alone is 34 MB),
 # so their digests are what the repository pins.
 sha256sum --check --quiet scripts/profile_outputs.sha256 \
-  || { echo "FAIL: asym_profile/asym_diff output differs from scripts/profile_outputs.sha256"; exit 1; }
+  || { echo "FAIL: --profile/--diff output differs from scripts/profile_outputs.sha256"; exit 1; }
 
 echo "==> asym_sweep mini --json=/nonexistent-dir/x.json (an unwritable report path fails before any cell runs)"
 # The figure text is printed only after the sweep, so empty stdout shows
