@@ -33,9 +33,24 @@
 //! clocks by [`WaitId`], atomic clocks and race state by [`ShareId`] and
 //! word (the ids are sequential per kernel). Acquires join object clocks
 //! into the thread clock in place, and releases join the thread clock
-//! into the object clock in place, so no clock is copied per event. The
-//! explicit edge list is built only by [`happens_before`]; the race
-//! check derives the same ordering from the clocks alone.
+//! into the object clock in place. The explicit edge list is built only
+//! by [`happens_before`]; the race check derives the same ordering from
+//! the clocks alone.
+//!
+//! # Clock representation
+//!
+//! A dense clock holds one component per thread, so a kernel of `T`
+//! threads holds Θ(T²) of them: PMAKE's 791 compile jobs cost ~2 MB of
+//! clocks per kernel. A kernel whose thread ids stay below
+//! `DENSE_WIDTH` (64) keeps dense `Vec<u32>` clocks, whose joins and
+//! snapshots are plain loops and copies. The first record that names a
+//! wider thread converts the kernel's whole state, once, to clocks of
+//! copy-on-write chunks of 32 components. Spawn inheritance, signal
+//! snapshots and joins by a dominating chunk then share chunks instead
+//! of copying them, and joins skip pointer-equal chunks, so memory
+//! follows the synchronization history: PMAKE's checker now costs
+//! ~0.5 MB. Both representations hold the same components, so the
+//! verdicts, cited sites and edges do not depend on the switch.
 //!
 //! # Race detection
 //!
@@ -73,6 +88,7 @@ use asym_kernel::{
 };
 use asym_sim::{CoreId, CoreMask, MachineSpec, SimDuration, SimTime, Speed};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 // ----------------------------------------------------------------------
 // Online lints
@@ -179,21 +195,61 @@ fn obj_name(labels: &[String], obj: ShareId) -> String {
 // Vector clocks
 // ----------------------------------------------------------------------
 
-/// A vector clock over thread indices (grown on demand). Deliberately
-/// not `Clone`: every join and snapshot works in place.
-#[derive(Default)]
-struct VClock(Vec<u32>);
+/// Thread ids below this keep a kernel on [`DenseClock`]s: at most
+/// `DENSE_WIDTH²` components, cheaper to copy than to share. The first
+/// wider id converts the kernel's clocks, once, to [`ChunkedClock`]s.
+const DENSE_WIDTH: usize = 64;
 
-impl VClock {
+/// Components per [`ChunkedClock`] chunk.
+const CHUNK: usize = 32;
+
+/// A vector clock over thread indices (grown on demand, absent
+/// components read 0). Deliberately not `Clone`: every join and
+/// snapshot works in place.
+trait VClock: Default {
+    fn get(&self, t: usize) -> u32;
+
+    /// Makes room for component `t` (a thread's own, before it ticks).
+    fn hold(&mut self, t: usize);
+
+    /// Advances component `t`, which [`hold`](VClock::hold) made room for.
+    fn tick(&mut self, t: usize);
+
+    /// The componentwise maximum of both clocks, into `self`.
+    fn join(&mut self, other: &Self);
+
+    /// Makes `self` equal to `other`.
+    fn assign(&mut self, other: &Self);
+
+    /// Resets every component to 0.
+    fn clear(&mut self);
+
+    /// Does this clock cover thread `t` up to `clock`?
+    fn covers(&self, t: usize, clock: u32) -> bool {
+        self.get(t) >= clock
+    }
+}
+
+/// One `u32` per component: a narrow kernel's clock.
+#[derive(Default)]
+struct DenseClock(Vec<u32>);
+
+impl VClock for DenseClock {
     fn get(&self, t: usize) -> u32 {
         self.0.get(t).copied().unwrap_or(0)
+    }
+
+    fn hold(&mut self, t: usize) {
+        if self.0.len() <= t {
+            self.0.resize(t + 1, 0);
+        }
     }
 
     fn tick(&mut self, t: usize) {
         self.0[t] += 1;
     }
 
-    fn join(&mut self, other: &VClock) {
+    fn join(&mut self, other: &Self) {
         if self.0.len() < other.0.len() {
             self.0.resize(other.0.len(), 0);
         }
@@ -202,23 +258,111 @@ impl VClock {
         }
     }
 
-    /// Does this clock cover thread `t` up to `clock`?
-    fn covers(&self, t: usize, clock: u32) -> bool {
-        self.get(t) >= clock
+    fn assign(&mut self, other: &Self) {
+        self.0.clone_from(&other.0);
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+type Chunk = [u32; CHUNK];
+
+/// A wide kernel's clock: components in copy-on-write chunks of
+/// [`CHUNK`], `None` for an all-zero chunk. Spawn inheritance, signal
+/// snapshots and dominated joins share chunks instead of copying them,
+/// so clock memory follows the synchronization history, not threads².
+#[derive(Default)]
+struct ChunkedClock(Vec<Option<Rc<Chunk>>>);
+
+impl From<DenseClock> for ChunkedClock {
+    fn from(dense: DenseClock) -> Self {
+        let chunk = |c: &[u32]| {
+            c.iter().any(|&v| v > 0).then(|| {
+                let mut chunk = [0; CHUNK];
+                chunk[..c.len()].copy_from_slice(c);
+                Rc::new(chunk)
+            })
+        };
+        ChunkedClock(dense.0.chunks(CHUNK).map(chunk).collect())
+    }
+}
+
+impl VClock for ChunkedClock {
+    fn get(&self, t: usize) -> u32 {
+        match self.0.get(t / CHUNK) {
+            Some(Some(chunk)) => chunk[t % CHUNK],
+            _ => 0,
+        }
+    }
+
+    fn hold(&mut self, t: usize) {
+        if self.0.len() <= t / CHUNK {
+            self.0.resize(t / CHUNK + 1, None);
+        }
+    }
+
+    fn tick(&mut self, t: usize) {
+        let chunk = self.0[t / CHUNK].get_or_insert_with(|| Rc::new([0; CHUNK]));
+        Rc::make_mut(chunk)[t % CHUNK] += 1;
+    }
+
+    fn join(&mut self, other: &Self) {
+        if self.0.len() < other.0.len() {
+            self.0.resize(other.0.len(), None);
+        }
+        for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
+            let Some(theirs) = theirs else { continue };
+            match mine {
+                None => *mine = Some(Rc::clone(theirs)),
+                Some(mine) => join_chunk(mine, theirs),
+            }
+        }
+    }
+
+    fn assign(&mut self, other: &Self) {
+        self.0.clone_from(&other.0);
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Does chunk `a` cover chunk `b` componentwise?
+fn dominates(a: &Chunk, b: &Chunk) -> bool {
+    a.iter().zip(b).all(|(x, y)| x >= y)
+}
+
+/// Joins `theirs` into `mine`, copying a chunk only when the result is
+/// a new value that `mine` shares with another clock.
+fn join_chunk(mine: &mut Rc<Chunk>, theirs: &Rc<Chunk>) {
+    if Rc::ptr_eq(mine, theirs) {
+        return;
+    }
+    if let Some(m) = Rc::get_mut(mine) {
+        for (m, &t) in m.iter_mut().zip(theirs.iter()) {
+            *m = (*m).max(t);
+        }
+    } else if dominates(theirs, mine) {
+        *mine = Rc::clone(theirs);
+    } else if !dominates(mine, theirs) {
+        for (m, &t) in Rc::make_mut(mine).iter_mut().zip(theirs.iter()) {
+            *m = (*m).max(t);
+        }
     }
 }
 
 /// Thread `t`'s clock, sized to hold its own component.
-fn thread_clock(vc: &mut Vec<VClock>, t: usize) -> &mut VClock {
+fn thread_clock<C: VClock>(vc: &mut Vec<C>, t: usize) -> &mut C {
     let clock = slot(vc, t);
-    if clock.0.len() <= t {
-        clock.0.resize(t + 1, 0);
-    }
+    clock.hold(t);
     clock
 }
 
 /// Joins thread `src`'s clock into thread `dst`'s, in place.
-fn join_threads(vc: &mut Vec<VClock>, dst: usize, src: usize) {
+fn join_threads<C: VClock>(vc: &mut Vec<C>, dst: usize, src: usize) {
     thread_clock(vc, dst);
     thread_clock(vc, src);
     if dst < src {
@@ -299,16 +443,16 @@ fn log_edge(log: &mut Option<EdgeLog>, src: usize, dst: usize, kind: EdgeKind) {
 
 /// An object clock: the join of every publisher's clock, and the record
 /// of the latest publish (the edge source of the next acquire).
-struct Published {
-    clock: VClock,
+struct Published<C> {
+    clock: C,
     src: usize,
 }
 
 /// Release: joins `own` into the object clock and moves its edge source
 /// to record `i`.
-fn publish(object: &mut Option<Published>, own: &VClock, i: usize) {
+fn publish<C: VClock>(object: &mut Option<Published<C>>, own: &C, i: usize) {
     let p = object.get_or_insert_with(|| Published {
-        clock: VClock::default(),
+        clock: C::default(),
         src: i,
     });
     p.clock.join(own);
@@ -317,9 +461,9 @@ fn publish(object: &mut Option<Published>, own: &VClock, i: usize) {
 
 /// Acquire: joins the object clock, if anything was published, into
 /// `own`.
-fn acquire(
-    own: &mut VClock,
-    object: Option<&Published>,
+fn acquire<C: VClock>(
+    own: &mut C,
+    object: Option<&Published<C>>,
     i: usize,
     kind: EdgeKind,
     log: &mut Option<EdgeLog>,
@@ -332,12 +476,12 @@ fn acquire(
 
 /// The latest `Signal` on a wait queue.
 #[derive(Default)]
-struct LastSignal {
+struct LastSignal<C> {
     idx: usize,
     /// Whether a simulated thread sent it (only those carry a clock).
     from_thread: bool,
     /// The waker's clock at the signal.
-    clock: VClock,
+    clock: C,
 }
 
 /// One plain access kept by the race detector.
@@ -363,7 +507,7 @@ struct WordState {
 
 /// The earliest epoch in `epochs` of another thread that `me` does not
 /// cover.
-fn earliest_unordered(epochs: &[Epoch], t: usize, me: &VClock) -> Option<Epoch> {
+fn earliest_unordered<C: VClock>(epochs: &[Epoch], t: usize, me: &C) -> Option<Epoch> {
     epochs
         .iter()
         .filter(|e| e.tid != t && !me.covers(e.tid, e.clock))
@@ -371,11 +515,15 @@ fn earliest_unordered(epochs: &[Epoch], t: usize, me: &VClock) -> Option<Epoch> 
         .copied()
 }
 
-/// Keeps `e` as its thread's latest epoch in `epochs`.
+/// Keeps `e` as its thread's latest epoch in `epochs`. Most words are
+/// accessed by one thread, so the first epoch gets an exact allocation.
 fn keep_epoch(epochs: &mut Vec<Epoch>, e: Epoch) {
-    match epochs.iter_mut().find(|x| x.tid == e.tid) {
-        Some(x) => *x = e,
-        None => epochs.push(e),
+    if epochs.is_empty() {
+        *epochs = vec![e];
+    } else if let Some(x) = epochs.iter_mut().find(|x| x.tid == e.tid) {
+        *x = e;
+    } else {
+        epochs.push(e);
     }
 }
 
@@ -447,19 +595,20 @@ fn subject_of(event: &TraceEvent) -> Option<ThreadId> {
     }
 }
 
-/// The vector-clock engine and FastTrack-style race detector.
+/// The vector-clock engine and FastTrack-style race detector, over
+/// clocks of type `C`.
 #[derive(Default)]
-struct HbLint {
+struct HbCore<C> {
     /// Thread clocks, by thread.
-    vc: Vec<VClock>,
+    vc: Vec<C>,
     /// Release clocks of queues, by wait queue.
-    queues: Vec<Option<Published>>,
+    queues: Vec<Option<Published<C>>>,
     /// Atomic publish clocks, by object then word.
-    atomics: Vec<Vec<Option<Published>>>,
+    atomics: Vec<Vec<Option<Published<C>>>>,
     /// Each barrier's joined arrivals of the current epoch.
-    barriers: Vec<VClock>,
+    barriers: Vec<C>,
     /// The latest signal per wait queue.
-    signals: Vec<Option<LastSignal>>,
+    signals: Vec<Option<LastSignal<C>>>,
     /// The wait queue each blocked thread is parked on, by thread.
     blocked_on: Vec<Option<WaitId>>,
     /// Race-detector state, by object then word.
@@ -469,11 +618,11 @@ struct HbLint {
     edges: Option<EdgeLog>,
 }
 
-impl HbLint {
+impl<C: VClock> HbCore<C> {
     fn new(with_edges: bool) -> Self {
-        HbLint {
+        HbCore {
             edges: with_edges.then(EdgeLog::default),
-            ..HbLint::default()
+            ..HbCore::default()
         }
     }
 
@@ -535,7 +684,7 @@ impl HbLint {
     }
 }
 
-impl Lint for HbLint {
+impl<C: VClock> Lint for HbCore<C> {
     fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
         let subject = subject_of(event);
         // Complete a pending spawn edge at the child's first event.
@@ -581,9 +730,7 @@ impl Lint for HbLint {
                 sig.idx = i;
                 sig.from_thread = waker.is_some();
                 if let Some(w) = waker {
-                    sig.clock
-                        .0
-                        .clone_from(&thread_clock(&mut self.vc, w.index()).0);
+                    sig.clock.assign(thread_clock(&mut self.vc, w.index()));
                 }
             }
             TraceEvent::Done { tid } => {
@@ -616,7 +763,7 @@ impl Lint for HbLint {
                     // arrival of the epoch; waiters then inherit it
                     // through the releaser's Signal→Wakeup edges.
                     own.join(epoch);
-                    epoch.0.clear();
+                    epoch.clear();
                     if let Some(log) = self.edges.as_mut() {
                         let arrivals = slot(&mut log.arrivals, barrier.index());
                         log.edges.extend(arrivals.drain(..).map(|src| HbEdge {
@@ -665,6 +812,83 @@ impl Lint for HbLint {
         // later accesses.
         if let Some(t) = subject {
             thread_clock(&mut self.vc, t.index()).tick(t.index());
+        }
+    }
+
+    fn finish(self, labels: &[String]) -> Vec<Violation> {
+        self.into_analysis(labels).races
+    }
+}
+
+impl HbCore<DenseClock> {
+    /// The same state over [`ChunkedClock`]s.
+    fn widen(self) -> HbCore<ChunkedClock> {
+        let chunked = ChunkedClock::from;
+        let published = |p: Option<Published<DenseClock>>| {
+            p.map(|p| Published {
+                clock: chunked(p.clock),
+                src: p.src,
+            })
+        };
+        HbCore {
+            vc: self.vc.into_iter().map(chunked).collect(),
+            queues: self.queues.into_iter().map(published).collect(),
+            atomics: (self.atomics.into_iter())
+                .map(|words| words.into_iter().map(published).collect())
+                .collect(),
+            barriers: self.barriers.into_iter().map(chunked).collect(),
+            signals: (self.signals.into_iter())
+                .map(|s| {
+                    s.map(|s| LastSignal {
+                        idx: s.idx,
+                        from_thread: s.from_thread,
+                        clock: chunked(s.clock),
+                    })
+                })
+                .collect(),
+            blocked_on: self.blocked_on,
+            words: self.words,
+            races: self.races,
+            edges: self.edges,
+        }
+    }
+}
+
+/// The engine a kernel's stream runs through: dense clocks while every
+/// thread id stays below [`DENSE_WIDTH`], chunked ones from the first
+/// record that names a wider one. The switch converts the state once,
+/// outside the per-record path, and changes no verdict: both clocks
+/// hold the same components.
+enum HbLint {
+    Narrow(HbCore<DenseClock>),
+    Wide(HbCore<ChunkedClock>),
+}
+
+impl HbLint {
+    fn new(with_edges: bool) -> Self {
+        HbLint::Narrow(HbCore::new(with_edges))
+    }
+
+    fn into_analysis(self, labels: &[String]) -> HbAnalysis {
+        match self {
+            HbLint::Narrow(hb) => hb.into_analysis(labels),
+            HbLint::Wide(hb) => hb.into_analysis(labels),
+        }
+    }
+}
+
+impl Lint for HbLint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        match self {
+            HbLint::Narrow(hb) => {
+                hb.on_record(i, time, event);
+                // No clock is wider than the thread table: every one is
+                // built from thread clocks, each sized to its own id.
+                if hb.vc.len() > DENSE_WIDTH {
+                    *self = HbLint::Wide(std::mem::take(hb).widen());
+                }
+            }
+            HbLint::Wide(hb) => hb.on_record(i, time, event),
         }
     }
 
@@ -870,9 +1094,10 @@ impl RerankLint {
     }
 }
 
-impl Lint for RerankLint {
-    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
-        // Expire overdue confirmations before applying this record.
+impl RerankLint {
+    /// Reports the confirmations overdue at `time`; a no-op while none
+    /// is pending.
+    fn expire(&mut self, time: SimTime) {
         while let Some(&(idx, core, at)) = self.pending.first() {
             if time.duration_since(at) > RERANK_STALENESS_BOUND {
                 self.violations.push(stale_rerank(idx, core, at));
@@ -881,6 +1106,11 @@ impl Lint for RerankLint {
                 break;
             }
         }
+    }
+
+    /// Applies one of the records the lint reads: `SpeedChange`,
+    /// `Rerank`, `CoreOffline` and `CoreOnline`.
+    fn apply(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
         match *event {
             TraceEvent::SpeedChange { core, speed } => {
                 let before = ranking(&self.speeds, &self.online);
@@ -927,6 +1157,14 @@ impl Lint for RerankLint {
             }
             _ => {}
         }
+    }
+}
+
+impl Lint for RerankLint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        // Expire overdue confirmations before applying this record.
+        self.expire(time);
+        self.apply(i, time, event);
     }
 
     fn finish(mut self, _labels: &[String]) -> Vec<Violation> {
@@ -1042,9 +1280,10 @@ impl StarvationLint {
     }
 }
 
-impl Lint for StarvationLint {
-    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
-        self.end = Some(time);
+impl StarvationLint {
+    /// Applies one of the records the lint reads: placements, steals,
+    /// dispatches and exits.
+    fn apply(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
         match *event {
             TraceEvent::Spawn { tid, core, .. }
             | TraceEvent::Wakeup { tid, core, .. }
@@ -1072,6 +1311,13 @@ impl Lint for StarvationLint {
             }
             _ => {}
         }
+    }
+}
+
+impl Lint for StarvationLint {
+    fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
+        self.end = Some(time);
+        self.apply(i, time, event);
     }
 
     fn finish(mut self, _labels: &[String]) -> Vec<Violation> {
@@ -1114,11 +1360,40 @@ struct Suite {
 }
 
 impl Lint for Suite {
+    /// Decodes the record's kind once and hands it only to the lints
+    /// that read that kind.
     fn on_record(&mut self, i: usize, time: SimTime, event: &TraceEvent) {
         self.races.on_record(i, time, event);
-        self.ranking.on_record(i, time, event);
-        self.rerank.on_record(i, time, event);
-        self.starvation.on_record(i, time, event);
+        self.rerank.expire(time);
+        if let Some(starvation) = self.starvation.as_mut() {
+            starvation.end = Some(time);
+        }
+        match *event {
+            TraceEvent::SpeedChange { .. }
+            | TraceEvent::Rerank { .. }
+            | TraceEvent::CoreOffline { .. }
+            | TraceEvent::CoreOnline { .. } => {
+                self.ranking.on_record(i, time, event);
+                self.rerank.apply(i, time, event);
+            }
+            TraceEvent::Spawn { .. }
+            | TraceEvent::Wakeup { .. }
+            | TraceEvent::Preempt { .. }
+            | TraceEvent::Steal { .. }
+            | TraceEvent::Dispatch { .. }
+            | TraceEvent::Done { .. }
+            | TraceEvent::ThreadKilled { .. } => {
+                self.ranking.on_record(i, time, event);
+                if let Some(starvation) = self.starvation.as_mut() {
+                    starvation.apply(i, time, event);
+                }
+            }
+            TraceEvent::Block { .. }
+            | TraceEvent::Sleep { .. }
+            | TraceEvent::SetAffinity { .. }
+            | TraceEvent::AffinityOverride { .. } => self.ranking.on_record(i, time, event),
+            _ => {}
+        }
     }
 
     fn finish(self, labels: &[String]) -> Vec<Violation> {
@@ -1181,4 +1456,361 @@ pub fn check_concurrency(trace: &KernelTrace) -> Vec<Violation> {
     let mut fold = ConcurrencyFold::new(&trace.machine, trace.policy);
     trace.replay(&mut fold);
     fold.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asym_kernel::{FnThread, Kernel, PreemptReason, SpawnOptions, Step, TraceRecord};
+    use asym_sim::Rng;
+    use std::collections::HashSet;
+
+    /// The reference clock model: one component per thread index,
+    /// grown on every write, copied on every snapshot.
+    #[derive(Default)]
+    struct RefClock(Vec<u32>);
+
+    impl VClock for RefClock {
+        fn get(&self, t: usize) -> u32 {
+            self.0.get(t).copied().unwrap_or(0)
+        }
+
+        fn hold(&mut self, t: usize) {
+            if self.0.len() <= t {
+                self.0.resize(t + 1, 0);
+            }
+        }
+
+        fn tick(&mut self, t: usize) {
+            self.hold(t);
+            self.0[t] += 1;
+        }
+
+        fn join(&mut self, other: &Self) {
+            for (t, &v) in other.0.iter().enumerate() {
+                self.hold(t);
+                self.0[t] = self.0[t].max(v);
+            }
+        }
+
+        fn assign(&mut self, other: &Self) {
+            self.0 = other.0.clone();
+        }
+
+        fn clear(&mut self) {
+            self.0.clear();
+        }
+    }
+
+    /// Every clock the engine holds.
+    fn clocks<C>(hb: &HbCore<C>) -> impl Iterator<Item = &C> {
+        (hb.vc.iter())
+            .chain(&hb.barriers)
+            .chain(hb.queues.iter().flatten().map(|p| &p.clock))
+            .chain(hb.atomics.iter().flatten().flatten().map(|p| &p.clock))
+            .chain(hb.signals.iter().flatten().map(|s| &s.clock))
+    }
+
+    /// Every thread's clock, component by component.
+    fn clock_table<C: VClock>(hb: &HbCore<C>, threads: usize) -> Vec<Vec<u32>> {
+        let clock = |t: usize, u| hb.vc.get(t).map_or(0, |c| c.get(u));
+        (0..threads)
+            .map(|t| (0..threads).map(|u| clock(t, u)).collect())
+            .collect()
+    }
+
+    /// The components a chunked engine stores: its distinct chunks.
+    fn stored_components(hb: &HbCore<ChunkedClock>) -> usize {
+        let chunks: HashSet<*const Chunk> = clocks(hb)
+            .flat_map(|c| c.0.iter().flatten().map(Rc::as_ptr))
+            .collect();
+        chunks.len() * CHUNK
+    }
+
+    /// Thread, wait-queue and shared-object ids as a kernel hands them
+    /// out (it never runs).
+    fn ids(
+        threads: usize,
+        waits: usize,
+        objects: usize,
+    ) -> (Vec<ThreadId>, Vec<WaitId>, Vec<ShareId>) {
+        let machine = MachineSpec::symmetric(2, Speed::FULL);
+        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 0);
+        let tids = (0..threads)
+            .map(|_| k.spawn(FnThread::new("t", |_| Step::Done), SpawnOptions::new()))
+            .collect();
+        let waits = (0..waits).map(|_| k.create_wait_queue()).collect();
+        let objs = (0..objects)
+            .map(|i| k.register_shared(&format!("o{i}")))
+            .collect();
+        (tids, waits, objs)
+    }
+
+    fn trace(
+        machine: MachineSpec,
+        policy: SchedPolicy,
+        events: Vec<(SimTime, TraceEvent)>,
+    ) -> KernelTrace {
+        let mut trace = KernelTrace::new(machine, policy);
+        trace.set_records(
+            events
+                .into_iter()
+                .map(|(time, event)| TraceRecord { time, event }),
+        );
+        trace.shared_labels = (0..8).map(|i| format!("o{i}")).collect();
+        trace
+    }
+
+    const CORES: usize = 4;
+
+    /// A seeded stream over `threads` threads: spawns (each from a live
+    /// parent), exits and joins, signal/wakeup pairs, queue, barrier and
+    /// atomic traffic, plain accesses, and scheduler records. A plain
+    /// access skips its lock with probability `racy`; a locked one sits
+    /// between an atomic rmw and store of the word's lock.
+    fn random_stream(seed: u64, threads: usize, racy: f64) -> Vec<(SimTime, TraceEvent)> {
+        let (tids, waits, objs) = ids(threads, 6, 8);
+        let (locks, data) = (objs[0], &objs[1..]);
+        let mut rng = Rng::new(seed);
+        let mut time = SimTime::ZERO;
+        let mut out = Vec::new();
+        let core = |rng: &mut Rng| CoreId(rng.index(CORES));
+        let spawn = |tid, parent, core| TraceEvent::Spawn {
+            tid,
+            core,
+            affinity: CoreMask::ALL,
+            parent,
+        };
+        out.push((time, spawn(tids[0], None, CoreId(0))));
+        let (mut live, mut dead, mut next) = (vec![tids[0]], Vec::new(), 1);
+        while next < threads || out.len() < 40 * threads {
+            time += SimDuration::from_micros(rng.below(40));
+            if next < threads && rng.chance(0.1) {
+                let parent = *rng.pick(&live);
+                out.push((time, spawn(tids[next], Some(parent), core(&mut rng))));
+                live.push(tids[next]);
+                next += 1;
+                continue;
+            }
+            let t = *rng.pick(&live);
+            let wait = *rng.pick(&waits);
+            let event = match rng.below(14) {
+                0 if live.len() > 1 => {
+                    live.retain(|&x| x != t);
+                    dead.push(t);
+                    TraceEvent::Done { tid: t }
+                }
+                1 if !dead.is_empty() => TraceEvent::ThreadJoin {
+                    by: t,
+                    of: *rng.pick(&dead),
+                },
+                2 => TraceEvent::Block { tid: t, wait },
+                3 => TraceEvent::Signal {
+                    waker: rng.chance(0.9).then_some(t),
+                    wait,
+                    woken: 1,
+                },
+                4 => TraceEvent::Wakeup {
+                    tid: t,
+                    core: core(&mut rng),
+                    reason: if rng.chance(0.8) {
+                        WakeReason::Signal
+                    } else {
+                        WakeReason::Timer
+                    },
+                },
+                5 => TraceEvent::QueuePush {
+                    tid: t,
+                    queue: wait,
+                },
+                6 => TraceEvent::QueuePop {
+                    tid: t,
+                    queue: wait,
+                },
+                7 => TraceEvent::BarrierArrive {
+                    tid: t,
+                    barrier: wait,
+                    released: rng.chance(0.3),
+                },
+                8 => TraceEvent::SharedAtomic {
+                    tid: t,
+                    obj: *rng.pick(data),
+                    word: rng.below(4) as u32,
+                    op: *rng.pick(&[AtomicOp::Load, AtomicOp::Store, AtomicOp::Rmw]),
+                },
+                9 | 10 => {
+                    let (obj, word) = (*rng.pick(data), rng.below(16) as u32);
+                    let lock = |op| TraceEvent::SharedAtomic {
+                        tid: t,
+                        obj: locks,
+                        word: obj.index() as u32 * 16 + word,
+                        op,
+                    };
+                    let locked = !rng.chance(racy);
+                    if locked {
+                        out.push((time, lock(AtomicOp::Rmw)));
+                    }
+                    let access = if rng.chance(0.5) {
+                        TraceEvent::SharedRead { tid: t, obj, word }
+                    } else {
+                        TraceEvent::SharedWrite { tid: t, obj, word }
+                    };
+                    out.push((time, access));
+                    if !locked {
+                        continue;
+                    }
+                    lock(AtomicOp::Store)
+                }
+                11 => TraceEvent::Dispatch {
+                    tid: t,
+                    core: core(&mut rng),
+                },
+                12 => TraceEvent::Preempt {
+                    tid: t,
+                    core: core(&mut rng),
+                    reason: PreemptReason::Quantum,
+                },
+                _ => {
+                    let c = core(&mut rng);
+                    match rng.below(4) {
+                        0 => TraceEvent::SpeedChange {
+                            core: c,
+                            speed: Speed::fraction_of_full(rng.range(1, 5) as u32),
+                        },
+                        1 => TraceEvent::Rerank { core: c },
+                        2 => TraceEvent::CoreOffline { core: c },
+                        _ => TraceEvent::CoreOnline { core: c },
+                    }
+                }
+            };
+            out.push((time, event));
+        }
+        out
+    }
+
+    fn rendered(violations: &[Violation]) -> Vec<String> {
+        violations.iter().map(ToString::to_string).collect()
+    }
+
+    /// The switching engine against the reference clocks, over racy and
+    /// lock-disciplined streams of 256 threads (the switch to chunked
+    /// clocks falls mid-stream) and of 40 (dense throughout): the same
+    /// race reports, the same happens-before edges, the same clocks at
+    /// the end. The suite's routed lints equal the lints run alone.
+    #[test]
+    fn switching_clocks_match_the_dense_reference() {
+        let machine = MachineSpec::asymmetric(1, CORES - 1, Speed::fraction_of_full(4));
+        let policies = [SchedPolicy::asymmetry_aware(), SchedPolicy::vruntime_fair()];
+        let (mut races, mut clean) = (0, 0);
+        for seed in 0..12 {
+            let (threads, racy) = match seed % 4 {
+                0 => (40, 0.3),
+                1 => (256, 0.0),
+                _ => (256, 0.05),
+            };
+            let events = random_stream(seed, threads, racy);
+            let trace = trace(machine.clone(), policies[seed as usize % 2], events);
+            let label = format!("seed {seed}, {threads} threads");
+
+            let reference = LintFold::replay(&trace, HbCore::<RefClock>::new(true));
+            let ref_clocks = clock_table(&reference.lint, threads);
+            let expected = reference.lint.into_analysis(&reference.labels);
+            let got = happens_before(&trace);
+            assert_eq!(got.edges, expected.edges, "{label}: edges");
+            assert_eq!(
+                rendered(&got.races),
+                rendered(&expected.races),
+                "{label}: races"
+            );
+            assert_eq!(rendered(&check_races(&trace)), rendered(&expected.races));
+
+            let (wide, clocks) = match LintFold::replay(&trace, HbLint::new(false)).lint {
+                HbLint::Narrow(hb) => (false, clock_table(&hb, threads)),
+                HbLint::Wide(hb) => (true, clock_table(&hb, threads)),
+            };
+            assert_eq!(wide, threads > DENSE_WIDTH, "{label}: widened");
+            assert!(clocks == ref_clocks, "{label}: clocks");
+            match expected.races.len() {
+                0 => clean += 1,
+                n => races += n,
+            }
+
+            let mut alone = check_races(&trace);
+            alone.extend(check_stale_ranking(&trace));
+            alone.extend(check_rerank_hygiene(&trace));
+            alone.extend(check_starvation(&trace));
+            let alone = crate::normalize_violations(alone);
+            assert_eq!(
+                rendered(&check_concurrency(&trace)),
+                rendered(&alone),
+                "{label}: suite"
+            );
+        }
+        assert!(
+            races > 0 && clean > 0,
+            "racy and clean streams: {races} races, {clean} clean"
+        );
+    }
+
+    /// A fork-join of 2,000 threads: the reference holds threads²/2
+    /// components, the chunked clocks under an eighth of threads².
+    #[test]
+    fn wide_fork_join_shares_clock_chunks() {
+        const T: usize = 2_000;
+        let (tids, _, objs) = ids(T, 0, 1);
+        let obj = objs[0];
+        let at = SimTime::ZERO;
+        let mut events = vec![(
+            at,
+            TraceEvent::Spawn {
+                tid: tids[0],
+                core: CoreId(0),
+                affinity: CoreMask::ALL,
+                parent: None,
+            },
+        )];
+        for &tid in &tids[1..] {
+            events.push((
+                at,
+                TraceEvent::Spawn {
+                    tid,
+                    core: CoreId(1),
+                    affinity: CoreMask::ALL,
+                    parent: Some(tids[0]),
+                },
+            ));
+        }
+        for &tid in &tids[1..] {
+            let word = tid.index() as u32;
+            events.push((
+                at,
+                TraceEvent::Dispatch {
+                    tid,
+                    core: CoreId(1),
+                },
+            ));
+            events.push((at, TraceEvent::SharedWrite { tid, obj, word }));
+            events.push((at, TraceEvent::Done { tid }));
+        }
+        for &tid in &tids[1..] {
+            let (by, word) = (tids[0], tid.index() as u32);
+            events.push((at, TraceEvent::ThreadJoin { by, of: tid }));
+            events.push((at, TraceEvent::SharedRead { tid: by, obj, word }));
+        }
+        let trace = trace(
+            MachineSpec::symmetric(2, Speed::FULL),
+            SchedPolicy::os_default(),
+            events,
+        );
+        assert!(check_races(&trace).is_empty());
+
+        let reference = LintFold::replay(&trace, HbCore::<RefClock>::new(false)).lint;
+        let dense: usize = clocks(&reference).map(|c| c.0.len()).sum();
+        assert!(dense >= T * T / 2, "reference holds {dense} components");
+        let HbLint::Wide(hb) = LintFold::replay(&trace, HbLint::new(false)).lint else {
+            panic!("2,000 threads must widen the clocks");
+        };
+        let stored = stored_components(&hb);
+        assert!(stored < T * T / 8, "{stored} components stored");
+    }
 }

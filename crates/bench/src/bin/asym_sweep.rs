@@ -16,7 +16,7 @@
 //! `BENCH_sweep.json`) carries per-cell timings, run classes, retry
 //! counts, and trace hashes.
 
-use asym_bench::{registry, run_sweeps, SweepArgs};
+use asym_bench::{registry, run_sweeps, Printer, SweepArgs};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -28,11 +28,12 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
-        println!("registered sweep specs:");
+        let mut out = Printer::default();
+        writeln!(out, "registered sweep specs:");
         for spec in registry() {
-            println!("  {:<20} {}", spec.name, spec.caption);
+            writeln!(out, "  {:<20} {}", spec.name, spec.caption);
         }
-        println!("  {:<20} every spec above, as one plan", "all");
+        writeln!(out, "  {:<20} every spec above, as one plan", "all");
         return ExitCode::SUCCESS;
     }
     let all: Vec<String> = registry().iter().map(|s| s.name.to_string()).collect();

@@ -31,6 +31,31 @@ pub const DEFAULT_JSON_PATH: &str = "BENCH_sweep.json";
 /// unless `--cache DIR` redirects it or `--cache=off` disables it.
 pub const DEFAULT_CACHE_DIR: &str = ".asym-cache";
 
+/// Standard output for reports. A reader that stops early (`| head`)
+/// closes the pipe; printing then ends quietly instead of panicking, and
+/// the run finishes as if everything had been printed.
+#[derive(Debug, Default)]
+pub struct Printer {
+    closed: bool,
+}
+
+impl Printer {
+    /// Prints `args` (the target of `write!` and `writeln!`) until a
+    /// write fails. A failure other than a closed pipe is reported on
+    /// stderr.
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.closed {
+            return;
+        }
+        if let Err(e) = std::io::stdout().write_fmt(args) {
+            self.closed = true;
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                eprintln!("[asym-sweep] stdout: {e}");
+            }
+        }
+    }
+}
+
 /// Where the persistent cell cache lives, if anywhere.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum CacheSetting {
@@ -279,10 +304,11 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
 
     let mut ok = true;
     let mut idx = 0;
+    let mut out = Printer::default();
     for (count, render) in counts.iter().zip(&renders) {
         let rendered = render(&outcome.results[idx..idx + count]);
         idx += count;
-        print!("{}", rendered.text);
+        write!(out, "{}", rendered.text);
         ok &= rendered.ok;
     }
 
@@ -456,18 +482,19 @@ fn rerun(
     };
     if let ([name], [i]) = (names, cells) {
         let runs = plan.profile_cell(*i);
+        let mut out = Printer::default();
         for (k, run) in runs.iter().enumerate() {
             let (about, metric) = describe(*i, run);
             let leg = run.leg.map_or(String::new(), |l| format!(" leg {l}"));
             let n = run.profiles.len();
-            print!("{}", if k > 0 { "\n" } else { "" });
-            println!("asym_sweep --profile={name}{leg}: {about}");
-            println!("primary metric: {metric} over {n} kernel(s)\n");
+            write!(out, "{}", if k > 0 { "\n" } else { "" });
+            writeln!(out, "asym_sweep --profile={name}{leg}: {about}");
+            writeln!(out, "primary metric: {metric} over {n} kernel(s)\n");
             for (k, p) in run.profiles.iter().enumerate() {
                 if n > 1 {
-                    println!("--- kernel {k} ---");
+                    writeln!(out, "--- kernel {k} ---");
                 }
-                print!("{p}");
+                write!(out, "{p}");
             }
         }
         return write_trace(perfetto, || match &runs[..] {
@@ -486,10 +513,14 @@ fn rerun(
         .map_err(|e| format!("--diff cannot align {name_a} with {name_b}: {e}"))?;
     let ((about_a, metric_a), (about_b, metric_b)) =
         (describe(cells[0], &a), describe(cells[1], &b));
-    println!("asym_sweep --diff: A={name_a} ({about_a}) vs B={name_b} ({about_b})");
-    println!("primary metric: A {metric_a}  B {metric_b}\n");
-    print!("{diff}");
-    println!("attribution json: {}", diff.attribution.to_json());
+    let mut out = Printer::default();
+    writeln!(
+        out,
+        "asym_sweep --diff: A={name_a} ({about_a}) vs B={name_b} ({about_b})"
+    );
+    writeln!(out, "primary metric: A {metric_a}  B {metric_b}\n");
+    write!(out, "{diff}");
+    writeln!(out, "attribution json: {}", diff.attribution.to_json());
     write_trace(perfetto, || {
         let (label_a, label_b) = (format!("A:{name_a}"), format!("B:{name_b}"));
         perfetto_diff_trace(&a.profiles, &b.profiles, &label_a, &label_b)

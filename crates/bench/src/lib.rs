@@ -22,7 +22,9 @@ use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
 mod driver;
 mod spec;
 
-pub use driver::{concurrency_check, run_sweeps, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR};
+pub use driver::{
+    concurrency_check, run_sweeps, CacheSetting, Printer, SweepArgs, DEFAULT_CACHE_DIR,
+};
 pub use spec::{registry, RenderFn, Rendered, Section, SweepContext, SweepDef, SweepSpec};
 
 /// The eight paper workloads at the harness's standard

@@ -1750,35 +1750,20 @@ impl CheckFold for TournamentFold {
     }
 }
 
-/// Ranks `vals` (0 = best). `higher_better` flips the sort; NaN always
-/// ranks last; ties break to the lower index, so the order is total and
-/// deterministic.
+/// Ranks `vals` (0 = best) by competition ranking: a value's rank is
+/// the number of values strictly better, so equal values share the
+/// lowest rank and the next value skips past them. `higher_better`
+/// flips the order; NaN ranks after every number (NaNs tie).
 fn rank_of(vals: &[f64], higher_better: bool) -> Vec<usize> {
-    let keyed: Vec<f64> = vals
-        .iter()
-        .map(|&v| {
-            if v.is_nan() {
-                if higher_better {
-                    f64::NEG_INFINITY
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                v
-            }
-        })
-        .collect();
-    let mut idx: Vec<usize> = (0..keyed.len()).collect();
-    idx.sort_by(|&a, &b| {
-        let ord = keyed[a].total_cmp(&keyed[b]);
-        let ord = if higher_better { ord.reverse() } else { ord };
-        ord.then(a.cmp(&b))
-    });
-    let mut rank = vec![0; keyed.len()];
-    for (r, &i) in idx.iter().enumerate() {
-        rank[i] = r;
-    }
-    rank
+    let better = |a: f64, b: f64| match (a.is_nan(), b.is_nan()) {
+        (false, true) => true,
+        (true, _) => false,
+        _ if higher_better => a > b,
+        _ => a < b,
+    };
+    vals.iter()
+        .map(|&v| vals.iter().filter(|&&w| better(w, v)).count())
+        .collect()
 }
 
 /// The scheduler-policy tournament: every policy in
@@ -1888,8 +1873,8 @@ fn extra_tournament(ctx: &SweepContext) -> SweepDef {
             });
         }
 
-        // Tournament ranking: sum of per-criterion ranks, ties to the
-        // registry order. Stability and fast-idle want small numbers,
+        // Tournament ranking: sum of per-criterion ranks (equal values
+        // share a rank), equal scores in registry order. Stability and fast-idle want small numbers,
         // scalability wants large ones.
         let cov_rank = rank_of(&rows.iter().map(|r| r.worst_cov).collect::<Vec<_>>(), false);
         let scal_rank = rank_of(&rows.iter().map(|r| r.scal).collect::<Vec<_>>(), true);
@@ -2291,4 +2276,25 @@ fn mini(_ctx: &SweepContext) -> SweepDef {
         Rendered { text: out, ok }
     });
     SweepDef { sections, render }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn equal_values_share_the_lowest_rank() {
+        let nan = f64::NAN;
+        assert_eq!(rank_of(&[0.535; 7], false), vec![0; 7]);
+        assert_eq!(
+            rank_of(&[3.0, 1.0, nan, 1.0, 2.0, nan], false),
+            vec![3, 0, 4, 0, 2, 4]
+        );
+        assert_eq!(
+            rank_of(&[0.73, 0.63, 0.72, 0.73, nan, 0.61], true),
+            vec![0, 3, 2, 0, 5, 4]
+        );
+        assert_eq!(rank_of(&[nan, nan], true), vec![0, 0]);
+        assert!(rank_of(&[], true).is_empty());
+    }
 }

@@ -111,6 +111,15 @@ if SWEEP_OUT="$(cargo run -q --release -p asym-bench --bin asym_sweep -- mini --
 fi
 test -z "$SWEEP_OUT" || { echo "FAIL: asym_sweep ran the sweep before rejecting its --json path"; exit 1; }
 
+echo "==> asym_sweep mini --quick --cache=off | head -1 (a reader that closes stdout early ends the report quietly)"
+CLOSED_ERR="$(mktemp)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- mini --quick --cache=off 2> "$CLOSED_ERR" | head -1 > /dev/null \
+  || { echo "FAIL: asym_sweep failed on a closed stdout"; cat "$CLOSED_ERR"; exit 1; }
+if grep -q "panicked" "$CLOSED_ERR"; then
+  echo "FAIL: asym_sweep panicked on a closed stdout"; cat "$CLOSED_ERR"; exit 1
+fi
+rm -f "$CLOSED_ERR"
+
 echo "==> asym_sweep mini extra_dynamic extra_tournament extra_scale extra_soak --quick --check --jobs 2 --json (driver smoke + dynamic regimes + policy tournament + policy zoo x regimes + chaos soak + per-cell concurrency check)"
 # The report goes to a temporary file: the committed BENCH_sweep.json
 # comes from a different spec selection and must stay untouched.
