@@ -12,9 +12,8 @@ use crate::{header, paper_workloads, render_experiment, render_runs, stability_l
 use asym_analysis::hb::ConcurrencyFold;
 use asym_analysis::{render_violations, AnalysisFold, ViolationLog};
 use asym_core::{
-    run_spec, AsymConfig, CheckFold, ExperimentOptions, ResilientOptions, RunClass, RunRecord,
-    RunSetup, Scalability, SpecMode, SpecResult, SummaryRow, TextTable, TraceCheck, Workload,
-    WorkloadClass,
+    run_spec, AsymConfig, CheckFold, Experiment, ExperimentOptions, ResilientOptions, RunClass,
+    RunSetup, SpecMode, SpecResult, SummaryRow, TextTable, TraceCheck, Workload, WorkloadClass,
 };
 use asym_kernel::{
     capture_stream, with_run_guard, RunGuard, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent,
@@ -374,16 +373,16 @@ fn fig2(_ctx: &SweepContext) -> SweepDef {
             "Figure 2(a)",
             "SPECjbb (16 warehouses, concurrent GC): scalability & predictability, stock kernel",
         );
-        out += &format!("{}\n", render_experiment(stock));
+        out += &format!("{}\n", render_experiment(&stock));
         out += &header(
             "Figure 2(b)",
             "Same workload under the asymmetry-aware kernel scheduler",
         );
-        out += &format!("{}\n", render_experiment(aware));
+        out += &format!("{}\n", render_experiment(&aware));
         out += "Per-run scatter on 2f-2s/8:\n";
         let c = [AsymConfig::new(2, 2, 8)];
-        out += &format!("stock kernel:\n{}\n", render_runs(stock, &c));
-        out += &format!("asymmetry-aware kernel:\n{}\n", render_runs(aware, &c));
+        out += &format!("stock kernel:\n{}\n", render_runs(&stock, &c));
+        out += &format!("asymmetry-aware kernel:\n{}\n", render_runs(&aware, &c));
         Rendered::text(out)
     });
     SweepDef { sections, render }
@@ -483,15 +482,15 @@ fn fig4(_ctx: &SweepContext) -> SweepDef {
             "Figure 4(a)",
             "TPC-H power run (22 queries), par=4 opt=7, 4 runs",
         );
-        out += &format!("{}\n", render_experiment(results[0].clean()));
+        out += &format!("{}\n", render_experiment(&results[0].clean()));
         out += &header("Figure 4(b)", "TPC-H Query 3 runtime, 13 runs");
         let q3 = results[1].clean();
-        out += &format!("{}\n", render_experiment(q3));
+        out += &format!("{}\n", render_experiment(&q3));
         out += "Per-run scatter (binding lottery):\n";
         out += &format!(
             "{}\n",
             render_runs(
-                q3,
+                &q3,
                 &[
                     AsymConfig::new(4, 0, 1),
                     AsymConfig::new(2, 2, 8),
@@ -542,12 +541,12 @@ fn fig5(_ctx: &SweepContext) -> SweepDef {
             "Figure 5(a)",
             "TPC-H power run, parallelization 8, optimization 7",
         );
-        out += &format!("{}\n", render_experiment(p8));
+        out += &format!("{}\n", render_experiment(&p8));
         out += &header(
             "Figure 5(b)",
             "TPC-H power run, parallelization 4, optimization 2",
         );
-        out += &format!("{}\n", render_experiment(o2));
+        out += &format!("{}\n", render_experiment(&o2));
         out += &format!(
             "variance comparison (worst asymmetric CoV): par4/opt7 {:.2}%  par8/opt7 {:.2}%  par4/opt2 {:.2}%\n",
             p4.worst_asymmetric_cov() * 100.0,
@@ -605,24 +604,24 @@ fn fig6(_ctx: &SweepContext) -> SweepDef {
         let mut out = String::new();
         out += &header("Figure 6(a)", "Apache light load (10 concurrent), 6 runs");
         let light = results[0].clean();
-        out += &format!("{}\n", render_experiment(light));
-        out += &format!("Per-run scatter:\n{}\n", render_runs(light, &scatter));
+        out += &format!("{}\n", render_experiment(&light));
+        out += &format!("Per-run scatter:\n{}\n", render_runs(&light, &scatter));
         out += &header(
             "Figure 6(a) companion",
             "Apache heavy load (60 concurrent), 4 runs",
         );
-        out += &format!("{}\n", render_experiment(results[1].clean()));
+        out += &format!("{}\n", render_experiment(&results[1].clean()));
         out += &header(
             "Figure 6(b)",
             "Apache light load with the two fixes, 6 runs each",
         );
         out += &format!(
             "asymmetry-aware kernel:\n{}\n",
-            render_experiment(results[2].clean())
+            render_experiment(&results[2].clean())
         );
         out += &format!(
             "fine-grained threads (recycle every 50 requests):\n{}\n",
-            render_experiment(results[3].clean())
+            render_experiment(&results[3].clean())
         );
         Rendered::text(out)
     });
@@ -670,20 +669,20 @@ fn fig7(_ctx: &SweepContext) -> SweepDef {
             "Figure 7(a)",
             "Zeus light load (10 concurrent sessions), 6 runs",
         );
-        out += &format!("{}\n", render_experiment(light));
-        out += &format!("Per-run scatter:\n{}\n", render_runs(light, &scatter));
+        out += &format!("{}\n", render_experiment(&light));
+        out += &format!("Per-run scatter:\n{}\n", render_runs(&light, &scatter));
         out += &header(
             "Figure 7(b)",
             "Zeus heavy load (60 concurrent sessions), 6 runs",
         );
-        out += &format!("{}\n", render_experiment(heavy));
+        out += &format!("{}\n", render_experiment(&heavy));
         out += &header(
             "Figure 7 companion",
             "Zeus light load under the asymmetry-aware kernel (no effect: Zeus schedules internally)",
         );
-        out += &format!("{}\n", render_experiment(aware));
-        out += &format!("{}\n", stability_line(light));
-        out += &format!("{}\n", stability_line(aware));
+        out += &format!("{}\n", render_experiment(&aware));
+        out += &format!("{}\n", stability_line(&light));
+        out += &format!("{}\n", stability_line(&aware));
         Rendered::text(out)
     });
     SweepDef { sections, render }
@@ -768,9 +767,9 @@ fn fig9(_ctx: &SweepContext) -> SweepDef {
     let render = Box::new(|results: &[SpecResult]| {
         let mut out = String::new();
         out += &header("Figure 9(a)", "H.264 multithreaded encoding, 4 runs");
-        out += &format!("{}\n", render_experiment(results[0].clean()));
+        out += &format!("{}\n", render_experiment(&results[0].clean()));
         out += &header("Figure 9(b)", "PMAKE (make -j4), 2 runs");
-        out += &format!("{}\n", render_experiment(results[1].clean()));
+        out += &format!("{}\n", render_experiment(&results[1].clean()));
         out += "Shape check: both are stable; 1f-3s/8 beats 0f-4s/4 and 0f-4s/8\n\
                 (one fast core carries serial work and soaks up parallel work).\n";
         Rendered::text(out)
@@ -914,7 +913,8 @@ fn table1(_ctx: &SweepContext) -> SweepDef {
         Section::clean("table1/pmake", Box::new(Pmake::new()), &nine, stock, 2, 0),
     ];
     let render = Box::new(|results: &[SpecResult]| {
-        let exp = |i: usize| results[i].clean();
+        let exps: Vec<Experiment> = results.iter().map(SpecResult::clean).collect();
+        let exp = |i: usize| &exps[i];
         // Scaling efficiency bound used for the "is scalability
         // predictable" verdict; SPEC OMP's slowest-core pacing falls
         // far below it.
@@ -1230,41 +1230,12 @@ fn extra_fault_sweep(ctx: &SweepContext) -> SweepDef {
         let mut total_panicked = 0usize;
         for r in results {
             let exp = r.resilient();
-            let total: usize = exp.outcomes.iter().map(|o| o.records.len()).sum();
+            let total = exp.runs();
             let completed = exp.count(RunClass::Completed);
-            let retries: u32 = exp
-                .outcomes
-                .iter()
-                .map(|o| o.total_attempts() - o.records.len() as u32)
-                .sum();
             all_classified &= total == configs.len() * runs;
             total_panicked += exp.count(RunClass::Panicked);
-
-            // Stability: worst CoV over configurations with >= 2
-            // completed runs. Scalability: mean performance of completed
-            // runs vs compute power, where at least two configurations
-            // answered.
-            let worst_cov = exp
-                .outcomes
-                .iter()
-                .filter_map(|o| o.completed_samples())
-                .filter(|s| s.len() >= 2)
-                .map(|s| s.cov())
-                .fold(f64::NAN, f64::max);
-            let points: Vec<(f64, f64)> = exp
-                .outcomes
-                .iter()
-                .filter_map(|o| {
-                    o.completed_samples().map(|s| {
-                        (
-                            o.config.compute_power(),
-                            exp.direction.performance(s.mean()),
-                        )
-                    })
-                })
-                .collect();
-            let scal = (points.len() >= 2).then(|| Scalability::from_points(&points));
-
+            let worst_cov = exp.worst_completed_cov();
+            let scal = exp.completed_scalability();
             table.row(vec![
                 exp.workload.clone(),
                 format!("{completed}/{total}"),
@@ -1275,7 +1246,7 @@ fn extra_fault_sweep(ctx: &SweepContext) -> SweepDef {
                     exp.count(RunClass::Deadlock),
                     exp.count(RunClass::Panicked)
                 ),
-                retries.to_string(),
+                exp.retries().to_string(),
                 if worst_cov.is_nan() {
                     "-".to_string()
                 } else {
@@ -1342,7 +1313,7 @@ fn extra_check_matrix(ctx: &SweepContext) -> SweepDef {
         let (mut cells, mut completed) = (0usize, 0usize);
         for r in results {
             let exp = r.resilient();
-            let total: usize = exp.outcomes.iter().map(|o| o.records.len()).sum();
+            let total = exp.runs();
             let done = exp.count(RunClass::Completed);
             cells += total;
             completed += done;
@@ -1430,7 +1401,7 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
             let vals: Vec<i64> = o
                 .reps
                 .iter()
-                .filter_map(|r| r.diff.as_ref().map(f))
+                .filter_map(|r| r.diff.as_deref().map(f))
                 .collect();
             if vals.is_empty() {
                 "-".to_string()
@@ -1465,14 +1436,14 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
                 let cell_lost: f64 = o
                     .reps
                     .iter()
-                    .flat_map(|rep| rep.records())
+                    .flat_map(|rep| &rep.runs)
                     .filter_map(|r| r.extras.get("lost_workers"))
                     .sum();
                 total_lost += cell_lost;
                 table.row(vec![
                     exp.workload.clone(),
                     o.config.to_string(),
-                    o.mean_absorption(exp.direction)
+                    o.mean_absorption()
                         .map_or("-".to_string(), |a| format!("{a:+.2}")),
                     o.stability_delta()
                         .map_or("-".to_string(), |d| format!("{d:+.3}")),
@@ -1632,7 +1603,7 @@ fn extra_dynamic(ctx: &SweepContext) -> SweepDef {
                         regime.to_string(),
                         exp.workload.clone(),
                         o.config.to_string(),
-                        o.mean_absorption(exp.direction)
+                        o.mean_absorption()
                             .map_or("-".to_string(), |a| format!("{a:+.2}")),
                         s_stock.map_or("-".to_string(), |s| format!("{s:.2}")),
                         s_aware.map_or("-".to_string(), |s| format!("{s:.2}")),
@@ -1834,33 +1805,13 @@ fn extra_tournament(ctx: &SweepContext) -> SweepDef {
             let mut effs: Vec<f64> = Vec::new();
             for r in slice {
                 let exp = r.resilient();
-                let t: usize = exp.outcomes.iter().map(|o| o.records.len()).sum();
+                let t = exp.runs();
                 total += t;
                 completed += exp.count(RunClass::Completed);
                 all_classified &= t == configs.len() * runs;
                 total_panicked += exp.count(RunClass::Panicked);
-                worst_cov = exp
-                    .outcomes
-                    .iter()
-                    .filter_map(|o| o.completed_samples())
-                    .filter(|s| s.len() >= 2)
-                    .map(|s| s.cov())
-                    .fold(worst_cov, f64::max);
-                let points: Vec<(f64, f64)> = exp
-                    .outcomes
-                    .iter()
-                    .filter_map(|o| {
-                        o.completed_samples().map(|s| {
-                            (
-                                o.config.compute_power(),
-                                exp.direction.performance(s.mean()),
-                            )
-                        })
-                    })
-                    .collect();
-                if points.len() >= 2 {
-                    effs.push(Scalability::from_points(&points).worst_efficiency);
-                }
+                worst_cov = worst_cov.max(exp.worst_completed_cov());
+                effs.extend(exp.completed_scalability().map(|s| s.worst_efficiency));
             }
             let log = logs[pi].lock().unwrap();
             rows.push(Row {
@@ -1947,20 +1898,6 @@ fn extra_tournament(ctx: &SweepContext) -> SweepDef {
 // ----------------------------------------------------------------------
 // Chaos soak
 // ----------------------------------------------------------------------
-
-/// Every run record of a resilient or differential section.
-fn section_records(r: &SpecResult) -> Vec<&RunRecord> {
-    match r {
-        SpecResult::Clean(_) => Vec::new(),
-        SpecResult::Resilient(e) => e.outcomes.iter().flat_map(|o| &o.records).collect(),
-        SpecResult::Differential(e) => e
-            .outcomes
-            .iter()
-            .flat_map(|o| &o.reps)
-            .flat_map(|rep| rep.records())
-            .collect(),
-    }
-}
 
 /// The chaos soak: randomized campaigns, each one section on one
 /// configuration (quick: 1f-3s/8, 6 campaigns of 1 rep; full: the nine
@@ -2068,18 +2005,17 @@ fn extra_soak(ctx: &SweepContext) -> SweepDef {
         let (mut runs, mut completed, mut panicked, mut deadlocked, mut unclassified) =
             (0usize, 0usize, 0usize, 0usize, 0usize);
         for (r, (cols, expected)) in results.iter().zip(&rows) {
-            let records = section_records(r);
-            let count = |class| records.iter().filter(|rec| rec.class == class).count();
-            let retries: u32 = records.iter().map(|rec| rec.attempts - 1).sum();
-            let done = count(RunClass::Completed);
-            runs += records.len();
+            let count = |class| r.records().filter(|rec| rec.class == class).count();
+            let retries: u32 = r.records().map(|rec| rec.attempts - 1).sum();
+            let (done, total) = (count(RunClass::Completed), r.records().count());
+            runs += total;
             completed += done;
             panicked += count(RunClass::Panicked);
             deadlocked += count(RunClass::Deadlock);
-            unclassified += expected.saturating_sub(records.len());
+            unclassified += expected.saturating_sub(total);
             let mut row = cols.clone();
             row.extend([
-                format!("{done}/{}", records.len()),
+                format!("{done}/{total}"),
                 retries.to_string(),
                 format!(
                     "{}/{}/{}/{}",
@@ -2200,22 +2136,12 @@ fn extra_scale(ctx: &SweepContext) -> SweepDef {
             for rname in &regime_names {
                 let exp = results[idx].resilient();
                 idx += 1;
-                let cells: usize = exp.outcomes.iter().map(|o| o.records.len()).sum();
+                let cells = exp.runs();
                 total_cells += cells;
                 all_classified &= cells == expected;
                 total_panicked += exp.count(RunClass::Panicked);
-                let values: Vec<f64> = exp
-                    .outcomes
-                    .iter()
-                    .flat_map(|o| o.records.iter().filter_map(|r| r.value))
-                    .collect();
-                let mean_v = mean(values.iter().copied());
-                let retried: usize = exp
-                    .outcomes
-                    .iter()
-                    .flat_map(|o| o.records.iter())
-                    .filter(|r| r.attempts > 1)
-                    .count();
+                let mean_v = mean(exp.records().filter_map(|r| r.value));
+                let retried = exp.records().filter(|r| r.attempts > 1).count();
                 table.row(vec![
                     pname.to_string(),
                     rname.to_string(),
@@ -2270,8 +2196,8 @@ fn mini(_ctx: &SweepContext) -> SweepDef {
         for r in results {
             let exp = r.clean();
             ok &= exp.outcomes.len() == 9 && exp.outcomes.iter().all(|o| o.samples.len() == 2);
-            out += &format!("{}\n", render_experiment(exp));
-            out += &format!("{}\n", stability_line(exp));
+            out += &format!("{}\n", render_experiment(&exp));
+            out += &format!("{}\n", stability_line(&exp));
         }
         Rendered { text: out, ok }
     });

@@ -37,11 +37,7 @@ fn budget_cut_runs_are_classed_time_limit() {
                 &configs,
                 SpecMode::Resilient { policy, options },
             );
-            let classes: Vec<RunClass> = r.resilient().outcomes[0]
-                .records
-                .iter()
-                .map(|rec| rec.class)
-                .collect();
+            let classes: Vec<RunClass> = r.records().map(|rec| rec.class).collect();
             (classes != [RunClass::TimeLimit]).then(|| format!("{}: {classes:?}", w.name()))
         })
         .collect();

@@ -128,7 +128,10 @@ fn differential_legs_reproduce_the_cell_diff() {
         .run(one_cell_plan(&workload, mode()))
         .report;
     let cell = &report.cells[0];
-    let reported = cell.diff.expect("both faulted legs produced metrics");
+    let reported = *cell
+        .diff
+        .as_deref()
+        .expect("both faulted legs produced metrics");
 
     let runs = one_cell_plan(&workload, mode()).profile_cell(0);
     let legs: Vec<_> = runs.iter().map(|r| r.leg).collect();

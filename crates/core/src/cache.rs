@@ -2,13 +2,14 @@
 //!
 //! Every cacheable sweep cell is a pure function of its *key*: the
 //! workload's [`spec_key`](crate::Workload::spec_key), the
-//! configuration, policy, and seed, the digests of the precomputed
-//! fault and environment plans, and the harness options that can alter
-//! execution (mode, retries, budgets). The engine renders that key as
-//! one readable line (see `cache_key` in the engine module), and this
-//! module maps it to an entry file holding everything a re-run would
-//! recompute: classification, attempts, the primary value, secondary
-//! extras, the folded trace hash, and (optionally) the merged
+//! configuration, policy, and seed, the digests of the fault and
+//! environment plans its setup derives, and the harness options that can
+//! alter execution (mode, retries, budgets). The engine renders that key
+//! as one readable line (see `cache_key` in the engine module), and this
+//! module maps it to an entry file holding the results of the cell's
+//! [`CellReport`] — everything a re-run would recompute: its one run's
+//! seed, attempts, classification, primary value and secondary extras,
+//! the folded trace hash, and (optionally) the merged
 //! [`ProfileMetrics`].
 //!
 //! Invalidation is by *code fingerprint*: the build script hashes every
@@ -29,9 +30,11 @@
 //! wrong result. FNV-1a maps each step's state through a bijection, so
 //! any single changed byte is caught.
 
-use crate::experiment::RunClass;
+use crate::engine::CellReport;
+use crate::experiment::{RunClass, RunRecord};
 use asym_obs::{Log2Histogram, ProfileMetrics, HIST_BUCKETS};
 use asym_sim::StableHasher;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::hash::Hasher as _;
@@ -41,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format tag on the first line of every entry; bump it to orphan all
 /// existing entries when the entry layout itself changes.
-const MAGIC: &str = "asym-cell-cache v2";
+const MAGIC: &str = "asym-cell-cache v3";
 
 /// Counters of one plan run's cache traffic, reported in the sweep
 /// summary and the JSON sink.
@@ -72,40 +75,21 @@ impl CacheStats {
     }
 }
 
-/// What one cacheable cell's entry records — everything the engine
-/// needs to rebuild the cell outcome without running the simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CellEntry {
-    /// Harness mode name (`clean` or `resilient`).
-    pub(crate) mode: String,
-    /// Final classification.
-    pub(crate) class: RunClass,
-    /// Attempts spent, retries included.
-    pub(crate) attempts: u32,
-    /// The seed of the recorded attempt (differs from the cell's base
-    /// seed when resilient retries reseeded).
-    pub(crate) seed: u64,
-    /// Primary metric, absent for failed resilient cells.
-    pub(crate) value: Option<f64>,
-    /// Named secondary metrics (clean cells only), in stored order.
-    pub(crate) extras: Vec<(String, f64)>,
-    /// Folded kernel-trace hash of the final attempt.
-    pub(crate) trace_hash: Option<u64>,
-    /// Merged observability metrics, when the writing run wanted them.
-    pub(crate) metrics: Option<ProfileMetrics>,
-}
-
 /// Result of a cache probe.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lookup {
-    /// A usable entry written by this build.
-    Hit(Box<CellEntry>),
+    /// A usable entry written by this build; its results are restored.
+    Hit,
     /// No entry, an unreadable or corrupted entry, a key collision, or an
     /// entry missing metrics the caller needs.
     Miss,
     /// An entry written by a different build of the simulator.
     Stale,
 }
+
+/// What an entry holds besides its key and fingerprint: a single-run
+/// cell's run, the folded trace hash and the merged metrics.
+type Results = (RunRecord, Option<u64>, Option<ProfileMetrics>);
 
 /// A handle on one on-disk cell cache directory.
 ///
@@ -157,32 +141,38 @@ impl CellCache {
             .join(format!("{digest:016x}.entry"))
     }
 
-    /// Probes the cache for `key`. An entry that lacks metrics while
-    /// `want_metrics` is set counts as a miss (the cell re-executes and
-    /// the richer entry overwrites it); an entry that has metrics the
-    /// caller does not want is a hit with the metrics stripped.
-    pub(crate) fn load(&self, key: &str, want_metrics: bool) -> Lookup {
+    /// Probes the cache for `key` and, on a hit, restores the entry's
+    /// results into `report` (marked `cached`). An entry that lacks
+    /// metrics while `want_metrics` is set counts as a miss (the cell
+    /// re-executes and the richer entry overwrites it); an entry that
+    /// has metrics the caller does not want is a hit with the metrics
+    /// stripped.
+    pub(crate) fn load(&self, key: &str, want_metrics: bool, report: &mut CellReport) -> Lookup {
         let Ok(text) = fs::read_to_string(self.entry_path(key)) else {
             return Lookup::Miss;
         };
-        let Some((fingerprint, entry)) = parse_entry(&text, key) else {
+        let Some((fingerprint, (run, trace_hash, metrics))) = parse_entry(&text, key) else {
             return Lookup::Miss;
         };
         if fingerprint != self.fingerprint {
             return Lookup::Stale;
         }
-        let mut entry = entry;
-        if want_metrics && entry.metrics.is_none() {
+        if want_metrics && metrics.is_none() {
             return Lookup::Miss;
         }
-        if !want_metrics {
-            entry.metrics = None;
-        }
-        Lookup::Hit(Box::new(entry))
+        report.record_run(run, trace_hash, metrics.filter(|_| want_metrics));
+        report.cached = true;
+        Lookup::Hit
     }
 
-    /// Writes (or overwrites) the entry for `key` atomically.
-    pub(crate) fn store(&self, key: &str, entry: &CellEntry) -> io::Result<()> {
+    /// Writes (or overwrites) `report`'s results as the entry for `key`,
+    /// atomically. Only single-run cells have an entry; any other report
+    /// is refused with [`io::ErrorKind::InvalidInput`].
+    pub(crate) fn store(&self, key: &str, report: &CellReport) -> io::Result<()> {
+        let [run] = &report.runs[..] else {
+            let why = "only single-run cells are cached";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+        };
         let path = self.entry_path(key);
         let dir = path.parent().expect("entry path has a fanout directory");
         fs::create_dir_all(dir)?;
@@ -191,7 +181,9 @@ impl CellCache {
             std::process::id(),
             TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&temp, render_entry(&self.fingerprint, key, entry))?;
+        let metrics = report.metrics.as_deref();
+        let entry = render_entry(&self.fingerprint, key, run, report.trace_hash, metrics);
+        fs::write(&temp, entry)?;
         fs::rename(&temp, &path)
     }
 }
@@ -209,23 +201,28 @@ fn fnv(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-fn render_entry(fingerprint: &str, key: &str, e: &CellEntry) -> String {
+fn render_entry(
+    fingerprint: &str,
+    key: &str,
+    run: &RunRecord,
+    trace_hash: Option<u64>,
+    metrics: Option<&ProfileMetrics>,
+) -> String {
     let mut out = String::with_capacity(512);
     let _ = writeln!(out, "{MAGIC}");
     let _ = writeln!(out, "fingerprint {fingerprint}");
     let _ = writeln!(out, "key {key}");
-    let _ = writeln!(out, "mode {}", e.mode);
-    let _ = writeln!(out, "class {}", e.class);
-    let _ = writeln!(out, "attempts {}", e.attempts);
-    let _ = writeln!(out, "seed {}", e.seed);
-    let _ = writeln!(out, "value {}", render_f64(e.value));
-    let _ = writeln!(out, "trace_hash {}", render_u64(e.trace_hash));
-    let _ = writeln!(out, "extras {}", e.extras.len());
-    for (name, v) in &e.extras {
+    let _ = writeln!(out, "class {}", run.class);
+    let _ = writeln!(out, "attempts {}", run.attempts);
+    let _ = writeln!(out, "seed {}", run.seed);
+    let _ = writeln!(out, "value {}", render_f64(run.value));
+    let _ = writeln!(out, "trace_hash {}", render_u64(trace_hash));
+    let _ = writeln!(out, "extras {}", run.extras.len());
+    for (name, v) in &run.extras {
         // The name goes last so it may contain spaces.
         let _ = writeln!(out, "x {:016x} {name}", v.to_bits());
     }
-    match &e.metrics {
+    match metrics {
         None => {
             let _ = writeln!(out, "metrics none");
         }
@@ -289,10 +286,10 @@ fn checked_body(text: &str) -> Option<&str> {
     (field(sum, "sum")? == format!("{:016x}", fnv(body.as_bytes()))).then_some(body)
 }
 
-/// Parses an entry, returning its fingerprint and payload. `None` on a
+/// Parses an entry, returning its fingerprint and results. `None` on a
 /// checksum mismatch, any malformation, or if the stored key differs
 /// from `expect_key` (digest collision) — all degrade to a miss.
-fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
+fn parse_entry(text: &str, expect_key: &str) -> Option<(String, Results)> {
     let mut lines = checked_body(text)?.lines();
     if lines.next()? != MAGIC {
         return None;
@@ -301,21 +298,18 @@ fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
     if field(lines.next()?, "key")? != expect_key {
         return None;
     }
-    let mode = field(lines.next()?, "mode")?.to_string();
     let class = parse_class(field(lines.next()?, "class")?)?;
     let attempts: u32 = field(lines.next()?, "attempts")?.parse().ok()?;
     let seed: u64 = field(lines.next()?, "seed")?.parse().ok()?;
     let value = parse_f64(field(lines.next()?, "value")?)?;
     let trace_hash = parse_u64(field(lines.next()?, "trace_hash")?)?;
     let n_extras: usize = field(lines.next()?, "extras")?.parse().ok()?;
-    let mut extras = Vec::with_capacity(n_extras);
+    let mut extras = BTreeMap::new();
     for _ in 0..n_extras {
         let rest = field(lines.next()?, "x")?;
         let (bits, name) = rest.split_once(' ')?;
-        extras.push((
-            name.to_string(),
-            f64::from_bits(u64::from_str_radix(bits, 16).ok()?),
-        ));
+        let v = f64::from_bits(u64::from_str_radix(bits, 16).ok()?);
+        extras.insert(name.to_string(), v);
     }
     let metrics = match field(lines.next()?, "metrics")? {
         "none" => None,
@@ -350,19 +344,14 @@ fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
         }
         _ => return None,
     };
-    Some((
-        fingerprint,
-        CellEntry {
-            mode,
-            class,
-            attempts,
-            seed,
-            value,
-            extras,
-            trace_hash,
-            metrics,
-        },
-    ))
+    let run = RunRecord {
+        seed,
+        attempts,
+        class,
+        value,
+        extras,
+    };
+    Some((fingerprint, (run, trace_hash, metrics)))
 }
 
 /// Strips the `tag ` prefix from one entry line.
@@ -436,7 +425,7 @@ mod tests {
         format!("{body}sum {:016x}\n", fnv(body.as_bytes()))
     }
 
-    fn sample_entry(metrics: bool) -> CellEntry {
+    fn sample_entry(metrics: bool) -> Results {
         let metrics = metrics.then(|| {
             let mut m = ProfileMetrics::new();
             m.kernels = 2;
@@ -448,33 +437,76 @@ mod tests {
             m.run_quantum.record(SimDuration::ZERO);
             m
         });
-        CellEntry {
-            mode: "resilient".to_string(),
-            class: RunClass::TimeLimit,
-            attempts: 3,
+        let run = RunRecord {
             seed: 42_007,
+            attempts: 3,
+            class: RunClass::TimeLimit,
             value: Some(-0.0625),
-            extras: vec![
+            extras: [
                 ("p90 latency".to_string(), 1.5),
                 ("nan".to_string(), f64::NAN),
-            ],
-            trace_hash: Some(0xdead_beef_cafe_f00d),
-            metrics,
+            ]
+            .into(),
+        };
+        (run, Some(0xdead_beef_cafe_f00d), metrics)
+    }
+
+    /// An entry's text as `store` renders it.
+    fn render(fingerprint: &str, key: &str, (run, hash, metrics): &Results) -> String {
+        render_entry(fingerprint, key, run, *hash, metrics.as_ref())
+    }
+
+    /// A cell's record before any result is in.
+    fn blank() -> CellReport {
+        CellReport {
+            spec: "s".to_string(),
+            workload: "w".to_string(),
+            config: "1f-3s/8".to_string(),
+            mode: "resilient",
+            policy: "stock".to_string(),
+            seed: 7,
+            rep: 0,
+            class: RunClass::Completed,
+            attempts: 0,
+            value: None,
+            wall_ms: 0.0,
+            trace_hash: None,
+            memoized: false,
+            cached: false,
+            violations: Vec::new(),
+            metrics: None,
+            diff: None,
+            runs: Vec::new(),
         }
+    }
+
+    /// A report whose results are `entry`'s, as the engine stores it.
+    fn report_of((run, hash, metrics): Results) -> CellReport {
+        let mut report = blank();
+        report.record_run(run, hash, metrics);
+        report
+    }
+
+    /// Probes `cache` for `key` into a blank report.
+    fn probe(cache: &CellCache, key: &str, want_metrics: bool) -> (Lookup, CellReport) {
+        let mut report = blank();
+        (cache.load(key, want_metrics, &mut report), report)
     }
 
     /// One entry per cacheable mode, with and without metrics: the
     /// resilient sample above and a completed clean cell. (Differential
     /// cells are never cached, so they have no entry to corrupt.)
-    fn corpus() -> Vec<(&'static str, CellEntry)> {
-        let clean = |metrics| CellEntry {
-            mode: "clean".to_string(),
-            class: RunClass::Completed,
-            attempts: 1,
-            seed: 2000,
-            value: Some(1.098),
-            extras: vec![("throughput".to_string(), 412.5)],
-            ..sample_entry(metrics)
+    fn corpus() -> Vec<(&'static str, Results)> {
+        let clean = |metrics| {
+            let (_, hash, metrics) = sample_entry(metrics);
+            let run = RunRecord {
+                seed: 2000,
+                attempts: 1,
+                class: RunClass::Completed,
+                value: Some(1.098),
+                extras: [("throughput".to_string(), 412.5)].into(),
+            };
+            (run, hash, metrics)
         };
         vec![
             ("clean", clean(false)),
@@ -493,10 +525,10 @@ mod tests {
                 .and_then(|text| parse_entry(text, key))
         };
         for (name, entry) in corpus() {
-            let text = render_entry("fp", key, &entry);
+            let text = render("fp", key, &entry);
             assert_eq!(
-                load(text.as_bytes()).map(|(_, e)| e.attempts),
-                Some(entry.attempts)
+                load(text.as_bytes()).map(|(_, (run, ..))| run.attempts),
+                Some(entry.0.attempts)
             );
             let mut bytes = text.clone().into_bytes();
             for i in 0..bytes.len() {
@@ -523,8 +555,8 @@ mod tests {
     fn a_corrupted_entry_misses_and_is_overwritten() {
         let cache = temp_cache("corrupt");
         let key = "spec=w|seed=6";
-        let entry = sample_entry(false);
-        cache.store(key, &entry).expect("store");
+        let report = report_of(sample_entry(false));
+        cache.store(key, &report).expect("store");
         // One hex digit of the stored value changes (-0.0625 to -0.5):
         // the entry still parses, but no longer matches its checksum.
         let path = cache.entry_path(key);
@@ -532,34 +564,47 @@ mod tests {
         let forged = text.replace("value bfb0000000000000", "value bfe0000000000000");
         assert_ne!(forged, text);
         fs::write(&path, forged).expect("rewrite entry");
-        assert!(matches!(cache.load(key, false), Lookup::Miss));
-        cache.store(key, &entry).expect("store");
-        assert!(matches!(cache.load(key, false), Lookup::Hit(_)));
+        assert_eq!(probe(&cache, key, false).0, Lookup::Miss);
+        cache.store(key, &report).expect("store");
+        assert_eq!(probe(&cache, key, false).0, Lookup::Hit);
         let _ = fs::remove_dir_all(cache.root());
     }
 
     #[test]
     fn entry_round_trips_bit_exactly() {
         let cache = temp_cache("roundtrip");
-        let entry = sample_entry(true);
+        let stored = report_of(sample_entry(true));
         let key = "spec=w|config=1f-3s/8|policy=stock|seed=7|mode=resilient";
-        cache.store(key, &entry).expect("store succeeds");
-        match cache.load(key, true) {
-            Lookup::Hit(got) => {
-                assert_eq!(got.mode, entry.mode);
-                assert_eq!(got.class, entry.class);
-                assert_eq!(got.attempts, entry.attempts);
-                assert_eq!(got.seed, entry.seed);
-                assert_eq!(got.value.map(f64::to_bits), entry.value.map(f64::to_bits));
-                assert_eq!(got.trace_hash, entry.trace_hash);
-                assert_eq!(got.extras.len(), 2);
-                assert_eq!(got.extras[0], entry.extras[0]);
-                assert_eq!(got.extras[1].0, "nan");
-                assert!(got.extras[1].1.is_nan());
-                assert_eq!(got.metrics, entry.metrics);
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
+        cache.store(key, &stored).expect("store succeeds");
+        let (lookup, got) = probe(&cache, key, true);
+        assert_eq!(lookup, Lookup::Hit);
+        assert!(got.cached && !stored.cached);
+        assert_eq!((got.class, got.attempts), (stored.class, stored.attempts));
+        assert_eq!(got.value.map(f64::to_bits), stored.value.map(f64::to_bits));
+        assert_eq!(got.trace_hash, stored.trace_hash);
+        assert_eq!(got.metrics, stored.metrics);
+        let ([run], [want]) = (&got.runs[..], &stored.runs[..]) else {
+            panic!("one run each: {got:?}");
+        };
+        assert_eq!(
+            (run.seed, run.attempts, run.class),
+            (want.seed, 3, want.class)
+        );
+        assert_eq!(run.value.map(f64::to_bits), want.value.map(f64::to_bits));
+        let extras: Vec<_> = run.extras.iter().map(|(k, v)| (k, v.to_bits())).collect();
+        let expected: Vec<_> = want.extras.iter().map(|(k, v)| (k, v.to_bits())).collect();
+        assert_eq!(extras, expected);
+        let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn only_single_run_cells_are_stored() {
+        let cache = temp_cache("single");
+        let mut report = report_of(sample_entry(false));
+        report.runs.push(report.runs[0].clone());
+        let err = cache.store("spec=w|seed=5", &report).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(probe(&cache, "spec=w|seed=5", false).0, Lookup::Miss);
         let _ = fs::remove_dir_all(cache.root());
     }
 
@@ -567,16 +612,17 @@ mod tests {
     fn missing_key_and_wrong_fingerprint() {
         let cache = temp_cache("stale");
         let key = "spec=w|seed=1";
-        assert!(matches!(cache.load(key, false), Lookup::Miss));
-        cache.store(key, &sample_entry(false)).expect("store");
-        assert!(matches!(cache.load(key, false), Lookup::Hit(_)));
+        let report = report_of(sample_entry(false));
+        assert_eq!(probe(&cache, key, false).0, Lookup::Miss);
+        cache.store(key, &report).expect("store");
+        assert_eq!(probe(&cache, key, false).0, Lookup::Hit);
         // Needing metrics the entry lacks is a miss, not a hit.
-        assert!(matches!(cache.load(key, true), Lookup::Miss));
+        assert_eq!(probe(&cache, key, true).0, Lookup::Miss);
         let other = cache.clone().with_fingerprint("not-this-build");
-        assert!(matches!(other.load(key, false), Lookup::Stale));
+        assert_eq!(probe(&other, key, false).0, Lookup::Stale);
         // The stale handle's overwrite makes the entry stale for us.
-        other.store(key, &sample_entry(false)).expect("store");
-        assert!(matches!(cache.load(key, false), Lookup::Stale));
+        other.store(key, &report).expect("store");
+        assert_eq!(probe(&cache, key, false).0, Lookup::Stale);
         let _ = fs::remove_dir_all(cache.root());
     }
 
@@ -584,11 +630,12 @@ mod tests {
     fn metrics_are_stripped_when_unwanted() {
         let cache = temp_cache("strip");
         let key = "spec=w|seed=2";
-        cache.store(key, &sample_entry(true)).expect("store");
-        match cache.load(key, false) {
-            Lookup::Hit(got) => assert!(got.metrics.is_none()),
-            other => panic!("expected hit, got {other:?}"),
-        }
+        cache
+            .store(key, &report_of(sample_entry(true)))
+            .expect("store");
+        let (lookup, got) = probe(&cache, key, false);
+        assert_eq!(lookup, Lookup::Hit);
+        assert!(got.metrics.is_none());
         let _ = fs::remove_dir_all(cache.root());
     }
 
@@ -596,7 +643,9 @@ mod tests {
     fn key_collision_degrades_to_miss() {
         let cache = temp_cache("collide");
         let key = "spec=w|seed=3";
-        cache.store(key, &sample_entry(false)).expect("store");
+        cache
+            .store(key, &report_of(sample_entry(false)))
+            .expect("store");
         // Forge a second key that maps to the same file path, in an entry
         // whose checksum holds, as a real digest collision's would.
         let path = cache.entry_path(key);
@@ -604,7 +653,7 @@ mod tests {
         let forged = reseal(&text.replace("key spec=w|seed=3", "key spec=OTHER"));
         assert!(checked_body(&forged).is_some());
         fs::write(&path, forged).expect("rewrite entry");
-        assert!(matches!(cache.load(key, false), Lookup::Miss));
+        assert_eq!(probe(&cache, key, false).0, Lookup::Miss);
         let _ = fs::remove_dir_all(cache.root());
     }
 
@@ -615,8 +664,10 @@ mod tests {
         // must never load with every later metric shifted by one.
         let cache = temp_cache("width");
         let key = "spec=w|seed=4";
-        cache.store(key, &sample_entry(true)).expect("store");
-        assert!(matches!(cache.load(key, true), Lookup::Hit(_)));
+        cache
+            .store(key, &report_of(sample_entry(true)))
+            .expect("store");
+        assert_eq!(probe(&cache, key, true).0, Lookup::Hit);
         let path = cache.entry_path(key);
         let text = fs::read_to_string(&path).expect("entry readable");
         let widened: String = text
@@ -635,8 +686,8 @@ mod tests {
         let widened = reseal(&widened);
         assert!(checked_body(&widened).is_some());
         fs::write(&path, widened).expect("rewrite entry");
-        assert!(matches!(cache.load(key, true), Lookup::Miss));
-        assert!(matches!(cache.load(key, false), Lookup::Miss));
+        assert_eq!(probe(&cache, key, true).0, Lookup::Miss);
+        assert_eq!(probe(&cache, key, false).0, Lookup::Miss);
         let _ = fs::remove_dir_all(cache.root());
     }
 }

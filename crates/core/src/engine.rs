@@ -5,11 +5,11 @@
 //! seed-deterministic simulation. This module makes that the unit of
 //! execution: an [`ExperimentPlan`] expands any sweep — clean,
 //! resilient, or differential — into a flat list of [`Cell`]s with
-//! precomputed seeds and fault plans, and a [`CellRunner`] executes the
-//! cells on a host thread pool (size controlled by `--jobs` flags or
-//! the `ASYM_JOBS` environment variable, defaulting to
-//! `available_parallelism`) and reassembles results in deterministic
-//! plan order, so parallel output is bit-identical to serial.
+//! precomputed seeds, and a [`CellRunner`] executes the cells on a host
+//! thread pool (size controlled by `--jobs` flags or the `ASYM_JOBS`
+//! environment variable, defaulting to `available_parallelism`) and
+//! keeps results in deterministic plan order, so parallel output is
+//! bit-identical to serial.
 //!
 //! The runner is the only way cells execute: multi-spec sweeps build a
 //! plan (the `asym_sweep` driver merges every selected figure into one),
@@ -18,20 +18,18 @@
 //! on-disk [`CellCache`] files them under, whether or not a cache is
 //! attached.
 //!
-//! Alongside the assembled experiment results, every run of a plan
-//! produces a [`SweepReport`]: per-cell wall-clock timings, retry
-//! counts, classifications, and trace hashes, serializable as JSON (a
+//! Every cell produces one record, its [`CellReport`]: the engine
+//! executes, memoizes, caches and emits it, and each experiment's
+//! [`SpecResult`] views its slice of the records. The plan's records
+//! form a [`SweepReport`] — per-cell wall-clock timings, retry counts,
+//! classifications, and trace hashes, serializable as JSON (a
 //! hand-rolled writer, no dependencies) — the repository's perf
 //! trajectory artifact (`BENCH_sweep.json`).
 
-use crate::cache::{CacheStats, CellCache, CellEntry, Lookup};
+use crate::cache::{CacheStats, CellCache, Lookup};
 use crate::config::AsymConfig;
-use crate::experiment::{
-    ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, Experiment,
-    ExperimentOptions, ResilientConfigOutcome, ResilientExperiment, ResilientOptions, RunClass,
-    RunRecord,
-};
-use crate::metrics::Samples;
+use crate::experiment::{ExperimentOptions, ResilientOptions, RunClass, RunRecord, SpecResult};
+use crate::metrics::Direction;
 use crate::workload::{RunResult, RunSetup, Workload};
 use asym_kernel::{
     capture_stream, with_run_guard, RunGuard, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent,
@@ -147,7 +145,7 @@ impl SpecMode {
 
     /// The policy recorded per cell: the run policy, or the canonical
     /// stock policy for differential cells (which run both).
-    fn cell_policy(&self) -> SchedPolicy {
+    pub(crate) fn cell_policy(&self) -> SchedPolicy {
         match self {
             SpecMode::Clean { policy, .. } | SpecMode::Resilient { policy, .. } => *policy,
             SpecMode::Differential { .. } => SchedPolicy::os_default(),
@@ -164,9 +162,10 @@ struct PlanSpec<'w> {
 }
 
 /// One schedulable unit of a sweep: a single run slot (clean/resilient)
-/// or one four-run differential repeat. Seeds and the *initial* fault
-/// plan are precomputed at plan-expansion time, so execution order can
-/// never influence them; only reseeding retries re-derive a plan.
+/// or one four-run differential repeat. Seeds are precomputed at
+/// plan-expansion time, so execution order can never influence them;
+/// fault and environment plans are pure functions of a run's setup, so
+/// execution (and the cache key) derive them when needed.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Index of the owning spec within the plan.
@@ -178,12 +177,6 @@ pub struct Cell {
     pub rep: usize,
     /// The precomputed setup (config, policy, seed) of the first attempt.
     pub setup: RunSetup,
-    /// The precomputed fault plan of the first attempt, if the spec has
-    /// a fault planner.
-    pub fault_plan: Option<FaultPlan>,
-    /// The precomputed environment plan of the first attempt, if the
-    /// spec has an environment planner.
-    pub environment: Option<EnvironmentPlan>,
 }
 
 /// A flat, deterministic expansion of one or more experiments into
@@ -191,7 +184,7 @@ pub struct Cell {
 ///
 /// Pushing a spec expands its cells immediately, in configuration-major
 /// seed order — the exact order the serial harnesses used — so results
-/// reassembled by cell index are independent of execution interleaving.
+/// kept by cell index are independent of execution interleaving.
 pub struct ExperimentPlan<'w> {
     name: String,
     specs: Vec<PlanSpec<'w>>,
@@ -227,24 +220,14 @@ impl<'w> ExperimentPlan<'w> {
         let runs = mode.runs();
         let base_seed = mode.base_seed();
         let policy = mode.cell_policy();
-        let (planner, env_planner) = match &mode {
-            SpecMode::Clean { .. } => (None, None),
-            SpecMode::Resilient { options, .. } | SpecMode::Differential { options } => {
-                (options.planner.clone(), options.env_planner.clone())
-            }
-        };
         for (j, &config) in configs.iter().enumerate() {
             for i in 0..runs {
                 let setup = RunSetup::new(config, policy, base_seed + j as u64 * 1000 + i as u64);
-                let fault_plan = planner.as_ref().map(|p| p(&setup));
-                let environment = env_planner.as_ref().map(|p| p(&setup));
                 self.cells.push(Cell {
                     spec: index,
                     config_index: j,
                     rep: i,
                     setup,
-                    fault_plan,
-                    environment,
                 });
             }
         }
@@ -304,45 +287,33 @@ impl<'w> ExperimentPlan<'w> {
     /// Panics if `index` is out of range or a clean cell panics.
     pub fn profile_cell(&self, index: usize) -> Vec<ProfiledRun> {
         let cell = &self.cells[index];
+        let spec = &self.specs[cell.spec];
         let tap = ProfileTap::default();
-        let out = exec_cell(&self.specs[cell.spec], cell, false, None, Some(&tap));
+        let report = exec_cell(spec, cell, false, None, Some(&tap));
+        let legs: Vec<(Option<&'static str>, SchedPolicy)> = match spec.mode {
+            SpecMode::Differential { .. } => legs().map(|(leg, p)| (Some(leg), p)).to_vec(),
+            _ => vec![(None, cell.setup.policy)],
+        };
         // The tap holds every attempt in execution order; each run's
         // record counts its attempts, and the last of them is the one
         // reported.
         let mut attempts = tap.take().into_iter();
-        let mut last = |leg, policy, record: RunRecord| {
-            let final_attempt = attempts.nth(record.attempts as usize - 1);
-            let (trace_hash, profiles) = final_attempt.expect("every attempt reaches the tap");
-            ProfiledRun {
-                leg,
-                policy,
-                record,
-                trace_hash,
-                profiles,
-            }
-        };
-        match out.data {
-            CellData::Clean(result) => {
-                let record = RunRecord {
-                    seed: cell.setup.seed,
-                    attempts: 1,
-                    class: RunClass::Completed,
-                    value: Some(result.value),
-                    extras: result.extras,
-                };
-                vec![last(None, cell.setup.policy, record)]
-            }
-            CellData::Resilient(record) => vec![last(None, cell.setup.policy, record)],
-            CellData::Differential(rep) => {
-                let [stock, aware] = [SchedPolicy::os_default(), SchedPolicy::asymmetry_aware()];
-                let policies = [stock, stock, aware, aware];
-                LEGS.into_iter()
-                    .zip(policies)
-                    .zip(rep.records())
-                    .map(|((leg, policy), r)| last(Some(leg), policy, r.clone()))
-                    .collect()
-            }
-        }
+        report
+            .runs
+            .into_iter()
+            .zip(legs)
+            .map(|(record, (leg, policy))| {
+                let final_attempt = attempts.nth(record.attempts as usize - 1);
+                let (trace_hash, profiles) = final_attempt.expect("every attempt reaches the tap");
+                ProfiledRun {
+                    leg,
+                    policy,
+                    record,
+                    trace_hash,
+                    profiles,
+                }
+            })
+            .collect()
     }
 }
 
@@ -426,97 +397,16 @@ pub struct ProfiledRun {
 /// and timeline profiles, in execution order.
 type ProfileTap = std::rc::Rc<std::cell::RefCell<Vec<(Option<u64>, Vec<RunProfile>)>>>;
 
-/// A differential cell's four runs, in execution order.
-const LEGS: [&str; 4] = [
-    "stock-clean",
-    "stock-faulted",
-    "aware-clean",
-    "aware-faulted",
-];
-
-/// What one executed cell produced, before reassembly.
-#[derive(Clone)]
-struct CellOutcome {
-    data: CellData,
-    class: RunClass,
-    attempts: u32,
-    value: Option<f64>,
-    trace_hash: Option<u64>,
-    metrics: Option<ProfileMetrics>,
-    violations: Vec<String>,
-    wall_nanos: u64,
-    memoized: bool,
-    cached: bool,
-}
-
-impl CellOutcome {
-    /// The copy stored for a deduplicated cell: same results, but marked
-    /// memoized and charged zero wall-clock (no host time was spent).
-    /// The `cached` flag carries over — a copy of a cache hit is itself
-    /// cache-derived.
-    fn memoized_copy(&self) -> CellOutcome {
-        let mut copy = self.clone();
-        copy.wall_nanos = 0;
-        copy.memoized = true;
-        copy
-    }
-
-    /// The on-disk cache payload for this outcome.
-    fn to_entry(&self, mode: &'static str) -> CellEntry {
-        let (seed, extras) = match &self.data {
-            CellData::Clean(r) => (0, &r.extras),
-            CellData::Resilient(r) => (r.seed, &r.extras),
-            CellData::Differential(_) => unreachable!("differential cells are never cached"),
-        };
-        CellEntry {
-            mode: mode.to_string(),
-            class: self.class,
-            attempts: self.attempts,
-            seed,
-            value: self.value,
-            extras: extras.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            trace_hash: self.trace_hash,
-            metrics: self.metrics.clone(),
-        }
-    }
-
-    /// Rebuilds an outcome from a cache entry — the inverse of
-    /// [`CellOutcome::to_entry`].
-    fn from_entry(e: CellEntry) -> CellOutcome {
-        let extras = e.extras.into_iter().collect();
-        let data = if e.mode == "clean" {
-            let mut result = RunResult::new(e.value.unwrap_or(f64::NAN));
-            result.extras = extras;
-            CellData::Clean(result)
-        } else {
-            CellData::Resilient(RunRecord {
-                seed: e.seed,
-                attempts: e.attempts,
-                class: e.class,
-                value: e.value,
-                extras,
-            })
-        };
-        CellOutcome {
-            data,
-            class: e.class,
-            attempts: e.attempts,
-            value: e.value,
-            trace_hash: e.trace_hash,
-            metrics: e.metrics,
-            violations: Vec::new(),
-            wall_nanos: 0,
-            memoized: false,
-            cached: true,
-        }
-    }
-}
-
-#[derive(Clone)]
-enum CellData {
-    Clean(RunResult),
-    Resilient(RunRecord),
-    Differential(Box<DifferentialRep>),
+/// A differential cell's four runs, in execution order, each with the
+/// policy it runs under.
+fn legs() -> [(&'static str, SchedPolicy); 4] {
+    let [stock, aware] = [SchedPolicy::os_default(), SchedPolicy::asymmetry_aware()];
+    [
+        ("stock-clean", stock),
+        ("stock-faulted", stock),
+        ("aware-clean", aware),
+        ("aware-faulted", aware),
+    ]
 }
 
 /// Classifies one kernel's ending. A `TimeLimit` outcome only fails the
@@ -777,21 +667,17 @@ fn attempt_run(
 /// Executes one clean cell: a single run, no guard, no retries; panics
 /// propagate to the runner (and out of the pool). Clean cells are
 /// classified `Completed` unconditionally.
-fn exec_clean(workload: &dyn Workload, cell: &Cell, checks: &Checks) -> CellOutcome {
+fn exec_clean(workload: &dyn Workload, cell: &Cell, checks: &Checks, report: &mut CellReport) {
     let (result, folded) = run_folded(checks, || workload.run(&cell.setup));
-    let value = Some(result.value);
-    CellOutcome {
-        data: CellData::Clean(result),
-        class: RunClass::Completed,
+    let run = RunRecord {
+        seed: cell.setup.seed,
         attempts: 1,
-        value,
-        trace_hash: Some(folded.hash),
-        metrics: folded.metrics,
-        violations: folded.violations,
-        wall_nanos: 0,
-        memoized: false,
-        cached: false,
-    }
+        class: RunClass::Completed,
+        value: Some(result.value),
+        extras: result.extras,
+    };
+    report.violations = folded.violations;
+    report.record_run(run, Some(folded.hash), folded.metrics);
 }
 
 /// Executes one resilient cell: attempt, classify, retry on failure.
@@ -816,7 +702,8 @@ fn exec_resilient(
     cell: &Cell,
     options: &ResilientOptions,
     checks: &Checks,
-) -> CellOutcome {
+    report: &mut CellReport,
+) {
     let slot = &cell.setup;
     let mut attempts = 0u32;
     let mut seed_bump = 0u64;
@@ -825,47 +712,30 @@ fn exec_resilient(
     loop {
         let setup = RunSetup::new(slot.config, slot.policy, slot.seed + seed_bump);
         attempts += 1;
-        // The first attempt reuses the plan precomputed at expansion;
-        // reseeded attempts re-derive it from the bumped seed, exactly
-        // as the serial harness did.
-        let full = if seed_bump == 0 {
-            cell.fault_plan.clone()
-        } else {
-            options.planner.as_ref().map(|p| p(&setup))
-        };
-        let plan = full.and_then(|f| soften_plan(f, soften));
-        // Environment plans are never softened — a hostile environment
-        // is the condition under test, not an injected defect — but
-        // reseeded attempts re-derive them like fault plans.
-        let environment = if seed_bump == 0 {
-            cell.environment.clone()
-        } else {
-            options.env_planner.as_ref().map(|p| p(&setup))
+        // Every attempt derives its plans from its own setup, so a
+        // reseeded attempt gets the plans of its new seed. Environment
+        // plans are never softened — a hostile environment is the
+        // condition under test, not an injected defect.
+        let disturbance = Disturbance {
+            faults: options
+                .planner
+                .as_ref()
+                .and_then(|p| soften_plan(p(&setup), soften)),
+            environment: options.env_planner.as_ref().map(|p| p(&setup)),
         };
         let attempt = attempt_run(
             workload,
             &setup,
             options,
             budget_factor,
-            Disturbance {
-                faults: plan,
-                environment,
-            },
+            disturbance,
             checks,
         );
         if attempt.class == RunClass::Completed || attempts > options.retries {
-            return CellOutcome {
-                data: CellData::Resilient(attempt.record(setup.seed, attempts)),
-                class: attempt.class,
-                attempts,
-                value: attempt.value,
-                trace_hash: attempt.hash,
-                metrics: attempt.metrics,
-                violations: attempt.violations,
-                wall_nanos: 0,
-                memoized: false,
-                cached: false,
-            };
+            let run = attempt.record(setup.seed, attempts);
+            report.violations = attempt.violations;
+            report.record_run(run, attempt.hash, attempt.metrics);
+            return;
         }
         match attempt.class {
             RunClass::TimeLimit => {
@@ -878,22 +748,24 @@ fn exec_resilient(
 }
 
 /// Executes one differential cell: four runs (stock/aware ×
-/// clean/faulted) from the cell's single seed and precomputed fault
-/// plan. Retries never reseed and never soften — that would break the
-/// pairing — the only escalation is budget doubling on
+/// clean/faulted) from the cell's single seed and the plans derived
+/// from its setup. Retries never reseed and never soften — that would
+/// break the pairing — the only escalation is budget doubling on
 /// [`RunClass::TimeLimit`].
 fn exec_differential(
     workload: &dyn Workload,
     cell: &Cell,
     options: &ResilientOptions,
     checks: &Checks,
-) -> CellOutcome {
+    report: &mut CellReport,
+) {
     let slot = &cell.setup;
-    let plan = cell.fault_plan.as_ref();
-    let environment = cell.environment.as_ref();
+    let plan = options.planner.as_ref().map(|p| p(slot));
+    let environment = options.env_planner.as_ref().map(|p| p(slot));
     let mut fold = TraceHashFold::new();
     let mut any_hash = false;
     let mut merged = checks.metrics.then(ProfileMetrics::new);
+    let mut faulted_metrics = Vec::new();
     // Metrics are always derived for differential legs (not just under
     // `with_metrics`): the per-cell diff attribution needs the two
     // disturbed legs' metrics. Deriving them is a pure fold over the
@@ -902,92 +774,79 @@ fn exec_differential(
         metrics: true,
         ..checks.clone()
     };
-    let mut all_violations: Vec<String> = Vec::new();
-    let mut run = |leg: &str,
-                   policy: SchedPolicy,
-                   plan: Option<&FaultPlan>,
-                   environment: Option<&EnvironmentPlan>|
-     -> (RunRecord, Option<ProfileMetrics>) {
+    for (leg, policy) in legs() {
+        // Like the fault plan, the environment plan applies to the
+        // faulted legs only: the clean legs stay the undisturbed
+        // baseline, so the absorption metric quantifies how much of the
+        // *dynamic* slowdown the aware policy recovers.
+        let faulted = leg.ends_with("faulted");
         let setup = RunSetup::new(slot.config, policy, slot.seed);
         let mut attempts = 0u32;
         let mut budget_factor = 1u32;
-        loop {
+        let attempt = loop {
             attempts += 1;
+            let disturbance = Disturbance {
+                faults: faulted.then(|| plan.clone()).flatten(),
+                environment: faulted.then(|| environment.clone()).flatten(),
+            };
             let attempt = attempt_run(
                 workload,
                 &setup,
                 options,
                 budget_factor,
-                Disturbance {
-                    faults: plan.cloned(),
-                    environment: environment.cloned(),
-                },
+                disturbance,
                 &leg_checks,
             );
             let class = attempt.class;
             let escalatable = class == RunClass::TimeLimit && budget_factor < MAX_BUDGET_FACTOR;
             if class == RunClass::Completed || attempts > options.retries || !escalatable {
-                if let Some(h) = attempt.hash {
-                    fold.push(h);
-                    any_hash = true;
-                }
-                if let (Some(acc), Some(m)) = (merged.as_mut(), attempt.metrics.as_ref()) {
-                    acc.merge(m);
-                }
-                let record = attempt.record(setup.seed, attempts);
-                all_violations.extend(
-                    attempt
-                        .violations
-                        .into_iter()
-                        .map(|v| format!("{leg}: {v}")),
-                );
-                return (record, attempt.metrics);
+                break attempt;
             }
             budget_factor *= 2;
+        };
+        if let Some(h) = attempt.hash {
+            fold.push(h);
+            any_hash = true;
         }
-    };
-    // Like the fault plan, the environment plan applies to the faulted
-    // legs only: the clean legs stay the undisturbed baseline, so the
-    // absorption metric quantifies how much of the *dynamic* slowdown
-    // the aware policy recovers.
-    let [stock, aware] = [SchedPolicy::os_default(), SchedPolicy::asymmetry_aware()];
-    let (stock_clean, _) = run(LEGS[0], stock, None, None);
-    let (stock_faulted, stock_m) = run(LEGS[1], stock, plan, environment);
-    let (aware_clean, _) = run(LEGS[2], aware, None, None);
-    let (aware_faulted, aware_m) = run(LEGS[3], aware, plan, environment);
-    let diff = match (&stock_m, &aware_m) {
-        (Some(a), Some(b)) => Some(DiffAttribution::from_metrics(a, b)),
+        if let (Some(acc), Some(m)) = (merged.as_mut(), attempt.metrics.as_ref()) {
+            acc.merge(m);
+        }
+        report.runs.push(attempt.record(setup.seed, attempts));
+        let violations = attempt.violations.into_iter();
+        report
+            .violations
+            .extend(violations.map(|v| format!("{leg}: {v}")));
+        if faulted {
+            faulted_metrics.push(attempt.metrics);
+        }
+    }
+    report.diff = match &faulted_metrics[..] {
+        [Some(stock), Some(aware)] => Some(Box::new(DiffAttribution::from_metrics(stock, aware))),
         _ => None,
     };
-    let rep = DifferentialRep {
-        seed: slot.seed,
-        stock_clean,
-        stock_faulted,
-        aware_clean,
-        aware_faulted,
-        diff,
-    };
-    let class = rep
-        .records()
+    report.class = report
+        .runs
         .iter()
         .map(|r| r.class)
         .max()
         .unwrap_or(RunClass::Completed);
-    let attempts = rep.records().iter().map(|r| r.attempts).sum();
-    let value = rep.absorption(workload.direction());
-    let hash = any_hash.then(|| fold.finish());
-    CellOutcome {
-        data: CellData::Differential(Box::new(rep)),
-        class,
-        attempts,
-        value,
-        trace_hash: hash,
-        metrics: merged,
-        violations: all_violations,
-        wall_nanos: 0,
-        memoized: false,
-        cached: false,
-    }
+    report.attempts = report.runs.iter().map(|r| r.attempts).sum();
+    report.value = absorption(report, workload.direction());
+    report.trace_hash = any_hash.then(|| fold.finish());
+    report.metrics = merged.map(Box::new);
+}
+
+/// A differential cell's absorption metric: the fraction of the stock
+/// kernel's fault-induced slowdown that the asymmetry-aware policy
+/// recovers, `(S_stock − S_aware) / (S_stock − 1)`. 1 means the aware
+/// kernel fully absorbed the faults, 0 means it helped not at all,
+/// negative means it made faults worse. `None` when any needed run
+/// failed or the stock kernel was not measurably slowed (no slowdown to
+/// absorb).
+fn absorption(report: &CellReport, direction: Direction) -> Option<f64> {
+    let s_stock = report.stock_slowdown(direction)?;
+    let s_aware = report.aware_slowdown(direction)?;
+    (s_stock > 1.0 + 1e-9).then(|| (s_stock - s_aware) / (s_stock - 1.0))
 }
 
 // ----------------------------------------------------------------------
@@ -1011,40 +870,35 @@ fn plan_digest(plan: &impl std::hash::Hash) -> String {
 /// plans per leg, so a single digest cannot address them. The key folds
 /// in every input that can steer execution: the workload's
 /// [`Workload::spec_key`], configuration, policy, seed, harness mode,
-/// digests of the precomputed fault/environment plans, and — for
-/// resilient cells — the retry/budget/watchdog knobs the retry ladder
-/// reads.
+/// digests of the fault/environment plans the cell's setup derives,
+/// and — for resilient cells — the retry/budget/watchdog knobs the
+/// retry ladder reads.
 fn cache_key(spec: &PlanSpec<'_>, cell: &Cell) -> Option<String> {
-    let (mode, knobs) = match &spec.mode {
-        SpecMode::Clean { .. } => ("clean", String::new()),
-        SpecMode::Resilient { options, .. } => {
-            if options.check.is_some() {
-                return None;
-            }
+    let none = || "none".to_string();
+    let (mode, faults, environment, knobs) = match &spec.mode {
+        SpecMode::Clean { .. } => ("clean", none(), none(), String::new()),
+        SpecMode::Resilient { options, .. } if options.check.is_none() => {
+            let setup = &cell.setup;
+            let faults = options.planner.as_ref();
+            let environment = options.env_planner.as_ref();
             let budget = options
                 .sim_time_budget
-                .map_or_else(|| "none".to_string(), |d| d.as_nanos().to_string());
+                .map_or_else(none, |d| d.as_nanos().to_string());
             let watchdog = options
                 .watchdog
-                .map_or_else(|| "none".to_string(), |d| d.as_nanos().to_string());
+                .map_or_else(none, |d| d.as_nanos().to_string());
             (
                 "resilient",
+                faults.map_or_else(none, |p| plan_digest(&p(setup))),
+                environment.map_or_else(none, |p| plan_digest(&p(setup))),
                 format!(
                     "|retries={}|budget={budget}|watchdog={watchdog}",
                     options.retries
                 ),
             )
         }
-        SpecMode::Differential { .. } => return None,
+        SpecMode::Resilient { .. } | SpecMode::Differential { .. } => return None,
     };
-    let faults = cell
-        .fault_plan
-        .as_ref()
-        .map_or_else(|| "none".to_string(), plan_digest);
-    let environment = cell
-        .environment
-        .as_ref()
-        .map_or_else(|| "none".to_string(), plan_digest);
     Some(format!(
         "spec={}|config={}|policy={}|seed={}|mode={mode}|faults={faults}|env={environment}{knobs}",
         spec.workload.spec_key(),
@@ -1060,7 +914,7 @@ fn exec_cell(
     want_metrics: bool,
     check: Option<&TraceCheck>,
     timeline: Option<&ProfileTap>,
-) -> CellOutcome {
+) -> CellReport {
     let start = Instant::now();
     let checks = |section: Option<&TraceCheck>| Checks {
         metrics: want_metrics,
@@ -1069,19 +923,20 @@ fn exec_cell(
         section: section.cloned(),
         timeline: timeline.cloned(),
     };
-    let mut out = match &spec.mode {
-        SpecMode::Clean { .. } => exec_clean(spec.workload, cell, &checks(None)),
+    let mut report = CellReport::new(spec, cell);
+    match &spec.mode {
+        SpecMode::Clean { .. } => exec_clean(spec.workload, cell, &checks(None), &mut report),
         SpecMode::Resilient { options, .. } => {
             let checks = checks(options.check.as_ref());
-            exec_resilient(spec.workload, cell, options, &checks)
+            exec_resilient(spec.workload, cell, options, &checks, &mut report);
         }
         SpecMode::Differential { options } => {
             let checks = checks(options.check.as_ref());
-            exec_differential(spec.workload, cell, options, &checks)
+            exec_differential(spec.workload, cell, options, &checks, &mut report);
         }
-    };
-    out.wall_nanos = start.elapsed().as_nanos() as u64;
-    out
+    }
+    report.wall_ms = start.elapsed().as_nanos() as u64 as f64 / 1e6;
+    report
 }
 
 // ----------------------------------------------------------------------
@@ -1089,14 +944,15 @@ fn exec_cell(
 // ----------------------------------------------------------------------
 
 /// Executes an [`ExperimentPlan`]'s cells on a host thread pool and
-/// reassembles results in plan order.
+/// keeps their records in plan order.
 ///
 /// The pool is a shared work queue over `std::thread::scope`: each of
 /// `jobs` OS workers pulls the next unclaimed cell index until the plan
-/// is drained, writing its outcome into the cell's own slot. Because
-/// every cell's seed and fault plan were precomputed at expansion, and
-/// ambient kernel state (trace capture, [`RunGuard`]) is per host
-/// thread, results are bit-identical whatever the pool size.
+/// is drained, handing each cell's record back to be filed in the
+/// cell's own slot. Because every cell's seed is fixed at expansion,
+/// its plans are pure functions of its setup, and ambient kernel state
+/// (trace capture, [`RunGuard`]) is per host thread, results are
+/// bit-identical whatever the pool size.
 pub struct CellRunner {
     jobs: usize,
     metrics: bool,
@@ -1156,36 +1012,51 @@ impl CellRunner {
         self.jobs
     }
 
-    /// Runs every cell of `plan` and reassembles per-spec results plus
-    /// the structured [`SweepReport`].
+    /// Runs every cell of `plan` and returns the per-cell records as the
+    /// structured [`SweepReport`], with one [`SpecResult`] per spec
+    /// viewing its slice of them.
     pub fn run(&self, plan: ExperimentPlan<'_>) -> PlanOutcome {
         let start = Instant::now();
-        let (outcomes, cache) = self.run_cells(&plan);
+        let (cells, cache) = self.run_cells(&plan);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        let report = build_report(&plan, &outcomes, self.jobs, wall_ms, cache);
-        let results = assemble(plan, outcomes);
+        let cells = Arc::new(cells);
+        let mut first = 0;
+        let results = plan
+            .specs
+            .into_iter()
+            .map(|spec| {
+                let range = first..first + spec.configs.len() * spec.mode.runs();
+                first = range.end;
+                let cells = Arc::clone(&cells);
+                SpecResult::new(spec.workload, &spec.mode, spec.configs, cells, range)
+            })
+            .collect();
+        let report = SweepReport {
+            name: plan.name,
+            jobs: self.jobs,
+            wall_ms,
+            cache,
+            cells,
+        };
         PlanOutcome { results, report }
     }
 
     /// Executes all cells, preserving slot order. Cells sharing an
     /// earlier cell's content address are never executed: the
-    /// primary's outcome is copied into their slot afterwards (marked
-    /// memoized, zero wall-clock). Because the primary is always the
-    /// *first* occurrence in plan order, copies are filled front to back
-    /// in one pass, in both the serial and the pooled path.
+    /// primary's record is copied into their slot afterwards (marked
+    /// memoized, zero wall-clock).
     ///
     /// When a [`CellCache`] is attached, a prepass on the calling thread
     /// probes every cacheable cell and restores hits; only the remaining
     /// cells execute, and a store pass afterwards persists what they
     /// produced. Both passes stay off the pool, so cache I/O never
     /// perturbs worker scheduling and the stats need no synchronization.
-    fn run_cells(&self, plan: &ExperimentPlan<'_>) -> (Vec<CellOutcome>, Option<CacheStats>) {
+    fn run_cells(&self, plan: &ExperimentPlan<'_>) -> (Vec<CellReport>, Option<CacheStats>) {
         let cells = &plan.cells;
         let keys = plan.cell_keys();
         let dup_of = first_occurrences(&keys);
         let mut stats = self.cache.as_ref().map(|_| CacheStats::default());
-        let mut preloaded: Vec<Option<CellOutcome>> = (0..cells.len()).map(|_| None).collect();
+        let mut restored: Vec<Option<CellReport>> = (0..cells.len()).map(|_| None).collect();
         let mut store_keys: Vec<Option<&str>> = vec![None; cells.len()];
         if let (Some(cache), Some(st)) = (self.cache.as_ref(), stats.as_mut()) {
             for (i, key) in keys.iter().enumerate() {
@@ -1199,10 +1070,11 @@ impl CellRunner {
                     st.skips += 1;
                     continue;
                 };
-                match cache.load(key, self.metrics) {
-                    Lookup::Hit(entry) => {
+                let mut report = CellReport::new(&plan.specs[cells[i].spec], &cells[i]);
+                match cache.load(key, self.metrics, &mut report) {
+                    Lookup::Hit => {
                         st.hits += 1;
-                        preloaded[i] = Some(CellOutcome::from_entry(*entry));
+                        restored[i] = Some(report);
                     }
                     Lookup::Stale => {
                         st.invalidations += 1;
@@ -1215,60 +1087,43 @@ impl CellRunner {
                 }
             }
         }
-        let outs = self.exec_cells(plan, &dup_of, preloaded);
+        let reports = self.exec_cells(plan, &dup_of, restored);
         if let (Some(cache), Some(st)) = (self.cache.as_ref(), stats.as_mut()) {
-            for (i, key) in store_keys.iter().enumerate() {
+            for (key, report) in store_keys.iter().zip(&reports) {
                 if let Some(key) = key {
-                    let mode = plan.specs[cells[i].spec].mode.name();
-                    if cache.store(key, &outs[i].to_entry(mode)).is_ok() {
+                    if cache.store(key, report).is_ok() {
                         st.stores += 1;
                     }
                 }
             }
         }
-        (outs, stats)
+        (reports, stats)
     }
 
-    /// The execution pass of [`run_cells`](CellRunner::run_cells):
-    /// runs every cell that is neither preloaded from the cache nor a
-    /// memoization copy, serially or on the pool.
+    /// The execution pass of [`run_cells`](CellRunner::run_cells): a
+    /// pool of `jobs` workers (one for `--jobs 1`) runs every cell that
+    /// is neither restored from the cache nor a memoization copy and
+    /// hands each record to the calling thread, which files it in the
+    /// cell's slot. Because the primary is always the *first*
+    /// occurrence in plan order, one front-to-back pass then fills the
+    /// copies.
     fn exec_cells(
         &self,
         plan: &ExperimentPlan<'_>,
         dup_of: &[Option<usize>],
-        mut preloaded: Vec<Option<CellOutcome>>,
-    ) -> Vec<CellOutcome> {
+        mut slots: Vec<Option<CellReport>>,
+    ) -> Vec<CellReport> {
         let cells = &plan.cells;
-        let nthreads = self.jobs.min(cells.len()).max(1);
-        if nthreads == 1 {
-            let mut outs: Vec<CellOutcome> = Vec::with_capacity(cells.len());
-            for (i, c) in cells.iter().enumerate() {
-                let out = match preloaded[i].take() {
-                    Some(hit) => hit,
-                    None => match dup_of[i] {
-                        Some(j) => outs[j].memoized_copy(),
-                        None => exec_cell(
-                            &plan.specs[c.spec],
-                            c,
-                            self.metrics,
-                            self.check.as_ref(),
-                            None,
-                        ),
-                    },
-                };
-                outs.push(out);
-            }
-            return outs;
-        }
         let skip: Vec<bool> = (0..cells.len())
-            .map(|i| dup_of[i].is_some() || preloaded[i].is_some())
+            .map(|i| dup_of[i].is_some() || slots[i].is_some())
             .collect();
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<CellOutcome>>> =
-            cells.iter().map(|_| std::sync::Mutex::new(None)).collect();
+        let (done, finished) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
-            for _ in 0..nthreads {
-                scope.spawn(|| loop {
+            for _ in 0..self.jobs.min(cells.len()) {
+                let done = done.clone();
+                let (next, skip) = (&next, &skip);
+                scope.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if i >= cells.len() {
                         break;
@@ -1276,37 +1131,31 @@ impl CellRunner {
                     if skip[i] {
                         continue;
                     }
-                    let out = exec_cell(
-                        &plan.specs[cells[i].spec],
-                        &cells[i],
-                        self.metrics,
-                        self.check.as_ref(),
-                        None,
-                    );
-                    *slots[i].lock().expect("cell slot poisoned") = Some(out);
+                    let spec = &plan.specs[cells[i].spec];
+                    let report =
+                        exec_cell(spec, &cells[i], self.metrics, self.check.as_ref(), None);
+                    done.send((i, report))
+                        .expect("the calling thread receives until every worker ends");
                 });
             }
-        });
-        let mut outs: Vec<Option<CellOutcome>> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("cell slot poisoned"))
-            .collect();
-        for (i, hit) in preloaded.iter_mut().enumerate() {
-            if let Some(hit) = hit.take() {
-                outs[i] = Some(hit);
+            drop(done);
+            for (i, report) in finished {
+                slots[i] = Some(report);
             }
-        }
-        for i in 0..outs.len() {
-            if let Some(j) = dup_of[i] {
-                let copy = outs[j]
+        });
+        for (i, primary) in dup_of.iter().enumerate() {
+            if let Some(j) = *primary {
+                let spec = &plan.specs[cells[i].spec];
+                let copy = slots[j]
                     .as_ref()
                     .expect("memoization primary executed")
-                    .memoized_copy();
-                outs[i] = Some(copy);
+                    .memoized_copy(CellReport::new(spec, &cells[i]));
+                slots[i] = Some(copy);
             }
         }
-        outs.into_iter()
-            .map(|o| o.expect("every cell completed"))
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every cell completed"))
             .collect()
     }
 }
@@ -1319,9 +1168,9 @@ impl Default for CellRunner {
 }
 
 /// Runs one experiment — `workload` over `configs` in `mode` — on a
-/// [`default_jobs`]-sized [`CellRunner`] and returns its assembled
-/// result. Results are deterministic whatever the pool size, because
-/// each cell's seed is fixed by its position in the plan.
+/// [`default_jobs`]-sized [`CellRunner`] and returns its result.
+/// Results are deterministic whatever the pool size, because each
+/// cell's seed is fixed by its position in the plan.
 ///
 /// # Panics
 ///
@@ -1330,49 +1179,11 @@ pub fn run_spec(workload: &dyn Workload, configs: &[AsymConfig], mode: SpecMode)
     let mut plan = ExperimentPlan::new(workload.name());
     plan.push(workload.name(), workload, configs, mode);
     let mut results = CellRunner::default().run(plan).results;
-    results.pop().expect("a one-spec plan assembles one result")
+    results.pop().expect("a one-spec plan has one result")
 }
 
-/// One assembled experiment result, in the plan's push order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpecResult {
-    /// A clean experiment.
-    Clean(Experiment),
-    /// A resilient experiment.
-    Resilient(ResilientExperiment),
-    /// A differential experiment.
-    Differential(DifferentialExperiment),
-}
-
-impl SpecResult {
-    /// The clean experiment, panicking if the spec ran another mode.
-    pub fn clean(&self) -> &Experiment {
-        match self {
-            SpecResult::Clean(e) => e,
-            _ => panic!("spec did not run in clean mode"),
-        }
-    }
-
-    /// The resilient experiment, panicking if the spec ran another mode.
-    pub fn resilient(&self) -> &ResilientExperiment {
-        match self {
-            SpecResult::Resilient(e) => e,
-            _ => panic!("spec did not run in resilient mode"),
-        }
-    }
-
-    /// The differential experiment, panicking if the spec ran another
-    /// mode.
-    pub fn differential(&self) -> &DifferentialExperiment {
-        match self {
-            SpecResult::Differential(e) => e,
-            _ => panic!("spec did not run in differential mode"),
-        }
-    }
-}
-
-/// Everything a plan run produced: assembled experiments plus the
-/// structured per-cell report.
+/// Everything a plan run produced: the per-cell records and one view of
+/// them per spec.
 pub struct PlanOutcome {
     /// Per-spec results, in push order.
     pub results: Vec<SpecResult>,
@@ -1380,116 +1191,15 @@ pub struct PlanOutcome {
     pub report: SweepReport,
 }
 
-/// Reassembles the flat outcome list into per-spec experiment results.
-fn assemble(plan: ExperimentPlan<'_>, outcomes: Vec<CellOutcome>) -> Vec<SpecResult> {
-    let mut per_spec: Vec<Vec<CellOutcome>> = plan.specs.iter().map(|_| Vec::new()).collect();
-    for (cell, out) in plan.cells.iter().zip(outcomes) {
-        per_spec[cell.spec].push(out);
-    }
-    plan.specs
-        .iter()
-        .zip(per_spec)
-        .map(|(spec, outs)| assemble_spec(spec, outs))
-        .collect()
-}
-
-fn assemble_spec(spec: &PlanSpec<'_>, outcomes: Vec<CellOutcome>) -> SpecResult {
-    let w = spec.workload;
-    let runs = spec.mode.runs();
-    match &spec.mode {
-        SpecMode::Clean { policy, .. } => {
-            let results: Vec<RunResult> = outcomes
-                .into_iter()
-                .map(|o| match o.data {
-                    CellData::Clean(r) => r,
-                    _ => unreachable!("clean spec produced non-clean cell"),
-                })
-                .collect();
-            let outcomes = spec
-                .configs
-                .iter()
-                .enumerate()
-                .map(|(j, &config)| {
-                    let slice = &results[j * runs..(j + 1) * runs];
-                    let samples = Samples::new(slice.iter().map(|r| r.value).collect());
-                    let mut extras_mean = BTreeMap::new();
-                    for r in slice {
-                        for (k, v) in &r.extras {
-                            *extras_mean.entry(k.clone()).or_insert(0.0) += v / runs as f64;
-                        }
-                    }
-                    ConfigOutcome {
-                        config,
-                        samples,
-                        extras_mean,
-                    }
-                })
-                .collect();
-            SpecResult::Clean(Experiment {
-                workload: w.name().to_string(),
-                unit: w.unit().to_string(),
-                direction: w.direction(),
-                policy: *policy,
-                outcomes,
-            })
-        }
-        SpecMode::Resilient { policy, .. } => {
-            let records: Vec<RunRecord> = outcomes
-                .into_iter()
-                .map(|o| match o.data {
-                    CellData::Resilient(r) => r,
-                    _ => unreachable!("resilient spec produced non-resilient cell"),
-                })
-                .collect();
-            let outcomes = spec
-                .configs
-                .iter()
-                .enumerate()
-                .map(|(j, &config)| ResilientConfigOutcome {
-                    config,
-                    records: records[j * runs..(j + 1) * runs].to_vec(),
-                })
-                .collect();
-            SpecResult::Resilient(ResilientExperiment {
-                workload: w.name().to_string(),
-                unit: w.unit().to_string(),
-                direction: w.direction(),
-                policy: *policy,
-                outcomes,
-            })
-        }
-        SpecMode::Differential { .. } => {
-            let reps: Vec<DifferentialRep> = outcomes
-                .into_iter()
-                .map(|o| match o.data {
-                    CellData::Differential(r) => *r,
-                    _ => unreachable!("differential spec produced non-differential cell"),
-                })
-                .collect();
-            let outcomes = spec
-                .configs
-                .iter()
-                .enumerate()
-                .map(|(j, &config)| DifferentialConfigOutcome {
-                    config,
-                    reps: reps[j * runs..(j + 1) * runs].to_vec(),
-                })
-                .collect();
-            SpecResult::Differential(DifferentialExperiment {
-                workload: w.name().to_string(),
-                unit: w.unit().to_string(),
-                direction: w.direction(),
-                outcomes,
-            })
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // The structured results sink
 // ----------------------------------------------------------------------
 
-/// One cell's entry in the [`SweepReport`].
+/// The one record a cell produces: its identity (spec, workload,
+/// configuration, mode, policy, seed, slot) and its results. Executing a
+/// cell fills it, a memoized cell copies its primary's results under its
+/// own identity, the [`CellCache`] stores and restores its results, the
+/// JSON sink emits it, and [`SpecResult`]'s views read it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellReport {
     /// Label of the owning spec.
@@ -1535,11 +1245,114 @@ pub struct CellReport {
     /// Merged observability metrics of the cell's final attempt(s),
     /// present when the runner ran with
     /// [`CellRunner::with_metrics`]`(true)` and the cell did not panic.
-    pub metrics: Option<ProfileMetrics>,
+    pub metrics: Option<Box<ProfileMetrics>>,
     /// Differential cells only: the stock-faulted − aware-faulted diff
     /// attribution (where the stock kernel lost time under the
     /// identical disturbance plan). `None` for non-differential cells.
-    pub diff: Option<DiffAttribution>,
+    pub diff: Option<Box<DiffAttribution>>,
+    /// The cell's runs, each as its final attempt: one for a clean or
+    /// resilient cell (whose `class`, `attempts` and `value` it
+    /// repeats), or a differential cell's four legs in execution order —
+    /// stock-clean, stock-faulted, aware-clean, aware-faulted.
+    pub runs: Vec<RunRecord>,
+}
+
+impl CellReport {
+    /// A record of `cell`'s identity, before any result is in.
+    fn new(spec: &PlanSpec<'_>, cell: &Cell) -> CellReport {
+        CellReport {
+            spec: spec.label.clone(),
+            workload: spec.workload.name().to_string(),
+            config: cell.setup.config.to_string(),
+            mode: spec.mode.name(),
+            policy: cell.setup.policy.to_string(),
+            seed: cell.setup.seed,
+            rep: cell.rep,
+            class: RunClass::Completed,
+            attempts: 0,
+            value: None,
+            wall_ms: 0.0,
+            trace_hash: None,
+            memoized: false,
+            cached: false,
+            violations: Vec::new(),
+            metrics: None,
+            diff: None,
+            runs: Vec::new(),
+        }
+    }
+
+    /// Records `run` as this single-run cell's only run, with the folded
+    /// trace hash and merged metrics of its final attempt.
+    pub(crate) fn record_run(
+        &mut self,
+        run: RunRecord,
+        trace_hash: Option<u64>,
+        metrics: Option<ProfileMetrics>,
+    ) {
+        self.class = run.class;
+        self.attempts = run.attempts;
+        self.value = run.value;
+        self.trace_hash = trace_hash;
+        self.metrics = metrics.map(Box::new);
+        self.runs = vec![run];
+    }
+
+    /// `identity` carrying this cell's results, as a deduplicated cell
+    /// stores them: marked memoized and charged zero wall-clock (no host
+    /// time was spent). The `cached` flag carries over — a copy of a
+    /// cache hit is itself cache-derived.
+    fn memoized_copy(&self, identity: CellReport) -> CellReport {
+        CellReport {
+            class: self.class,
+            attempts: self.attempts,
+            value: self.value,
+            trace_hash: self.trace_hash,
+            memoized: true,
+            cached: self.cached,
+            violations: self.violations.clone(),
+            metrics: self.metrics.clone(),
+            diff: self.diff.clone(),
+            runs: self.runs.clone(),
+            ..identity
+        }
+    }
+
+    /// Whether `other` holds the same results: every field but the spec
+    /// label and the host-side `wall_ms`, `memoized` and `cached`.
+    pub(crate) fn same_result(&self, o: &CellReport) -> bool {
+        (&self.workload, &self.config, self.mode, &self.policy)
+            == (&o.workload, &o.config, o.mode, &o.policy)
+            && (self.seed, self.rep, self.class, self.attempts)
+                == (o.seed, o.rep, o.class, o.attempts)
+            && (self.value, self.trace_hash, &self.violations)
+                == (o.value, o.trace_hash, &o.violations)
+            && (&self.metrics, &self.diff, &self.runs) == (&o.metrics, &o.diff, &o.runs)
+    }
+
+    /// Differential cells: the stock kernel's slowdown under the
+    /// disturbance, clean over faulted performance (> 1 when it hurt).
+    /// `None` when either leg has no value, or for a single-run cell.
+    pub fn stock_slowdown(&self, direction: Direction) -> Option<f64> {
+        self.slowdown(0, direction)
+    }
+
+    /// Differential cells: the asymmetry-aware kernel's slowdown under
+    /// the disturbance, like [`stock_slowdown`](CellReport::stock_slowdown).
+    pub fn aware_slowdown(&self, direction: Direction) -> Option<f64> {
+        self.slowdown(2, direction)
+    }
+
+    /// Clean-leg over faulted-leg performance for the legs at `clean`
+    /// and `clean + 1`.
+    fn slowdown(&self, clean: usize, direction: Direction) -> Option<f64> {
+        if self.runs.len() != 4 {
+            return None;
+        }
+        let c = direction.performance(self.runs[clean].value?);
+        let f = direction.performance(self.runs[clean + 1].value?);
+        (f > 0.0).then(|| c / f)
+    }
 }
 
 /// The structured outcome of one plan run: per-cell records plus
@@ -1555,8 +1368,9 @@ pub struct SweepReport {
     /// Traffic counters of the persistent cell cache, when one was
     /// attached ([`CellRunner::with_cache`]).
     pub cache: Option<CacheStats>,
-    /// Per-cell records, in plan order.
-    pub cells: Vec<CellReport>,
+    /// Per-cell records, in plan order; each [`SpecResult`] of the plan
+    /// shares them.
+    pub cells: Arc<Vec<CellReport>>,
 }
 
 impl SweepReport {
@@ -1635,7 +1449,7 @@ impl SweepReport {
         let _ = writeln!(out, "  \"total_violations\": {},", self.total_violations());
         out.push_str("  \"classes\": {");
         let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for c in &self.cells {
+        for c in self.cells.iter() {
             *counts.entry(c.class.to_string()).or_insert(0) += 1;
         }
         for (i, (class, n)) in counts.iter().enumerate() {
@@ -1730,52 +1544,6 @@ fn json_f64(v: f64) -> String {
         format!("{v}")
     } else {
         "0".to_string()
-    }
-}
-
-fn build_report(
-    plan: &ExperimentPlan<'_>,
-    outcomes: &[CellOutcome],
-    jobs: usize,
-    wall_ms: f64,
-    cache: Option<CacheStats>,
-) -> SweepReport {
-    let cells = plan
-        .cells
-        .iter()
-        .zip(outcomes)
-        .map(|(cell, out)| {
-            let spec = &plan.specs[cell.spec];
-            CellReport {
-                spec: spec.label.clone(),
-                workload: spec.workload.name().to_string(),
-                config: cell.setup.config.to_string(),
-                mode: spec.mode.name(),
-                policy: cell.setup.policy.to_string(),
-                seed: cell.setup.seed,
-                rep: cell.rep,
-                class: out.class,
-                attempts: out.attempts,
-                value: out.value,
-                wall_ms: out.wall_nanos as f64 / 1e6,
-                trace_hash: out.trace_hash,
-                memoized: out.memoized,
-                cached: out.cached,
-                violations: out.violations.clone(),
-                metrics: out.metrics.clone(),
-                diff: match &out.data {
-                    CellData::Differential(rep) => rep.diff,
-                    _ => None,
-                },
-            }
-        })
-        .collect();
-    SweepReport {
-        name: plan.name.clone(),
-        jobs,
-        wall_ms,
-        cache,
-        cells,
     }
 }
 
@@ -1898,7 +1666,7 @@ mod tests {
             out.report.cells[0].trace_hash,
             out.report.cells[2].trace_hash
         );
-        // The assembled experiments are indistinguishable from running
+        // The two sections are indistinguishable from running
         // both specs in full.
         assert_eq!(
             out.results[0].clean().outcomes,
@@ -1926,10 +1694,7 @@ mod tests {
         let out = CellRunner::new(2).run(plan);
         assert_eq!(out.report.memoized_cells(), 2);
         assert!(out.report.cells[3].memoized);
-        assert_eq!(
-            out.results[0].resilient().outcomes,
-            out.results[1].resilient().outcomes
-        );
+        assert_eq!(out.results[0], out.results[1]);
 
         // The same specs with a section check are never reused: the
         // check sees every requested run execute.
@@ -1945,6 +1710,27 @@ mod tests {
         assert_eq!(out.report.memoized_cells(), 0);
         let attempts: u32 = out.report.cells.iter().map(|c| c.attempts).sum();
         assert_eq!(closed.load(Ordering::Relaxed), attempts as usize);
+    }
+
+    #[test]
+    fn memoized_copies_carry_their_own_identity() {
+        // Seed 1 is slot 1 of the first spec and slot 0 of the second.
+        let w = Proportional;
+        let mut plan = ExperimentPlan::new("shifted");
+        let mode = |base| SpecMode::Clean {
+            policy: SchedPolicy::os_default(),
+            options: ExperimentOptions::new(2).base_seed(base),
+        };
+        plan.push("first", &w, &[AsymConfig::new(2, 2, 8)], mode(0));
+        plan.push("second", &w, &[AsymConfig::new(2, 2, 8)], mode(1));
+        assert_eq!(plan.memo_targets(), vec![None, None, Some(1), None]);
+        let out = CellRunner::new(1).run(plan);
+        let (primary, copy) = (&out.report.cells[1], &out.report.cells[2]);
+        assert!(copy.memoized && !primary.memoized);
+        assert_eq!((copy.spec.as_str(), copy.rep, copy.seed), ("second", 0, 1));
+        assert_eq!((primary.spec.as_str(), primary.rep), ("first", 1));
+        assert_eq!((copy.value, &copy.runs), (primary.value, &primary.runs));
+        assert_eq!(out.results[1].cells()[0].spec, "second");
     }
 
     fn hotplug(setup: &RunSetup) -> FaultPlan {
@@ -2030,7 +1816,7 @@ mod tests {
         assert!(none.report.cells.iter().all(|c| c.metrics.is_none()));
         let serial = CellRunner::new(1).with_metrics(true).run(mini_plan(&w));
         let pooled = CellRunner::new(4).with_metrics(true).run(mini_plan(&w));
-        for (a, b) in serial.report.cells.iter().zip(&pooled.report.cells) {
+        for (a, b) in serial.report.cells.iter().zip(pooled.report.cells.iter()) {
             assert_eq!(a.metrics, b.metrics, "metrics must not depend on --jobs");
             // Proportional spawns no kernels, so the record is present
             // but empty — still serialized, still finite.
@@ -2237,7 +2023,7 @@ mod tests {
                     c.value,
                     c.trace_hash,
                     c.metrics
-                        .as_ref()
+                        .as_deref()
                         .map(ProfileMetrics::to_json)
                         .unwrap_or_default(),
                 )

@@ -1,18 +1,177 @@
-//! The experiment runner: repeated runs across configurations, exactly as
-//! the paper's methodology prescribes — run the same workload several
-//! times per configuration, then examine run-to-run variance (stability)
-//! and the trend against compute power (scalability).
+//! Experiments: repeated runs across configurations, exactly as the
+//! paper's methodology prescribes — run the same workload several times
+//! per configuration, then examine run-to-run variance (stability) and
+//! the trend against compute power (scalability).
+//!
+//! A finished experiment is a [`SpecResult`]: its identity over its
+//! slice of the plan's per-cell records. The clean, resilient and
+//! differential views compute the statistics from those records when
+//! asked; no view keeps a copy of them.
 
 use crate::config::AsymConfig;
-use crate::engine::TraceCheck;
+use crate::engine::{CellReport, SpecMode, TraceCheck};
 use crate::metrics::{Direction, Samples, Scalability, Stability};
-use crate::workload::RunSetup;
+use crate::workload::{RunSetup, Workload};
 use asym_kernel::SchedPolicy;
-use asym_obs::DiffAttribution;
 use asym_sim::{EnvironmentPlan, FaultPlan, SimDuration};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
+
+/// One finished experiment — a workload over its configurations in one
+/// harness mode — viewing its slice of the plan's per-cell records
+/// ([`SweepReport::cells`](crate::SweepReport::cells)), which it shares
+/// with the report and the plan's other results.
+///
+/// Two results are equal when their identity and every cell's results
+/// are: the cells' spec labels and host-side fields (`wall_ms`,
+/// `memoized`, `cached`) never count.
+#[derive(Clone)]
+pub struct SpecResult {
+    /// Workload name.
+    pub workload: String,
+    /// Metric unit.
+    pub unit: String,
+    /// Metric direction.
+    pub direction: Direction,
+    /// Harness mode: `clean`, `resilient`, or `differential`.
+    pub mode: &'static str,
+    /// Policy of every run (the canonical stock policy for differential
+    /// experiments, which run both).
+    pub policy: SchedPolicy,
+    /// Configurations, in the order they were given; each owns an equal
+    /// share of `range`.
+    configs: Vec<AsymConfig>,
+    cells: Arc<Vec<CellReport>>,
+    range: Range<usize>,
+}
+
+impl SpecResult {
+    /// The result of `workload` over `configs` in `mode`, whose records
+    /// are `cells[range]` in configuration-major seed order.
+    pub(crate) fn new(
+        workload: &dyn Workload,
+        mode: &SpecMode,
+        configs: Vec<AsymConfig>,
+        cells: Arc<Vec<CellReport>>,
+        range: Range<usize>,
+    ) -> SpecResult {
+        SpecResult {
+            workload: workload.name().to_string(),
+            unit: workload.unit().to_string(),
+            direction: workload.direction(),
+            mode: mode.name(),
+            policy: mode.cell_policy(),
+            configs,
+            cells,
+            range,
+        }
+    }
+
+    /// The experiment's per-cell records, in plan order.
+    pub fn cells(&self) -> &[CellReport] {
+        &self.cells[self.range.clone()]
+    }
+
+    /// Every run record, in plan order: one per clean or resilient cell,
+    /// four per differential cell.
+    pub fn records(&self) -> impl Iterator<Item = &RunRecord> {
+        self.cells().iter().flat_map(|c| &c.runs)
+    }
+
+    /// Each configuration with its cells.
+    fn by_config(&self) -> impl Iterator<Item = (AsymConfig, &[CellReport])> {
+        let runs = self.range.len() / self.configs.len();
+        self.configs.iter().copied().zip(self.cells().chunks(runs))
+    }
+
+    fn expect_mode(&self, mode: &str) {
+        assert!(self.mode == mode, "spec did not run in {mode} mode");
+    }
+
+    /// The clean view, panicking if the spec ran another mode.
+    pub fn clean(&self) -> Experiment {
+        self.expect_mode("clean");
+        let outcomes = self
+            .by_config()
+            .map(|(config, cells)| {
+                let samples =
+                    Samples::new(cells.iter().map(|c| c.value.unwrap_or(f64::NAN)).collect());
+                let mut extras_mean = BTreeMap::new();
+                for (k, v) in cells.iter().flat_map(|c| &c.runs).flat_map(|r| &r.extras) {
+                    *extras_mean.entry(k.clone()).or_insert(0.0) += v / cells.len() as f64;
+                }
+                ConfigOutcome {
+                    config,
+                    samples,
+                    extras_mean,
+                }
+            })
+            .collect();
+        Experiment {
+            workload: self.workload.clone(),
+            unit: self.unit.clone(),
+            direction: self.direction,
+            policy: self.policy,
+            outcomes,
+        }
+    }
+
+    /// The resilient view, panicking if the spec ran another mode.
+    pub fn resilient(&self) -> ResilientExperiment<'_> {
+        self.expect_mode("resilient");
+        ResilientExperiment {
+            workload: self.workload.clone(),
+            unit: self.unit.clone(),
+            direction: self.direction,
+            policy: self.policy,
+            outcomes: self
+                .by_config()
+                .map(|(config, cells)| ResilientConfigOutcome { config, cells })
+                .collect(),
+        }
+    }
+
+    /// The differential view, panicking if the spec ran another mode.
+    pub fn differential(&self) -> DifferentialExperiment<'_> {
+        self.expect_mode("differential");
+        DifferentialExperiment {
+            workload: self.workload.clone(),
+            unit: self.unit.clone(),
+            direction: self.direction,
+            outcomes: self
+                .by_config()
+                .map(|(config, reps)| DifferentialConfigOutcome { config, reps })
+                .collect(),
+        }
+    }
+}
+
+impl PartialEq for SpecResult {
+    fn eq(&self, other: &SpecResult) -> bool {
+        let (a, b) = (self.cells(), other.cells());
+        (&self.workload, &self.unit, self.direction, self.mode)
+            == (&other.workload, &other.unit, other.direction, other.mode)
+            && (self.policy, &self.configs) == (other.policy, &other.configs)
+            && a.len() == b.len()
+            && a.iter().zip(b).all(|(a, b)| a.same_result(b))
+    }
+}
+
+impl fmt::Debug for SpecResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpecResult")
+            .field("workload", &self.workload)
+            .field("unit", &self.unit)
+            .field("direction", &self.direction)
+            .field("mode", &self.mode)
+            .field("policy", &self.policy)
+            .field("configs", &self.configs)
+            .field("cells", &self.cells())
+            .finish()
+    }
+}
 
 /// Per-configuration outcome of an experiment: all runs plus their
 /// statistics.
@@ -33,7 +192,8 @@ impl ConfigOutcome {
     }
 }
 
-/// The full outcome of an experiment over several configurations.
+/// The clean view of an experiment: per-configuration statistics over
+/// its runs, computed from its records by [`SpecResult::clean`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
     /// Workload name.
@@ -251,20 +411,25 @@ pub struct RunRecord {
     pub extras: BTreeMap<String, f64>,
 }
 
-/// Per-configuration outcome of a resilient experiment: every run slot
+/// Per-configuration view of a resilient experiment: every run slot
 /// classified, completed or not.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientConfigOutcome {
+#[derive(Debug, Clone, Copy)]
+pub struct ResilientConfigOutcome<'a> {
     /// The configuration.
     pub config: AsymConfig,
-    /// One record per run slot, in seed order.
-    pub records: Vec<RunRecord>,
+    /// One cell per run slot, in seed order.
+    pub cells: &'a [CellReport],
 }
 
-impl ResilientConfigOutcome {
+impl<'a> ResilientConfigOutcome<'a> {
+    /// One record per run slot, in seed order.
+    pub fn records(&self) -> impl Iterator<Item = &'a RunRecord> + 'a {
+        self.cells.iter().flat_map(|c| &c.runs)
+    }
+
     /// Number of records in `class`.
     pub fn count(&self, class: RunClass) -> usize {
-        self.records.iter().filter(|r| r.class == class).count()
+        self.records().filter(|r| r.class == class).count()
     }
 
     /// The completed runs' metrics as [`Samples`], or `None` when no run
@@ -272,24 +437,19 @@ impl ResilientConfigOutcome {
     /// a configuration wiped out by faults reports *absence*, never a
     /// fabricated statistic.
     pub fn completed_samples(&self) -> Option<Samples> {
-        let values: Vec<f64> = self.records.iter().filter_map(|r| r.value).collect();
+        let values: Vec<f64> = self.records().filter_map(|r| r.value).collect();
         if values.is_empty() {
             None
         } else {
             Some(Samples::new(values))
         }
     }
-
-    /// Total attempts across all slots (retries included).
-    pub fn total_attempts(&self) -> u32 {
-        self.records.iter().map(|r| r.attempts).sum()
-    }
 }
 
-/// The full outcome of a resilient experiment: like [`Experiment`], but
-/// every run is classified and partial results are first-class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientExperiment {
+/// The resilient view of an experiment: like [`Experiment`], but every
+/// run is classified and partial results are first-class.
+#[derive(Debug, Clone)]
+pub struct ResilientExperiment<'a> {
     /// Workload name.
     pub workload: String,
     /// Metric unit.
@@ -299,31 +459,70 @@ pub struct ResilientExperiment {
     /// Policy the runs used.
     pub policy: SchedPolicy,
     /// Per-configuration outcomes, in the order configurations were given.
-    pub outcomes: Vec<ResilientConfigOutcome>,
+    pub outcomes: Vec<ResilientConfigOutcome<'a>>,
 }
 
-impl ResilientExperiment {
-    /// The outcome for `config`, if it was part of the experiment.
-    pub fn outcome(&self, config: AsymConfig) -> Option<&ResilientConfigOutcome> {
-        self.outcomes.iter().find(|o| o.config == config)
+impl<'a> ResilientExperiment<'a> {
+    /// Every run slot's record, configuration-major in seed order.
+    pub fn records(&self) -> impl Iterator<Item = &'a RunRecord> + '_ {
+        self.outcomes.iter().flat_map(|o| o.records())
+    }
+
+    /// Number of run slots, across all configurations.
+    pub fn runs(&self) -> usize {
+        self.records().count()
     }
 
     /// Number of runs (across all configurations) in `class`.
     pub fn count(&self, class: RunClass) -> usize {
-        self.outcomes.iter().map(|o| o.count(class)).sum()
+        self.records().filter(|r| r.class == class).count()
+    }
+
+    /// Attempts spent beyond each slot's first, across all slots.
+    pub fn retries(&self) -> u32 {
+        self.records().map(|r| r.attempts - 1).sum()
     }
 
     /// Fraction of run slots that completed, in `[0, 1]`.
     pub fn completion_rate(&self) -> f64 {
-        let total: usize = self.outcomes.iter().map(|o| o.records.len()).sum();
+        let total = self.runs();
         if total == 0 {
             return 1.0;
         }
         self.count(RunClass::Completed) as f64 / total as f64
     }
+
+    /// Stability under partial results: the worst CoV over the
+    /// configurations with at least two completed runs, NaN when none has.
+    pub fn worst_completed_cov(&self) -> f64 {
+        self.outcomes
+            .iter()
+            .filter_map(ResilientConfigOutcome::completed_samples)
+            .filter(|s| s.len() >= 2)
+            .map(|s| s.cov())
+            .fold(f64::NAN, f64::max)
+    }
+
+    /// Scalability under partial results: the completed runs' mean
+    /// performance against compute power, over the configurations where
+    /// any run completed; `None` when fewer than two did.
+    pub fn completed_scalability(&self) -> Option<Scalability> {
+        let points: Vec<(f64, f64)> = self
+            .outcomes
+            .iter()
+            .filter_map(|o| {
+                let s = o.completed_samples()?;
+                Some((
+                    o.config.compute_power(),
+                    self.direction.performance(s.mean()),
+                ))
+            })
+            .collect();
+        (points.len() >= 2).then(|| Scalability::from_points(&points))
+    }
 }
 
-impl fmt::Display for ResilientExperiment {
+impl fmt::Display for ResilientExperiment<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -341,7 +540,7 @@ impl fmt::Display for ResilientExperiment {
                     "  {:>8}: {}/{} completed, mean {:.3} cov {:.2}%",
                     o.config.to_string(),
                     s.len(),
-                    o.records.len(),
+                    o.cells.len(),
                     s.mean(),
                     s.cov() * 100.0
                 )?,
@@ -349,7 +548,7 @@ impl fmt::Display for ResilientExperiment {
                     f,
                     "  {:>8}: 0/{} completed",
                     o.config.to_string(),
-                    o.records.len()
+                    o.cells.len()
                 )?,
             }
         }
@@ -493,127 +692,57 @@ impl fmt::Debug for ResilientOptions {
 // Differential harness: stock vs aware under identical faults
 // ----------------------------------------------------------------------
 
-/// One repeat of a differential cell: four guarded runs from the *same*
-/// seed — each policy once clean and once under the *identical*
-/// [`FaultPlan`] — so any stock/aware difference is attributable to the
-/// policy alone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DifferentialRep {
-    /// The seed all four runs used.
-    pub seed: u64,
-    /// Stock kernel, no faults.
-    pub stock_clean: RunRecord,
-    /// Stock kernel under the shared fault plan.
-    pub stock_faulted: RunRecord,
-    /// Asymmetry-aware kernel, no faults.
-    pub aware_clean: RunRecord,
-    /// Asymmetry-aware kernel under the shared fault plan.
-    pub aware_faulted: RunRecord,
-    /// Per-cell diff attribution between the two *disturbed* legs
-    /// (stock-faulted − aware-faulted): where the stock kernel lost
-    /// time relative to the aware kernel under the identical plan.
-    /// Absent when either leg panicked before producing metrics.
-    pub diff: Option<DiffAttribution>,
-}
-
-impl DifferentialRep {
-    /// All four records, for classification counting.
-    pub fn records(&self) -> [&RunRecord; 4] {
-        [
-            &self.stock_clean,
-            &self.stock_faulted,
-            &self.aware_clean,
-            &self.aware_faulted,
-        ]
-    }
-
-    fn slowdown(clean: &RunRecord, faulted: &RunRecord, direction: Direction) -> Option<f64> {
-        let c = direction.performance(clean.value?);
-        let f = direction.performance(faulted.value?);
-        (f > 0.0).then(|| c / f)
-    }
-
-    /// Fault-induced slowdown under the stock kernel: clean performance
-    /// over faulted performance (> 1 when faults hurt).
-    pub fn stock_slowdown(&self, direction: Direction) -> Option<f64> {
-        Self::slowdown(&self.stock_clean, &self.stock_faulted, direction)
-    }
-
-    /// Fault-induced slowdown under the asymmetry-aware kernel.
-    pub fn aware_slowdown(&self, direction: Direction) -> Option<f64> {
-        Self::slowdown(&self.aware_clean, &self.aware_faulted, direction)
-    }
-
-    /// The absorption metric: the fraction of the stock kernel's
-    /// fault-induced slowdown that the asymmetry-aware policy recovers,
-    /// `(S_stock − S_aware) / (S_stock − 1)`. 1 means the aware kernel
-    /// fully absorbed the faults, 0 means it helped not at all, negative
-    /// means it made faults worse. `None` when any needed run failed or
-    /// the stock kernel was not measurably slowed (no slowdown to
-    /// absorb).
-    pub fn absorption(&self, direction: Direction) -> Option<f64> {
-        let s_stock = self.stock_slowdown(direction)?;
-        let s_aware = self.aware_slowdown(direction)?;
-        (s_stock > 1.0 + 1e-9).then(|| (s_stock - s_aware) / (s_stock - 1.0))
-    }
-}
-
-/// Per-configuration outcome of a differential experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DifferentialConfigOutcome {
+/// Per-configuration view of a differential experiment. Each repeat is
+/// one differential cell: four guarded runs from the *same* seed — each
+/// policy once clean and once under the *identical* [`FaultPlan`] —
+/// so any stock/aware difference is attributable to the policy alone
+/// (see [`CellReport::runs`], [`CellReport::stock_slowdown`]).
+#[derive(Debug, Clone, Copy)]
+pub struct DifferentialConfigOutcome<'a> {
     /// The configuration.
     pub config: AsymConfig,
-    /// One entry per repeat seed.
-    pub reps: Vec<DifferentialRep>,
+    /// One cell per repeat seed; its `value` is the repeat's absorption.
+    pub reps: &'a [CellReport],
 }
 
-impl DifferentialConfigOutcome {
+impl DifferentialConfigOutcome<'_> {
     /// Number of runs (out of `4 × reps`) in `class`.
     pub fn count(&self, class: RunClass) -> usize {
         self.reps
             .iter()
-            .flat_map(|r| r.records())
+            .flat_map(|r| &r.runs)
             .filter(|r| r.class == class)
             .count()
     }
 
     /// Mean absorption across the repeats where it is defined.
-    pub fn mean_absorption(&self, direction: Direction) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .reps
-            .iter()
-            .filter_map(|r| r.absorption(direction))
-            .collect();
+    pub fn mean_absorption(&self) -> Option<f64> {
+        let vals: Vec<f64> = self.reps.iter().filter_map(|r| r.value).collect();
         (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
     }
 
-    fn faulted_cov(&self, pick: impl Fn(&DifferentialRep) -> &RunRecord) -> Option<f64> {
-        let vals: Vec<f64> = self.reps.iter().filter_map(|r| pick(r).value).collect();
+    /// Run-to-run CoV of leg `leg`'s metric across repeats.
+    fn leg_cov(&self, leg: usize) -> Option<f64> {
+        let vals: Vec<f64> = self
+            .reps
+            .iter()
+            .filter_map(|r| r.runs.get(leg)?.value)
+            .collect();
         (vals.len() >= 2).then(|| Samples::new(vals).cov())
     }
 
-    /// Run-to-run CoV of the stock kernel's faulted metric across repeats.
-    pub fn stock_faulted_cov(&self) -> Option<f64> {
-        self.faulted_cov(|r| &r.stock_faulted)
-    }
-
-    /// Run-to-run CoV of the aware kernel's faulted metric across repeats.
-    pub fn aware_faulted_cov(&self) -> Option<f64> {
-        self.faulted_cov(|r| &r.aware_faulted)
-    }
-
-    /// Stability delta under faults: stock CoV minus aware CoV across the
-    /// repeat seeds. Positive means the aware kernel is *steadier* under
-    /// the same fault schedules. `None` with fewer than two completed
-    /// repeats on either side.
+    /// Stability delta under faults: the stock-faulted leg's CoV minus
+    /// the aware-faulted leg's across the repeat seeds. Positive means
+    /// the aware kernel is *steadier* under the same fault schedules.
+    /// `None` with fewer than two completed repeats on either side.
     pub fn stability_delta(&self) -> Option<f64> {
-        Some(self.stock_faulted_cov()? - self.aware_faulted_cov()?)
+        Some(self.leg_cov(1)? - self.leg_cov(3)?)
     }
 }
 
-/// The full outcome of a differential experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DifferentialExperiment {
+/// The differential view of an experiment.
+#[derive(Debug, Clone)]
+pub struct DifferentialExperiment<'a> {
     /// Workload name.
     pub workload: String,
     /// Metric unit.
@@ -621,15 +750,10 @@ pub struct DifferentialExperiment {
     /// Metric direction.
     pub direction: Direction,
     /// Per-configuration outcomes, in the order configurations were given.
-    pub outcomes: Vec<DifferentialConfigOutcome>,
+    pub outcomes: Vec<DifferentialConfigOutcome<'a>>,
 }
 
-impl DifferentialExperiment {
-    /// The outcome for `config`, if it was part of the experiment.
-    pub fn outcome(&self, config: AsymConfig) -> Option<&DifferentialConfigOutcome> {
-        self.outcomes.iter().find(|o| o.config == config)
-    }
-
+impl DifferentialExperiment<'_> {
     /// Number of runs (across all configurations) in `class`.
     pub fn count(&self, class: RunClass) -> usize {
         self.outcomes.iter().map(|o| o.count(class)).sum()
@@ -637,11 +761,12 @@ impl DifferentialExperiment {
 
     /// Total number of runs executed (4 per repeat per configuration).
     pub fn total_runs(&self) -> usize {
-        self.outcomes.iter().map(|o| o.reps.len() * 4).sum()
+        let reps = self.outcomes.iter().flat_map(|o| o.reps);
+        reps.map(|r| r.runs.len()).sum()
     }
 }
 
-impl fmt::Display for DifferentialExperiment {
+impl fmt::Display for DifferentialExperiment<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -653,7 +778,7 @@ impl fmt::Display for DifferentialExperiment {
             self.total_runs(),
         )?;
         for o in &self.outcomes {
-            match o.mean_absorption(self.direction) {
+            match o.mean_absorption() {
                 Some(a) => writeln!(
                     f,
                     "  {:>8}: absorption {:+.2} stability-delta {}",
@@ -672,10 +797,9 @@ impl fmt::Display for DifferentialExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{
-        run_spec, CellRunner, ExperimentPlan, SpecMode, SpecResult, RETRY_SEED_STRIDE,
-    };
-    use crate::workload::{RunResult, Workload};
+    use crate::cache::CellCache;
+    use crate::engine::{run_spec, CellRunner, ExperimentPlan, RETRY_SEED_STRIDE};
+    use crate::workload::RunResult;
 
     /// `mode` over `configs` on an explicitly sized pool.
     fn run_on(jobs: usize, w: &dyn Workload, configs: &[AsymConfig], mode: SpecMode) -> SpecResult {
@@ -695,32 +819,28 @@ mod tests {
         options: &ExperimentOptions,
     ) -> Experiment {
         let options = options.clone();
-        run_spec(w, configs, SpecMode::Clean { policy, options })
-            .clean()
-            .clone()
+        run_spec(w, configs, SpecMode::Clean { policy, options }).clean()
     }
 
+    /// A resilient run; its view is `.resilient()`.
     fn resilient(
         w: &dyn Workload,
         configs: &[AsymConfig],
         policy: SchedPolicy,
         options: &ResilientOptions,
-    ) -> ResilientExperiment {
+    ) -> SpecResult {
         let options = options.clone();
         run_spec(w, configs, SpecMode::Resilient { policy, options })
-            .resilient()
-            .clone()
     }
 
+    /// A differential run; its view is `.differential()`.
     fn differential(
         w: &dyn Workload,
         configs: &[AsymConfig],
         options: &ResilientOptions,
-    ) -> DifferentialExperiment {
+    ) -> SpecResult {
         let options = options.clone();
         run_spec(w, configs, SpecMode::Differential { options })
-            .differential()
-            .clone()
     }
 
     /// Performance proportional to power, with seed-dependent noise on
@@ -874,7 +994,7 @@ mod tests {
                 );
             }
             k.run();
-            RunResult::new(k.now().as_secs_f64())
+            RunResult::new(k.now().as_secs_f64()).with_extra("seed", setup.seed as f64)
         }
     }
 
@@ -891,12 +1011,13 @@ mod tests {
             bad_below: u64::MAX,
             mode: "panic",
         };
-        let exp = resilient(
+        let result = resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
             &resilient_opts(),
         );
+        let exp = result.resilient();
         assert_eq!(exp.count(RunClass::Panicked), 2);
         assert!(exp.outcomes[0].completed_samples().is_none());
         assert_eq!(exp.completion_rate(), 0.0);
@@ -912,13 +1033,13 @@ mod tests {
                 bad_below: u64::MAX,
                 mode,
             };
-            let exp = resilient(
+            let result = resilient(
                 &w,
                 &[AsymConfig::new(2, 2, 8)],
                 SchedPolicy::os_default(),
                 &resilient_opts(),
             );
-            assert_eq!(exp.count(class), 2, "mode {mode}");
+            assert_eq!(result.resilient().count(class), 2, "mode {mode}");
         }
     }
 
@@ -930,18 +1051,90 @@ mod tests {
             bad_below: 2,
             mode: "panic",
         };
-        let exp = resilient(
+        let result = resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
             &resilient_opts().retries(1),
         );
+        let exp = result.resilient();
         assert_eq!(exp.count(RunClass::Completed), 2);
-        for r in &exp.outcomes[0].records {
+        for r in exp.outcomes[0].records() {
             assert_eq!(r.attempts, 2);
             assert!(r.seed >= RETRY_SEED_STRIDE);
             assert!(r.value.is_some());
         }
+    }
+
+    #[test]
+    fn reseeded_resilient_cells_round_trip_the_cache() {
+        // Both slots panic on their own seed and complete on the
+        // reseeded retry: the cache must restore that final attempt.
+        let w = Hostile {
+            bad_below: 2,
+            mode: "panic",
+        };
+        let dir = std::env::temp_dir().join(format!("asym-reseeded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CellCache::open(&dir).expect("temp cache opens");
+        let run = || {
+            let mut plan = ExperimentPlan::new("reseeded");
+            let mode = SpecMode::Resilient {
+                policy: SchedPolicy::os_default(),
+                options: resilient_opts().retries(1),
+            };
+            plan.push("hostile", &w, &[AsymConfig::new(2, 2, 8)], mode);
+            CellRunner::new(2).with_cache(cache.clone()).run(plan)
+        };
+        let (cold, warm) = (run(), run());
+        assert_eq!(warm.report.cache.as_ref().map(|s| s.hits), Some(2));
+        for (cold, warm) in cold.report.cells.iter().zip(warm.report.cells.iter()) {
+            assert!(!cold.cached && warm.cached);
+            assert_eq!((warm.attempts, warm.class), (2, RunClass::Completed));
+            let [run] = &warm.runs[..] else {
+                panic!("one run per resilient cell: {warm:?}");
+            };
+            assert_eq!(run.attempts, 2);
+            assert!(run.seed >= RETRY_SEED_STRIDE, "{run:?}");
+            assert!(run.value.is_some() && run.value == warm.value);
+            assert_eq!(run.extras["seed"], run.seed as f64);
+            assert_eq!(warm.runs, cold.runs);
+        }
+        assert_eq!(cold.results, warm.results);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn section_equality_compares_results_not_host_fields() {
+        let w = Hostile {
+            bad_below: 1,
+            mode: "panic",
+        };
+        let configs = [AsymConfig::new(2, 2, 8)];
+        let policy = SchedPolicy::os_default();
+        let result = resilient(&w, &configs, policy, &resilient_opts().retries(1));
+        // `result` with its last cell edited.
+        let edited = |edit: fn(&mut CellReport)| {
+            let mut cells = result.cells().to_vec();
+            edit(cells.last_mut().expect("cells"));
+            SpecResult {
+                range: 0..cells.len(),
+                cells: Arc::new(cells),
+                ..result.clone()
+            }
+        };
+        let host = edited(|c| {
+            c.wall_ms += 1.0;
+            c.memoized = !c.memoized;
+            c.cached = !c.cached;
+        });
+        assert_eq!(host, result);
+        assert_ne!(edited(|c| c.runs[0].seed += 1), result);
+        assert_ne!(edited(|c| c.runs[0].value = Some(-1.0)), result);
+        let extra = edited(|c| {
+            c.runs[0].extras.insert("extra".to_string(), 0.0);
+        });
+        assert_ne!(extra, result);
     }
 
     #[test]
@@ -956,13 +1149,13 @@ mod tests {
         let opts = ResilientOptions::new(1)
             .sim_time_budget(SimDuration::from_millis(2))
             .retries(0);
-        let exp = resilient(
+        let result = resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
             &opts,
         );
-        assert_eq!(exp.count(RunClass::TimeLimit), 1);
+        assert_eq!(result.resilient().count(RunClass::TimeLimit), 1);
 
         // A caller-chosen run_until window elapsing is NOT a failure.
         struct Windowed;
@@ -987,13 +1180,13 @@ mod tests {
                 RunResult::new(1.0)
             }
         }
-        let exp = resilient(
+        let result = resilient(
             &Windowed,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
             &ResilientOptions::new(1).retries(0),
         );
-        assert_eq!(exp.count(RunClass::Completed), 1);
+        assert_eq!(result.resilient().count(RunClass::Completed), 1);
     }
 
     #[test]
@@ -1020,6 +1213,7 @@ mod tests {
         let a = resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
         let b = resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
         assert_eq!(a, b, "resilient runs must be deterministic");
+        let a = a.resilient();
         assert_eq!(a.count(RunClass::Completed), 2);
         // Faults perturb the runs: the two seeds should not finish at
         // exactly the same simulated instant.
@@ -1071,7 +1265,7 @@ mod tests {
         // off as TimeLimit, the retry doubles the budget to 4 ms and
         // completes — on the SAME seed, because the workload was never
         // at fault.
-        let exp = resilient(
+        let result = resilient(
             &SlowButSteady,
             &[AsymConfig::new(1, 0, 8)],
             SchedPolicy::os_default(),
@@ -1079,8 +1273,8 @@ mod tests {
                 .sim_time_budget(SimDuration::from_millis(2))
                 .retries(1),
         );
-        assert_eq!(exp.count(RunClass::Completed), 1);
-        let r = &exp.outcomes[0].records[0];
+        assert_eq!(result.resilient().count(RunClass::Completed), 1);
+        let r = &result.cells()[0].runs[0];
         assert_eq!(r.attempts, 2);
         assert!(r.seed < RETRY_SEED_STRIDE, "budget retry must not reseed");
         assert!((r.value.unwrap() - 0.003).abs() < 1e-9);
@@ -1149,7 +1343,7 @@ mod tests {
             );
             plan
         };
-        let exp = resilient(
+        let result = resilient(
             &NeedsProducer,
             &[AsymConfig::new(2, 0, 8)],
             SchedPolicy::os_default(),
@@ -1159,8 +1353,8 @@ mod tests {
                 .fault_planner(planner)
                 .retries(1),
         );
-        assert_eq!(exp.count(RunClass::Completed), 1);
-        let r = &exp.outcomes[0].records[0];
+        assert_eq!(result.resilient().count(RunClass::Completed), 1);
+        let r = &result.cells()[0].runs[0];
         assert_eq!(r.attempts, 2);
         assert!(r.seed < RETRY_SEED_STRIDE, "soften retry must not reseed");
     }
@@ -1222,24 +1416,26 @@ mod tests {
                 .fault_planner(planner)
         };
         let configs = [AsymConfig::new(2, 0, 8)];
-        let exp = differential(&PolicySensitive, &configs, &opts());
+        let result = differential(&PolicySensitive, &configs, &opts());
+        let exp = result.differential();
 
         // 1 config × 3 repeats × 4 runs, all completed.
         assert_eq!(exp.total_runs(), 12);
         assert_eq!(exp.count(RunClass::Completed), 12);
         let o = &exp.outcomes[0];
         assert_eq!(o.reps.len(), 3);
-        for rep in &o.reps {
+        for rep in o.reps {
             // All four runs of a repeat share one seed — the pairing
             // the absorption metric depends on.
-            for r in rep.records() {
+            assert_eq!(rep.runs.len(), 4);
+            for r in &rep.runs {
                 assert_eq!(r.seed, rep.seed);
             }
             assert!((rep.stock_slowdown(exp.direction).unwrap() - 1.5).abs() < 1e-9);
             assert!((rep.aware_slowdown(exp.direction).unwrap() - 1.1).abs() < 1e-9);
-            assert!((rep.absorption(exp.direction).unwrap() - 0.8).abs() < 1e-9);
+            assert!((rep.value.unwrap() - 0.8).abs() < 1e-9, "absorption");
         }
-        assert!((o.mean_absorption(exp.direction).unwrap() - 0.8).abs() < 1e-9);
+        assert!((o.mean_absorption().unwrap() - 0.8).abs() < 1e-9);
         // The synthetic metric is seed-independent, so both faulted
         // series are perfectly stable.
         assert!(o.stability_delta().unwrap().abs() < 1e-12);
@@ -1250,21 +1446,22 @@ mod tests {
             run_on(jobs, &PolicySensitive, &configs, mode)
         };
         assert_eq!(on(1), on(4));
-        assert_eq!(on(1).differential(), &exp);
+        assert_eq!(on(1), result);
     }
 
     #[test]
     fn differential_reports_none_when_stock_is_unaffected() {
         // No planner ⇒ faulted runs equal clean runs ⇒ S_stock = 1 and
         // there is no slowdown to absorb.
-        let exp = differential(
+        let result = differential(
             &PolicySensitive,
             &[AsymConfig::new(2, 0, 8)],
             &ResilientOptions::new(2),
         );
+        let exp = result.differential();
         assert_eq!(exp.count(RunClass::Completed), 8);
-        assert!(exp.outcomes[0].mean_absorption(exp.direction).is_none());
-        assert!(exp.outcomes[0].reps[0].absorption(exp.direction).is_none());
+        assert!(exp.outcomes[0].mean_absorption().is_none());
+        assert!(exp.outcomes[0].reps[0].value.is_none(), "no absorption");
     }
 
     // ------------------------------------------------------------------
@@ -1333,10 +1530,11 @@ mod tests {
         let a = resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
         let b = resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
         assert_eq!(a, b, "environment runs must be deterministic");
-        assert_eq!(a.count(RunClass::Completed), 2);
+        let view = a.resilient();
+        assert_eq!(view.count(RunClass::Completed), 2);
         // The throttle reached the inner kernel: 20 ms of work took far
         // longer than 20 ms.
-        let s = a.outcomes[0].completed_samples().expect("samples");
+        let s = view.outcomes[0].completed_samples().expect("samples");
         for &v in s.values() {
             assert!(v > 0.1, "environment never throttled: finished in {v}s");
         }
@@ -1350,7 +1548,7 @@ mod tests {
             run_on(jobs, &EnvSensitive, &configs, mode)
         };
         assert_eq!(on(1), on(4));
-        assert_eq!(on(1).resilient(), &a);
+        assert_eq!(on(1), a);
     }
 
     #[test]
@@ -1360,7 +1558,7 @@ mod tests {
         // duty, stretching the run ~8x, so the first attempts are cut
         // off as TimeLimit; the harness must double the budget on the
         // SAME seed until the run fits (~145 ms needs the 8x ladder).
-        let exp = resilient(
+        let result = resilient(
             &EnvSensitive,
             &[AsymConfig::new(1, 0, 8)],
             SchedPolicy::os_default(),
@@ -1369,8 +1567,8 @@ mod tests {
                 .environment_planner(harsh_thermal)
                 .retries(3),
         );
-        assert_eq!(exp.count(RunClass::Completed), 1);
-        let r = &exp.outcomes[0].records[0];
+        assert_eq!(result.resilient().count(RunClass::Completed), 1);
+        let r = &result.cells()[0].runs[0];
         assert!(r.attempts >= 3, "budget never escalated: {r:?}");
         assert!(r.seed < RETRY_SEED_STRIDE, "budget retry must not reseed");
         assert!(r.value.unwrap() > 0.1);
@@ -1384,13 +1582,14 @@ mod tests {
         // throttle stretch and absorption is defined (the synthetic
         // workload is policy-blind, so the aware kernel absorbs none of
         // it — absorption ~0).
-        let exp = differential(
+        let result = differential(
             &EnvSensitive,
             &[AsymConfig::new(1, 0, 8)],
             &ResilientOptions::new(1)
                 .sim_time_budget(SimDuration::from_secs(2))
                 .environment_planner(harsh_thermal),
         );
+        let exp = result.differential();
         assert_eq!(exp.count(RunClass::Completed), 4);
         let rep = &exp.outcomes[0].reps[0];
         let slow = rep.stock_slowdown(exp.direction).expect("stock slowdown");
@@ -1398,7 +1597,7 @@ mod tests {
             slow > 2.0,
             "environment did not slow the faulted leg: {slow}"
         );
-        let absorption = rep.absorption(exp.direction).expect("defined absorption");
+        let absorption = rep.value.expect("defined absorption");
         assert!(
             absorption.abs() < 0.2,
             "policy-blind workload: {absorption}"

@@ -17,6 +17,10 @@
 //!   sim-time budgets, contained panics, per-run [`RunClass`]
 //!   classification, bounded retries, partial results), or the
 //!   stock-vs-aware differential harness;
+//! * [`CellReport`] — the one record each cell produces, which the
+//!   engine memoizes, caches and emits, and [`SpecResult`] — an
+//!   experiment's slice of those records, with clean, resilient and
+//!   differential views that compute the statistics from them;
 //! * [`Samples`], [`Stability`], [`Scalability`] — the paper's two
 //!   predictability metrics;
 //! * [`SummaryRow`] / [`Verdict`] — Table-1-style qualitative verdicts,
@@ -46,6 +50,10 @@
 //!     options: ExperimentOptions::new(3),
 //! };
 //! let result = run_spec(&Ideal, &AsymConfig::standard_nine(), mode);
+//! // One record per cell: nine configurations × three runs.
+//! assert_eq!(result.cells().len(), 27);
+//! assert_eq!(result.cells()[4].config, "3f-1s/4");
+//! // The clean view computes the paper's metrics from the records.
 //! let exp = result.clean();
 //! assert!(exp.scalability().is_predictable(0.95));
 //! assert!(exp.worst_asymmetric_cov() < 1e-12);
@@ -66,12 +74,12 @@ pub use cache::{CacheStats, CellCache};
 pub use config::{AsymConfig, ParseConfigError};
 pub use engine::{
     default_jobs, resolve_jobs, run_spec, Cell, CellReport, CellRunner, CheckFold, ExperimentPlan,
-    PlanOutcome, ProfiledRun, SpecMode, SpecResult, SweepReport, TraceCheck,
+    PlanOutcome, ProfiledRun, SpecMode, SweepReport, TraceCheck,
 };
 pub use experiment::{
-    ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, EnvPlanner,
-    Experiment, ExperimentOptions, FaultPlanner, ResilientConfigOutcome, ResilientExperiment,
-    ResilientOptions, RunClass, RunRecord,
+    ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, EnvPlanner, Experiment,
+    ExperimentOptions, FaultPlanner, ResilientConfigOutcome, ResilientExperiment, ResilientOptions,
+    RunClass, RunRecord, SpecResult,
 };
 pub use metrics::{Direction, Samples, Scalability, Stability};
 pub use summary::{SummaryRow, Verdict, WorkloadClass};

@@ -113,7 +113,7 @@ fn cell_facts(report: &SweepReport) -> Vec<Facts> {
                 c.value,
                 c.trace_hash,
                 c.metrics
-                    .as_ref()
+                    .as_deref()
                     .map(ProfileMetrics::to_json)
                     .unwrap_or_default(),
             )
@@ -189,11 +189,7 @@ fn streamed_equals_buffered_byte_exactly() {
     let expected = reference(&w, true);
     let facts: Vec<Facts> = expected.iter().map(|(f, _)| f.clone()).collect();
     assert_eq!(cell_facts(&streamed.report), facts);
-    let records = streamed
-        .results
-        .iter()
-        .flat_map(|r| &r.resilient().outcomes)
-        .flat_map(|o| &o.records);
+    let records = streamed.results.iter().flat_map(|r| r.records());
     for (record, (_, result)) in records.zip(&expected) {
         assert_eq!(record.value, Some(result.value));
         assert_eq!(record.extras, result.extras, "records keep their extras");

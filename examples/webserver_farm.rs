@@ -24,21 +24,21 @@ fn main() {
     let apache = Apache::new(LoadLevel::light());
     print_experiment(
         "Apache, stock kernel (unstable on asymmetric configs)",
-        run(&apache, SchedPolicy::os_default()).clean(),
+        &run(&apache, SchedPolicy::os_default()).clean(),
     );
     print_experiment(
         "Apache, asymmetry-aware kernel (fixed: processes are kernel-visible)",
-        run(&apache, SchedPolicy::asymmetry_aware()).clean(),
+        &run(&apache, SchedPolicy::asymmetry_aware()).clean(),
     );
 
     let zeus = Zeus::new(LoadLevel::light());
     print_experiment(
         "Zeus, stock kernel (unstable: sessions bound by the accept race)",
-        run(&zeus, SchedPolicy::os_default()).clean(),
+        &run(&zeus, SchedPolicy::os_default()).clean(),
     );
     print_experiment(
         "Zeus, asymmetry-aware kernel (NOT fixed: the kernel cannot reach \
          Zeus's internal scheduling)",
-        run(&zeus, SchedPolicy::asymmetry_aware()).clean(),
+        &run(&zeus, SchedPolicy::asymmetry_aware()).clean(),
     );
 }
